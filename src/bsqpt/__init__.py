@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .tomography import (
     CountTable,
-    DecompositionCoefficients,
     InputStateSet,
     build_input_set,
     decompose_standard,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import BASIS_KINDS, STANDARD, OperatorBasis, build_basis
-from .linalg import dagger, kron, permutation_operator
+from .linalg import dagger
 
 @dataclass
 class KrausSet:
@@ -74,14 +74,16 @@ class ProcessMatrix:
 
 @dataclass
 class MapTable:
-    """Channel outputs on all 16 standard basis elements, indexed by [kl]."""
+    """Channel outputs on all 16 standard basis elements, stacked and indexed by [kl]."""
 
-    outputs: list[np.ndarray]
+    outputs: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.outputs) != 16:
-            raise ValueError("a map table needs all 16 outputs")
-        self.outputs = [np.asarray(o, dtype=complex) for o in self.outputs]
+        self.outputs = np.asarray(self.outputs, dtype=complex)
+        if self.outputs.shape != (16, 4, 4):
+            raise ValueError(
+                f"a map table needs all 16 outputs as 4x4 matrices, got shape {self.outputs.shape}"
+            )
 
 
 def to_coeff_vector(op: np.ndarray) -> np.ndarray:
@@ -101,11 +103,15 @@ def from_coeff_vector(c: np.ndarray) -> np.ndarray:
 
 
 def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """Apply the operator sum ``sum_i w_i K_i rho K_i_dag``."""
+    """Apply the operator sum ``sum_i w_i K_i rho K_i_dag``.
+
+    ``rho`` may be one 4x4 matrix or a stack of shape ``(..., 4, 4)``;
+    every matrix in the stack is mapped at once.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"state has shape {rho.shape}, expected (4, 4)")
-    out = np.zeros((4, 4), dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"state has shape {rho.shape}, expected (..., 4, 4)")
+    out = np.zeros(rho.shape, dtype=complex)
     for w, k in ks.items:
         out += w * (k @ rho @ dagger(k))
     return out
@@ -163,45 +169,20 @@ def kraus_from_process_matrix(chi: ProcessMatrix, tol: float = 1e-6) -> KrausSet
 
 def map_on_standard_basis(ks: KrausSet) -> MapTable:
     """Evaluate the channel on every standard basis element ``X_k (x) X_l``."""
-    outputs = []
-    for k in range(4):
-        for l in range(4):
-            x = kron(_unit(k), _unit(l))
-            outputs.append(apply_kraus(ks, x))
-    return MapTable(outputs)
-
-
-def _unit(k: int) -> np.ndarray:
-    u = np.zeros((2, 2), dtype=complex)
-    u[k // 2, k % 2] = 1.0
-    return u
-
-
-# Reordering between the two natural four-qubit layouts of the associated
-# state: (in1, out1, in2, out2) interleaved for the process matrix versus
-# (in1, in2, out1, out2) for the map-table sum. Built once.
-_REORDER = (
-    permutation_operator(4, 1, 2)
-    @ permutation_operator(4, 0, 1)
-    @ permutation_operator(4, 2, 3)
-)
+    return MapTable(apply_kraus(ks, np.stack(build_basis(STANDARD).elements)))
 
 
 def assemble_choi_from_map(mt: MapTable) -> ProcessMatrix:
     """Build the standard-basis process matrix from a table of channel outputs.
 
-    The 16x16 matrix ``sum_kl X_k (x) X_l (x) E(X_k (x) X_l)`` orders the
-    four qubits as inputs-then-outputs; conjugating with the inverse of
-    the fixed qubit reordering brings it to the interleaved layout whose
-    matrix in the standard state basis is exactly the process matrix.
-    This is the reconstruction route used by tomography: it needs only
-    the outputs on the standard elements, no matrix inversion.
+    The entry ``chi[(r1 i1 r2 i2), (s1 j1 s2 j2)]`` is
+    ``<r1 r2| E(|i1 i2><j1 j2|) |s1 s2>``, so the process matrix is the
+    stacked outputs, whose axes run ``(i1 j1 i2 j2)(r1 r2)(s1 s2)``, with
+    each output qubit index moved beside the input index of the same
+    qubit. This is the reconstruction route used by tomography: it needs
+    only the outputs on the standard elements, no matrix inversion.
     """
-    d_tilde = np.zeros((16, 16), dtype=complex)
-    for k in range(4):
-        for l in range(4):
-            d_tilde += kron(_unit(k), _unit(l), mt.outputs[4 * k + l])
-    m = dagger(_REORDER) @ d_tilde @ _REORDER
+    m = mt.outputs.reshape((2,) * 8).transpose(4, 0, 5, 2, 6, 1, 7, 3).reshape(16, 16)
     return ProcessMatrix(STANDARD, m)
 
 

@@ -63,6 +63,8 @@ def read_matrix(path: str) -> tuple[str, np.ndarray]:
         raise FileFormatError(f"{path}: matrix entries are not numbers") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise FileFormatError(f"{path}: re/im shapes do not match dim={dim}")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise FileFormatError(f"{path}: non-finite matrix entry (NaN or infinity)")
     return basis, re + 1j * im
 
 
@@ -91,10 +93,15 @@ def read_counts(path: str) -> CountTable:
             continue
         if stripped.startswith("#"):
             if "total_scale" in stripped and "=" in stripped:
+                text = stripped.split("=", 1)[1].strip()
                 try:
-                    total_scale = float(stripped.split("=", 1)[1])
+                    total_scale = float(text)
                 except ValueError:
-                    pass
+                    raise FileFormatError(f"{path}: unparsable total_scale {text!r}") from None
+                if not (math.isfinite(total_scale) and total_scale > 0.0):
+                    raise FileFormatError(
+                        f"{path}: total_scale must be finite and positive, got {text!r}"
+                    )
             continue
         data_lines.append(stripped)
     if not data_lines or data_lines[0] != "input_index,projector_index,count":

@@ -3,23 +3,33 @@
 The measurement protocol prepares the 16 separable products of the four
 single-qubit states {|0>, |1>, |+>, |L>} (|+> = (|0>+|1>)/sqrt2,
 |L> = (|0>+i|1>)/sqrt2), sends each through the channel and projects the
-output onto the same 16 product states. Reconstruction is purely linear:
-each output state comes back through the dual frame of the projector
-set, the channel's action on the standard operator basis follows by
-linear combination, and the process matrix is assembled from those
-outputs directly. Nothing is renormalized, so an overall count-rate
-factor propagates into the reconstructed matrix unchanged, and nothing
-forces positivity; PSD repair is an explicit, optional post-step.
+output onto the same 16 product states. Both directions are fixed linear
+maps, built once by :func:`build_input_set`:
+
+* simulation applies the channel to the stacked inputs in one operation
+  and reads all 256 expectations ``Tr(Pi_m E(rho_n))`` in one product;
+* reconstruction is two 16x16 matrix products. The decomposition
+  coefficients ``coeffs[a, n]`` (``X_a = sum_n coeffs[a, n] rho_n``)
+  combine the input rows of the count table, and the dual frame ``D_m``
+  of the projectors turns each combined row into an operator, giving the
+  channel's outputs ``E(X_a) = sum_nm coeffs[a, n] counts[n, m] D_m`` on
+  the standard elements. The process matrix is a fixed axis reordering of
+  those outputs.
+
+Nothing is renormalized, so an overall count-rate factor propagates into
+the reconstructed matrix unchanged, and nothing forces positivity; PSD
+repair is an explicit, optional post-step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import KrausSet, MapTable, ProcessMatrix, apply_kraus, assemble_choi_from_map
-from .linalg import dagger, kron, projector
+from .linalg import projector
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -29,16 +39,23 @@ _KET_CIRC = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class InputStateSet:
-    """The four single-qubit preparation states and their 16 products.
+    """The four single-qubit preparation states, their 16 products and the inversion maps.
 
-    ``products[4*i + j] = singles[i] (x) singles[j]``. The products are
-    linearly independent; ``gram_condition`` reports the condition number
-    of their Gram matrix as a health figure for the inversion.
+    ``products[4*i + j] = singles[i] (x) singles[j]``; the same products
+    serve as the measurement projectors. The products are linearly
+    independent; ``gram_condition`` reports the condition number of their
+    Gram matrix as a health figure for the inversion. ``coeffs[a, n]``
+    writes the standard element ``X_a`` as ``sum_n coeffs[a, n]
+    products[n]`` (checked to 1e-12 at construction), and ``duals[m]`` is
+    the dual-frame operator of projector ``m``, so any two-qubit operator
+    equals ``sum_m Tr(products[m] A) duals[m]``. All arrays are read-only.
     """
 
-    singles: tuple[np.ndarray, ...]
-    products: tuple[np.ndarray, ...]
+    singles: np.ndarray
+    products: np.ndarray
     gram_condition: float
+    coeffs: np.ndarray
+    duals: np.ndarray
 
 
 @dataclass
@@ -57,87 +74,72 @@ class CountTable:
             raise ValueError("counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DecompositionCoefficients:
-    """Coefficients writing each standard element as a combination of inputs.
-
-    ``coeffs[[kl], n]`` satisfies ``X_k (x) X_l = sum_n coeffs[[kl], n]
-    products[n]`` exactly; verified at construction.
-    """
-
-    coeffs: np.ndarray
+def _pairs(singles: np.ndarray) -> np.ndarray:
+    """All 16 products ``singles[i] (x) singles[j]``, stacked at ``4*i + j``."""
+    return np.einsum("iab,jcd->ijacbd", singles, singles).reshape(16, 4, 4)
 
 
-def build_input_set() -> InputStateSet:
-    """The standard four-state preparation set and its 16 two-qubit products."""
-    singles = tuple(projector(k) for k in (_KET0, _KET1, _KET_PLUS, _KET_CIRC))
-    products = tuple(kron(singles[i], singles[j]) for i in range(4) for j in range(4))
-    flat = np.stack([p.reshape(16) for p in products])
-    gram = flat.conj() @ flat.T
-    cond = float(np.linalg.cond(gram))
-    if not np.isfinite(cond):
-        raise ValueError("input product states are linearly dependent")
-    return InputStateSet(singles=singles, products=products, gram_condition=cond)
-
-
-def _single_qubit_duals(singles: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+def _single_qubit_duals(singles: np.ndarray) -> np.ndarray:
     # Rows of b are the vectorized projectors; the dual-frame operators are
     # the columns of b^-1, Hermitized to kill rounding asymmetry.
-    b = np.stack([s.conj().reshape(4) for s in singles])
-    inv = np.linalg.inv(b)
-    duals = []
-    for n in range(4):
-        d = inv[:, n].reshape(2, 2)
-        duals.append(0.5 * (d + dagger(d)))
-    return duals
+    b = singles.conj().reshape(4, 4)
+    d = np.linalg.inv(b).T.reshape(4, 2, 2)
+    return 0.5 * (d + d.conj().transpose(0, 2, 1))
 
 
-def decompose_standard(inputs: InputStateSet) -> DecompositionCoefficients:
+def decompose_standard(singles: np.ndarray, products: np.ndarray) -> np.ndarray:
     """Solve for the input-state combinations that realize each standard element.
 
     The single-qubit problem (four coefficients per element) is solved
     once and the two-qubit coefficients are the tensor products of the
-    single-qubit solutions. The reconstruction identity is checked to
-    1e-12 before returning.
+    single-qubit solutions: row ``[kl]`` of the result writes
+    ``X_k (x) X_l`` as a combination of ``products``. The reconstruction
+    identity is checked to 1e-12 before returning.
     """
-    b = np.stack([s.reshape(4) for s in inputs.singles]).T
-    single_coeffs = np.empty((4, 4), dtype=complex)
-    for k in range(4):
-        x = np.zeros((2, 2), dtype=complex)
-        x[k // 2, k % 2] = 1.0
-        single_coeffs[k] = np.linalg.solve(b, x.reshape(4))
-
-    coeffs = np.empty((16, 16), dtype=complex)
-    for k in range(4):
-        for l in range(4):
-            coeffs[4 * k + l] = np.kron(single_coeffs[k], single_coeffs[l])
-
-    for k in range(4):
-        for l in range(4):
-            x = kron(_unit(k), _unit(l))
-            combo = sum(
-                coeffs[4 * k + l, n] * inputs.products[n] for n in range(16)
-            )
-            if np.max(np.abs(combo - x)) > 1e-12:
-                raise ValueError("input set failed to reproduce the standard elements")
-    return DecompositionCoefficients(coeffs=coeffs)
+    b = singles.reshape(4, 4).T
+    # The vectorized single-qubit standard elements are the unit vectors.
+    units = np.eye(4, dtype=complex)
+    single_coeffs = np.linalg.solve(b, units).T
+    coeffs = np.kron(single_coeffs, single_coeffs)
+    combos = np.tensordot(coeffs, products, axes=1)
+    if np.max(np.abs(combos - _pairs(units.reshape(4, 2, 2)))) > 1e-12:
+        raise ValueError("input set failed to reproduce the standard elements")
+    return coeffs
 
 
-def _unit(k: int) -> np.ndarray:
-    u = np.zeros((2, 2), dtype=complex)
-    u[k // 2, k % 2] = 1.0
-    return u
+def build_input_set() -> InputStateSet:
+    """The standard four-state preparation set, its products and inversion maps."""
+    singles = np.stack([projector(k) for k in (_KET0, _KET1, _KET_PLUS, _KET_CIRC)])
+    products = _pairs(singles)
+    flat = products.reshape(16, 16)
+    gram = flat.conj() @ flat.T
+    cond = float(np.linalg.cond(gram))
+    if not np.isfinite(cond):
+        raise ValueError("input product states are linearly dependent")
+    coeffs = decompose_standard(singles, products)
+    duals = _pairs(_single_qubit_duals(singles))
+    for a in (singles, products, coeffs, duals):
+        a.setflags(write=False)
+    return InputStateSet(
+        singles=singles, products=products, gram_condition=cond, coeffs=coeffs, duals=duals
+    )
 
 
-def expectation_values(rho: np.ndarray, projectors: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Real expectation values ``Tr(Pi rho)`` for a tuple of projectors."""
-    return np.array([float(np.trace(p @ rho).real) for p in projectors])
+def expectation_values(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Real expectation values ``Tr(Pi_m rho)`` for a stack of Hermitian projectors.
+
+    ``rho`` may itself be a stack of shape ``(..., 4, 4)``; the result then
+    has shape ``(..., len(projectors))``.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    pis = np.asarray(projectors, dtype=complex).reshape(-1, 16)
+    # Tr(Pi rho) is the inner product of the flattened matrices when Pi is Hermitian.
+    return (rho.reshape(rho.shape[:-2] + (16,)) @ pis.conj().T).real
 
 
 def simulate_counts(
     channel: KrausSet,
     inputs: InputStateSet,
-    projectors: tuple[np.ndarray, ...] | None = None,
     total_scale: float = 1.0,
     noise: str | None = None,
     seed: int | None = None,
@@ -145,20 +147,18 @@ def simulate_counts(
     """Simulate the coincidence record of the measurement protocol.
 
     Expected rate for input n and projector m is
-    ``total_scale * Tr(Pi_m E(rho_n))``. With ``noise="poisson"`` each
-    entry is replaced by a Poisson draw with that mean, reproducibly for
-    a given seed; the default is the noiseless expected-rate table.
+    ``total_scale * Tr(Pi_m E(rho_n))``, with the projectors equal to the
+    input products. With ``noise="poisson"`` each entry is replaced by a
+    Poisson draw with that mean, reproducibly for a given seed; the
+    default is the noiseless expected-rate table. ``total_scale`` must be
+    finite and positive.
     """
-    if total_scale <= 0.0:
-        raise ValueError("total_scale must be positive")
+    if not (math.isfinite(total_scale) and total_scale > 0.0):
+        raise ValueError(f"total_scale must be finite and positive, got {total_scale!r}")
     if noise not in (None, "poisson"):
         raise ValueError(f"unknown noise mode {noise!r}")
-    if projectors is None:
-        projectors = inputs.products
-    counts = np.empty((16, 16), dtype=float)
-    for n, rho_in in enumerate(inputs.products):
-        rho_out = apply_kraus(channel, rho_in)
-        counts[n] = total_scale * np.clip(expectation_values(rho_out, projectors), 0.0, None)
+    outputs = apply_kraus(channel, inputs.products)
+    counts = total_scale * np.clip(expectation_values(outputs, inputs.products), 0.0, None)
     if noise == "poisson":
         rng = np.random.default_rng(seed)
         counts = rng.poisson(counts).astype(float)
@@ -180,29 +180,17 @@ def reconstruct_state(
     m = np.asarray(expectations, dtype=float)
     if m.shape != (16,):
         raise ValueError(f"expected 16 expectation values, got shape {m.shape}")
-    duals = _single_qubit_duals(inputs.singles)
-    rho = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            rho += m[4 * i + j] * kron(duals[i], duals[j])
-    return rho
+    return np.tensordot(m, inputs.duals, axes=1)
 
 
 def reconstruct_process(ct: CountTable, inputs: InputStateSet) -> ProcessMatrix:
     """Reconstruct the standard-basis process matrix from a count table.
 
-    Pipeline: invert each input row into an (unnormalized) output state,
-    combine the outputs into the channel's action on the standard
-    elements using the decomposition coefficients, and assemble the
-    process matrix from that map table. On noiseless data this equals the
-    process matrix of the true channel times ``total_scale``.
+    ``coeffs @ counts`` combines the input rows into the records of the
+    standard elements, the dual frame turns each record into the channel's
+    output ``E(X_a)``, and the process matrix is assembled from that map
+    table. On noiseless data this equals the process matrix of the true
+    channel times ``total_scale``.
     """
-    coeffs = decompose_standard(inputs).coeffs
-    outputs_per_input = [reconstruct_state(ct.counts[n], inputs) for n in range(16)]
-    table = []
-    for a in range(16):
-        e_out = np.zeros((4, 4), dtype=complex)
-        for n in range(16):
-            e_out += coeffs[a, n] * outputs_per_input[n]
-        table.append(e_out)
-    return assemble_choi_from_map(MapTable(table))
+    outputs = inputs.coeffs @ ct.counts @ inputs.duals.reshape(16, 16)
+    return assemble_choi_from_map(MapTable(outputs.reshape(16, 4, 4)))

@@ -68,6 +68,14 @@ class TestApplyKraus:
         assert_allclose(out, dagger(out), atol=1e-13)
         assert np.linalg.eigvalsh(out)[0] > -1e-13
 
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(12)
+        ks = random_channel(rng, n_kraus=3)
+        stack = np.stack([random_density(rng) for _ in range(5)])
+        out = apply_kraus(ks, stack)
+        for rho, got in zip(stack, out):
+            assert_allclose(got, apply_kraus(ks, rho), atol=0)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             KrausSet([(-0.1, I4)])

@@ -290,6 +290,41 @@ class TestCliErrors:
         assert main(["reconstruct", "--counts", str(bad),
                      "--out", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_bad_total_scale_exit_2(self, tmp_path, capsys, scale):
+        params = write_params(tmp_path / "p.json")
+        counts = tmp_path / "c.csv"
+        assert main(["simulate", "--params", str(params), "--counts-out", str(counts),
+                     "--total-scale", scale]) == 2
+        assert "total_scale must be finite and positive" in capsys.readouterr().err
+        assert not counts.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "0", "-5"])
+    def test_bad_total_scale_header_exit_2(self, tmp_path, capsys, value):
+        path = tmp_path / "c.csv"
+        lines = ["# coincidence count table", f"# total_scale = {value}",
+                 "input_index,projector_index,count"]
+        lines += [f"{i},{j},1.0" for i in range(16) for j in range(16)]
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.json"
+        assert main(["reconstruct", "--counts", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: " in err and "total_scale" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "transform"])
+    @pytest.mark.parametrize("bad, part", [(np.nan, "real"), (np.inf, "imag"), (-np.inf, "real")])
+    def test_non_finite_chi_exit_2(self, tmp_path, capsys, command, bad, part):
+        chi = choi_from_kraus(kraus_pair(FilterParams.from_ratio(0.76, p=0.2))).m.copy()
+        getattr(chi, part)[3, 5] = bad
+        chi_path = tmp_path / "chi.json"
+        fileio.write_matrix(chi_path, chi, "S")
+        out = tmp_path / "out.json"
+        extra = ["--to", "F"] if command == "transform" else []
+        assert main([command, "--chi", str(chi_path), "--out", str(out), *extra]) == 2
+        assert f"error: {chi_path}: non-finite matrix entry" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_failure_exit_3(self, tmp_path):
         params = write_params(tmp_path / "p.json")
         assert main(["simulate", "--params", str(params),

@@ -8,9 +8,9 @@ from bsqpt import (
     FilterParams,
     KrausSet,
     bell_state,
+    build_basis,
     build_input_set,
     choi_from_kraus,
-    decompose_standard,
     kraus_pair,
     reconstruct_process,
     reconstruct_state,
@@ -54,7 +54,7 @@ class TestInputSet:
 
 class TestDecomposition:
     def test_x0_is_first_input(self):
-        coeffs = decompose_standard(build_input_set()).coeffs
+        coeffs = build_input_set().coeffs
         # X_0 (x) X_0 = |00><00| is products[0] itself.
         expected = np.zeros(16)
         expected[0] = 1.0
@@ -67,14 +67,14 @@ class TestDecomposition:
         c = np.array([-(1 + 1j) / 2, -(1 + 1j) / 2, 1.0, 1.0j])
         combo = sum(c[n] * inputs.singles[n] for n in range(4))
         assert_allclose(combo, np.array([[0, 1], [0, 0]]), atol=1e-14)
-        coeffs = decompose_standard(inputs).coeffs
+        coeffs = inputs.coeffs
         # Row [kl] = [0*4+1] tensors the X_0 solution with the X_1 solution.
         expected_row = np.kron(np.array([1, 0, 0, 0]), c)
         assert_allclose(coeffs[1], expected_row, atol=1e-12)
 
     def test_identity_reproduced_for_all_elements(self):
         inputs = build_input_set()
-        coeffs = decompose_standard(inputs).coeffs
+        coeffs = inputs.coeffs
         for k in range(4):
             for l in range(4):
                 x = np.zeros((4, 4), dtype=complex)
@@ -111,6 +111,11 @@ class TestSimulateCounts:
             simulate_counts(KrausSet([(1.0, I4)]), inputs, noise="gaussian")
         with pytest.raises(ValueError):
             CountTable(counts=-np.ones((16, 16)))
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_total_scale(self, scale):
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate_counts(KrausSet([(1.0, I4)]), build_input_set(), total_scale=scale)
 
 
 class TestReconstructState:
@@ -194,3 +199,19 @@ class TestReconstructProcess:
                 dists.append(np.linalg.norm(chi.m / scale - chi_true))
             err[scale] = np.mean(dists)
         assert err[1e6] < err[1e3]
+
+    def test_round_trip_arbitrary_tables(self):
+        # Any nonnegative table, physical or not, must come back through the
+        # forward map Tr(Pi_m A_a rho_n A_b_dag) built here from its definition.
+        inputs = build_input_set()
+        x = np.stack(build_basis("S").elements)
+        forward = np.einsum(
+            "mij,ajk,nkl,bil->nmab", inputs.products, x, inputs.products, x.conj(), optimize=True
+        )
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            table = rng.uniform(0.0, 10.0 ** rng.uniform(0, 5), size=(16, 16))
+            table[rng.random((16, 16)) < 0.2] = 0.0
+            chi = reconstruct_process(CountTable(counts=table), inputs)
+            back = np.einsum("nmab,ab->nm", forward, chi.m)
+            assert np.max(np.abs(back - table)) <= 1e-9 * np.max(np.abs(table))
