@@ -25,15 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SIGMA, bell_state, dagger, kron, matrix_unit, permutation_operator
+from .linalg import SIGMA, SWAP, bell_state, dagger, kron, matrix_unit
 
 STANDARD = "S"
 PAULI_KRON = "B"
 BELL = "C"
 FILTER = "F"
 BASIS_KINDS = (STANDARD, PAULI_KRON, BELL, FILTER)
-
-_SWAP = permutation_operator(2, 0, 1)
 
 
 def standard_element(k: int) -> np.ndarray:
@@ -71,7 +69,7 @@ def _elements_for(kind: str) -> list[np.ndarray]:
     if kind == BELL:
         return [np.outer(bell_state(k), bell_state(l).conj()) for k in range(4) for l in range(4)]
     if kind == FILTER:
-        return [kron(pauli_element(i), pauli_element(j)) @ _SWAP for i in range(4) for j in range(4)]
+        return [kron(pauli_element(i), pauli_element(j)) @ SWAP for i in range(4) for j in range(4)]
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 
@@ -84,11 +82,9 @@ def build_basis(kind: str) -> OperatorBasis:
     inconsistency and raises ``RuntimeError``.
     """
     elements = _elements_for(kind)
-    std = _elements_for(STANDARD)
-    u = np.empty((16, 16), dtype=complex)
-    for alpha, a in enumerate(elements):
-        for mu, x in enumerate(std):
-            u[mu, alpha] = np.trace(dagger(x) @ a)
+    # Tr(X_mu_dag A_alpha) is the sum over entries of conj(X_mu) * A_alpha.
+    std = np.reshape(_elements_for(STANDARD), (16, 16))
+    u = std.conj() @ np.reshape(elements, (16, 16)).T
     if np.max(np.abs(dagger(u) @ u - np.eye(16))) > 1e-12:
         raise RuntimeError(f"change-of-basis matrix for kind {kind!r} is not unitary")
     for e in elements:

@@ -32,10 +32,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import KrausSet, apply_kraus
-from .linalg import SIGMA, kron, partial_trace, permutation_operator
+from .linalg import SWAP, kron, partial_trace
 
 _I4 = np.eye(4, dtype=complex)
-_SWAP = permutation_operator(2, 0, 1)
+# Signs of the reflected amplitude in (P-, P+).
+_SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -137,9 +138,18 @@ def u3(theta1: float, theta2: float) -> np.ndarray:
     Diagonal with entries ``(e^{i(t1-t2)/2}, -e^{i(t1+t2)/2},
     -e^{-i(t1+t2)/2}, e^{-i(t1-t2)/2})``.
     """
-    a = np.diag([np.exp(0.5j * theta1), np.exp(-0.5j * theta1)]) @ SIGMA[3]
-    b = np.diag([np.exp(-0.5j * theta2), np.exp(0.5j * theta2)]) @ SIGMA[3]
-    return kron(a, b)
+    half_sum, half_diff = 0.5 * (theta1 + theta2), 0.5 * (theta1 - theta2)
+    phases = np.exp(1j * np.array([half_diff, half_sum, -half_sum, -half_diff]))
+    return np.diag(phases * np.array([1.0, -1.0, -1.0, 1.0]))
+
+
+def filter_operators(t: float, r: float, theta1: float, theta2: float) -> np.ndarray:
+    """The unit-scale filter operators ``P-/+ = t I -/+ r U3(theta1, theta2) SWAP``.
+
+    Returned stacked as a ``(2, 4, 4)`` array, ``P-`` first. Both
+    :func:`kraus_pair` and the model fit build the operators here.
+    """
+    return t * _I4 + _SIGNS * (r * (u3(theta1, theta2) @ SWAP))
 
 
 def kraus_pair(fp: FilterParams) -> KrausSet:
@@ -148,9 +158,7 @@ def kraus_pair(fp: FilterParams) -> KrausSet:
     ``scale`` multiplies both operators, so the induced channel (and any
     process matrix built from it) carries ``scale**2``.
     """
-    v = u3(fp.theta1, fp.theta2) @ _SWAP
-    p_minus = fp.scale * (fp.T * _I4 - fp.R * v)
-    p_plus = fp.scale * (fp.T * _I4 + fp.R * v)
+    p_minus, p_plus = fp.scale * filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
     return KrausSet([(1.0 - fp.p, p_minus), (fp.p, p_plus)])
 
 
@@ -181,8 +189,8 @@ def kraus_pair_from_optics(bs: BSOptics, p: float = 0.0, scale: float = 1.0) -> 
             rr = (1j * np.exp(-1j * phase[mu]) * sqrt_r) * (1j * np.exp(1j * phase[nu]) * sqrt_r)
             minus[2 * nu + mu, col] += rr
             plus[2 * nu + mu, col] -= rr
-    minus = _SWAP @ minus @ _SWAP
-    plus = _SWAP @ plus @ _SWAP
+    minus = SWAP @ minus @ SWAP
+    plus = SWAP @ plus @ SWAP
     return KrausSet([(1.0 - p, scale * minus), (p, scale * plus)])
 
 
@@ -228,8 +236,8 @@ def apply_pt_model(
 
     # The temporal factor swaps under reflection exactly like the
     # polarization pair, and both live on 2 (x) 2 spaces.
-    v_pol = u3(fp.theta1, fp.theta2) @ _SWAP
-    p_pt = fp.scale * (fp.T * kron(_I4, _I4) - fp.R * kron(v_pol, _SWAP))
+    v_pol = u3(fp.theta1, fp.theta2) @ SWAP
+    p_pt = fp.scale * (fp.T * kron(_I4, _I4) - fp.R * kron(v_pol, SWAP))
     full = p_pt @ kron(rho, omega) @ p_pt.conj().T
     return partial_trace(full, (4, 4), keep=0)
 

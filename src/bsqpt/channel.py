@@ -91,9 +91,11 @@ def to_coeff_vector(op: np.ndarray) -> np.ndarray:
 
     Component ``[kl] = 4*k + l`` equals ``Tr((X_k (x) X_l)_dag K)``; for
     matrix units this is a fixed reindexing of the operator's entries.
+    A stack of shape ``(..., 4, 4)`` maps to ``(..., 16)``.
     """
     op = np.asarray(op, dtype=complex)
-    return op.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(16)
+    lead = op.shape[:-2]
+    return op.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (16,))
 
 
 def from_coeff_vector(c: np.ndarray) -> np.ndarray:

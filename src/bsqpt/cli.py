@@ -76,14 +76,19 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "n_evaluations": result.n_evaluations,
         "converged": result.converged,
     }
+    warnings = []
     meas_norm = float(np.linalg.norm(chi.m))
     if meas_norm > 0.0 and result.residual > 0.02 * meas_norm:
-        payload["warning"] = (
+        warnings.append(
             "model mismatch: residual is "
             f"{result.residual / meas_norm:.1%} of the matrix norm"
         )
+    if result.fidelity is None:
+        warnings.append("fidelity undefined: a PSD-projected matrix has no positive trace")
     if not result.converged:
-        payload["warning"] = "no simplex start converged; best effort result"
+        warnings.append("the best start did not converge; best effort result")
+    if warnings:
+        payload["warning"] = "; ".join(warnings)
     fileio.write_fit_report(args.out, payload)
     if not result.converged:
         log.warning("fit did not converge")
@@ -143,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("THREADS", "1")),
-        help="worker threads (accepted for compatibility; computation is single-threaded)",
+        help="worker threads, default $THREADS or 1 (accepted for compatibility; "
+        "computation is single-threaded)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -203,6 +208,12 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is None:
+        try:
+            args.threads = int(os.environ.get("THREADS", "1"))
+        except ValueError:
+            print(f"error: THREADS={os.environ['THREADS']!r} is not an integer", file=sys.stderr)
+            return 2
     if args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2

@@ -1,32 +1,42 @@
 """Least-squares estimation of the filter model from a measured process matrix.
 
-The model process matrix is rank at most two (one coefficient vector per
-filter operator), so the fit searches the four shape parameters
-(p, R/T ratio, theta1, theta2) with a bounded Nelder-Mead simplex from
-multiple seeded starts, while the overall rate factor is profiled out
-analytically at every evaluation: for a unit-scale model chi_1 the best
-multiplier of chi_1 against the measured matrix is a one-line projection,
-and the reported ``scale`` is its square root (the Kraus operators carry
-scale linearly, the process matrix quadratically). The objective is the
-plain Frobenius distance on the unnormalized matrices, matching how the
-measured matrices are compared visually; no statistical weighting.
+The model process matrix is rank at most two, ``chi_1 = (1-p) c- c-_dag +
+p c+ c+_dag``, where ``c-/+`` are the standard-basis coefficient vectors of
+the unit-scale filter operators ``P-/+ = t I -/+ r U3(theta1, theta2) SWAP``
+with ``t + r = 1``. The overall rate factor is profiled out at every
+evaluation, as in separable least squares (Golub & Pereyra, SIAM J. Numer.
+Anal. 10, 413 (1973)): the best multiplier ``alpha`` of ``chi_1`` against
+the measured matrix is a one-line projection, and the reported ``scale`` is
+its square root (the Kraus operators carry scale linearly, the process
+matrix quadratically). The residual ``chi_meas - alpha chi_1``, split into
+real and imaginary parts, is minimized over the four shape parameters
+(p, R/T ratio, theta1, theta2) by trust-region reflective least squares
+from multiple seeded starts, with a closed-form Jacobian: every parameter
+enters ``c-/+`` elementarily. Only p and R/T are boxed; the angles are
+periodic, so they are left free and folded by :func:`canonicalize`
+afterwards. The objective is the plain Frobenius distance on the
+unnormalized matrices, matching how the measured matrices are compared
+visually; no statistical weighting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .bsfilter import FilterParams, kraus_pair, u3
+from .bsfilter import FilterParams, filter_operators, kraus_pair
 from .channel import ProcessMatrix, choi_from_kraus, to_coeff_vector, transform_process_matrix
 from .linalg import fidelity as state_fidelity
-from .linalg import permutation_operator, project_to_psd
+from .linalg import project_to_psd
 
-_I4 = np.eye(4, dtype=complex)
-_SWAP = permutation_operator(2, 0, 1)
+_VEC_I = to_coeff_vector(np.eye(4))
+# dU3/dtheta_k = diag(d_k) U3 for the fixed phases d_k below. Left
+# multiplication by diag(d_k) scales matrix rows, so in coefficient space
+# it weighs each coefficient by d_k at the coefficient's row.
+_D_THETA = 0.5j * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
+_DPHASE = to_coeff_vector(np.broadcast_to(_D_THETA[:, :, None], (2, 4, 4)))
 
 
 @dataclass
@@ -34,8 +44,12 @@ class FitConfig:
     """Search configuration; bounds are closed intervals.
 
     The ratio bounds cover physically plausible splitters (1:4 through
-    4:1). The scale parameter has no explicit bounds because it is
-    profiled analytically and is nonnegative by construction.
+    4:1). ``theta_bounds`` is the range the seeded start angles are drawn
+    from; the search itself leaves the angles unbounded. The scale
+    parameter has no explicit bounds because it is profiled analytically
+    and is nonnegative by construction. ``max_iterations`` caps the
+    residual evaluations of each start, and ``convergence_tol`` is the
+    solver's relative tolerance on the cost, the step and the gradient.
     """
 
     multistart: int = 16
@@ -49,9 +63,19 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """Outcome of :func:`fit`.
+
+    ``n_evaluations`` counts every model evaluation: each residual vector
+    and each Jacobian the solver asked for, plus one residual per start.
+    ``converged`` is the solver status of the start whose point is
+    reported. ``fidelity`` is ``None`` when it cannot be computed (a
+    matrix without positive trace after the PSD projection).
+    ``start_residuals`` holds the residual norm at each start point.
+    """
+
     params: FilterParams
     residual: float
-    fidelity: float
+    fidelity: float | None
     n_evaluations: int
     converged: bool
     start_residuals: list[float] = field(default_factory=list)
@@ -65,14 +89,53 @@ def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
     return transform_process_matrix(chi, basis_kind)
 
 
-def _chi_standard(p: float, ratio: float, theta1: float, theta2: float) -> np.ndarray:
-    """Unit-scale standard-basis model matrix with T + R normalized to 1."""
+def _unit_model(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``t``, the vectors ``(c-, c+)`` and ``chi_1`` at ``x = (p, R/T, theta1, theta2)``."""
+    p, ratio, theta1, theta2 = x
     t = 1.0 / (1.0 + ratio)
-    r = ratio * t
-    v = u3(theta1, theta2) @ _SWAP
-    cm = to_coeff_vector(t * _I4 - r * v)
-    cp = to_coeff_vector(t * _I4 + r * v)
-    return (1.0 - p) * np.outer(cm, cm.conj()) + p * np.outer(cp, cp.conj())
+    c = to_coeff_vector(filter_operators(t, ratio * t, theta1, theta2))
+    chi1 = (c.T * np.array([1.0 - p, p])) @ c.conj()
+    return t, c, chi1
+
+
+def _profiled_scale(chi1: np.ndarray, chi_std: np.ndarray) -> float:
+    """The multiplier ``alpha >= 0`` of ``chi1`` closest to ``chi_std`` in Frobenius norm."""
+    return max(float(np.vdot(chi1, chi_std).real), 0.0) / float(np.vdot(chi1, chi1).real)
+
+
+def _as_real(z: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of a complex array, interleaved along its last axis."""
+    return np.ascontiguousarray(z).view(np.float64)
+
+
+def _residuals(x: np.ndarray, chi_std: np.ndarray) -> np.ndarray:
+    """The 512 real components of ``chi_std - alpha chi_1`` at ``x``."""
+    _, _, chi1 = _unit_model(x)
+    return _as_real(chi_std - _profiled_scale(chi1, chi_std) * chi1).ravel()
+
+
+def _jacobian(x: np.ndarray, chi_std: np.ndarray) -> np.ndarray:
+    """Closed-form ``(512, 4)`` Jacobian of :func:`_residuals`, scale profile included.
+
+    With ``A = P - t I`` the reflected part of each operator,
+    ``dP/d(R/T) = A / (R/T) - t P`` and ``dP/dtheta_k = diag(d_k) A``.
+    """
+    p, ratio = x[0], x[1]
+    t, c, chi1 = _unit_model(x)
+    s11 = float(np.vdot(chi1, chi1).real)
+    s1m = float(np.vdot(chi1, chi_std).real)
+    if s1m <= 0.0:
+        return np.zeros((512, 4))
+    alpha = s1m / s11
+    a = c - t * _VEC_I
+    dc = np.stack([a / ratio - t * c, _DPHASE[0] * a, _DPHASE[1] * a])
+    half = (dc.swapaxes(1, 2) * np.array([1.0 - p, p])) @ c.conj()
+    dchi = np.empty((4, 16, 16), dtype=complex)
+    dchi[0] = np.outer(c[1], c[1].conj()) - np.outer(c[0], c[0].conj())
+    dchi[1:] = half + half.conj().swapaxes(1, 2)
+    flat = dchi.reshape(4, 256).conj()
+    dalpha = ((flat @ chi_std.ravel()).real - 2.0 * alpha * (flat @ chi1.ravel()).real) / s11
+    return _as_real(-(alpha * dchi + dalpha[:, None, None] * chi1)).reshape(4, 512).T
 
 
 def residual(fp: FilterParams, chi_meas: ProcessMatrix) -> float:
@@ -124,82 +187,80 @@ def _starts(cfg: FitConfig) -> list[np.ndarray]:
     return starts
 
 
+def _params(x: np.ndarray) -> FilterParams:
+    """Canonical unit-scale parameters of a solver point ``(p, R/T, theta1, theta2)``."""
+    p, ratio, theta1, theta2 = (float(v) for v in x)
+    return canonicalize(
+        FilterParams(
+            T=1.0 / (1.0 + ratio),
+            R=ratio / (1.0 + ratio),
+            theta1=theta1,
+            theta2=theta2,
+            p=min(max(p, 0.0), 0.5),
+        )
+    )
+
+
 def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Fit the filter model to a measured process matrix.
 
-    Runs a bounded Nelder-Mead descent from ``cfg.multistart`` seeded
-    starting points, keeps the best minimum (ties broken by smaller
-    angle norm, then smaller p), and polishes it with one more descent.
-    Deterministic for a given seed. Non-convergence is reported through
-    ``converged=False`` on the result, never as an exception.
+    Runs one bounded trust-region least-squares descent from each of
+    ``cfg.multistart`` seeded starting points and keeps the lowest
+    residual; starts that tie are ranked by the norm of their
+    canonicalized angles, then by p. Deterministic for a given seed.
+    Non-convergence of the reported start is signalled by
+    ``converged=False`` on the result, never by an exception.
     """
+    from scipy.optimize import least_squares
+
     if cfg is None:
         cfg = FitConfig()
     chi_std = transform_process_matrix(chi_meas, "S").m
     chi_std = 0.5 * (chi_std + chi_std.conj().T)
-    smm = float(np.vdot(chi_std, chi_std).real)
+    n_evaluations = 0
 
-    def objective(x: np.ndarray) -> float:
-        chi1 = _chi_standard(*x)
-        s11 = float(np.vdot(chi1, chi1).real)
-        s1m = float(np.vdot(chi1, chi_std).real)
-        alpha = max(s1m, 0.0) / s11
-        r2 = smm - 2.0 * alpha * s1m + alpha * alpha * s11
-        return math.sqrt(max(r2, 0.0))
+    def residuals(x: np.ndarray) -> np.ndarray:
+        nonlocal n_evaluations
+        n_evaluations += 1
+        return _residuals(x, chi_std)
 
-    bounds = [cfg.p_bounds, cfg.ratio_bounds, cfg.theta_bounds, cfg.theta_bounds]
-    options = {
-        "xatol": 1e-11,
-        "fatol": cfg.convergence_tol,
-        "maxiter": cfg.max_iterations,
-        "maxfev": 4 * cfg.max_iterations,
-    }
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        nonlocal n_evaluations
+        n_evaluations += 1
+        return _jacobian(x, chi_std)
 
+    bounds = (
+        [cfg.p_bounds[0], cfg.ratio_bounds[0], -math.inf, -math.inf],
+        [cfg.p_bounds[1], cfg.ratio_bounds[1], math.inf, math.inf],
+    )
+    tol = cfg.convergence_tol
     candidates = []
     start_residuals = []
-    n_evaluations = 0
     for x0 in _starts(cfg):
-        start_residuals.append(objective(x0))
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=bounds, options=options)
-        n_evaluations += int(res.nfev)
-        candidates.append((float(res.fun), res.x, bool(res.success)))
-
-    best_fun = min(c[0] for c in candidates)
-    tol = 1e-9 * (1.0 + best_fun)
-    tied = [c for c in candidates if c[0] <= best_fun + tol]
-    tied.sort(key=lambda c: (math.hypot(c[1][2], c[1][3]), c[1][0]))
-    fun_best, x_best, ok_best = tied[0]
-
-    polish = minimize(objective, x_best, method="Nelder-Mead", bounds=bounds, options=options)
-    n_evaluations += int(polish.nfev)
-    if polish.fun <= fun_best:
-        fun_best, x_best = float(polish.fun), polish.x
-        ok_best = ok_best or bool(polish.success)
-
-    p, ratio, th1, th2 = (float(v) for v in x_best)
-    chi1 = _chi_standard(p, ratio, th1, th2)
-    s11 = float(np.vdot(chi1, chi1).real)
-    alpha = max(float(np.vdot(chi1, chi_std).real), 0.0) / s11
-    scale = math.sqrt(max(alpha, 1e-300))
-    params = canonicalize(
-        FilterParams(
-            T=1.0 / (1.0 + ratio),
-            R=ratio / (1.0 + ratio),
-            theta1=th1,
-            theta2=th2,
-            p=min(max(p, 0.0), 0.5),
-            scale=scale,
+        start_residuals.append(float(np.linalg.norm(residuals(x0))))
+        sol = least_squares(
+            residuals, x0, jac=jacobian, bounds=bounds, method="trf",
+            ftol=tol, xtol=tol, gtol=tol, max_nfev=cfg.max_iterations,
         )
+        norm = float(np.linalg.norm(sol.fun))
+        candidates.append((norm, _params(sol.x), bool(sol.success), sol.x))
+
+    best = min(c[0] for c in candidates)
+    tied = [c for c in candidates if c[0] <= best + 1e-9 * (1.0 + best)]
+    _, canon, converged, x_best = min(
+        tied, key=lambda c: (math.hypot(c[1].theta1, c[1].theta2), c[1].p)
     )
+    _, _, chi1 = _unit_model(x_best)
+    scale = math.sqrt(max(_profiled_scale(chi1, chi_std), 1e-300))
+    params = replace(canon, scale=scale)
 
     final_residual = residual(params, chi_meas)
     model = model_chi(params, chi_meas.basis)
     try:
         fid = state_fidelity(project_to_psd(model.m), project_to_psd(chi_meas.m))
     except ValueError:
-        fid = 0.0
+        fid = None
 
-    converged = ok_best or any(c[2] for c in candidates)
     return FitResult(
         params=params,
         residual=final_residual,

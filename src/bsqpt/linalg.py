@@ -97,6 +97,10 @@ def permutation_operator(n_qubits: int, i: int, j: int) -> np.ndarray:
     return p
 
 
+#: The two-qubit swap ``|i,j> -> |j,i>``.
+SWAP = permutation_operator(2, 0, 1)
+
+
 def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     a = np.asarray(a)
     return bool(np.max(np.abs(a - dagger(a))) <= tol)

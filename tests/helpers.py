@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests. All randomness is seeded."""
+"""Shared generators for randomized tests, and a solver fake. All randomness is seeded."""
 
 from __future__ import annotations
 
@@ -31,3 +31,26 @@ def random_channel(rng: np.random.Generator, n_kraus: int | None = None) -> Krau
     top = float(np.linalg.eigvalsh(ks.total_effect())[-1])
     norm = np.sqrt(top * 1.01)
     return KrausSet([(w, k / norm) for w, k in items], physical=True)
+
+
+def fail_best_start(monkeypatch) -> None:
+    """Make the fit's solver report its first start, the only one it runs, as failed.
+
+    Every later start comes back untouched at its start point but marked
+    successful, so on a model-generated matrix the best point is the failed one.
+    """
+    import scipy.optimize
+
+    real = scipy.optimize.least_squares
+    calls = []
+
+    def solver(fun, x0, **kwargs):
+        calls.append(x0)
+        if len(calls) == 1:
+            sol = real(fun, x0, **kwargs)
+            sol.success = False
+            return sol
+        x = np.asarray(x0, dtype=float)
+        return scipy.optimize.OptimizeResult(x=x, fun=fun(x), success=True)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", solver)

@@ -79,6 +79,27 @@ class TestBuildBasis:
             combo = sum(b.u_matrix[mu, alpha] * std[mu] for mu in range(16))
             assert_allclose(combo, b.elements[alpha], atol=1e-12)
 
+    @pytest.mark.parametrize("kind", BASIS_KINDS)
+    def test_u_matrix_matches_trace_definition(self, kind):
+        b = build_basis(kind)
+        std = build_basis("S").elements
+        for alpha, a in enumerate(b.elements):
+            for mu, x in enumerate(std):
+                assert abs(b.u_matrix[mu, alpha] - np.trace(dagger(x) @ a)) <= 1e-15
+        assert not b.u_matrix.flags.writeable
+        assert not any(e.flags.writeable for e in b.elements)
+
+    def test_non_unitary_change_of_basis_raises(self, monkeypatch):
+        from bsqpt import bases
+
+        elements_for = bases._elements_for
+        monkeypatch.setattr(
+            bases, "_elements_for", lambda kind: [2.0 * e for e in elements_for(kind)]
+            if kind == "B" else elements_for(kind)
+        )
+        with pytest.raises(RuntimeError, match="not unitary"):
+            bases.build_basis.__wrapped__("B")
+
     def test_standard_self_basis(self):
         assert_allclose(build_basis("S").u_matrix, np.eye(16), atol=0)
 

@@ -14,7 +14,7 @@ from bsqpt import fileio
 from bsqpt.cli import main
 from bsqpt.fileio import FileFormatError
 
-from helpers import random_matrix
+from helpers import fail_best_start, random_matrix
 
 PI = np.pi
 
@@ -342,6 +342,28 @@ class TestCliErrors:
         assert result["converged"] is False
         assert "warning" in result
 
+    def test_failed_best_start_exit_4(self, tmp_path, monkeypatch):
+        fail_best_start(monkeypatch)
+        params = write_params(tmp_path / "p.json")
+        chi_path = tmp_path / "chi.json"
+        report = tmp_path / "fit.json"
+        main(["choi", "--params", str(params), "--basis", "S", "--out", str(chi_path)])
+        assert main(["fit", "--chi", str(chi_path), "--out", str(report),
+                     "--multistart", "4"]) == 4
+        result = json.load(open(report))
+        assert result["converged"] is False
+        assert "did not converge" in result["warning"]
+
+    def test_undefined_fidelity_is_null_with_warning(self, tmp_path):
+        chi_path = tmp_path / "chi.json"
+        report = tmp_path / "fit.json"
+        fileio.write_matrix(chi_path, -np.eye(16), "S")
+        assert main(["fit", "--chi", str(chi_path), "--out", str(report),
+                     "--multistart", "2"]) == 0
+        result = json.load(open(report))
+        assert result["fidelity"] is None
+        assert "fidelity undefined" in result["warning"]
+
     def test_identity_channel_mismatch_warning(self, tmp_path):
         from bsqpt import KrausSet
 
@@ -382,6 +404,20 @@ class TestThreadsFlag:
         assert main(["--threads", "0", "simulate", "--params", str(params),
                      "--counts-out", str(tmp_path / "c.csv")]) == 2
 
+    def test_non_integer_environment_value_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("THREADS", "abc")
+        params = write_params(tmp_path / "p.json")
+        out = tmp_path / "c.csv"
+        assert main(["simulate", "--params", str(params), "--counts-out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: THREADS='abc'")
+        assert not out.exists()
+
+    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("THREADS", "abc")
+        params = write_params(tmp_path / "p.json")
+        assert main(["--threads", "2", "simulate", "--params", str(params),
+                     "--counts-out", str(tmp_path / "c.csv")]) == 0
+
 
 class TestConsoleInvocation:
     def test_module_entry_help(self):
@@ -393,3 +429,13 @@ class TestConsoleInvocation:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, bsqpt.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

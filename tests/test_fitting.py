@@ -16,7 +16,10 @@ from bsqpt import (
     model_chi,
     residual,
 )
-from bsqpt.fitting import _starts, canonicalize
+from bsqpt import build_input_set, reconstruct_process, simulate_counts
+from bsqpt.fitting import _jacobian, _residuals, _starts, canonicalize
+
+from helpers import fail_best_start, random_hermitian
 
 I4 = np.eye(4, dtype=complex)
 
@@ -208,3 +211,73 @@ class TestFit:
         res = fit(chi, FitConfig(multistart=2, max_iterations=2, seed=10))
         assert not res.converged
         assert res.residual >= 0.0
+
+    def test_converged_describes_the_reported_start(self, monkeypatch):
+        fail_best_start(monkeypatch)
+        chi = model_chi(paper_filter(0.3))
+        res = fit(chi, FitConfig(multistart=4, seed=12))
+        assert res.residual < 1e-8
+        assert res.converged is False
+
+    def test_counts_every_residual_and_jacobian(self, monkeypatch):
+        import scipy.optimize
+
+        real = scipy.optimize.least_squares
+        calls = []
+
+        def counting(fun, x0, jac, **kwargs):
+            def counted_fun(x):
+                calls.append("f")
+                return fun(x)
+
+            def counted_jac(x):
+                calls.append("j")
+                return jac(x)
+
+            return real(counted_fun, x0, jac=counted_jac, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+        res = fit(model_chi(paper_filter(0.2)), FitConfig(multistart=3, seed=13))
+        assert "j" in calls
+        # ...plus the residual at each of the three start points.
+        assert res.n_evaluations == len(calls) + 3
+
+    def test_fidelity_none_without_positive_trace(self):
+        res = fit(ProcessMatrix("S", -np.eye(16)), FitConfig(multistart=2, seed=14))
+        assert res.fidelity is None
+
+
+def paper_x(p):
+    return np.array([p, 0.76, 0.41 * np.pi, 0.076 * np.pi])
+
+
+class TestJacobian:
+    @staticmethod
+    def assert_matches_central_differences(x, chi_std, h=1e-6):
+        jac = _jacobian(x, chi_std)
+        assert jac.shape == (512, 4)
+        for k, e in enumerate(np.eye(4)):
+            fd = (_residuals(x + h * e, chi_std) - _residuals(x - h * e, chi_std)) / (2 * h)
+            assert np.linalg.norm(fd) > 0.0
+            assert np.linalg.norm(jac[:, k] - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("p", [0.14, 0.325, 0.5])
+    def test_reference_filters(self, p):
+        # A Poisson record, so the residual and the scale profile are not trivial.
+        inputs = build_input_set()
+        ct = simulate_counts(kraus_pair(paper_filter(p)), inputs, total_scale=1e4,
+                             noise="poisson", seed=15)
+        chi = reconstruct_process(ct, inputs).m
+        self.assert_matches_central_differences(paper_x(p), 0.5 * (chi + chi.conj().T))
+
+    def test_random_points(self):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            x = np.array([rng.uniform(0.0, 0.5), np.exp(rng.uniform(np.log(0.25), np.log(4.0))),
+                          rng.uniform(-3 * np.pi, 3 * np.pi), rng.uniform(-3 * np.pi, 3 * np.pi)])
+            other = FilterParams.from_ratio(np.exp(rng.uniform(-1.0, 1.0)),
+                                            theta1=rng.uniform(-np.pi, np.pi),
+                                            theta2=rng.uniform(-np.pi, np.pi),
+                                            p=rng.uniform(0.0, 0.5), scale=1.7)
+            chi = model_chi(other).m + 0.05 * random_hermitian(rng, 16)
+            self.assert_matches_central_differences(x, chi)
