@@ -27,12 +27,15 @@ other in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, apply_kraus
-from .linalg import SWAP, kron, partial_trace
+from .channel import KrausSet
+from .linalg import SWAP, dagger, kron, partial_trace
+
+#: The physical range of the decoherence degree p = (1 - |s|^2) / 2.
+P_RANGE = (0.0, 0.5)
 
 _I4 = np.eye(4, dtype=complex)
 # Signs of the reflected amplitude in (P-, P+).
@@ -59,8 +62,9 @@ class FilterParams:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not -1e-12 <= self.p <= 0.5 + 1e-12:
-            raise ValueError(f"decoherence degree p={self.p} outside [0, 1/2]")
+        lo, hi = P_RANGE
+        if not lo - 1e-12 <= self.p <= hi + 1e-12:
+            raise ValueError(f"decoherence degree p={self.p} outside [{lo}, {hi}]")
         if self.T <= 0.0:
             raise ValueError("transmission must be positive")
         if self.R < 0.0:
@@ -224,9 +228,9 @@ def apply_pt_model(
     decoherence here comes entirely from the overlap; the result equals
     the two-operator mixture at ``p = (1 - |s|^2)/2``.
     """
-    s = complex(temporal.s if isinstance(temporal, TemporalState) else temporal)
-    if abs(s) > 1.0 + 1e-12:
-        raise ValueError(f"wavepacket overlap |s|={abs(s)} exceeds 1")
+    if not isinstance(temporal, TemporalState):
+        temporal = TemporalState(s=temporal)
+    s = complex(temporal.s)
     rho = np.asarray(rho, dtype=complex)
 
     wp_a = np.array([1.0, 0.0], dtype=complex)
@@ -261,12 +265,13 @@ def hom_dip(
     if rho is None:
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
+    # The channel is affine in p: map rho through P- and P+ once, then mix.
+    minus, plus = (k @ rho @ dagger(k) for k in filter_operators(fp.T, fp.R, fp.theta1, fp.theta2))
     out = np.empty((len(tau_grid_fs), 2), dtype=float)
     for n, tau in enumerate(tau_grid_fs):
         _, p = decoherence_from_delay(float(tau), tau_c_fs, mu)
-        ks = kraus_pair(replace(fp, p=p, scale=1.0))
         out[n, 0] = float(tau)
-        out[n, 1] = fp.scale * float(np.trace(apply_kraus(ks, rho)).real)
+        out[n, 1] = fp.scale * float(np.trace((1.0 - p) * minus + p * plus).real)
     return out
 
 

@@ -12,16 +12,15 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bsfilter import FilterParams, decoherence_from_delay
+from .bases import BASIS_KINDS
+from .bsfilter import FilterParams, TemporalState, decoherence_from_delay
 from .tomography import CountTable
 
 log = logging.getLogger("bsqpt")
 
-BASIS_TAGS = ("S", "B", "C", "F")
 STATE_TAG = "state"
 
 
@@ -54,7 +53,7 @@ def read_matrix(path: str) -> tuple[str, np.ndarray]:
             raise FileFormatError(f"{path}: missing key {key!r}")
     dim = payload["dim"]
     basis = payload["basis"]
-    if basis not in BASIS_TAGS and basis != STATE_TAG:
+    if basis not in BASIS_KINDS and basis != STATE_TAG:
         raise FileFormatError(f"{path}: unknown basis tag {basis!r}")
     try:
         re = np.asarray(payload["re"], dtype=float)
@@ -127,14 +126,7 @@ def read_counts(path: str) -> CountTable:
     return CountTable(counts=counts, total_scale=total_scale)
 
 
-@dataclass(frozen=True)
-class TemporalConfig:
-    tau_fs: float
-    tau_c_fs: float
-    mu: float
-
-
-def read_params(path: str) -> tuple[FilterParams, TemporalConfig | None]:
+def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
     """Parse a parameter file into filter parameters.
 
     The splitter is given either as explicit ``T`` and ``R`` or as
@@ -142,7 +134,7 @@ def read_params(path: str) -> tuple[FilterParams, TemporalConfig | None]:
     delay configuration (``tau_fs``, ``tau_c_fs``, ``mu``) from which p
     is derived. Exactly one member of each pair must be present; derived
     values are logged. ``theta1_rad``/``theta2_rad`` are accepted as
-    aliases for the angle keys.
+    aliases for the angle keys. Every validation error names the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,25 +173,26 @@ def read_params(path: str) -> tuple[FilterParams, TemporalConfig | None]:
     if not has_p and len(temporal_keys) != 3:
         raise FileFormatError(f"{path}: temporal form needs all of tau_fs, tau_c_fs, mu")
 
-    temporal = None
     if has_p:
         p = pick("p")
     else:
-        temporal = TemporalConfig(
-            tau_fs=pick("tau_fs"), tau_c_fs=pick("tau_c_fs"), mu=pick("mu")
-        )
-        _, p = decoherence_from_delay(temporal.tau_fs, temporal.tau_c_fs, temporal.mu)
-        log.info("derived p=%.6g from tau=%g fs, tau_c=%g fs, mu=%g",
-                 p, temporal.tau_fs, temporal.tau_c_fs, temporal.mu)
+        delay = (pick("tau_fs"), pick("tau_c_fs"), pick("mu"))
+    if has_ratio:
+        ratio = pick("ratio_RT")
+    else:
+        t, r = pick("T"), pick("R")
 
+    # The physics constructors validate the values; their errors get the path.
+    temporal = None
     try:
+        if not has_p:
+            temporal, p = decoherence_from_delay(*delay)
+            log.info("derived p=%.6g from tau=%g fs, tau_c=%g fs, mu=%g", p, *delay)
         if has_ratio:
-            ratio = pick("ratio_RT")
             fp = FilterParams.from_ratio(ratio, theta1=theta1, theta2=theta2, p=p, scale=scale)
             log.info("derived T=%.6g, R=%.6g from ratio_RT=%g", fp.T, fp.R, ratio)
         else:
-            fp = FilterParams(T=pick("T"), R=pick("R"), theta1=theta1, theta2=theta2,
-                              p=p, scale=scale)
+            fp = FilterParams(T=t, R=r, theta1=theta1, theta2=theta2, p=p, scale=scale)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return fp, temporal

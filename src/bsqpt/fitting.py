@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsfilter import FilterParams, filter_operators, kraus_pair
+from .bsfilter import P_RANGE, FilterParams, filter_operators, kraus_pair
 from .channel import ProcessMatrix, choi_from_kraus, to_coeff_vector, transform_process_matrix
 from .linalg import fidelity as state_fidelity
 from .linalg import project_to_psd
@@ -38,25 +38,27 @@ _VEC_I = to_coeff_vector(np.eye(4))
 _D_THETA = 0.5j * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
 _DPHASE = to_coeff_vector(np.broadcast_to(_D_THETA[:, :, None], (2, 4, 4)))
 
+# The search box, as closed intervals: p is boxed to its physical range
+# ``P_RANGE``, R/T to physically plausible splitters (1:4 through 4:1).
+# The angles are periodic, so the search leaves them free; seeded starts
+# draw them from ``THETA_START_RANGE``.
+RATIO_BOUNDS = (0.25, 4.0)
+THETA_START_RANGE = (-math.pi, math.pi)
+
 
 @dataclass
 class FitConfig:
-    """Search configuration; bounds are closed intervals.
+    """Search configuration; the search box is fixed by the module constants.
 
-    The ratio bounds cover physically plausible splitters (1:4 through
-    4:1). ``theta_bounds`` is the range the seeded start angles are drawn
-    from; the search itself leaves the angles unbounded. The scale
-    parameter has no explicit bounds because it is profiled analytically
-    and is nonnegative by construction. ``max_iterations`` caps the
-    residual evaluations of each start, and ``convergence_tol`` is the
+    ``multistart`` is the number of seeded starts, ``max_iterations`` caps
+    the residual evaluations of each start, and ``convergence_tol`` is the
     solver's relative tolerance on the cost, the step and the gradient.
+    The scale parameter has no bounds because it is profiled analytically
+    and is nonnegative by construction.
     """
 
     multistart: int = 16
     max_iterations: int = 2000
-    p_bounds: tuple[float, float] = (0.0, 0.5)
-    ratio_bounds: tuple[float, float] = (0.25, 4.0)
-    theta_bounds: tuple[float, float] = (-math.pi, math.pi)
     convergence_tol: float = 1e-14
     seed: int = 0
 
@@ -159,36 +161,40 @@ def canonicalize(fp: FilterParams) -> FilterParams:
 
     t1, n1 = fold(fp.theta1)
     t2, n2 = fold(fp.theta2)
+    p_lo, p_hi = P_RANGE
     p = fp.p
     if (n1 + n2) % 2 == 1:
-        if 1.0 - p <= 0.5 + 1e-12:
+        if 1.0 - p <= p_hi + 1e-12:
             p = 1.0 - p
         elif n1 != 0:
             # Flipping p would leave [0, 1/2]; undo one angle fold instead.
             t1 += 2.0 * math.pi * (1 if n1 > 0 else -1)
         else:
             t2 += 2.0 * math.pi * (1 if n2 > 0 else -1)
-    p = float(min(max(p, 0.0), 0.5))
+    p = float(min(max(p, p_lo), p_hi))
     return FilterParams(T=fp.T, R=fp.R, theta1=t1, theta2=t2, p=p, scale=fp.scale)
 
 
 def _starts(cfg: FitConfig) -> list[np.ndarray]:
     """Deterministic start points: the box midpoint plus seeded uniform draws."""
     rng = np.random.default_rng(cfg.seed)
-    lo_r, hi_r = cfg.ratio_bounds
-    mid = np.array([0.25, math.sqrt(lo_r * hi_r), 0.0, 0.0])
+    lo_r, hi_r = RATIO_BOUNDS
+    mid = np.array([0.5 * sum(P_RANGE), math.sqrt(lo_r * hi_r), 0.0, 0.0])
     starts = [mid]
     for _ in range(max(0, cfg.multistart - 1)):
-        p = rng.uniform(*cfg.p_bounds)
+        p = rng.uniform(*P_RANGE)
         ratio = math.exp(rng.uniform(math.log(lo_r), math.log(hi_r)))
-        th1 = rng.uniform(*cfg.theta_bounds)
-        th2 = rng.uniform(*cfg.theta_bounds)
+        th1 = rng.uniform(*THETA_START_RANGE)
+        th2 = rng.uniform(*THETA_START_RANGE)
         starts.append(np.array([p, ratio, th1, th2]))
     return starts
 
 
 def _params(x: np.ndarray) -> FilterParams:
-    """Canonical unit-scale parameters of a solver point ``(p, R/T, theta1, theta2)``."""
+    """Canonical unit-scale parameters of a solver point ``(p, R/T, theta1, theta2)``.
+
+    The solver keeps its points inside the search box, so p needs no clamp.
+    """
     p, ratio, theta1, theta2 = (float(v) for v in x)
     return canonicalize(
         FilterParams(
@@ -196,7 +202,7 @@ def _params(x: np.ndarray) -> FilterParams:
             R=ratio / (1.0 + ratio),
             theta1=theta1,
             theta2=theta2,
-            p=min(max(p, 0.0), 0.5),
+            p=p,
         )
     )
 
@@ -230,8 +236,8 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         return _jacobian(x, chi_std)
 
     bounds = (
-        [cfg.p_bounds[0], cfg.ratio_bounds[0], -math.inf, -math.inf],
-        [cfg.p_bounds[1], cfg.ratio_bounds[1], math.inf, math.inf],
+        [P_RANGE[0], RATIO_BOUNDS[0], -math.inf, -math.inf],
+        [P_RANGE[1], RATIO_BOUNDS[1], math.inf, math.inf],
     )
     tol = cfg.convergence_tol
     candidates = []
@@ -254,7 +260,6 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     scale = math.sqrt(max(_profiled_scale(chi1, chi_std), 1e-300))
     params = replace(canon, scale=scale)
 
-    final_residual = residual(params, chi_meas)
     model = model_chi(params, chi_meas.basis)
     try:
         fid = state_fidelity(project_to_psd(model.m), project_to_psd(chi_meas.m))
@@ -263,7 +268,7 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
 
     return FitResult(
         params=params,
-        residual=final_residual,
+        residual=float(np.linalg.norm(model.m - chi_meas.m)),
         fidelity=fid,
         n_evaluations=n_evaluations,
         converged=converged,

@@ -45,13 +45,6 @@ def matrix_unit(i: int, j: int, dim: int = 2) -> np.ndarray:
     return m
 
 
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    """Computational basis ket as a length-``dim`` vector."""
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def projector(ket: np.ndarray) -> np.ndarray:
     """Rank-1 projector ``|psi><psi|``."""
     v = np.asarray(ket, dtype=complex)

@@ -274,11 +274,12 @@ class TestHomDip:
         fp = FilterParams.from_ratio(0.76)
         hv = matrix_unit(1, 1, dim=4)
         grid = np.linspace(-100, 100, 9)
-        curve = hom_dip(fp, grid, tau_c_fs=83.0, mu=1.0, rho=hv)
-        for tau, rate in curve:
-            _, p = decoherence_from_delay(tau, 83.0, mu=1.0)
-            ks = kraus_pair(dataclasses.replace(fp, p=p))
-            assert abs(rate - np.trace(apply_kraus(ks, hv)).real) < 1e-13
+        for rho in (hv, random_density(np.random.default_rng(41))):
+            curve = hom_dip(fp, grid, tau_c_fs=83.0, mu=1.0, rho=rho)
+            for tau, rate in curve:
+                _, p = decoherence_from_delay(tau, 83.0, mu=1.0)
+                ks = kraus_pair(dataclasses.replace(fp, p=p))
+                assert abs(rate - np.trace(apply_kraus(ks, rho)).real) < 1e-13
 
     def test_even_with_minimum_at_zero(self):
         fp = FilterParams.from_ratio(0.76, theta1=0.4, theta2=0.1)

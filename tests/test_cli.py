@@ -325,6 +325,39 @@ class TestCliErrors:
         assert f"error: {chi_path}: non-finite matrix entry" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau_c_fs, mu, message", [
+        (0.0, 0.72, "coherence time must be positive"),
+        (83.0, 2.0, "mode-match factor must lie in [0, 1]"),
+    ])
+    def test_bad_delay_configuration_names_file_exit_2(self, tmp_path, capsys, tau_c_fs, mu,
+                                                       message):
+        params = write_params(tmp_path / "p.json", p=None, tau_fs=100.0, tau_c_fs=tau_c_fs,
+                              mu=mu)
+        out = tmp_path / "m.json"
+        assert main(["choi", "--params", str(params), "--out", str(out)]) == 2
+        assert f"error: {params}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_key_names_file_once_exit_2(self, tmp_path, capsys):
+        params = write_params(tmp_path / "p.json", ratio_RT=None, T=0.5)
+        assert main(["choi", "--params", str(params), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: {params}: missing key 'R'\n"
+
+    @pytest.mark.parametrize("command", ["fit", "transform"])
+    def test_slightly_non_hermitian_chi_names_file_exit_2(self, tmp_path, capsys, command):
+        chi = choi_from_kraus(kraus_pair(FilterParams.from_ratio(0.76, p=0.2))).m
+        skew = random_matrix(np.random.default_rng(17), dim=16)
+        skew = 0.5 * (skew - skew.conj().T)
+        # An anti-Hermitian part of 1e-7 relative to the largest entry.
+        chi = chi + 1e-7 * np.max(np.abs(chi)) * skew / np.max(np.abs(skew))
+        chi_path = tmp_path / "chi.json"
+        fileio.write_matrix(chi_path, chi, "S")
+        out = tmp_path / "out.json"
+        extra = ["--to", "F"] if command == "transform" else []
+        assert main([command, "--chi", str(chi_path), "--out", str(out), *extra]) == 2
+        assert f"error: {chi_path}: process matrix is not Hermitian" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_failure_exit_3(self, tmp_path):
         params = write_params(tmp_path / "p.json")
         assert main(["simulate", "--params", str(params),

@@ -17,7 +17,15 @@ from bsqpt import (
     residual,
 )
 from bsqpt import build_input_set, reconstruct_process, simulate_counts
-from bsqpt.fitting import _jacobian, _residuals, _starts, canonicalize
+from bsqpt.bsfilter import P_RANGE
+from bsqpt.fitting import (
+    RATIO_BOUNDS,
+    THETA_START_RANGE,
+    _jacobian,
+    _residuals,
+    _starts,
+    canonicalize,
+)
 
 from helpers import fail_best_start, random_hermitian
 
@@ -201,10 +209,10 @@ class TestFit:
         cfg = FitConfig(multistart=32, seed=9)
         for x in _starts(cfg):
             p, ratio, th1, th2 = x
-            assert cfg.p_bounds[0] <= p <= cfg.p_bounds[1]
-            assert cfg.ratio_bounds[0] <= ratio <= cfg.ratio_bounds[1]
-            assert cfg.theta_bounds[0] <= th1 <= cfg.theta_bounds[1]
-            assert cfg.theta_bounds[0] <= th2 <= cfg.theta_bounds[1]
+            assert P_RANGE[0] <= p <= P_RANGE[1]
+            assert RATIO_BOUNDS[0] <= ratio <= RATIO_BOUNDS[1]
+            assert THETA_START_RANGE[0] <= th1 <= THETA_START_RANGE[1]
+            assert THETA_START_RANGE[0] <= th2 <= THETA_START_RANGE[1]
 
     def test_nonconvergence_reported_not_raised(self):
         chi = model_chi(paper_filter(0.3))
