@@ -22,14 +22,12 @@ from .bsfilter import (
 )
 from .channel import (
     KrausSet,
-    MapTable,
     ProcessMatrix,
     apply_kraus,
     apply_process_matrix,
     assemble_choi_from_map,
     choi_from_kraus,
     kraus_from_process_matrix,
-    map_on_standard_basis,
     transform_process_matrix,
 )
 from .fitting import FitConfig, FitResult, fit, model_chi, residual
@@ -48,7 +46,6 @@ from .tomography import (
     CountTable,
     InputStateSet,
     build_input_set,
-    decompose_standard,
     reconstruct_process,
     reconstruct_state,
     simulate_counts,

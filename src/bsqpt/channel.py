@@ -72,20 +72,6 @@ class ProcessMatrix:
             raise ValueError("process matrix is not Hermitian")
 
 
-@dataclass
-class MapTable:
-    """Channel outputs on all 16 standard basis elements, stacked and indexed by [kl]."""
-
-    outputs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.outputs = np.asarray(self.outputs, dtype=complex)
-        if self.outputs.shape != (16, 4, 4):
-            raise ValueError(
-                f"a map table needs all 16 outputs as 4x4 matrices, got shape {self.outputs.shape}"
-            )
-
-
 def to_coeff_vector(op: np.ndarray) -> np.ndarray:
     """Expansion coefficients of a two-qubit operator in the standard basis.
 
@@ -169,22 +155,24 @@ def kraus_from_process_matrix(chi: ProcessMatrix, tol: float = 1e-6) -> KrausSet
     return KrausSet(items)
 
 
-def map_on_standard_basis(ks: KrausSet) -> MapTable:
-    """Evaluate the channel on every standard basis element ``X_k (x) X_l``."""
-    return MapTable(apply_kraus(ks, np.stack(build_basis(STANDARD).elements)))
+def assemble_choi_from_map(outputs: np.ndarray) -> ProcessMatrix:
+    """Build the standard-basis process matrix from the channel's outputs.
 
-
-def assemble_choi_from_map(mt: MapTable) -> ProcessMatrix:
-    """Build the standard-basis process matrix from a table of channel outputs.
-
-    The entry ``chi[(r1 i1 r2 i2), (s1 j1 s2 j2)]`` is
+    ``outputs[4*k + l]`` is ``E(X_k (x) X_l)``, one 4x4 matrix per
+    standard element, stacked to shape ``(16, 4, 4)``. The entry
+    ``chi[(r1 i1 r2 i2), (s1 j1 s2 j2)]`` is
     ``<r1 r2| E(|i1 i2><j1 j2|) |s1 s2>``, so the process matrix is the
     stacked outputs, whose axes run ``(i1 j1 i2 j2)(r1 r2)(s1 s2)``, with
     each output qubit index moved beside the input index of the same
     qubit. This is the reconstruction route used by tomography: it needs
     only the outputs on the standard elements, no matrix inversion.
     """
-    m = mt.outputs.reshape((2,) * 8).transpose(4, 0, 5, 2, 6, 1, 7, 3).reshape(16, 16)
+    outputs = np.asarray(outputs, dtype=complex)
+    if outputs.shape != (16, 4, 4):
+        raise ValueError(
+            f"a map table needs all 16 outputs as 4x4 matrices, got shape {outputs.shape}"
+        )
+    m = outputs.reshape((2,) * 8).transpose(4, 0, 5, 2, 6, 1, 7, 3).reshape(16, 16)
     return ProcessMatrix(STANDARD, m)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 import numpy as np
@@ -146,12 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bsqpt",
         description="Simulate, reconstruct and fit a two-qubit beamsplitter state filter.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads, default $THREADS or 1 (accepted for compatibility; "
-        "computation is single-threaded)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write the coincidence count table of a filter")
@@ -207,17 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is None:
-        try:
-            args.threads = int(os.environ.get("THREADS", "1"))
-        except ValueError:
-            print(f"error: THREADS={os.environ['THREADS']!r} is not an integer", file=sys.stderr)
-            return 2
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # FileFormatError included

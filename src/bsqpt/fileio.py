@@ -153,8 +153,9 @@ def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
                 raise FileFormatError(f"{path}: missing key {names[0]!r}")
             return default
         value = raw[found[0]]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise FileFormatError(f"{path}: key {found[0]!r} must be a number")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise FileFormatError(f"{path}: key {found[0]!r} must be a finite number")
         return float(value)
 
     has_tr = "T" in raw or "R" in raw

@@ -4,17 +4,20 @@ The measurement protocol prepares the 16 separable products of the four
 single-qubit states {|0>, |1>, |+>, |L>} (|+> = (|0>+|1>)/sqrt2,
 |L> = (|0>+i|1>)/sqrt2), sends each through the channel and projects the
 output onto the same 16 product states. Both directions are fixed linear
-maps, built once by :func:`build_input_set`:
+maps, built once by :func:`build_input_set` from one inversion of the
+single-qubit frame:
 
 * simulation applies the channel to the stacked inputs in one operation
   and reads all 256 expectations ``Tr(Pi_m E(rho_n))`` in one product;
-* reconstruction is two 16x16 matrix products. The decomposition
-  coefficients ``coeffs[a, n]`` (``X_a = sum_n coeffs[a, n] rho_n``)
-  combine the input rows of the count table, and the dual frame ``D_m``
-  of the projectors turns each combined row into an operator, giving the
-  channel's outputs ``E(X_a) = sum_nm coeffs[a, n] counts[n, m] D_m`` on
-  the standard elements. The process matrix is a fixed axis reordering of
-  those outputs.
+* reconstruction is two 16x16 matrix products. The dual frame ``D_m`` of
+  the products is biorthogonal to them, ``Tr(Pi_m D_n) = delta_mn``, so
+  it gives both factors: the decomposition coefficients
+  ``coeffs[a, n] = Tr(D_n X_a)`` (``X_a = sum_n coeffs[a, n] rho_n``)
+  combine the input rows of the count table, and ``D_m`` turns each
+  combined row into an operator, giving the channel's outputs
+  ``E(X_a) = sum_nm coeffs[a, n] counts[n, m] D_m`` on the standard
+  elements. The process matrix is a fixed axis reordering of those
+  outputs.
 
 Nothing is renormalized, so an overall count-rate factor propagates into
 the reconstructed matrix unchanged, and nothing forces positivity; PSD
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, MapTable, ProcessMatrix, apply_kraus, assemble_choi_from_map
+from .channel import KrausSet, ProcessMatrix, apply_kraus, assemble_choi_from_map, to_coeff_vector
 from .linalg import projector
 
 _KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -44,11 +47,13 @@ class InputStateSet:
     ``products[4*i + j] = singles[i] (x) singles[j]``; the same products
     serve as the measurement projectors. The products are linearly
     independent; ``gram_condition`` reports the condition number of their
-    Gram matrix as a health figure for the inversion. ``coeffs[a, n]``
-    writes the standard element ``X_a`` as ``sum_n coeffs[a, n]
-    products[n]`` (checked to 1e-12 at construction), and ``duals[m]`` is
-    the dual-frame operator of projector ``m``, so any two-qubit operator
-    equals ``sum_m Tr(products[m] A) duals[m]``. All arrays are read-only.
+    Gram matrix as a health figure for the inversion. ``duals[m]`` is the
+    dual-frame operator of projector ``m``, so any two-qubit operator
+    equals ``sum_m Tr(products[m] A) duals[m]``. The two frames are
+    biorthogonal, so ``coeffs[a, n] = Tr(duals[n] X_a)`` is read off the
+    duals and writes the standard element ``X_a`` as ``sum_n coeffs[a, n]
+    products[n]`` (checked to 1e-12 at construction). All arrays are
+    read-only.
     """
 
     singles: np.ndarray
@@ -87,26 +92,6 @@ def _single_qubit_duals(singles: np.ndarray) -> np.ndarray:
     return 0.5 * (d + d.conj().transpose(0, 2, 1))
 
 
-def decompose_standard(singles: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Solve for the input-state combinations that realize each standard element.
-
-    The single-qubit problem (four coefficients per element) is solved
-    once and the two-qubit coefficients are the tensor products of the
-    single-qubit solutions: row ``[kl]`` of the result writes
-    ``X_k (x) X_l`` as a combination of ``products``. The reconstruction
-    identity is checked to 1e-12 before returning.
-    """
-    b = singles.reshape(4, 4).T
-    # The vectorized single-qubit standard elements are the unit vectors.
-    units = np.eye(4, dtype=complex)
-    single_coeffs = np.linalg.solve(b, units).T
-    coeffs = np.kron(single_coeffs, single_coeffs)
-    combos = np.tensordot(coeffs, products, axes=1)
-    if np.max(np.abs(combos - _pairs(units.reshape(4, 2, 2)))) > 1e-12:
-        raise ValueError("input set failed to reproduce the standard elements")
-    return coeffs
-
-
 def build_input_set() -> InputStateSet:
     """The standard four-state preparation set, its products and inversion maps."""
     singles = np.stack([projector(k) for k in (_KET0, _KET1, _KET_PLUS, _KET_CIRC)])
@@ -116,8 +101,11 @@ def build_input_set() -> InputStateSet:
     cond = float(np.linalg.cond(gram))
     if not np.isfinite(cond):
         raise ValueError("input product states are linearly dependent")
-    coeffs = decompose_standard(singles, products)
     duals = _pairs(_single_qubit_duals(singles))
+    # Biorthogonality gives X_a = sum_n Tr(duals[n]_dag X_a) products[n].
+    coeffs = to_coeff_vector(duals).conj().T
+    if np.max(np.abs(coeffs @ to_coeff_vector(products) - np.eye(16))) > 1e-12:
+        raise ValueError("input set failed to reproduce the standard elements")
     for a in (singles, products, coeffs, duals):
         a.setflags(write=False)
     return InputStateSet(
@@ -150,8 +138,8 @@ def simulate_counts(
     ``total_scale * Tr(Pi_m E(rho_n))``, with the projectors equal to the
     input products. With ``noise="poisson"`` each entry is replaced by a
     Poisson draw with that mean, reproducibly for a given seed; the
-    default is the noiseless expected-rate table. ``total_scale`` must be
-    finite and positive.
+    default is the noiseless expected-rate table, which records no seed.
+    ``total_scale`` must be finite and positive.
     """
     if not (math.isfinite(total_scale) and total_scale > 0.0):
         raise ValueError(f"total_scale must be finite and positive, got {total_scale!r}")
@@ -159,9 +147,9 @@ def simulate_counts(
         raise ValueError(f"unknown noise mode {noise!r}")
     outputs = apply_kraus(channel, inputs.products)
     counts = total_scale * np.clip(expectation_values(outputs, inputs.products), 0.0, None)
-    if noise == "poisson":
-        rng = np.random.default_rng(seed)
-        counts = rng.poisson(counts).astype(float)
+    if noise != "poisson":
+        return CountTable(counts=counts, total_scale=total_scale)
+    counts = np.random.default_rng(seed).poisson(counts).astype(float)
     return CountTable(counts=counts, total_scale=total_scale, noise_seed=seed)
 
 
@@ -193,4 +181,4 @@ def reconstruct_process(ct: CountTable, inputs: InputStateSet) -> ProcessMatrix:
     channel times ``total_scale``.
     """
     outputs = inputs.coeffs @ ct.counts @ inputs.duals.reshape(16, 16)
-    return assemble_choi_from_map(MapTable(outputs.reshape(16, 4, 4)))
+    return assemble_choi_from_map(outputs.reshape(16, 4, 4))

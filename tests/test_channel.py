@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from bsqpt import (
     FilterParams,
     KrausSet,
-    MapTable,
     ProcessMatrix,
     apply_kraus,
     apply_process_matrix,
@@ -18,7 +17,6 @@ from bsqpt import (
     kraus_from_process_matrix,
     kraus_pair,
     kron,
-    map_on_standard_basis,
     permutation_operator,
 )
 from bsqpt.channel import from_coeff_vector, to_coeff_vector
@@ -27,6 +25,7 @@ from bsqpt.linalg import SIGMA, dagger, matrix_unit, projector
 from helpers import random_channel, random_density, random_matrix
 
 I4 = np.eye(4, dtype=complex)
+STD = np.stack(build_basis("S").elements)
 
 
 def paper_filter(p):
@@ -172,20 +171,20 @@ class TestApplyProcessMatrix:
 class TestAssembleChoi:
     def test_identity_channel(self):
         ks = KrausSet([(1.0, I4)])
-        chi = assemble_choi_from_map(map_on_standard_basis(ks))
+        chi = assemble_choi_from_map(apply_kraus(ks, STD))
         assert_allclose(chi.m, choi_from_kraus(ks).m, atol=1e-13)
 
     def test_flip_channel_rank_one(self):
         flip = kron(SIGMA[1], SIGMA[1])
         ks = KrausSet([(1.0, flip)])
-        chi = assemble_choi_from_map(map_on_standard_basis(ks))
+        chi = assemble_choi_from_map(apply_kraus(ks, STD))
         assert_allclose(chi.m, choi_from_kraus(ks).m, atol=1e-13)
         w = np.linalg.eigvalsh(chi.m)
         assert np.sum(w > 1e-12) == 1
 
     def test_filter_channel(self):
         ks = kraus_pair(paper_filter(0.325))
-        chi = assemble_choi_from_map(map_on_standard_basis(ks))
+        chi = assemble_choi_from_map(apply_kraus(ks, STD))
         assert_allclose(chi.m, choi_from_kraus(ks).m, atol=1e-12)
 
     def test_permutation_sandwich_elementwise(self):
@@ -195,7 +194,7 @@ class TestAssembleChoi:
         for _ in range(5):
             ks = random_channel(rng)
             chi = choi_from_kraus(ks)
-            mt = map_on_standard_basis(ks)
+            mt = apply_kraus(ks, STD)
             d_tilde = np.zeros((16, 16), dtype=complex)
             std = build_basis("S").elements
             for k in range(4):
@@ -204,7 +203,7 @@ class TestAssembleChoi:
                     x_k[k // 2, k % 2] = 1
                     x_l = np.zeros((2, 2), dtype=complex)
                     x_l[l // 2, l % 2] = 1
-                    d_tilde += kron(x_k, x_l, mt.outputs[4 * k + l])
+                    d_tilde += kron(x_k, x_l, mt[4 * k + l])
             a = (
                 permutation_operator(4, 1, 2)
                 @ permutation_operator(4, 0, 1)
@@ -214,12 +213,12 @@ class TestAssembleChoi:
 
     def test_hermiticity_adjoint_pairing(self):
         rng = np.random.default_rng(11)
-        mt = map_on_standard_basis(random_channel(rng))
+        mt = apply_kraus(random_channel(rng), STD)
         adjoint_of = {0: 0, 1: 2, 2: 1, 3: 3}
         for k in range(4):
             for l in range(4):
-                a = mt.outputs[4 * k + l]
-                b = mt.outputs[4 * adjoint_of[k] + adjoint_of[l]]
+                a = mt[4 * k + l]
+                b = mt[4 * adjoint_of[k] + adjoint_of[l]]
                 assert_allclose(dagger(a), b, atol=1e-12)
 
 
@@ -286,7 +285,7 @@ class TestCrossRepresentationEquivalence:
         for _ in range(100):
             ks = random_channel(rng)
             chi = choi_from_kraus(ks)
-            chi_asm = assemble_choi_from_map(map_on_standard_basis(ks))
+            chi_asm = assemble_choi_from_map(apply_kraus(ks, STD))
             for _ in range(10):
                 rho = random_density(rng)
                 a = apply_kraus(ks, rho)
@@ -299,7 +298,7 @@ class TestCrossRepresentationEquivalence:
 class TestMapTableValidation:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            MapTable([np.eye(4)] * 15)
+            assemble_choi_from_map(np.stack([np.eye(4)] * 15))
 
     def test_process_matrix_shape(self):
         with pytest.raises(ValueError):

@@ -179,6 +179,15 @@ class TestCliPipeline:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_noise_seed_recorded_only_with_poisson(self, tmp_path):
+        params = write_params(tmp_path / "params.json")
+        plain, noisy = tmp_path / "plain.csv", tmp_path / "noisy.csv"
+        assert main(["simulate", "--params", str(params), "--counts-out", str(plain)]) == 0
+        assert main(["simulate", "--params", str(params), "--counts-out", str(noisy),
+                     "--noise", "poisson", "--seed", "5"]) == 0
+        assert "noise_seed" not in plain.read_text()
+        assert "\n# noise_seed = 5\n" in noisy.read_text()
+
     def test_ideal_filter_row_is_zero(self, tmp_path):
         params = write_params(tmp_path / "params.json", ratio_RT=1.0, theta1=0.0,
                               theta2=0.0, p=0.0)
@@ -338,6 +347,20 @@ class TestCliErrors:
         assert f"error: {params}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, bad", [
+        ("simulate", "theta1", np.nan),
+        ("simulate", "p", -np.inf),
+        ("choi", "scale", np.inf),
+    ])
+    def test_non_finite_parameter_exit_2(self, tmp_path, capsys, command, key, bad):
+        params = write_params(tmp_path / "p.json", **{key: bad})
+        out = tmp_path / "out"
+        flag = "--counts-out" if command == "simulate" else "--out"
+        assert main([command, "--params", str(params), flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {params}: key {key!r} must be a finite number\n"
+        assert not out.exists()
+
     def test_missing_key_names_file_once_exit_2(self, tmp_path, capsys):
         params = write_params(tmp_path / "p.json", ratio_RT=None, T=0.5)
         assert main(["choi", "--params", str(params), "--out", str(tmp_path / "m.json")]) == 2
@@ -424,32 +447,6 @@ class TestCliErrors:
         assert main(["homdip", "--params", str(params), "--tau-min", "-100",
                      "--tau-max", "100", "--steps", "5",
                      "--out", str(tmp_path / "d.csv")]) == 2
-
-
-class TestThreadsFlag:
-    def test_accepted(self, tmp_path):
-        params = write_params(tmp_path / "p.json")
-        assert main(["--threads", "2", "simulate", "--params", str(params),
-                     "--counts-out", str(tmp_path / "c.csv")]) == 0
-
-    def test_rejects_nonpositive(self, tmp_path):
-        params = write_params(tmp_path / "p.json")
-        assert main(["--threads", "0", "simulate", "--params", str(params),
-                     "--counts-out", str(tmp_path / "c.csv")]) == 2
-
-    def test_non_integer_environment_value_exit_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("THREADS", "abc")
-        params = write_params(tmp_path / "p.json")
-        out = tmp_path / "c.csv"
-        assert main(["simulate", "--params", str(params), "--counts-out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: THREADS='abc'")
-        assert not out.exists()
-
-    def test_flag_overrides_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THREADS", "abc")
-        params = write_params(tmp_path / "p.json")
-        assert main(["--threads", "2", "simulate", "--params", str(params),
-                     "--counts-out", str(tmp_path / "c.csv")]) == 0
 
 
 class TestConsoleInvocation:

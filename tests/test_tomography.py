@@ -51,6 +51,12 @@ class TestInputSet:
         assert np.isfinite(inputs.gram_condition)
         assert inputs.gram_condition < 1e6
 
+    def test_products_and_duals_biorthogonal(self):
+        inputs = build_input_set()
+        # Tr(products[m] duals[n]) for every pair.
+        overlaps = np.einsum("mij,nji->mn", inputs.products, inputs.duals)
+        assert_allclose(overlaps, np.eye(16), atol=1e-12)
+
 
 class TestDecomposition:
     def test_x0_is_first_input(self):
@@ -102,6 +108,12 @@ class TestSimulateCounts:
         assert np.array_equal(a.counts, b.counts)
         c = simulate_counts(ks, inputs, total_scale=1e4, noise="poisson", seed=8)
         assert not np.array_equal(a.counts, c.counts)
+
+    def test_noise_seed_recorded_only_with_poisson(self):
+        inputs = build_input_set()
+        ks = kraus_pair(FilterParams.from_ratio(0.76, p=0.2))
+        assert simulate_counts(ks, inputs, seed=3).noise_seed is None
+        assert simulate_counts(ks, inputs, noise="poisson", seed=3).noise_seed == 3
 
     def test_bad_args(self):
         inputs = build_input_set()
