@@ -86,7 +86,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if result.fidelity is None:
         warnings.append("fidelity undefined: a PSD-projected matrix has no positive trace")
     if not result.converged:
-        warnings.append("the best start did not converge; best effort result")
+        # The scale is profiled to zero exactly when the model has no positive
+        # overlap with the matrix, and then the fit leaves all of it unexplained.
+        if result.residual >= meas_norm:
+            warnings.append("no positive overlap with the filter model")
+        else:
+            warnings.append("the best start did not converge; best effort result")
     if warnings:
         payload["warning"] = "; ".join(warnings)
     fileio.write_fit_report(args.out, payload)

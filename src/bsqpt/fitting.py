@@ -11,12 +11,16 @@ its square root (the Kraus operators carry scale linearly, the process
 matrix quadratically). The residual ``chi_meas - alpha chi_1``, split into
 real and imaginary parts, is minimized over the four shape parameters
 (p, R/T ratio, theta1, theta2) by trust-region reflective least squares
-from multiple seeded starts, with a closed-form Jacobian: every parameter
-enters ``c-/+`` elementarily. Only p and R/T are boxed; the angles are
-periodic, so they are left free and folded by :func:`canonicalize`
-afterwards. The objective is the plain Frobenius distance on the
-unnormalized matrices, matching how the measured matrices are compared
-visually; no statistical weighting.
+with a closed-form Jacobian: every parameter enters ``c-/+`` elementarily.
+Each fit builds the model once per solver point; the Jacobian reuses the
+model of the residual at the same point. The first starts are
+method-of-moments estimates: six standard-basis entries of the measured
+matrix give the four parameters in closed form (:func:`_moment_starts`);
+the box midpoint and seeded uniform draws follow. Only p and R/T are
+boxed; the angles are periodic, so they are left free and folded by
+:func:`canonicalize` afterwards. The objective is the plain Frobenius
+distance on the unnormalized matrices, matching how the measured matrices
+are compared visually; no statistical weighting.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ _VEC_I = to_coeff_vector(np.eye(4))
 # it weighs each coefficient by d_k at the coefficient's row.
 _D_THETA = 0.5j * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
 _DPHASE = to_coeff_vector(np.broadcast_to(_D_THETA[:, :, None], (2, 4, 4)))
+# _UNIT[j, k] is the coefficient index of the matrix unit |j><k|.
+_UNIT = to_coeff_vector(np.eye(16).reshape(16, 4, 4)).real.argmax(axis=1).reshape(4, 4)
 
 # The search box, as closed intervals: p is boxed to its physical range
 # ``P_RANGE``, R/T to physically plausible splitters (1:4 through 4:1).
@@ -50,9 +56,11 @@ THETA_START_RANGE = (-math.pi, math.pi)
 class FitConfig:
     """Search configuration; the search box is fixed by the module constants.
 
-    ``multistart`` is the number of seeded starts, ``max_iterations`` caps
-    the residual evaluations of each start, and ``convergence_tol`` is the
-    solver's relative tolerance on the cost, the step and the gradient.
+    ``multistart`` is the number of starts: the two moment estimates of
+    :func:`_moment_starts`, the box midpoint, then uniform draws seeded by
+    ``seed``, in that order and cut to this number. ``max_iterations``
+    caps the residual evaluations of each start, and ``convergence_tol`` is
+    the solver's relative tolerance on the cost, the step and the gradient.
     The scale parameter has no bounds because it is profiled analytically
     and is nonnegative by construction.
     """
@@ -70,9 +78,13 @@ class FitResult:
     ``n_evaluations`` counts every model evaluation: each residual vector
     and each Jacobian the solver asked for, plus one residual per start.
     ``converged`` is the solver status of the start whose point is
-    reported. ``fidelity`` is ``None`` when it cannot be computed (a
-    matrix without positive trace after the PSD projection).
-    ``start_residuals`` holds the residual norm at each start point.
+    reported, and it is ``False`` as well when the model at that point has
+    no positive overlap with the measured matrix (the profiled scale is
+    zero, so the fit explains none of it). ``fidelity`` is ``None`` when
+    it cannot be computed (a matrix without positive trace after the PSD
+    projection). ``start_residuals`` holds the residual norm at each start
+    point, and ``best_start`` the index of the reported start, both in the
+    start order of :class:`FitConfig`.
     """
 
     params: FilterParams
@@ -81,6 +93,7 @@ class FitResult:
     n_evaluations: int
     converged: bool
     start_residuals: list[float] = field(default_factory=list)
+    best_start: int = 0
 
 
 def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
@@ -110,20 +123,24 @@ def _as_real(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).view(np.float64)
 
 
-def _residuals(x: np.ndarray, chi_std: np.ndarray) -> np.ndarray:
-    """The 512 real components of ``chi_std - alpha chi_1`` at ``x``."""
-    _, _, chi1 = _unit_model(x)
+def _residuals(x: np.ndarray, chi_std: np.ndarray, model: tuple | None = None) -> np.ndarray:
+    """The 512 real components of ``chi_std - alpha chi_1`` at ``x``.
+
+    ``model`` is ``_unit_model(x)`` when the caller already has it.
+    """
+    _, _, chi1 = _unit_model(x) if model is None else model
     return _as_real(chi_std - _profiled_scale(chi1, chi_std) * chi1).ravel()
 
 
-def _jacobian(x: np.ndarray, chi_std: np.ndarray) -> np.ndarray:
+def _jacobian(x: np.ndarray, chi_std: np.ndarray, model: tuple | None = None) -> np.ndarray:
     """Closed-form ``(512, 4)`` Jacobian of :func:`_residuals`, scale profile included.
 
     With ``A = P - t I`` the reflected part of each operator,
     ``dP/d(R/T) = A / (R/T) - t P`` and ``dP/dtheta_k = diag(d_k) A``.
+    ``model`` is ``_unit_model(x)`` when the caller already has it.
     """
     p, ratio = x[0], x[1]
-    t, c, chi1 = _unit_model(x)
+    t, c, chi1 = _unit_model(x) if model is None else model
     s11 = float(np.vdot(chi1, chi1).real)
     s1m = float(np.vdot(chi1, chi_std).real)
     if s1m <= 0.0:
@@ -190,6 +207,52 @@ def _starts(cfg: FitConfig) -> list[np.ndarray]:
     return starts
 
 
+def _moment_starts(chi_std: np.ndarray) -> list[np.ndarray]:
+    """Closed-form estimates of ``(p, R/T, theta1, theta2)`` from six entries of ``chi_std``.
+
+    With ``a = t vec(I)``, ``b = r vec(U3 SWAP)`` and ``q = 1 - 2p`` the
+    model is ``alpha (a a^+ + b b^+ - q (a b^+ + b a^+))``, so, writing
+    ``|j><k|`` for the coefficient index of that matrix unit:
+
+    * the ``|1><1|`` and ``|2><2|`` diagonals are ``alpha t^2``, the
+      ``|1><2|`` and ``|2><1|`` diagonals ``alpha r^2``, which give R/T and,
+      as ``t + r = 1``, ``alpha``;
+    * ``chi[|1><2|, |1><1|] = q alpha r t e^{i s}`` with
+      ``s = (theta1 + theta2)/2``, averaged with
+      ``conj(chi[|2><1|, |2><2|])``, gives q and s;
+    * ``chi[|0><0|, |3><3|] / alpha = t^2 - 2 q t r u + r^2 u^2`` with
+      ``u = e^{i d}``, ``d = (theta1 - theta2)/2``, is a quadratic in
+      ``r u`` whose two roots both give a start, the one whose ``|u|`` is
+      nearer 1 first.
+
+    R/T is clamped into ``RATIO_BOUNDS`` and q into [0, 1]. With s and d
+    taken in (-pi, pi], both angles lie in ``THETA_START_RANGE`` whenever
+    the channel allows it; otherwise one lies outside by at most pi, as
+    folding it alone would swap the two filter operators (see
+    :func:`canonicalize`). Every start is finite for any finite ``chi_std``.
+    """
+    e = _UNIT
+    diag = chi_std.diagonal().real
+    tt = max(0.5 * (diag[e[1, 1]] + diag[e[2, 2]]), 0.0)
+    rr = max(0.5 * (diag[e[1, 2]] + diag[e[2, 1]]), 0.0)
+    ratio = math.sqrt(rr / tt) if tt > 0.0 else math.inf
+    ratio = min(max(ratio, RATIO_BOUNDS[0]), RATIO_BOUNDS[1])
+    t = 1.0 / (1.0 + ratio)
+    r = ratio * t
+    alpha = (math.sqrt(tt) + math.sqrt(rr)) ** 2
+    cross = 0.5 * (chi_std[e[1, 2], e[1, 1]] + np.conj(chi_std[e[2, 1], e[2, 2]]))
+    q = min(abs(cross) / (alpha * r * t), 1.0) if alpha > 0.0 else 0.0
+    s = float(np.angle(cross))
+    corner = chi_std[e[0, 0], e[3, 3]]
+    # w = alpha r u solves w^2 - 2 m w + alpha (alpha t^2 - corner) = 0 with
+    # m = |cross| / r = q alpha t; |u| near 1 is |w| near alpha r.
+    m = abs(cross) / r
+    root = np.sqrt(complex(m * m - alpha * (alpha * t * t - corner)))
+    ws = sorted((m + root, m - root), key=lambda w: abs(abs(w) - alpha * r))
+    ds = [float(np.angle(w)) for w in ws]
+    return [np.array([0.5 * (1.0 - q), ratio, s + d, s - d]) for d in ds]
+
+
 def _params(x: np.ndarray) -> FilterParams:
     """Canonical unit-scale parameters of a solver point ``(p, R/T, theta1, theta2)``.
 
@@ -211,11 +274,11 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Fit the filter model to a measured process matrix.
 
     Runs one bounded trust-region least-squares descent from each of
-    ``cfg.multistart`` seeded starting points and keeps the lowest
-    residual; starts that tie are ranked by the norm of their
-    canonicalized angles, then by p. Deterministic for a given seed.
-    Non-convergence of the reported start is signalled by
-    ``converged=False`` on the result, never by an exception.
+    ``cfg.multistart`` starting points (see :class:`FitConfig`) and keeps
+    the lowest residual; starts that tie are ranked by the norm of their
+    canonicalized angles, then by p, then by start order. Deterministic
+    for a given seed. Non-convergence of the reported start is signalled
+    by ``converged=False`` on the result, never by an exception.
     """
     from scipy.optimize import least_squares
 
@@ -224,16 +287,30 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     chi_std = transform_process_matrix(chi_meas, "S").m
     chi_std = 0.5 * (chi_std + chi_std.conj().T)
     n_evaluations = 0
+    # (point, unit model) of the latest residual and Jacobian calls. The
+    # solver asks for each Jacobian at the point of the residual just before
+    # it and returns the latest Jacobian point, so neither rebuilds a model.
+    latest: dict[str, tuple] = {}
+
+    def unit_model(x: np.ndarray, call: str) -> tuple:
+        key = x.tobytes()
+        for seen, model in latest.values():
+            if seen == key:
+                break
+        else:
+            seen, model = key, _unit_model(x)
+        latest[call] = (seen, model)
+        return model
 
     def residuals(x: np.ndarray) -> np.ndarray:
         nonlocal n_evaluations
         n_evaluations += 1
-        return _residuals(x, chi_std)
+        return _residuals(x, chi_std, unit_model(x, "residual"))
 
     def jacobian(x: np.ndarray) -> np.ndarray:
         nonlocal n_evaluations
         n_evaluations += 1
-        return _jacobian(x, chi_std)
+        return _jacobian(x, chi_std, unit_model(x, "jacobian"))
 
     bounds = (
         [P_RANGE[0], RATIO_BOUNDS[0], -math.inf, -math.inf],
@@ -242,23 +319,22 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     tol = cfg.convergence_tol
     candidates = []
     start_residuals = []
-    for x0 in _starts(cfg):
+    for index, x0 in enumerate((_moment_starts(chi_std) + _starts(cfg))[: cfg.multistart]):
         start_residuals.append(float(np.linalg.norm(residuals(x0))))
         sol = least_squares(
             residuals, x0, jac=jacobian, bounds=bounds, method="trf",
             ftol=tol, xtol=tol, gtol=tol, max_nfev=cfg.max_iterations,
         )
+        alpha = _profiled_scale(unit_model(sol.x, "jacobian")[2], chi_std)
         norm = float(np.linalg.norm(sol.fun))
-        candidates.append((norm, _params(sol.x), bool(sol.success), sol.x))
+        candidates.append((norm, _params(sol.x), bool(sol.success) and alpha > 0.0, alpha, index))
 
     best = min(c[0] for c in candidates)
     tied = [c for c in candidates if c[0] <= best + 1e-9 * (1.0 + best)]
-    _, canon, converged, x_best = min(
+    _, canon, converged, alpha, best_start = min(
         tied, key=lambda c: (math.hypot(c[1].theta1, c[1].theta2), c[1].p)
     )
-    _, _, chi1 = _unit_model(x_best)
-    scale = math.sqrt(max(_profiled_scale(chi1, chi_std), 1e-300))
-    params = replace(canon, scale=scale)
+    params = replace(canon, scale=math.sqrt(max(alpha, 1e-300)))
 
     model = model_chi(params, chi_meas.basis)
     try:
@@ -273,4 +349,5 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         n_evaluations=n_evaluations,
         converged=converged,
         start_residuals=start_residuals,
+        best_start=best_start,
     )

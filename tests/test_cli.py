@@ -387,10 +387,15 @@ class TestCliErrors:
                      "--counts-out", str(tmp_path / "nodir" / "c.csv")]) == 3
 
     def test_nonconvergence_exit_4_with_file(self, tmp_path):
+        # A Poisson record: a moment start solves an exact model matrix in
+        # under two evaluations.
         params = write_params(tmp_path / "p.json")
+        counts = tmp_path / "noisy.csv"
         chi_path = tmp_path / "chi.json"
         report = tmp_path / "fit.json"
-        main(["choi", "--params", str(params), "--basis", "S", "--out", str(chi_path)])
+        main(["simulate", "--params", str(params), "--counts-out", str(counts),
+              "--noise", "poisson", "--seed", "1", "--total-scale", "10000"])
+        main(["reconstruct", "--counts", str(counts), "--out", str(chi_path)])
         code = main(["fit", "--chi", str(chi_path), "--out", str(report),
                      "--max-iter", "2", "--multistart", "2"])
         assert code == 4
@@ -415,10 +420,12 @@ class TestCliErrors:
         report = tmp_path / "fit.json"
         fileio.write_matrix(chi_path, -np.eye(16), "S")
         assert main(["fit", "--chi", str(chi_path), "--out", str(report),
-                     "--multistart", "2"]) == 0
+                     "--multistart", "2"]) == 4
         result = json.load(open(report))
         assert result["fidelity"] is None
         assert "fidelity undefined" in result["warning"]
+        assert result["converged"] is False
+        assert "no positive overlap with the filter model" in result["warning"]
 
     def test_identity_channel_mismatch_warning(self, tmp_path):
         from bsqpt import KrausSet

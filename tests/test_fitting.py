@@ -18,12 +18,15 @@ from bsqpt import (
 )
 from bsqpt import build_input_set, reconstruct_process, simulate_counts
 from bsqpt.bsfilter import P_RANGE
+from bsqpt import fitting
 from bsqpt.fitting import (
     RATIO_BOUNDS,
     THETA_START_RANGE,
     _jacobian,
+    _moment_starts,
     _residuals,
     _starts,
+    _unit_model,
     canonicalize,
 )
 
@@ -36,6 +39,50 @@ def paper_filter(p, scale=1.0):
     return FilterParams.from_ratio(
         0.76, theta1=0.41 * np.pi, theta2=0.076 * np.pi, p=p, scale=scale
     )
+
+
+def random_filter(rng, p_range=(0.0, 0.5)):
+    return FilterParams.from_ratio(
+        float(np.exp(rng.uniform(-1.0, 1.0))), theta1=rng.uniform(-np.pi, np.pi),
+        theta2=rng.uniform(-np.pi, np.pi), p=rng.uniform(*p_range),
+        scale=rng.uniform(0.5, 3.0),
+    )
+
+
+def truth_x(fp):
+    return np.array([fp.p, fp.ratio_rt, fp.theta1, fp.theta2])
+
+
+def poisson_chi(fp, total, seed):
+    inputs = build_input_set()
+    ct = simulate_counts(kraus_pair(fp), inputs, total_scale=total, noise="poisson", seed=seed)
+    return reconstruct_process(ct, inputs)
+
+
+def record_solver(monkeypatch):
+    """Record each start point and every (point, value) the solver's fun and jac return."""
+    import scipy.optimize
+
+    real = scipy.optimize.least_squares
+    log = {"x0": [], "fun": [], "jac": []}
+
+    def recording(fun, x0, jac, **kwargs):
+        log["x0"].append(np.array(x0))
+
+        def f(x):
+            out = fun(x)
+            log["fun"].append((x.copy(), out.copy()))
+            return out
+
+        def j(x):
+            out = jac(x)
+            log["jac"].append((x.copy(), out.copy()))
+            return out
+
+        return real(f, x0, jac=j, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    return log
 
 
 class TestModelChi:
@@ -215,7 +262,9 @@ class TestFit:
             assert THETA_START_RANGE[0] <= th2 <= THETA_START_RANGE[1]
 
     def test_nonconvergence_reported_not_raised(self):
-        chi = model_chi(paper_filter(0.3))
+        # A Poisson record: a moment start solves an exact model matrix in
+        # under two evaluations.
+        chi = poisson_chi(paper_filter(0.3), 1e4, seed=10)
         res = fit(chi, FitConfig(multistart=2, max_iterations=2, seed=10))
         assert not res.converged
         assert res.residual >= 0.0
@@ -253,6 +302,118 @@ class TestFit:
     def test_fidelity_none_without_positive_trace(self):
         res = fit(ProcessMatrix("S", -np.eye(16)), FitConfig(multistart=2, seed=14))
         assert res.fidelity is None
+
+    @pytest.mark.parametrize("m", [-np.eye(16), np.zeros((16, 16))])
+    def test_no_positive_overlap_not_converged(self, m):
+        res = fit(ProcessMatrix("S", m), FitConfig(multistart=3, seed=14))
+        assert res.converged is False
+        assert res.residual >= np.linalg.norm(m)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_best_start_is_the_reported_start(self, monkeypatch, k):
+        # Only start k runs; the others come back untouched at their start
+        # point. On this Poisson record each moment root and the midpoint
+        # descend below every untouched start.
+        import scipy.optimize
+
+        real = scipy.optimize.least_squares
+        calls = []
+
+        def solver(fun, x0, **kwargs):
+            calls.append(x0)
+            if len(calls) == k + 1:
+                return real(fun, x0, **kwargs)
+            x = np.asarray(x0, dtype=float)
+            return scipy.optimize.OptimizeResult(x=x, fun=fun(x), success=True)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", solver)
+        res = fit(poisson_chi(paper_filter(0.325), 1e4, seed=23), FitConfig(multistart=4, seed=23))
+        assert res.best_start == k
+        assert res.residual < min(r for i, r in enumerate(res.start_residuals) if i != k)
+
+
+class TestMomentStarts:
+    def test_a_root_is_the_truth_on_noiseless_filters(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            fp = random_filter(rng, (0.01, 0.49))
+            starts = _moment_starts(model_chi(fp).m)
+            assert len(starts) == 2
+            assert min(np.max(np.abs(x - truth_x(fp))) for x in starts) <= 1e-9
+            # The root whose |u| is nearer 1 comes first.
+            assert np.max(np.abs(starts[0] - truth_x(fp))) <= 1e-9
+
+    def test_finite_and_in_the_box_on_degenerate_input(self):
+        rng = np.random.default_rng(18)
+        for m in (-np.eye(16), np.zeros((16, 16)), random_hermitian(rng, 16)):
+            for p, ratio, th1, th2 in _moment_starts(m.astype(complex)):
+                assert P_RANGE[0] <= p <= P_RANGE[1]
+                assert np.all(np.isfinite([p, ratio, th1, th2]))
+                assert RATIO_BOUNDS[0] <= ratio <= RATIO_BOUNDS[1]
+                # An angle leaves THETA_START_RANGE only where folding it
+                # alone would swap the two filter operators.
+                assert abs(th1) <= 2 * np.pi and abs(th2) <= 2 * np.pi
+                assert min(abs(th1), abs(th2)) <= THETA_START_RANGE[1]
+
+    def test_start_order(self, monkeypatch):
+        log = record_solver(monkeypatch)
+        chi = model_chi(paper_filter(0.2))
+        cfg = FitConfig(multistart=5, seed=19)
+        fit(chi, cfg)
+        want = _moment_starts(chi.m) + _starts(cfg)[:3]
+        assert len(log["x0"]) == 5
+        for got, expect in zip(log["x0"], want):
+            assert np.array_equal(got, expect)
+
+    def test_four_starts_reach_the_seeded_sixteen_start_optimum(self, monkeypatch):
+        # 24 Poisson records: the reference filter at the three paper delays
+        # and random filters, at 1e4 and 1e3 counts, as the benchmark fits them.
+        rng = np.random.default_rng(20)
+        records = []
+        for k in range(24):
+            fp = paper_filter((0.14, 0.325, 0.5)[k % 3]) if k < 12 else random_filter(rng)
+            records.append(poisson_chi(fp, 1e4 if k % 2 == 0 else 1e3, seed=2000 + k))
+        four = [fit(chi, FitConfig(multistart=4, max_iterations=500, convergence_tol=1e-9,
+                                   seed=k)).residual for k, chi in enumerate(records)]
+        monkeypatch.setattr(fitting, "_moment_starts", lambda chi_std: [])
+        for k, chi in enumerate(records):
+            seeded = fit(chi, FitConfig(multistart=16, max_iterations=500,
+                                        convergence_tol=1e-9, seed=k)).residual
+            assert four[k] <= (1 + 1e-6) * seeded
+
+
+class TestModelCache:
+    def test_cached_values_equal_uncached(self, monkeypatch):
+        log = record_solver(monkeypatch)
+        chi = poisson_chi(paper_filter(0.325), 1e4, seed=21)
+        fit(chi, FitConfig(multistart=4, seed=21))
+        chi_std = 0.5 * (chi.m + chi.m.conj().T)
+        assert log["fun"] and log["jac"]
+        for x, got in log["fun"]:
+            assert np.array_equal(got, _residuals(x, chi_std))
+        for x, got in log["jac"]:
+            assert np.array_equal(got, _jacobian(x, chi_std))
+        x = np.array([0.2, 0.9, 1.0, -0.5])
+        model = _unit_model(x)
+        assert np.array_equal(_residuals(x, chi_std, model), _residuals(x, chi_std))
+        assert np.array_equal(_jacobian(x, chi_std, model), _jacobian(x, chi_std))
+
+    def test_one_model_per_distinct_point(self, monkeypatch):
+        log = record_solver(monkeypatch)
+        built = []
+        real = fitting._unit_model
+
+        def counting(x):
+            built.append(x.tobytes())
+            return real(x)
+
+        monkeypatch.setattr(fitting, "_unit_model", counting)
+        chi = poisson_chi(paper_filter(0.14), 1e4, seed=22)
+        fit(chi, FitConfig(multistart=4, seed=22))
+        points = {x.tobytes() for x in log["x0"]}
+        points |= {x.tobytes() for x, _ in log["fun"] + log["jac"]}
+        assert len(built) == len(set(built)) == len(points)
+        assert set(built) == points
 
 
 def paper_x(p):
