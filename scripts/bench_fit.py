@@ -14,26 +14,33 @@ after it, because a shared machine changes speed in phases of seconds to
 minutes. Each record is fitted ``REPEATS`` times and keeps its fastest
 scaled time, which sheds single preemptions. A case reports the median of
 those times over records, the mean evaluations per fit and the fit time
-per evaluation (scipy's own per-iteration work included).
+per evaluation (the solver's own per-iteration work included).
 
 ``layers_us`` gives the time of one model build, one residual, one
 Jacobian that builds its own model and, where the Jacobian accepts one, a
 Jacobian given the model (its cost inside a fit), at the reference point
 of the first record: the fastest of five scaled means over 500 calls.
+
+``cli_fit`` gives the cold start of ``python -m bsqpt.cli fit`` on the
+noiseless reference matrix, one fresh process per run: the median scaled
+wall time of ``COLD_RUNS`` runs, and the largest resident set of any run.
 """
 
 from __future__ import annotations
 
+import importlib.metadata
 import json
 import math
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
-import scipy
 
 from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
@@ -43,6 +50,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
 
 REPEATS = 5
+COLD_RUNS = 15
 CASES = {
     # name: (records, FitConfig keywords)
     "paper_fit_4_starts": (60, dict(multistart=4, max_iterations=500, convergence_tol=1e-9)),
@@ -77,7 +85,7 @@ def timed(f, number: int = 1) -> float:
 
 def run_case(n: int, kwargs: dict) -> dict:
     chis = records(n)
-    fit(chis[0], FitConfig(seed=0, **kwargs))  # warm-up: imports scipy
+    fit(chis[0], FitConfig(seed=0, **kwargs))  # warm-up
     times, evaluations = [], []
     for k, chi in enumerate(chis):
         cfg = FitConfig(seed=k, **kwargs)
@@ -113,6 +121,33 @@ def layers() -> dict:
     return {name: round(1e6 * t, 2) for name, t in best.items()}
 
 
+def cli_fit() -> dict:
+    cli = [sys.executable, "-m", "bsqpt.cli"]
+    with tempfile.TemporaryDirectory() as tmp:
+        params, chi, out = (os.path.join(tmp, name) for name in ("p.json", "chi.json", "fit.json"))
+        with open(params, "w", encoding="utf-8") as fh:
+            json.dump({"ratio_RT": 0.76, "theta1": 0.41 * math.pi, "theta2": 0.076 * math.pi,
+                       "p": 0.325}, fh)
+        subprocess.run(cli + ["choi", "--params", params, "--basis", "F", "--out", chi],
+                       check=True, capture_output=True)
+        runs = [timed(lambda: subprocess.run(cli + ["fit", "--chi", chi, "--out", out],
+                                             check=True, capture_output=True))
+                for _ in range(COLD_RUNS)]
+    return {
+        "runs": COLD_RUNS,
+        "cold_ms": round(1e3 * statistics.median(runs), 1),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
+    }
+
+
+def scipy_version() -> str | None:
+    """The installed scipy version, if any: older versions of the fit import it."""
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def main() -> None:
     cpu = "unknown"
     if os.path.exists("/proc/cpuinfo"):
@@ -125,12 +160,13 @@ def main() -> None:
         "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy_version(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "repeats": REPEATS,
     }
     cases = {name: run_case(n, kwargs) for name, (n, kwargs) in CASES.items()}
-    json.dump({"machine": machine, "layers_us": layers(), "cases": cases}, sys.stdout, indent=1)
+    json.dump({"machine": machine, "layers_us": layers(), "cases": cases, "cli_fit": cli_fit()},
+              sys.stdout, indent=1)
     print()
 
 

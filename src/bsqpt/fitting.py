@@ -10,10 +10,13 @@ the measured matrix is a one-line projection, and the reported ``scale`` is
 its square root (the Kraus operators carry scale linearly, the process
 matrix quadratically). The residual ``chi_meas - alpha chi_1``, split into
 real and imaginary parts, is minimized over the four shape parameters
-(p, R/T ratio, theta1, theta2) by trust-region reflective least squares
-with a closed-form Jacobian: every parameter enters ``c-/+`` elementarily.
-Each fit builds the model once per solver point; the Jacobian reuses the
-model of the residual at the same point. The first starts are
+(p, R/T ratio, theta1, theta2) by a bounded Levenberg-Marquardt descent
+(Levenberg, Q. Appl. Math. 2, 164 (1944); Marquardt, J. SIAM 11, 431
+(1963)) with the scaling of More (Lecture Notes in Math. 630, 105 (1978))
+and a closed-form Jacobian: every parameter enters ``c-/+`` elementarily.
+With four unknowns each step is one 4x4 linear solve, in numpy alone. The
+solver builds the model once per point and hands the model of the point
+it accepted to the Jacobian. The first starts are
 method-of-moments estimates: six standard-basis entries of the measured
 matrix give the four parameters in closed form (:func:`_moment_starts`);
 the box midpoint and seeded uniform draws follow. Only p and R/T are
@@ -50,6 +53,8 @@ _UNIT = to_coeff_vector(np.eye(16).reshape(16, 4, 4)).real.argmax(axis=1).reshap
 # draw them from ``THETA_START_RANGE``.
 RATIO_BOUNDS = (0.25, 4.0)
 THETA_START_RANGE = (-math.pi, math.pi)
+_LOWER = np.array([P_RANGE[0], RATIO_BOUNDS[0], -math.inf, -math.inf])
+_UPPER = np.array([P_RANGE[1], RATIO_BOUNDS[1], math.inf, math.inf])
 
 
 @dataclass
@@ -59,8 +64,10 @@ class FitConfig:
     ``multistart`` is the number of starts: the two moment estimates of
     :func:`_moment_starts`, the box midpoint, then uniform draws seeded by
     ``seed``, in that order and cut to this number. ``max_iterations``
-    caps the residual evaluations of each start, and ``convergence_tol`` is
-    the solver's relative tolerance on the cost, the step and the gradient.
+    caps the residual evaluations of each start's descent, the start's own
+    included, and ``convergence_tol`` is the descent's relative tolerance on
+    the cost decrease, the step and the projected gradient (the ftol, xtol
+    and gtol of MINPACK); see :func:`_descend`.
     The scale parameter has no bounds because it is profiled analytically
     and is nonnegative by construction.
     """
@@ -270,70 +277,115 @@ def _params(x: np.ndarray) -> FilterParams:
     )
 
 
+def _descend(fun, jac, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
+             max_evals: int) -> tuple:
+    """Bounded Levenberg-Marquardt descent of ``|fun(x)|^2`` inside the box ``[lo, hi]``.
+
+    ``fun(x)`` returns the residual vector and the model it built, and
+    ``jac(x, model)`` the Jacobian at a point given its model; ``start`` is
+    ``(x0, *fun(x0))``. Each step solves ``(J^T J + mu D) dx = -J^T r`` on the
+    free variables, where ``D`` is the running maximum of ``diag(J^T J)``
+    (More's scaling); a variable on a bound whose descent direction leaves
+    the box is frozen for that step, and the trial point is clipped into the
+    box. ``mu`` follows Nielsen's gain-ratio
+    update (H. B. Nielsen, IMM-REP-1999-05, DTU (1999)). The descent
+    converges when a step, accepted or not, is below ``tol`` relative to
+    ``x``, or an accepted step lowers the cost by less than ``tol`` of it;
+    both are tested after the step is taken, so the last accepted step is
+    kept. It also converges when the largest cosine between ``r`` and a free
+    column of ``J`` (the projected gradient) is at most ``tol``. ``max_evals``
+    caps the residual evaluations, the start's included. Returns ``(x, r,
+    model, converged)`` at the last accepted point.
+    """
+    x, r, model = start
+    cost = float(r @ r)
+    evals, mu, nu = 1, 1e-3, 2.0
+    scale = np.zeros_like(x)
+    moved = True
+    while True:
+        if moved:
+            jacobian = jac(x, model)
+            g = jacobian.T @ r
+            gram = jacobian.T @ jacobian
+            scale = np.maximum(scale, gram.diagonal())
+            free = (scale > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+            if np.all(np.abs(g[free]) <= tol * np.sqrt(cost * gram.diagonal()[free])):
+                return x, r, model, True
+        if evals >= max_evals:
+            return x, r, model, False
+        step = np.zeros_like(x)
+        sub = np.ix_(free, free)
+        step[free] = np.linalg.solve(gram[sub] + mu * np.diag(scale[free]), -g[free])
+        trial = np.clip(x + step, lo, hi)
+        step = trial - x
+        r_new, model_new = fun(trial)
+        evals += 1
+        cost_new = float(r_new @ r_new)
+        predicted = -(2.0 * g @ step + step @ gram @ step)
+        gain = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
+        done = (np.linalg.norm(step) <= tol * (tol + np.linalg.norm(x))
+                or (gain > 0.25 and cost - cost_new <= tol * cost))
+        moved = gain > 0.0
+        if moved:
+            x, r, model, cost = trial, r_new, model_new, cost_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if done:
+            return x, r, model, True
+
+
 def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Fit the filter model to a measured process matrix.
 
-    Runs one bounded trust-region least-squares descent from each of
-    ``cfg.multistart`` starting points (see :class:`FitConfig`) and keeps
-    the lowest residual; starts that tie are ranked by the norm of their
-    canonicalized angles, then by p, then by start order. Deterministic
-    for a given seed. Non-convergence of the reported start is signalled
-    by ``converged=False`` on the result, never by an exception.
+    Runs one bounded Levenberg-Marquardt descent (:func:`_descend`) from
+    each of ``cfg.multistart`` starting points (see :class:`FitConfig`) and
+    keeps the lowest residual. Starts that tie on the residual are ranked
+    by the norm of their canonicalized angles, norms that agree to the same
+    relative 1e-9 counting as equal, and then by start order. Deterministic
+    for a given seed. Non-convergence of the reported start is signalled by
+    ``converged=False`` on the result, never by an exception.
     """
-    from scipy.optimize import least_squares
-
     if cfg is None:
         cfg = FitConfig()
     chi_std = transform_process_matrix(chi_meas, "S").m
     chi_std = 0.5 * (chi_std + chi_std.conj().T)
     n_evaluations = 0
-    # (point, unit model) of the latest residual and Jacobian calls. The
-    # solver asks for each Jacobian at the point of the residual just before
-    # it and returns the latest Jacobian point, so neither rebuilds a model.
-    latest: dict[str, tuple] = {}
 
-    def unit_model(x: np.ndarray, call: str) -> tuple:
-        key = x.tobytes()
-        for seen, model in latest.values():
-            if seen == key:
-                break
-        else:
-            seen, model = key, _unit_model(x)
-        latest[call] = (seen, model)
-        return model
-
-    def residuals(x: np.ndarray) -> np.ndarray:
+    def residuals(x: np.ndarray) -> tuple:
         nonlocal n_evaluations
         n_evaluations += 1
-        return _residuals(x, chi_std, unit_model(x, "residual"))
+        model = _unit_model(x)
+        return _residuals(x, chi_std, model), model
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
+    def jacobian(x: np.ndarray, model: tuple) -> np.ndarray:
         nonlocal n_evaluations
         n_evaluations += 1
-        return _jacobian(x, chi_std, unit_model(x, "jacobian"))
+        return _jacobian(x, chi_std, model)
 
-    bounds = (
-        [P_RANGE[0], RATIO_BOUNDS[0], -math.inf, -math.inf],
-        [P_RANGE[1], RATIO_BOUNDS[1], math.inf, math.inf],
-    )
-    tol = cfg.convergence_tol
     candidates = []
     start_residuals = []
     for index, x0 in enumerate((_moment_starts(chi_std) + _starts(cfg))[: cfg.multistart]):
-        start_residuals.append(float(np.linalg.norm(residuals(x0))))
-        sol = least_squares(
-            residuals, x0, jac=jacobian, bounds=bounds, method="trf",
-            ftol=tol, xtol=tol, gtol=tol, max_nfev=cfg.max_iterations,
+        start = (x0, *residuals(x0))
+        start_residuals.append(float(np.linalg.norm(start[1])))
+        x, r, unit, converged = _descend(
+            residuals, jacobian, start, _LOWER, _UPPER, cfg.convergence_tol, cfg.max_iterations
         )
-        alpha = _profiled_scale(unit_model(sol.x, "jacobian")[2], chi_std)
-        norm = float(np.linalg.norm(sol.fun))
-        candidates.append((norm, _params(sol.x), bool(sol.success) and alpha > 0.0, alpha, index))
+        alpha = _profiled_scale(unit[2], chi_std)
+        candidates.append((float(np.linalg.norm(r)), _params(x), converged and alpha > 0.0,
+                           alpha, index))
 
-    best = min(c[0] for c in candidates)
-    tied = [c for c in candidates if c[0] <= best + 1e-9 * (1.0 + best)]
-    _, canon, converged, alpha, best_start = min(
-        tied, key=lambda c: (math.hypot(c[1].theta1, c[1].theta2), c[1].p)
-    )
+    def lowest(cands: list, key) -> list:
+        """The candidates whose key is within a relative 1e-9 of the lowest, in start order."""
+        low = min(key(c) for c in cands)
+        return [c for c in cands if key(c) <= low + 1e-9 * (1.0 + low)]
+
+    tied = lowest(candidates, lambda c: c[0])
+    _, canon, converged, alpha, best_start = lowest(
+        tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
+    )[0]
     params = replace(canon, scale=math.sqrt(max(alpha, 1e-300)))
 
     model = model_chi(params, chi_meas.basis)

@@ -39,18 +39,15 @@ def fail_best_start(monkeypatch) -> None:
     Every later start comes back untouched at its start point but marked
     successful, so on a model-generated matrix the best point is the failed one.
     """
-    import scipy.optimize
+    from bsqpt import fitting
 
-    real = scipy.optimize.least_squares
+    real = fitting._descend
     calls = []
 
-    def solver(fun, x0, **kwargs):
-        calls.append(x0)
+    def solver(fun, jac, start, *args):
+        calls.append(start[0])
         if len(calls) == 1:
-            sol = real(fun, x0, **kwargs)
-            sol.success = False
-            return sol
-        x = np.asarray(x0, dtype=float)
-        return scipy.optimize.OptimizeResult(x=x, fun=fun(x), success=True)
+            return (*real(fun, jac, start, *args)[:3], False)
+        return (*start, True)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", solver)
+    monkeypatch.setattr(fitting, "_descend", solver)

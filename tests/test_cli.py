@@ -476,3 +476,21 @@ class TestConsoleInvocation:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_fit_leaves_scipy_unloaded(self, tmp_path):
+        params = write_params(tmp_path / "p.json")
+        chi, report = tmp_path / "chi.json", tmp_path / "fit.json"
+        code = (
+            "import sys\n"
+            "from bsqpt import FitConfig, fitting\n"
+            "from bsqpt.cli import _read_chi, main\n"
+            f"assert main(['choi', '--params', {str(params)!r}, '--out', {str(chi)!r}]) == 0\n"
+            f"assert main(['fit', '--chi', {str(chi)!r}, '--out', {str(report)!r},"
+            " '--multistart', '4']) == 0\n"
+            f"assert fitting.fit(_read_chi({str(chi)!r}), FitConfig(multistart=4)).converged\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -16,14 +16,17 @@ from bsqpt import (
     model_chi,
     residual,
 )
-from bsqpt import build_input_set, reconstruct_process, simulate_counts
+from bsqpt import build_input_set, reconstruct_process, simulate_counts, transform_process_matrix
 from bsqpt.bsfilter import P_RANGE
 from bsqpt import fitting
 from bsqpt.fitting import (
     RATIO_BOUNDS,
     THETA_START_RANGE,
+    _LOWER,
+    _UPPER,
     _jacobian,
     _moment_starts,
+    _params,
     _residuals,
     _starts,
     _unit_model,
@@ -61,27 +64,25 @@ def poisson_chi(fp, total, seed):
 
 def record_solver(monkeypatch):
     """Record each start point and every (point, value) the solver's fun and jac return."""
-    import scipy.optimize
-
-    real = scipy.optimize.least_squares
+    real = fitting._descend
     log = {"x0": [], "fun": [], "jac": []}
 
-    def recording(fun, x0, jac, **kwargs):
-        log["x0"].append(np.array(x0))
+    def recording(fun, jac, start, *args):
+        log["x0"].append(np.array(start[0]))
 
         def f(x):
             out = fun(x)
-            log["fun"].append((x.copy(), out.copy()))
+            log["fun"].append((x.copy(), out[0].copy()))
             return out
 
-        def j(x):
-            out = jac(x)
+        def j(x, model):
+            out = jac(x, model)
             log["jac"].append((x.copy(), out.copy()))
             return out
 
-        return real(f, x0, jac=j, **kwargs)
+        return real(f, j, start, *args)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", recording)
+    monkeypatch.setattr(fitting, "_descend", recording)
     return log
 
 
@@ -277,23 +278,21 @@ class TestFit:
         assert res.converged is False
 
     def test_counts_every_residual_and_jacobian(self, monkeypatch):
-        import scipy.optimize
-
-        real = scipy.optimize.least_squares
+        real = fitting._descend
         calls = []
 
-        def counting(fun, x0, jac, **kwargs):
+        def counting(fun, jac, start, *args):
             def counted_fun(x):
                 calls.append("f")
                 return fun(x)
 
-            def counted_jac(x):
+            def counted_jac(x, model):
                 calls.append("j")
-                return jac(x)
+                return jac(x, model)
 
-            return real(counted_fun, x0, jac=counted_jac, **kwargs)
+            return real(counted_fun, counted_jac, start, *args)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+        monkeypatch.setattr(fitting, "_descend", counting)
         res = fit(model_chi(paper_filter(0.2)), FitConfig(multistart=3, seed=13))
         assert "j" in calls
         # ...plus the residual at each of the three start points.
@@ -314,22 +313,58 @@ class TestFit:
         # Only start k runs; the others come back untouched at their start
         # point. On this Poisson record each moment root and the midpoint
         # descend below every untouched start.
-        import scipy.optimize
-
-        real = scipy.optimize.least_squares
+        real = fitting._descend
         calls = []
 
-        def solver(fun, x0, **kwargs):
-            calls.append(x0)
+        def solver(fun, jac, start, *args):
+            calls.append(start[0])
             if len(calls) == k + 1:
-                return real(fun, x0, **kwargs)
-            x = np.asarray(x0, dtype=float)
-            return scipy.optimize.OptimizeResult(x=x, fun=fun(x), success=True)
+                return real(fun, jac, start, *args)
+            return (*start, True)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", solver)
+        monkeypatch.setattr(fitting, "_descend", solver)
         res = fit(poisson_chi(paper_filter(0.325), 1e4, seed=23), FitConfig(multistart=4, seed=23))
         assert res.best_start == k
         assert res.residual < min(r for i, r in enumerate(res.start_residuals) if i != k)
+
+
+    def test_reports_the_earliest_start_of_the_optimum(self, monkeypatch):
+        # The noiseless README matrix: most starts reach the same channel,
+        # with residuals and angles that differ only by rounding.
+        fp = FilterParams.from_ratio(0.76, theta1=1.288053, theta2=0.238761, p=0.325)
+        inputs = build_input_set()
+        chi = transform_process_matrix(
+            reconstruct_process(simulate_counts(kraus_pair(fp), inputs), inputs), "F")
+        real = fitting._descend
+        ends = []
+
+        def solver(*args):
+            ends.append(real(*args))
+            return ends[-1]
+
+        monkeypatch.setattr(fitting, "_descend", solver)
+        res = fit(chi)
+        target = model_chi(dataclasses.replace(res.params, scale=1.0)).m
+        reached = [k for k, (x, r, _, _) in enumerate(ends) if np.linalg.norm(r) <= 1e-12
+                   and np.linalg.norm(model_chi(_params(x)).m - target) <= 1e-9]
+        assert len(reached) > 1
+        assert res.best_start == reached[0]
+
+    def test_rounding_noise_in_the_angles_does_not_pick_the_start(self, monkeypatch):
+        # Every start ends at the truth, each later one with angles a few
+        # ulp smaller: the earliest start is reported, not the smallest norm.
+        fp = paper_filter(0.325)
+        calls = []
+
+        def solver(fun, jac, start, *args):
+            calls.append(start[0])
+            x = truth_x(fp) * (1.0 - 1e-15 * len(calls) * np.array([0, 0, 1, 1]))
+            return (x, *fun(x), True)
+
+        monkeypatch.setattr(fitting, "_descend", solver)
+        res = fit(model_chi(fp), FitConfig(multistart=4, seed=25))
+        assert len(calls) == 4
+        assert res.best_start == 0
 
 
 class TestMomentStarts:
@@ -380,6 +415,66 @@ class TestMomentStarts:
             seeded = fit(chi, FitConfig(multistart=16, max_iterations=500,
                                         convergence_tol=1e-9, seed=k)).residual
             assert four[k] <= (1 + 1e-6) * seeded
+
+
+def trf_descend(fun, jac, start, lo, hi, tol, max_evals):
+    """scipy's trust-region reflective least squares behind the solver seam, as a reference."""
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    sol = least_squares(lambda x: fun(x)[0], start[0], jac=lambda x: jac(x, _unit_model(x)),
+                        bounds=(lo, hi), method="trf", ftol=tol, xtol=tol, gtol=tol,
+                        max_nfev=max_evals)
+    return sol.x, sol.fun, _unit_model(sol.x), bool(sol.success)
+
+
+def edge_filters():
+    """The 10 filters with p on a bound among 60 random ones (rng 8)."""
+    rng = np.random.default_rng(8)
+    out = []
+    for k in range(60):
+        fp = random_filter(rng)
+        p = (0.0, 0.002, 0.498, 0.5)[(k // 3) % 4]
+        if k % 3 == 0 and p in P_RANGE:
+            out.append(dataclasses.replace(fp, p=p))
+    return out
+
+
+class TestDescend:
+    def test_noiseless_records_on_the_p_bounds_reach_rounding_level(self):
+        filters = edge_filters()
+        assert len(filters) == 10
+        for k, fp in enumerate(filters):
+            res = fit(model_chi(fp, "F"), FitConfig(multistart=4, seed=k))
+            assert res.converged
+            assert res.residual <= 1e-12
+
+    def test_every_solver_point_stays_in_the_box(self, monkeypatch):
+        log = record_solver(monkeypatch)
+        chis = [model_chi(fp) for fp in edge_filters()[:4]]
+        chis += [poisson_chi(paper_filter(p), 1e3, seed=26) for p in (0.14, 0.5)]
+        for k, chi in enumerate(chis):
+            fit(chi, FitConfig(multistart=4, seed=k))
+        points = log["x0"] + [x for x, _ in log["fun"] + log["jac"]]
+        assert len(points) > 100
+        for x in points:
+            assert np.all(_LOWER <= x) and np.all(x <= _UPPER)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(multistart=4, max_iterations=500, convergence_tol=1e-9), {},
+    ], ids=["4-starts", "16-starts"])
+    def test_no_worse_than_scipy_trf(self, monkeypatch, kwargs):
+        # 24 Poisson records, the reference filter at the three paper delays
+        # and random filters, at 1e4 and 1e3 counts.
+        rng = np.random.default_rng(27)
+        records = []
+        for k in range(24):
+            fp = paper_filter((0.14, 0.325, 0.5)[k % 3]) if k < 12 else random_filter(rng)
+            records.append(poisson_chi(fp, 1e4 if k % 2 == 0 else 1e3, seed=2700 + k))
+        ours = [fit(chi, FitConfig(seed=k, **kwargs)) for k, chi in enumerate(records)]
+        monkeypatch.setattr(fitting, "_descend", trf_descend)
+        for k, chi in enumerate(records):
+            reference = fit(chi, FitConfig(seed=k, **kwargs)).residual
+            assert ours[k].converged
+            assert ours[k].residual <= (1 + 1e-6) * reference + 1e-12
 
 
 class TestModelCache:
