@@ -14,9 +14,13 @@ real and imaginary parts, is minimized over the four shape parameters
 (Levenberg, Q. Appl. Math. 2, 164 (1944); Marquardt, J. SIAM 11, 431
 (1963)) with the scaling of More (Lecture Notes in Math. 630, 105 (1978))
 and a closed-form Jacobian: every parameter enters ``c-/+`` elementarily.
-With four unknowns each step is one 4x4 linear solve, in numpy alone. The
-solver builds the model once per point and hands the model of the point
-it accepted to the Jacobian. The first starts are
+The operators touch only six standard-basis coefficients, so ``chi_1``, its
+residual (72 reals) and its Jacobian (72x4) live on a 6x6 block of the
+matrix; the residual off the block is a constant that the cost adds. All
+starts descend in lockstep: each iteration evaluates every running start
+in one stacked call, and each start's step is one 4x4 linear solve, in
+numpy alone. The solver builds the model once per point and hands the
+model of the point it accepted to the Jacobian. The first starts are
 method-of-moments estimates: six standard-basis entries of the measured
 matrix give the four parameters in closed form (:func:`_moment_starts`);
 the box midpoint and seeded uniform draws follow. Only p and R/T are
@@ -33,19 +37,35 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bsfilter import P_RANGE, FilterParams, filter_operators, kraus_pair
+from .bases import STANDARD, build_basis
+from .bsfilter import P_RANGE, FilterParams, filter_operators, kraus_pair, u3
 from .channel import ProcessMatrix, choi_from_kraus, to_coeff_vector, transform_process_matrix
-from .linalg import fidelity as state_fidelity
-from .linalg import project_to_psd
+from .linalg import SWAP, dagger, project_to_psd
 
-_VEC_I = to_coeff_vector(np.eye(4))
-# dU3/dtheta_k = diag(d_k) U3 for the fixed phases d_k below. Left
-# multiplication by diag(d_k) scales matrix rows, so in coefficient space
-# it weighs each coefficient by d_k at the coefficient's row.
-_D_THETA = 0.5j * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
-_DPHASE = to_coeff_vector(np.broadcast_to(_D_THETA[:, :, None], (2, 4, 4)))
+# The filter operators P-/+ = t I -/+ r U3 SWAP, with U3 diagonal, have
+# non-zero standard-basis coefficients only where I or SWAP has one: at
+# |0><0|, |1><1|, |1><2|, |2><1|, |2><2| and |3><3|, in coefficient order.
+# The model chi_1 is zero outside that 6x6 block of chi, so the fit builds
+# chi_1, its residual and its Jacobian on the block alone.
+_BLOCK = np.flatnonzero(to_coeff_vector(np.eye(4) + SWAP))
+_BLOCK_IX = np.ix_(_BLOCK, _BLOCK)
+_OFF_BLOCK = np.ones((16, 16), dtype=bool)
+_OFF_BLOCK[_BLOCK_IX] = False
 # _UNIT[j, k] is the coefficient index of the matrix unit |j><k|.
 _UNIT = to_coeff_vector(np.eye(16).reshape(16, 4, 4)).real.argmax(axis=1).reshape(4, 4)
+# U3 = diag(u) with u_j = +/- exp(theta1 d_1j + theta2 d_2j) for the fixed
+# phase rates d_kj below, so U3 SWAP weighs each coefficient of SWAP by the
+# u_j of its row j: on the block, vec(U3 SWAP) = _SWAP_SIGNS
+# exp((theta1, theta2) @ _DPHASE), and dU3/dtheta_k = diag(d_k) U3.
+_D_THETA = 0.5j * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
+_DPHASE = _D_THETA[:, np.argsort(_UNIT, axis=None)[_BLOCK] // 4]
+_SWAP_SIGNS = to_coeff_vector(u3(0.0, 0.0) @ SWAP)[_BLOCK].real
+_VEC_I = to_coeff_vector(np.eye(4))[_BLOCK].real
+# Signs of the reflected part in (P-, P+), the mixture weights (1-p, p) as
+# _W0 + p _W1, and half their derivative in p.
+_SIGNS = np.array([[-1.0], [1.0]])
+_W0, _W1 = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
+_HALF_DW = 0.5 * _W1[:, None]
 
 # The search box, as closed intervals: p is boxed to its physical range
 # ``P_RANGE``, R/T to physically plausible splitters (1:4 through 4:1).
@@ -67,7 +87,8 @@ class FitConfig:
     caps the residual evaluations of each start's descent, the start's own
     included, and ``convergence_tol`` is the descent's relative tolerance on
     the cost decrease, the step and the projected gradient (the ftol, xtol
-    and gtol of MINPACK); see :func:`_descend`.
+    and gtol of MINPACK); see :func:`_descend`. Every start runs as it would
+    alone, whatever the number of starts.
     The scale parameter has no bounds because it is profiled analytically
     and is nonnegative by construction.
     """
@@ -83,7 +104,10 @@ class FitResult:
     """Outcome of :func:`fit`.
 
     ``n_evaluations`` counts every model evaluation: each residual vector
-    and each Jacobian the solver asked for, plus one residual per start.
+    and each Jacobian the solver asked for, plus one residual per start; a
+    stacked call counts one per start it evaluates. The fidelity is the
+    Uhlmann fidelity of the fitted model and the PSD projection of the
+    measured matrix, each normalized to unit trace.
     ``converged`` is the solver status of the start whose point is
     reported, and it is ``False`` as well when the model at that point has
     no positive overlap with the measured matrix (the profiled scale is
@@ -111,57 +135,75 @@ def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
     return transform_process_matrix(chi, basis_kind)
 
 
-def _unit_model(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """``t``, the vectors ``(c-, c+)`` and ``chi_1`` at ``x = (p, R/T, theta1, theta2)``."""
-    p, ratio, theta1, theta2 = x
+def _unit_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``t``, the block vectors ``(c-, c+)`` and the block of ``chi_1`` at ``x``.
+
+    ``x`` is ``(p, R/T, theta1, theta2)``; a stack of points of shape
+    ``(..., 4)`` gives stacks of shapes ``(..., 1)``, ``(..., 2, 6)`` and
+    ``(..., 6, 6)``.
+    """
+    ratio = x[..., 1:2]
     t = 1.0 / (1.0 + ratio)
-    c = to_coeff_vector(filter_operators(t, ratio * t, theta1, theta2))
-    chi1 = (c.T * np.array([1.0 - p, p])) @ c.conj()
+    b = (ratio * t * _SWAP_SIGNS) * np.exp(x[..., 2:] @ _DPHASE)
+    c = (t * _VEC_I)[..., None, :] + _SIGNS * b[..., None, :]
+    chi1 = (c.swapaxes(-1, -2) * (_W0 + x[..., :1] * _W1)[..., None, :]) @ c.conj()
     return t, c, chi1
 
 
-def _profiled_scale(chi1: np.ndarray, chi_std: np.ndarray) -> float:
-    """The multiplier ``alpha >= 0`` of ``chi1`` closest to ``chi_std`` in Frobenius norm."""
-    return max(float(np.vdot(chi1, chi_std).real), 0.0) / float(np.vdot(chi1, chi1).real)
-
-
 def _as_real(z: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of a complex array, interleaved along its last axis."""
-    return np.ascontiguousarray(z).view(np.float64)
+    """The 72 real and imaginary parts of each 6x6 block of a C-contiguous stack, interleaved."""
+    return z.view(np.float64).reshape(z.shape[:-2] + (72,))
 
 
-def _residuals(x: np.ndarray, chi_std: np.ndarray, model: tuple | None = None) -> np.ndarray:
-    """The 512 real components of ``chi_std - alpha chi_1`` at ``x``.
+def _profiled_scale(chi1: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The multiplier ``alpha >= 0`` of each ``chi1`` closest to ``target`` in Frobenius norm.
 
-    ``model`` is ``_unit_model(x)`` when the caller already has it.
+    Both come as :func:`_as_real` views of the 6x6 blocks.
+    """
+    overlap = np.add.reduce(chi1 * target, axis=-1)
+    return np.maximum(overlap, 0.0) / np.add.reduce(chi1 * chi1, axis=-1)
+
+
+def _residuals(x: np.ndarray, block: np.ndarray, model: tuple | None = None) -> np.ndarray:
+    """The 72 real components of ``block - alpha chi_1`` at ``x``, per point of a stack.
+
+    ``block`` is the 6x6 block of the Hermitian standard-basis matrix, and
+    ``model`` is ``_unit_model(x)`` when the caller already has it. The
+    residual off the block does not depend on ``x``.
     """
     _, _, chi1 = _unit_model(x) if model is None else model
-    return _as_real(chi_std - _profiled_scale(chi1, chi_std) * chi1).ravel()
+    chi1, target = _as_real(chi1), _as_real(block)
+    return target - _profiled_scale(chi1, target)[..., None] * chi1
 
 
-def _jacobian(x: np.ndarray, chi_std: np.ndarray, model: tuple | None = None) -> np.ndarray:
-    """Closed-form ``(512, 4)`` Jacobian of :func:`_residuals`, scale profile included.
+def _jacobian(x: np.ndarray, block: np.ndarray, model: tuple | None = None) -> np.ndarray:
+    """Closed-form ``(..., 72, 4)`` Jacobian of :func:`_residuals`, scale profile included.
 
     With ``A = P - t I`` the reflected part of each operator,
-    ``dP/d(R/T) = A / (R/T) - t P`` and ``dP/dtheta_k = diag(d_k) A``.
-    ``model`` is ``_unit_model(x)`` when the caller already has it.
+    ``dP/d(R/T) = A / (R/T) - t P`` and ``dP/dtheta_k = diag(d_k) A``; each
+    ``d chi_1 = H + H^+`` with ``H`` the weighted derivative vectors times
+    ``c^+``. ``model`` is ``_unit_model(x)`` when the caller already has
+    it. The Jacobian is zero at a point whose model has no positive overlap
+    with ``block``, where the profiled scale is clamped to zero.
     """
-    p, ratio = x[0], x[1]
     t, c, chi1 = _unit_model(x) if model is None else model
-    s11 = float(np.vdot(chi1, chi1).real)
-    s1m = float(np.vdot(chi1, chi_std).real)
-    if s1m <= 0.0:
-        return np.zeros((512, 4))
-    alpha = s1m / s11
+    t = t[..., None]
+    w = (_W0 + x[..., :1] * _W1)[..., :, None]
+    chi1, target = _as_real(chi1), _as_real(block)
+    s11 = np.add.reduce(chi1 * chi1, axis=-1)[..., None]
+    s1m = np.add.reduce(chi1 * target, axis=-1)[..., None]
+    alpha = np.maximum(s1m, 0.0) / s11
     a = c - t * _VEC_I
-    dc = np.stack([a / ratio - t * c, _DPHASE[0] * a, _DPHASE[1] * a])
-    half = (dc.swapaxes(1, 2) * np.array([1.0 - p, p])) @ c.conj()
-    dchi = np.empty((4, 16, 16), dtype=complex)
-    dchi[0] = np.outer(c[1], c[1].conj()) - np.outer(c[0], c[0].conj())
-    dchi[1:] = half + half.conj().swapaxes(1, 2)
-    flat = dchi.reshape(4, 256).conj()
-    dalpha = ((flat @ chi_std.ravel()).real - 2.0 * alpha * (flat @ chi1.ravel()).real) / s11
-    return _as_real(-(alpha * dchi + dalpha[:, None, None] * chi1)).reshape(4, 512).T
+    wa = w * a
+    e = np.concatenate([(_HALF_DW * c)[..., None, :, :],
+                        (wa / x[..., 1, None, None] - t * (w * c))[..., None, :, :],
+                        _DPHASE[:, None, :] * wa[..., None, :, :]], axis=-3)
+    h = e.swapaxes(-1, -2) @ c.conj()[..., None, :, :]
+    dchi = _as_real(h + h.conj().swapaxes(-1, -2))
+    chi1 = chi1[..., None, :]
+    dalpha = (np.add.reduce(dchi * (target - 2.0 * alpha[..., None] * chi1), axis=-1) / s11
+              * (s1m > 0.0))
+    return (dchi * -alpha[..., None] - dalpha[..., None] * chi1).swapaxes(-1, -2)
 
 
 def residual(fp: FilterParams, chi_meas: ProcessMatrix) -> float:
@@ -278,104 +320,180 @@ def _params(x: np.ndarray) -> FilterParams:
 
 
 def _descend(fun, jac, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
-             max_evals: int) -> tuple:
-    """Bounded Levenberg-Marquardt descent of ``|fun(x)|^2`` inside the box ``[lo, hi]``.
+             max_evals: int, floor: float) -> tuple:
+    """Bounded Levenberg-Marquardt descent of ``floor + |fun(x)|^2``, all starts in lockstep.
 
-    ``fun(x)`` returns the residual vector and the model it built, and
-    ``jac(x, model)`` the Jacobian at a point given its model; ``start`` is
-    ``(x0, *fun(x0))``. Each step solves ``(J^T J + mu D) dx = -J^T r`` on the
-    free variables, where ``D`` is the running maximum of ``diag(J^T J)``
-    (More's scaling); a variable on a bound whose descent direction leaves
-    the box is frozen for that step, and the trial point is clipped into the
-    box. ``mu`` follows Nielsen's gain-ratio
-    update (H. B. Nielsen, IMM-REP-1999-05, DTU (1999)). The descent
-    converges when a step, accepted or not, is below ``tol`` relative to
-    ``x``, or an accepted step lowers the cost by less than ``tol`` of it;
-    both are tested after the step is taken, so the last accepted step is
-    kept. It also converges when the largest cosine between ``r`` and a free
-    column of ``J`` (the projected gradient) is at most ``tol``. ``max_evals``
-    caps the residual evaluations, the start's included. Returns ``(x, r,
-    model, converged)`` at the last accepted point.
+    ``start`` is ``(x0, *fun(x0))`` for a stack ``x0`` of start points, one
+    per row. ``fun(x)`` returns the stacked residual vectors at a stack of
+    points and the models it built, and ``jac(x, model)`` the stacked
+    Jacobians given the models; ``floor`` is the part of the cost that no
+    parameter moves. Each start is a lane with its own point, residual,
+    cost, damping and free set. A lane's step solves
+    ``(J^T J + mu D) dx = -J^T r`` on its free variables, where ``D`` is
+    the running maximum of ``diag(J^T J)`` (More's scaling); a variable on a
+    bound whose descent direction leaves the box is frozen for that step
+    (an identity row and column with a zero right-hand side), and the trial
+    point is clipped into the box ``[lo, hi]``. ``mu`` follows Nielsen's gain-ratio
+    update (H. B. Nielsen, IMM-REP-1999-05, DTU (1999)). A lane converges
+    when a step, accepted or not, is below ``tol`` relative to ``x``, or an
+    accepted step lowers the cost by less than ``tol`` of it; both are
+    tested after the step is taken, so the last accepted step is kept. It
+    also converges when the largest cosine between ``r`` and a free column
+    of ``J`` (the projected gradient) is at most ``tol``. A lane stops when
+    it converges or its residual evaluations, the start's included, reach
+    ``max_evals``, and is evaluated no more. Each iteration makes one
+    ``jac`` call for the lanes whose last step was accepted and one ``fun``
+    call for the lanes still running, and every lane follows the path it
+    would follow alone. Returns ``(x, r, model, converged, evaluations)``
+    stacked by lane at each lane's last accepted point; ``evaluations``
+    counts each lane's residuals, the start's included, and Jacobians.
     """
-    x, r, model = start
-    cost = float(r @ r)
-    evals, mu, nu = 1, 1e-3, 2.0
-    scale = np.zeros_like(x)
-    moved = True
+    x, r, model = start[0], start[1], list(start[2])
+    lanes, n = x.shape
+    out = [x.copy(), r.copy(), *(part.copy() for part in model)]
+    converged = np.zeros(lanes, dtype=bool)
+    evaluations = np.zeros(lanes, dtype=int)
+    # The state of the running lanes, compacted when lanes stop; ``lane``
+    # maps each back to its row in the stack.
+    lane = np.arange(lanes)
+    cost = floor + np.add.reduce(r * r, axis=1)
+    evals, jacs = np.ones(lanes, dtype=int), np.zeros(lanes, dtype=int)
+    mu, nu = np.full(lanes, 1e-3), np.full(lanes, 2.0)
+    scale, g = np.zeros((lanes, n)), np.zeros((lanes, n))
+    gram = np.zeros((lanes, n, n))
+    free = np.zeros((lanes, n), dtype=bool)
+    moved, done = np.ones(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
+    eye = np.eye(n)
     while True:
-        if moved:
-            jacobian = jac(x, model)
-            g = jacobian.T @ r
-            gram = jacobian.T @ jacobian
-            scale = np.maximum(scale, gram.diagonal())
-            free = (scale > 0.0) & ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-            if np.all(np.abs(g[free]) <= tol * np.sqrt(cost * gram.diagonal()[free])):
-                return x, r, model, True
-        if evals >= max_evals:
-            return x, r, model, False
-        step = np.zeros_like(x)
-        sub = np.ix_(free, free)
-        step[free] = np.linalg.solve(gram[sub] + mu * np.diag(scale[free]), -g[free])
-        trial = np.clip(x + step, lo, hi)
+        need = moved & ~done
+        if need.any():
+            sel = slice(None) if need.all() else need
+            xs = x[sel]
+            jt = jac(xs, tuple(part[sel] for part in model)).swapaxes(1, 2)
+            jacs[sel] += 1
+            gs = (jt @ r[sel][:, :, None])[:, :, 0]
+            grams = jt @ jt.swapaxes(1, 2)
+            diag = grams.diagonal(axis1=1, axis2=2)
+            scales = np.maximum(scale[sel], diag)
+            frees = (scales > 0.0) & ~(((xs <= lo) & (gs > 0.0)) | ((xs >= hi) & (gs < 0.0)))
+            small = np.abs(gs) <= tol * np.sqrt(cost[sel, None] * diag)
+            g[sel], gram[sel], scale[sel], free[sel] = gs, grams, scales, frees
+            done[sel] = np.logical_and.reduce(small | ~frees, axis=1)
+        stop = done | (evals >= max_evals)
+        if stop.any():
+            rows = lane[stop]
+            for part, value in zip(out, (x, r, *model)):
+                part[rows] = value[stop]
+            converged[rows] = done[stop]
+            evaluations[rows] = evals[stop] + jacs[stop]
+            if stop.all():
+                return out[0], out[1], tuple(out[2:]), converged, evaluations
+            keep = ~stop
+            lane, x, r, cost, mu, nu, scale, g, gram, free, moved, evals, jacs = (
+                a[keep] for a in (lane, x, r, cost, mu, nu, scale, g, gram, free, moved, evals,
+                                  jacs))
+            model = [part[keep] for part in model]
+        system = np.where(free[:, :, None] & free[:, None, :],
+                          gram + (mu[:, None] * scale)[:, :, None] * eye, eye)
+        step = np.linalg.solve(system, np.where(free, -g, 0.0)[:, :, None])[:, :, 0]
+        trial = np.minimum(np.maximum(x + step, lo), hi)
         step = trial - x
         r_new, model_new = fun(trial)
         evals += 1
-        cost_new = float(r_new @ r_new)
-        predicted = -(2.0 * g @ step + step @ gram @ step)
-        gain = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
-        done = (np.linalg.norm(step) <= tol * (tol + np.linalg.norm(x))
-                or (gain > 0.25 and cost - cost_new <= tol * cost))
+        cost_new = floor + np.add.reduce(r_new * r_new, axis=1)
+        drop = cost - cost_new
+        predicted = -np.add.reduce(step * (2.0 * g + (gram @ step[:, :, None])[:, :, 0]), axis=1)
+        gain = np.divide(drop, predicted, out=np.full(len(x), -1.0), where=predicted > 0.0)
+        done = ((np.sqrt(np.add.reduce(step * step, axis=1))
+                 <= tol * (tol + np.sqrt(np.add.reduce(x * x, axis=1))))
+                | ((gain > 0.25) & (drop <= tol * cost)))
         moved = gain > 0.0
-        if moved:
-            x, r, model, cost = trial, r_new, model_new, cost_new
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-            nu = 2.0
-        else:
-            mu *= nu
-            nu *= 2.0
-        if done:
-            return x, r, model, True
+        x = np.where(moved[:, None], trial, x)
+        r = np.where(moved[:, None], r_new, r)
+        cost = np.where(moved, cost_new, cost)
+        model = [np.where(moved.reshape((-1,) + (1,) * (old.ndim - 1)), new, old)
+                 for old, new in zip(model, model_new)]
+        # Nielsen's factor is 1/3 for every gain >= 1: clamping leaves it, and
+        # keeps the cube finite on the lanes that reject their step.
+        clamped = np.minimum(np.maximum(gain, 0.0), 1.0)
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * clamped - 1.0) ** 3)
+        mu = np.where(moved, mu * shrink, mu * nu)
+        nu = np.where(moved, 2.0, 2.0 * nu)
+
+
+def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
+    """The ``(16, 2)`` factor ``V`` of the model, ``model_chi(fp, basis_kind) = V V^+``.
+
+    Its columns are the coefficient vectors of the weighted Kraus operators
+    ``scale sqrt(1-p) P-`` and ``scale sqrt(p) P+`` in the requested basis.
+    """
+    ops = filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
+    v = to_coeff_vector(ops).T * (fp.scale * np.sqrt([1.0 - fp.p, fp.p]))
+    if basis_kind == STANDARD:
+        return v
+    return dagger(build_basis(basis_kind).u_matrix) @ v
+
+
+def _rank2_fidelity(v: np.ndarray, b: np.ndarray) -> float | None:
+    """Uhlmann fidelity of ``V V^+`` and a PSD matrix ``b``, both normalized to unit trace.
+
+    ``sqrt(A) B sqrt(A)`` with ``A = V V^+`` has the nonzero eigenvalues of
+    the 2x2 matrix ``V^+ B V``, so ``F = (sum sqrt(lambda(V^+ B V)))^2 /
+    (Tr V^+ V Tr B)``: no square root of the 16x16 model, whose rounding-level
+    eigenvalues would cost ``sqrt(eps)``. ``None`` when a trace is not positive.
+    """
+    trace_a = float(np.vdot(v, v).real)
+    trace_b = float(np.trace(b).real)
+    if trace_a <= 0.0 or trace_b <= 0.0:
+        return None
+    m = dagger(v) @ b @ v
+    w = np.clip(np.linalg.eigvalsh(0.5 * (m + dagger(m))), 0.0, None)
+    return float(np.clip(np.sum(np.sqrt(w)) ** 2 / (trace_a * trace_b), 0.0, 1.0))
 
 
 def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Fit the filter model to a measured process matrix.
 
-    Runs one bounded Levenberg-Marquardt descent (:func:`_descend`) from
-    each of ``cfg.multistart`` starting points (see :class:`FitConfig`) and
-    keeps the lowest residual. Starts that tie on the residual are ranked
-    by the norm of their canonicalized angles, norms that agree to the same
-    relative 1e-9 counting as equal, and then by start order. Deterministic
-    for a given seed. Non-convergence of the reported start is signalled by
-    ``converged=False`` on the result, never by an exception.
+    Runs the bounded Levenberg-Marquardt descent (:func:`_descend`) from
+    all ``cfg.multistart`` starting points (see :class:`FitConfig`) in
+    lockstep and keeps the lowest residual. Starts that tie on the residual
+    are ranked by the norm of their canonicalized angles, norms that agree
+    to the same relative 1e-9 counting as equal, and then by start order.
+    Deterministic for a given seed. Non-convergence of the reported start is
+    signalled by ``converged=False`` on the result, never by an exception.
     """
     if cfg is None:
         cfg = FitConfig()
     chi_std = transform_process_matrix(chi_meas, "S").m
     chi_std = 0.5 * (chi_std + chi_std.conj().T)
+    block = chi_std[_BLOCK_IX]
+    # Summed directly, not as |chi|^2 - |block|^2, which can round below zero.
+    off = chi_std[_OFF_BLOCK].view(np.float64)
+    floor = float(off @ off)
     n_evaluations = 0
 
     def residuals(x: np.ndarray) -> tuple:
         nonlocal n_evaluations
-        n_evaluations += 1
+        n_evaluations += len(x)
         model = _unit_model(x)
-        return _residuals(x, chi_std, model), model
+        return _residuals(x, block, model), model
 
     def jacobian(x: np.ndarray, model: tuple) -> np.ndarray:
         nonlocal n_evaluations
-        n_evaluations += 1
-        return _jacobian(x, chi_std, model)
+        n_evaluations += len(x)
+        return _jacobian(x, block, model)
 
-    candidates = []
-    start_residuals = []
-    for index, x0 in enumerate((_moment_starts(chi_std) + _starts(cfg))[: cfg.multistart]):
-        start = (x0, *residuals(x0))
-        start_residuals.append(float(np.linalg.norm(start[1])))
-        x, r, unit, converged = _descend(
-            residuals, jacobian, start, _LOWER, _UPPER, cfg.convergence_tol, cfg.max_iterations
-        )
-        alpha = _profiled_scale(unit[2], chi_std)
-        candidates.append((float(np.linalg.norm(r)), _params(x), converged and alpha > 0.0,
-                           alpha, index))
+    def norms(r: np.ndarray) -> np.ndarray:
+        return np.sqrt(floor + np.add.reduce(r * r, axis=1))
+
+    x0 = np.array((_moment_starts(chi_std) + _starts(cfg))[: cfg.multistart])
+    start = (x0, *residuals(x0))
+    x, r, unit, converged, _ = _descend(residuals, jacobian, start, _LOWER, _UPPER,
+                                        cfg.convergence_tol, cfg.max_iterations, floor)
+    ends = norms(r)
+    alphas = _profiled_scale(_as_real(unit[2]), _as_real(block))
+    candidates = [(float(ends[k]), _params(x[k]), bool(converged[k] and alphas[k] > 0.0),
+                   float(alphas[k]), k) for k in range(len(x))]
 
     def lowest(cands: list, key) -> list:
         """The candidates whose key is within a relative 1e-9 of the lowest, in start order."""
@@ -387,19 +505,14 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
     )[0]
     params = replace(canon, scale=math.sqrt(max(alpha, 1e-300)))
-
-    model = model_chi(params, chi_meas.basis)
-    try:
-        fid = state_fidelity(project_to_psd(model.m), project_to_psd(chi_meas.m))
-    except ValueError:
-        fid = None
+    v = _factor(params, chi_meas.basis)
 
     return FitResult(
         params=params,
-        residual=float(np.linalg.norm(model.m - chi_meas.m)),
-        fidelity=fid,
+        residual=float(np.linalg.norm(v @ dagger(v) - chi_meas.m)),
+        fidelity=_rank2_fidelity(v, project_to_psd(chi_meas.m)),
         n_evaluations=n_evaluations,
         converged=converged,
-        start_residuals=start_residuals,
+        start_residuals=norms(start[1]).tolist(),
         best_start=best_start,
     )

@@ -494,3 +494,17 @@ class TestConsoleInvocation:
                               env={**os.environ})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("m", [-np.eye(16), np.zeros((16, 16))],
+                             ids=["minus-identity", "zeros"])
+    def test_fit_without_overlap_writes_no_runtime_warning(self, tmp_path, m):
+        # Every start stops at once on these matrices, with no scale to profile.
+        chi, report = tmp_path / "chi.json", tmp_path / "fit.json"
+        fileio.write_matrix(chi, m, "S")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bsqpt.cli", "fit", "--chi", str(chi), "--out", str(report)],
+            capture_output=True, text=True, env={**os.environ},
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert json.load(open(report))["converged"] is False

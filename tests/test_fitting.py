@@ -17,11 +17,13 @@ from bsqpt import (
     residual,
 )
 from bsqpt import build_input_set, reconstruct_process, simulate_counts, transform_process_matrix
+from bsqpt import fidelity, project_to_psd
 from bsqpt.bsfilter import P_RANGE
 from bsqpt import fitting
 from bsqpt.fitting import (
     RATIO_BOUNDS,
     THETA_START_RANGE,
+    _BLOCK_IX,
     _LOWER,
     _UPPER,
     _jacobian,
@@ -33,7 +35,7 @@ from bsqpt.fitting import (
     canonicalize,
 )
 
-from helpers import fail_best_start, random_hermitian
+from helpers import fail_best_start, random_hermitian, set_lane, start_lane, untouched
 
 I4 = np.eye(4, dtype=complex)
 
@@ -68,16 +70,16 @@ def record_solver(monkeypatch):
     log = {"x0": [], "fun": [], "jac": []}
 
     def recording(fun, jac, start, *args):
-        log["x0"].append(np.array(start[0]))
+        log["x0"].extend(np.array(start[0]))
 
         def f(x):
             out = fun(x)
-            log["fun"].append((x.copy(), out[0].copy()))
+            log["fun"].extend(zip(x.copy(), out[0].copy()))
             return out
 
         def j(x, model):
             out = jac(x, model)
-            log["jac"].append((x.copy(), out.copy()))
+            log["jac"].extend(zip(x.copy(), out.copy()))
             return out
 
         return real(f, j, start, *args)
@@ -283,11 +285,11 @@ class TestFit:
 
         def counting(fun, jac, start, *args):
             def counted_fun(x):
-                calls.append("f")
+                calls.extend("f" * len(x))
                 return fun(x)
 
             def counted_jac(x, model):
-                calls.append("j")
+                calls.extend("j" * len(x))
                 return jac(x, model)
 
             return real(counted_fun, counted_jac, start, *args)
@@ -297,6 +299,26 @@ class TestFit:
         assert "j" in calls
         # ...plus the residual at each of the three start points.
         assert res.n_evaluations == len(calls) + 3
+
+    def test_fidelity_matches_the_uhlmann_reference(self):
+        # 60 Poisson records: the reference filter at the three paper delays,
+        # then random filters, at 1e4 and 1e3 counts, fitted in the F basis.
+        rng = np.random.default_rng(30)
+        for k in range(60):
+            fp = paper_filter((0.14, 0.325, 0.5)[k % 3]) if k < 30 else random_filter(rng)
+            chi = transform_process_matrix(poisson_chi(fp, 1e4 if k % 2 == 0 else 1e3, 3000 + k),
+                                           "F")
+            res = fit(chi, FitConfig(multistart=4, max_iterations=500, convergence_tol=1e-9,
+                                     seed=k))
+            reference = fidelity(project_to_psd(model_chi(res.params, "F").m),
+                                 project_to_psd(chi.m))
+            assert abs(res.fidelity - reference) <= 1e-7
+
+    def test_fidelity_is_one_on_noiseless_records(self):
+        filters = [paper_filter(p) for p in (0.14, 0.325, 0.5)] + edge_filters()
+        for k, fp in enumerate(filters):
+            res = fit(model_chi(fp, "F"), FitConfig(multistart=4, seed=k))
+            assert abs(res.fidelity - 1.0) <= 1e-12
 
     def test_fidelity_none_without_positive_trace(self):
         res = fit(ProcessMatrix("S", -np.eye(16)), FitConfig(multistart=2, seed=14))
@@ -314,13 +336,11 @@ class TestFit:
         # point. On this Poisson record each moment root and the midpoint
         # descend below every untouched start.
         real = fitting._descend
-        calls = []
 
         def solver(fun, jac, start, *args):
-            calls.append(start[0])
-            if len(calls) == k + 1:
-                return real(fun, jac, start, *args)
-            return (*start, True)
+            out = untouched(start)
+            set_lane(out, k, real(fun, jac, start_lane(start, k), *args))
+            return tuple(out)
 
         monkeypatch.setattr(fitting, "_descend", solver)
         res = fit(poisson_chi(paper_filter(0.325), 1e4, seed=23), FitConfig(multistart=4, seed=23))
@@ -345,7 +365,8 @@ class TestFit:
         monkeypatch.setattr(fitting, "_descend", solver)
         res = fit(chi)
         target = model_chi(dataclasses.replace(res.params, scale=1.0)).m
-        reached = [k for k, (x, r, _, _) in enumerate(ends) if np.linalg.norm(r) <= 1e-12
+        (x_end, r_end, *_), = ends
+        reached = [k for k, (x, r) in enumerate(zip(x_end, r_end)) if np.linalg.norm(r) <= 1e-12
                    and np.linalg.norm(model_chi(_params(x)).m - target) <= 1e-9]
         assert len(reached) > 1
         assert res.best_start == reached[0]
@@ -357,9 +378,10 @@ class TestFit:
         calls = []
 
         def solver(fun, jac, start, *args):
-            calls.append(start[0])
-            x = truth_x(fp) * (1.0 - 1e-15 * len(calls) * np.array([0, 0, 1, 1]))
-            return (x, *fun(x), True)
+            calls.extend(start[0])
+            lanes = np.arange(1, len(calls) + 1)[:, None]
+            x = truth_x(fp) * (1.0 - 1e-15 * lanes * np.array([0, 0, 1, 1]))
+            return (x, *fun(x), np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int))
 
         monkeypatch.setattr(fitting, "_descend", solver)
         res = fit(model_chi(fp), FitConfig(multistart=4, seed=25))
@@ -417,13 +439,23 @@ class TestMomentStarts:
             assert four[k] <= (1 + 1e-6) * seeded
 
 
-def trf_descend(fun, jac, start, lo, hi, tol, max_evals):
-    """scipy's trust-region reflective least squares behind the solver seam, as a reference."""
+def trf_descend(fun, jac, start, lo, hi, tol, max_evals, floor):
+    """scipy's trust-region reflective least squares behind the solver seam, as a reference.
+
+    It runs start by start. ``sqrt(floor)`` rides along as one more, constant,
+    residual component, so trf minimizes the cost the descent minimizes.
+    """
     least_squares = pytest.importorskip("scipy.optimize").least_squares
-    sol = least_squares(lambda x: fun(x)[0], start[0], jac=lambda x: jac(x, _unit_model(x)),
-                        bounds=(lo, hi), method="trf", ftol=tol, xtol=tol, gtol=tol,
-                        max_nfev=max_evals)
-    return sol.x, sol.fun, _unit_model(sol.x), bool(sol.success)
+    out = untouched(start)
+    for k, x0 in enumerate(start[0]):
+        sol = least_squares(lambda x: np.append(fun(x[None])[0][0], np.sqrt(floor)), x0,
+                            jac=lambda x: np.vstack([jac(x[None], _unit_model(x[None]))[0],
+                                                     np.zeros(4)]),
+                            bounds=(lo, hi), method="trf", ftol=tol, xtol=tol, gtol=tol,
+                            max_nfev=max_evals)
+        set_lane(out, k, (sol.x[None], sol.fun[None, :-1], _unit_model(sol.x[None]),
+                          [sol.success], [sol.nfev + sol.njev]))
+    return tuple(out)
 
 
 def edge_filters():
@@ -458,6 +490,28 @@ class TestDescend:
         for x in points:
             assert np.all(_LOWER <= x) and np.all(x <= _UPPER)
 
+    def test_every_lane_runs_as_it_would_alone(self, monkeypatch):
+        real = fitting._descend
+        runs = []
+
+        def recording(fun, jac, start, *args):
+            runs.append((fun, jac, start, args, real(fun, jac, start, *args)))
+            return runs[-1][-1]
+
+        monkeypatch.setattr(fitting, "_descend", recording)
+        chis = [poisson_chi(paper_filter(0.325), 1e4, seed=28)]
+        chis += [model_chi(fp, "F") for fp in edge_filters()]
+        for k, chi in enumerate(chis):
+            res = fit(chi, FitConfig(seed=k))
+            fun, jac, start, args, (x, r, _, converged, evaluations) = runs[-1]
+            assert len(x) == 16
+            assert evaluations.sum() == res.n_evaluations
+            for lane in range(16):
+                alone = real(fun, jac, start_lane(start, lane), *args)
+                assert np.array_equal(alone[0][0], x[lane])
+                assert np.array_equal(alone[1][0], r[lane])
+                assert alone[3][0] == converged[lane] and alone[4][0] == evaluations[lane]
+
     @pytest.mark.parametrize("kwargs", [
         dict(multistart=4, max_iterations=500, convergence_tol=1e-9), {},
     ], ids=["4-starts", "16-starts"])
@@ -477,12 +531,31 @@ class TestDescend:
             assert ours[k].residual <= (1 + 1e-6) * reference + 1e-12
 
 
+class TestBlock:
+    def test_the_block_holds_the_model_and_the_rest_of_the_cost(self):
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            fp = random_filter(rng)
+            unit = model_chi(dataclasses.replace(fp, scale=1.0)).m
+            _, _, chi1 = _unit_model(truth_x(fp))
+            embedded = np.zeros((16, 16), dtype=complex)
+            embedded[_BLOCK_IX] = chi1
+            assert_allclose(embedded, unit, rtol=0, atol=1e-14)
+            chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
+            alpha = max(np.vdot(unit, chi).real, 0.0) / np.vdot(unit, unit).real
+            off = chi.copy()
+            off[_BLOCK_IX] = 0.0
+            r = _residuals(truth_x(fp), chi[_BLOCK_IX])
+            full = np.linalg.norm(chi - alpha * unit) ** 2
+            assert abs(r @ r + np.linalg.norm(off) ** 2 - full) <= 1e-12 * full
+
+
 class TestModelCache:
     def test_cached_values_equal_uncached(self, monkeypatch):
         log = record_solver(monkeypatch)
         chi = poisson_chi(paper_filter(0.325), 1e4, seed=21)
         fit(chi, FitConfig(multistart=4, seed=21))
-        chi_std = 0.5 * (chi.m + chi.m.conj().T)
+        chi_std = (0.5 * (chi.m + chi.m.conj().T))[_BLOCK_IX]
         assert log["fun"] and log["jac"]
         for x, got in log["fun"]:
             assert np.array_equal(got, _residuals(x, chi_std))
@@ -499,7 +572,7 @@ class TestModelCache:
         real = fitting._unit_model
 
         def counting(x):
-            built.append(x.tobytes())
+            built.extend(point.tobytes() for point in x)
             return real(x)
 
         monkeypatch.setattr(fitting, "_unit_model", counting)
@@ -518,8 +591,9 @@ def paper_x(p):
 class TestJacobian:
     @staticmethod
     def assert_matches_central_differences(x, chi_std, h=1e-6):
+        chi_std = chi_std[_BLOCK_IX]
         jac = _jacobian(x, chi_std)
-        assert jac.shape == (512, 4)
+        assert jac.shape == (72, 4)
         for k, e in enumerate(np.eye(4)):
             fd = (_residuals(x + h * e, chi_std) - _residuals(x - h * e, chi_std)) / (2 * h)
             assert np.linalg.norm(fd) > 0.0
