@@ -17,14 +17,14 @@ those times over records, the mean evaluations per fit and the fit time
 per evaluation (the solver's own per-iteration work included).
 
 ``layers_us`` gives, on the first record and for a stack of k = 1, 4
-and 16 points (the first k of the 16 seeded uniform start points of a
-default fit), the time of one model build, one residual that builds its
-own model and one Jacobian given the model (its cost inside a fit), each
-the fastest of five scaled means over 500 calls; and of one lockstep
-iteration of the descent: one Jacobian call, one damped solve and one
-model and residual call for all k lanes, the mean over a 10-step descent
-with the convergence tests off (tolerance 0), the fastest of five scaled
-runs.
+and 16 points (the first k of the 16 seeded uniform start points that
+``_starts`` draws for 19 starts at seed 0), the time of one
+``_evaluate`` call, which gives each point its residual, cost, normal
+equations and scale, the fastest of five scaled means over 500 calls;
+and of one lockstep iteration of the descent: one damped solve and one
+``_evaluate`` call for all k lanes plus the lanes' bookkeeping, the mean
+over a 10-step descent with the convergence tests off (tolerance 0), the
+fastest of five scaled runs.
 
 ``cli_fit`` gives the cold start of ``python -m bsqpt.cli fit`` on the
 noiseless reference matrix, one fresh process per run: the median scaled
@@ -49,8 +49,8 @@ import numpy as np
 
 from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
-from bsqpt.fitting import _BLOCK_IX, _LOWER, _OFF_BLOCK, _UPPER, _descend, _jacobian
-from bsqpt.fitting import _residuals, _starts, _unit_model
+from bsqpt.fitting import _BLOCK_IX, _LOWER, _OFF_BLOCK, _UPPER, _as_real, _descend, _evaluate
+from bsqpt.fitting import _starts
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
@@ -109,31 +109,23 @@ def run_case(n: int, kwargs: dict) -> dict:
 def layers() -> dict:
     chi = transform_process_matrix(records(1)[0], "S").m
     chi = 0.5 * (chi + chi.conj().T)
-    block = chi[_BLOCK_IX]
+    target = _as_real(chi[_BLOCK_IX])
     off = chi[_OFF_BLOCK].view(np.float64)
     floor = float(off @ off)
-    starts = np.array(_starts(FitConfig(multistart=17))[1:])
+    starts = np.array(_starts(FitConfig(multistart=19))[1:])
 
     def fun(x):
-        model = _unit_model(x)
-        return _residuals(x, block, model), model
-
-    def jac(x, model):
-        return _jacobian(x, block, model)
+        return _evaluate(x, target, floor)
 
     out = {}
     for k in (1, 4, 16):
         x = starts[:k]
-        model = _unit_model(x)
         start = (x, *fun(x))
         calls = {
-            "unit_model": (lambda: _unit_model(x), 500),
-            "residual": (lambda: _residuals(x, block), 500),
-            "jacobian_given_model": (lambda: _jacobian(x, block, model), 500),
-            "iteration": (lambda: _descend(fun, jac, start, _LOWER, _UPPER, 0.0, STEPS + 1, floor),
-                          1),
+            "evaluate": (lambda: fun(x), 500),
+            "iteration": (lambda: _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1), 1),
         }
-        if _descend(fun, jac, start, _LOWER, _UPPER, 0.0, STEPS + 1, floor)[3].any():
+        if _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1)[3].any():
             raise RuntimeError(f"a lane stopped before step {STEPS} at k = {k}")
         best = dict.fromkeys(calls, math.inf)
         for _ in range(5):  # interleaved, so a slow phase of the machine hits every layer

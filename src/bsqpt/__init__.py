@@ -30,7 +30,7 @@ from .channel import (
     kraus_from_process_matrix,
     transform_process_matrix,
 )
-from .fitting import FitConfig, FitResult, fit, model_chi, residual
+from .fitting import FitConfig, FitResult, fit, model_chi
 from .linalg import (
     bell_state,
     dagger,

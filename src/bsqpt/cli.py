@@ -59,8 +59,8 @@ def _read_chi(path: str) -> ProcessMatrix:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    chi = _read_chi(args.chi)
     cfg = FitConfig(multistart=args.multistart, seed=args.seed, max_iterations=args.max_iter)
+    chi = _read_chi(args.chi)
     result = fit(chi, cfg)
     fp = result.params
     payload = {

@@ -17,10 +17,10 @@ and a closed-form Jacobian: every parameter enters ``c-/+`` elementarily.
 The operators touch only six standard-basis coefficients, so ``chi_1``, its
 residual (72 reals) and its Jacobian (72x4) live on a 6x6 block of the
 matrix; the residual off the block is a constant that the cost adds. All
-starts descend in lockstep: each iteration evaluates every running start
-in one stacked call, and each start's step is one 4x4 linear solve, in
-numpy alone. The solver builds the model once per point and hands the
-model of the point it accepted to the Jacobian. The first starts are
+starts descend in lockstep, in numpy alone: each iteration makes one call
+of the stacked kernel :func:`_evaluate`, which gives every running start's
+trial point its residual, cost, normal equations and scale at once, and
+each start's step is one 4x4 linear solve. The first starts are
 method-of-moments estimates: six standard-basis entries of the measured
 matrix give the four parameters in closed form (:func:`_moment_starts`);
 the box midpoint and seeded uniform draws follow. Only p and R/T are
@@ -53,12 +53,13 @@ _OFF_BLOCK = np.ones((16, 16), dtype=bool)
 _OFF_BLOCK[_BLOCK_IX] = False
 # _UNIT[j, k] is the coefficient index of the matrix unit |j><k|.
 _UNIT = to_coeff_vector(np.eye(16).reshape(16, 4, 4)).real.argmax(axis=1).reshape(4, 4)
-# U3 = diag(u) with u_j = +/- exp(theta1 d_1j + theta2 d_2j) for the fixed
-# phase rates d_kj below, so U3 SWAP weighs each coefficient of SWAP by the
-# u_j of its row j: on the block, vec(U3 SWAP) = _SWAP_SIGNS
-# exp((theta1, theta2) @ _DPHASE), and dU3/dtheta_k = diag(d_k) U3.
-_D_THETA = 0.5j * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
-_DPHASE = _D_THETA[:, np.argsort(_UNIT, axis=None)[_BLOCK] // 4]
+# U3 = diag(u) with u_j = +/- exp(i (theta1 d_1j + theta2 d_2j)) for the
+# fixed phase rates d_kj below, so U3 SWAP weighs each coefficient of SWAP by
+# the u_j of its row j: on the block, vec(U3 SWAP) = _SWAP_SIGNS
+# exp(i (theta1, theta2) @ _RATES), and dU3/dtheta_k = i diag(d_k) U3.
+_D_THETA = 0.5 * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
+_RATES = _D_THETA[:, np.argsort(_UNIT, axis=None)[_BLOCK] // 4]
+_DPHASE = 1j * _RATES[:, None, :]
 _SWAP_SIGNS = to_coeff_vector(u3(0.0, 0.0) @ SWAP)[_BLOCK].real
 _VEC_I = to_coeff_vector(np.eye(4))[_BLOCK].real
 # Signs of the reflected part in (P-, P+), the mixture weights (1-p, p) as
@@ -88,7 +89,8 @@ class FitConfig:
     included, and ``convergence_tol`` is the descent's relative tolerance on
     the cost decrease, the step and the projected gradient (the ftol, xtol
     and gtol of MINPACK); see :func:`_descend`. Every start runs as it would
-    alone, whatever the number of starts.
+    alone, whatever the number of starts. ``multistart`` and
+    ``max_iterations`` below 1 raise ``ValueError``.
     The scale parameter has no bounds because it is profiled analytically
     and is nonnegative by construction.
     """
@@ -98,14 +100,21 @@ class FitConfig:
     convergence_tol: float = 1e-14
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name, option in (("multistart", "--multistart"), ("max_iterations", "--max-iter")):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} ({option}) must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class FitResult:
     """Outcome of :func:`fit`.
 
-    ``n_evaluations`` counts every model evaluation: each residual vector
-    and each Jacobian the solver asked for, plus one residual per start; a
-    stacked call counts one per start it evaluates. The fidelity is the
+    ``n_evaluations`` counts every model evaluation: the residual at each
+    start and each trial point, and each Jacobian the solver used, one per
+    start and one per accepted step after which the start had not converged
+    (see :func:`_descend`); a stacked call counts one residual per start it
+    evaluates. The fidelity is the
     Uhlmann fidelity of the fitted model and the PSD projection of the
     measured matrix, each normalized to unit trace.
     ``converged`` is the solver status of the start whose point is
@@ -135,81 +144,54 @@ def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
     return transform_process_matrix(chi, basis_kind)
 
 
-def _unit_model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``t``, the block vectors ``(c-, c+)`` and the block of ``chi_1`` at ``x``.
-
-    ``x`` is ``(p, R/T, theta1, theta2)``; a stack of points of shape
-    ``(..., 4)`` gives stacks of shapes ``(..., 1)``, ``(..., 2, 6)`` and
-    ``(..., 6, 6)``.
-    """
-    ratio = x[..., 1:2]
-    t = 1.0 / (1.0 + ratio)
-    b = (ratio * t * _SWAP_SIGNS) * np.exp(x[..., 2:] @ _DPHASE)
-    c = (t * _VEC_I)[..., None, :] + _SIGNS * b[..., None, :]
-    chi1 = (c.swapaxes(-1, -2) * (_W0 + x[..., :1] * _W1)[..., None, :]) @ c.conj()
-    return t, c, chi1
-
-
 def _as_real(z: np.ndarray) -> np.ndarray:
     """The 72 real and imaginary parts of each 6x6 block of a C-contiguous stack, interleaved."""
     return z.view(np.float64).reshape(z.shape[:-2] + (72,))
 
 
-def _profiled_scale(chi1: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The multiplier ``alpha >= 0`` of each ``chi1`` closest to ``target`` in Frobenius norm.
+def _evaluate(x: np.ndarray, target: np.ndarray, floor: float) -> tuple:
+    """The residual, cost, normal equations and scale at each point of a stack ``x``.
 
-    Both come as :func:`_as_real` views of the 6x6 blocks.
+    ``x`` is a ``(k, 4)`` stack of points ``(p, R/T, theta1, theta2)`` and
+    ``target`` the :func:`_as_real` view of the 6x6 block of the Hermitian
+    standard-basis matrix; ``floor`` is the cost off the block, which no
+    parameter moves. Returns, stacked by point, the 72 real components of
+    the residual ``r = block - alpha chi_1``, the cost ``floor + |r|^2``,
+    ``J^T r``, ``J^T J``, the profiled scale ``alpha`` and the transposed
+    Jacobian ``J^T`` of shape ``(k, 4, 72)``. ``alpha >= 0`` is the multiplier
+    of ``chi_1`` closest to the block in Frobenius norm. With ``A = P - t I``
+    the reflected part of each operator, ``dP/d(R/T) = A / (R/T) - t P`` and
+    ``dP/dtheta_k = diag(d_k) A``; each ``d chi_1 = H + H^+`` with ``H`` the
+    weighted derivative vectors times ``c^+``, and the scale profile enters
+    through ``d alpha``. ``J`` is zero at a point whose model has no positive
+    overlap with the block, where ``alpha`` is clamped to zero. Every
+    reduction runs per point, so each point's values do not depend on the
+    rest of the stack.
     """
-    overlap = np.add.reduce(chi1 * target, axis=-1)
-    return np.maximum(overlap, 0.0) / np.add.reduce(chi1 * chi1, axis=-1)
-
-
-def _residuals(x: np.ndarray, block: np.ndarray, model: tuple | None = None) -> np.ndarray:
-    """The 72 real components of ``block - alpha chi_1`` at ``x``, per point of a stack.
-
-    ``block`` is the 6x6 block of the Hermitian standard-basis matrix, and
-    ``model`` is ``_unit_model(x)`` when the caller already has it. The
-    residual off the block does not depend on ``x``.
-    """
-    _, _, chi1 = _unit_model(x) if model is None else model
-    chi1, target = _as_real(chi1), _as_real(block)
-    return target - _profiled_scale(chi1, target)[..., None] * chi1
-
-
-def _jacobian(x: np.ndarray, block: np.ndarray, model: tuple | None = None) -> np.ndarray:
-    """Closed-form ``(..., 72, 4)`` Jacobian of :func:`_residuals`, scale profile included.
-
-    With ``A = P - t I`` the reflected part of each operator,
-    ``dP/d(R/T) = A / (R/T) - t P`` and ``dP/dtheta_k = diag(d_k) A``; each
-    ``d chi_1 = H + H^+`` with ``H`` the weighted derivative vectors times
-    ``c^+``. ``model`` is ``_unit_model(x)`` when the caller already has
-    it. The Jacobian is zero at a point whose model has no positive overlap
-    with ``block``, where the profiled scale is clamped to zero.
-    """
-    t, c, chi1 = _unit_model(x) if model is None else model
-    t = t[..., None]
-    w = (_W0 + x[..., :1] * _W1)[..., :, None]
-    chi1, target = _as_real(chi1), _as_real(block)
-    s11 = np.add.reduce(chi1 * chi1, axis=-1)[..., None]
-    s1m = np.add.reduce(chi1 * target, axis=-1)[..., None]
+    ratio = x[:, 1:2]
+    t = 1.0 / (1.0 + ratio)
+    b = (ratio * t * _SWAP_SIGNS) * np.exp(1j * (x[:, 2:] @ _RATES))
+    c = (t * _VEC_I)[:, None, :] + _SIGNS * b[:, None, :]
+    c_conj = c.conj()
+    w = (_W0 + x[:, :1] * _W1)[:, :, None]
+    wc = w * c
+    chi1 = _as_real(wc.swapaxes(1, 2) @ c_conj)
+    s11 = np.add.reduce(chi1 * chi1, axis=1)[:, None]
+    s1m = np.add.reduce(chi1 * target, axis=1)[:, None]
     alpha = np.maximum(s1m, 0.0) / s11
-    a = c - t * _VEC_I
-    wa = w * a
-    e = np.concatenate([(_HALF_DW * c)[..., None, :, :],
-                        (wa / x[..., 1, None, None] - t * (w * c))[..., None, :, :],
-                        _DPHASE[:, None, :] * wa[..., None, :, :]], axis=-3)
-    h = e.swapaxes(-1, -2) @ c.conj()[..., None, :, :]
-    dchi = _as_real(h + h.conj().swapaxes(-1, -2))
-    chi1 = chi1[..., None, :]
-    dalpha = (np.add.reduce(dchi * (target - 2.0 * alpha[..., None] * chi1), axis=-1) / s11
+    r = target - alpha * chi1
+    t = t[:, :, None]
+    wa = w * (c - t * _VEC_I)
+    e = np.concatenate([(_HALF_DW * c)[:, None], (wa / ratio[:, :, None] - t * wc)[:, None],
+                        _DPHASE * wa[:, None]], axis=1)
+    h = e.swapaxes(2, 3) @ c_conj[:, None]
+    dchi = _as_real(h + h.conj().swapaxes(2, 3))
+    chi1, alpha = chi1[:, None], alpha[:, :, None]
+    dalpha = (np.add.reduce(dchi * (target - 2.0 * alpha * chi1), axis=2) / s11
               * (s1m > 0.0))
-    return (dchi * -alpha[..., None] - dalpha[..., None] * chi1).swapaxes(-1, -2)
-
-
-def residual(fp: FilterParams, chi_meas: ProcessMatrix) -> float:
-    """Frobenius distance between the model at ``fp`` and a measured matrix."""
-    model = model_chi(fp, chi_meas.basis)
-    return float(np.linalg.norm(model.m - chi_meas.m))
+    jt = dchi * -alpha - dalpha[:, :, None] * chi1
+    return (r, floor + np.add.reduce(r * r, axis=1), (jt @ r[:, :, None])[:, :, 0],
+            jt @ jt.swapaxes(1, 2), alpha[:, 0, 0], jt)
 
 
 def canonicalize(fp: FilterParams) -> FilterParams:
@@ -242,18 +224,20 @@ def canonicalize(fp: FilterParams) -> FilterParams:
 
 
 def _starts(cfg: FitConfig) -> list[np.ndarray]:
-    """Deterministic start points: the box midpoint plus seeded uniform draws."""
-    rng = np.random.default_rng(cfg.seed)
+    """The box midpoint and the seeded uniform start points that the start list keeps.
+
+    The two moment starts and the midpoint come first, so ``multistart - 3``
+    points are drawn, each as p, log R/T and the two angles in turn.
+    """
     lo_r, hi_r = RATIO_BOUNDS
     mid = np.array([0.5 * sum(P_RANGE), math.sqrt(lo_r * hi_r), 0.0, 0.0])
-    starts = [mid]
-    for _ in range(max(0, cfg.multistart - 1)):
-        p = rng.uniform(*P_RANGE)
-        ratio = math.exp(rng.uniform(math.log(lo_r), math.log(hi_r)))
-        th1 = rng.uniform(*THETA_START_RANGE)
-        th2 = rng.uniform(*THETA_START_RANGE)
-        starts.append(np.array([p, ratio, th1, th2]))
-    return starts
+    low = [P_RANGE[0], math.log(lo_r), THETA_START_RANGE[0], THETA_START_RANGE[0]]
+    high = [P_RANGE[1], math.log(hi_r), THETA_START_RANGE[1], THETA_START_RANGE[1]]
+    draws = np.random.default_rng(cfg.seed).uniform(low, high, (max(0, cfg.multistart - 3), 4))
+    # math.exp keeps each R/T bit-identical to a draw made one value at a
+    # time; np.exp can differ from it in the last bit.
+    draws[:, 1] = [math.exp(v) for v in draws[:, 1]]
+    return [mid, *draws]
 
 
 def _moment_starts(chi_std: np.ndarray) -> list[np.ndarray]:
@@ -319,16 +303,15 @@ def _params(x: np.ndarray) -> FilterParams:
     )
 
 
-def _descend(fun, jac, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
-             max_evals: int, floor: float) -> tuple:
-    """Bounded Levenberg-Marquardt descent of ``floor + |fun(x)|^2``, all starts in lockstep.
+def _descend(fun, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
+             max_evals: int) -> tuple:
+    """Bounded Levenberg-Marquardt descent of the cost of ``fun``, all starts in lockstep.
 
-    ``start`` is ``(x0, *fun(x0))`` for a stack ``x0`` of start points, one
-    per row. ``fun(x)`` returns the stacked residual vectors at a stack of
-    points and the models it built, and ``jac(x, model)`` the stacked
-    Jacobians given the models; ``floor`` is the part of the cost that no
-    parameter moves. Each start is a lane with its own point, residual,
-    cost, damping and free set. A lane's step solves
+    ``fun(x)`` returns, stacked by point, the residual, cost, ``J^T r``,
+    ``J^T J``, scale and Jacobian of :func:`_evaluate` at a stack of points,
+    and ``start`` is ``(x0, *fun(x0))`` for a stack ``x0`` of start points,
+    one per row. Each start is a lane with its own point, residual, cost,
+    normal equations, damping and free set. A lane's step solves
     ``(J^T J + mu D) dx = -J^T r`` on its free variables, where ``D`` is
     the running maximum of ``diag(J^T J)`` (More's scaling); a variable on a
     bound whose descent direction leaves the box is frozen for that step
@@ -342,65 +325,54 @@ def _descend(fun, jac, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
     of ``J`` (the projected gradient) is at most ``tol``. A lane stops when
     it converges or its residual evaluations, the start's included, reach
     ``max_evals``, and is evaluated no more. Each iteration makes one
-    ``jac`` call for the lanes whose last step was accepted and one ``fun``
-    call for the lanes still running, and every lane follows the path it
-    would follow alone. Returns ``(x, r, model, converged, evaluations)``
-    stacked by lane at each lane's last accepted point; ``evaluations``
-    counts each lane's residuals, the start's included, and Jacobians.
+    ``fun`` call for the trial points of the lanes still running, which
+    gives each trial point its normal equations along with its residual, and
+    an accepted lane takes them over; every lane follows the path it would
+    follow alone. Returns ``(x, r, alpha, converged, evaluations)`` stacked
+    by lane at each lane's last accepted point. ``evaluations`` counts each
+    lane's residuals, the start's included, and the Jacobians it used: the
+    start's, and one per accepted step after which the lane had not
+    converged.
     """
-    x, r, model = start[0], start[1], list(start[2])
+    x, r, cost, g, gram, alpha = start[:6]
     lanes, n = x.shape
-    out = [x.copy(), r.copy(), *(part.copy() for part in model)]
+    out = [x.copy(), r.copy(), alpha.copy()]
     converged = np.zeros(lanes, dtype=bool)
     evaluations = np.zeros(lanes, dtype=int)
     # The state of the running lanes, compacted when lanes stop; ``lane``
     # maps each back to its row in the stack.
     lane = np.arange(lanes)
-    cost = floor + np.add.reduce(r * r, axis=1)
-    evals, jacs = np.ones(lanes, dtype=int), np.zeros(lanes, dtype=int)
-    mu, nu = np.full(lanes, 1e-3), np.full(lanes, 2.0)
-    scale, g = np.zeros((lanes, n)), np.zeros((lanes, n))
-    gram = np.zeros((lanes, n, n))
-    free = np.zeros((lanes, n), dtype=bool)
-    moved, done = np.ones(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
+    evals, jacs = np.ones(lanes, dtype=int), np.ones(lanes, dtype=int)
+    mu, nu, scale = np.full(lanes, 1e-3), np.full(lanes, 2.0), np.zeros((lanes, n))
+    done = np.zeros(lanes, dtype=bool)
     eye = np.eye(n)
     while True:
-        need = moved & ~done
-        if need.any():
-            sel = slice(None) if need.all() else need
-            xs = x[sel]
-            jt = jac(xs, tuple(part[sel] for part in model)).swapaxes(1, 2)
-            jacs[sel] += 1
-            gs = (jt @ r[sel][:, :, None])[:, :, 0]
-            grams = jt @ jt.swapaxes(1, 2)
-            diag = grams.diagonal(axis1=1, axis2=2)
-            scales = np.maximum(scale[sel], diag)
-            frees = (scales > 0.0) & ~(((xs <= lo) & (gs > 0.0)) | ((xs >= hi) & (gs < 0.0)))
-            small = np.abs(gs) <= tol * np.sqrt(cost[sel, None] * diag)
-            g[sel], gram[sel], scale[sel], free[sel] = gs, grams, scales, frees
-            done[sel] = np.logical_and.reduce(small | ~frees, axis=1)
+        # A lane whose step was rejected keeps its g and J^T J, so its scale,
+        # frozen set and gradient test come out as before.
+        diag = gram.diagonal(axis1=1, axis2=2)
+        scale = np.maximum(scale, diag)
+        frozen = (scale <= 0.0) | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        small = np.abs(g) <= tol * np.sqrt(cost[:, None] * diag)
+        done |= np.logical_and.reduce(small | frozen, axis=1)
         stop = done | (evals >= max_evals)
         if stop.any():
             rows = lane[stop]
-            for part, value in zip(out, (x, r, *model)):
+            for part, value in zip(out, (x, r, alpha)):
                 part[rows] = value[stop]
             converged[rows] = done[stop]
             evaluations[rows] = evals[stop] + jacs[stop]
             if stop.all():
-                return out[0], out[1], tuple(out[2:]), converged, evaluations
+                return (*out, converged, evaluations)
             keep = ~stop
-            lane, x, r, cost, mu, nu, scale, g, gram, free, moved, evals, jacs = (
-                a[keep] for a in (lane, x, r, cost, mu, nu, scale, g, gram, free, moved, evals,
+            lane, x, r, cost, g, gram, alpha, mu, nu, scale, frozen, evals, jacs = (
+                a[keep] for a in (lane, x, r, cost, g, gram, alpha, mu, nu, scale, frozen, evals,
                                   jacs))
-            model = [part[keep] for part in model]
-        system = np.where(free[:, :, None] & free[:, None, :],
-                          gram + (mu[:, None] * scale)[:, :, None] * eye, eye)
-        step = np.linalg.solve(system, np.where(free, -g, 0.0)[:, :, None])[:, :, 0]
+        system = np.where(frozen[:, :, None] | frozen[:, None, :], eye,
+                          gram + (mu[:, None] * scale)[:, :, None] * eye)
+        step = np.linalg.solve(system, np.where(frozen, 0.0, -g)[:, :, None])[:, :, 0]
         trial = np.minimum(np.maximum(x + step, lo), hi)
         step = trial - x
-        r_new, model_new = fun(trial)
-        evals += 1
-        cost_new = floor + np.add.reduce(r_new * r_new, axis=1)
+        r_new, cost_new, g_new, gram_new, alpha_new = fun(trial)[:5]
         drop = cost - cost_new
         predicted = -np.add.reduce(step * (2.0 * g + (gram @ step[:, :, None])[:, :, 0]), axis=1)
         gain = np.divide(drop, predicted, out=np.full(len(x), -1.0), where=predicted > 0.0)
@@ -408,16 +380,19 @@ def _descend(fun, jac, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
                  <= tol * (tol + np.sqrt(np.add.reduce(x * x, axis=1))))
                 | ((gain > 0.25) & (drop <= tol * cost)))
         moved = gain > 0.0
+        evals += 1
+        jacs += moved & ~done
         x = np.where(moved[:, None], trial, x)
         r = np.where(moved[:, None], r_new, r)
         cost = np.where(moved, cost_new, cost)
-        model = [np.where(moved.reshape((-1,) + (1,) * (old.ndim - 1)), new, old)
-                 for old, new in zip(model, model_new)]
+        g = np.where(moved[:, None], g_new, g)
+        gram = np.where(moved[:, None, None], gram_new, gram)
+        alpha = np.where(moved, alpha_new, alpha)
         # Nielsen's factor is 1/3 for every gain >= 1: clamping leaves it, and
         # keeps the cube finite on the lanes that reject their step.
         clamped = np.minimum(np.maximum(gain, 0.0), 1.0)
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * clamped - 1.0) ** 3)
-        mu = np.where(moved, mu * shrink, mu * nu)
+        mu = mu * np.where(moved, shrink, nu)
         nu = np.where(moved, 2.0, 2.0 * nu)
 
 
@@ -466,32 +441,19 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         cfg = FitConfig()
     chi_std = transform_process_matrix(chi_meas, "S").m
     chi_std = 0.5 * (chi_std + chi_std.conj().T)
-    block = chi_std[_BLOCK_IX]
+    target = _as_real(chi_std[_BLOCK_IX])
     # Summed directly, not as |chi|^2 - |block|^2, which can round below zero.
     off = chi_std[_OFF_BLOCK].view(np.float64)
     floor = float(off @ off)
-    n_evaluations = 0
 
-    def residuals(x: np.ndarray) -> tuple:
-        nonlocal n_evaluations
-        n_evaluations += len(x)
-        model = _unit_model(x)
-        return _residuals(x, block, model), model
-
-    def jacobian(x: np.ndarray, model: tuple) -> np.ndarray:
-        nonlocal n_evaluations
-        n_evaluations += len(x)
-        return _jacobian(x, block, model)
-
-    def norms(r: np.ndarray) -> np.ndarray:
-        return np.sqrt(floor + np.add.reduce(r * r, axis=1))
+    def evaluate(x: np.ndarray) -> tuple:
+        return _evaluate(x, target, floor)
 
     x0 = np.array((_moment_starts(chi_std) + _starts(cfg))[: cfg.multistart])
-    start = (x0, *residuals(x0))
-    x, r, unit, converged, _ = _descend(residuals, jacobian, start, _LOWER, _UPPER,
-                                        cfg.convergence_tol, cfg.max_iterations, floor)
-    ends = norms(r)
-    alphas = _profiled_scale(_as_real(unit[2]), _as_real(block))
+    start = (x0, *evaluate(x0))
+    x, r, alphas, converged, evaluations = _descend(evaluate, start, _LOWER, _UPPER,
+                                                    cfg.convergence_tol, cfg.max_iterations)
+    ends = np.sqrt(floor + np.add.reduce(r * r, axis=1))
     candidates = [(float(ends[k]), _params(x[k]), bool(converged[k] and alphas[k] > 0.0),
                    float(alphas[k]), k) for k in range(len(x))]
 
@@ -511,8 +473,8 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         params=params,
         residual=float(np.linalg.norm(v @ dagger(v) - chi_meas.m)),
         fidelity=_rank2_fidelity(v, project_to_psd(chi_meas.m)),
-        n_evaluations=n_evaluations,
+        n_evaluations=int(evaluations.sum()),
         converged=converged,
-        start_residuals=norms(start[1]).tolist(),
+        start_residuals=np.sqrt(start[2]).tolist(),
         best_start=best_start,
     )

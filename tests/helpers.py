@@ -34,26 +34,22 @@ def random_channel(rng: np.random.Generator, n_kraus: int | None = None) -> Krau
 
 
 def start_lane(start: tuple, k: int) -> tuple:
-    """Lane ``k`` of the fit solver's stacked start ``(x0, r0, model0)``, as a stack of one."""
-    x, r, model = start
-    return x[k:k + 1], r[k:k + 1], tuple(part[k:k + 1] for part in model)
+    """Lane ``k`` of the fit solver's stacked start ``(x0, *_evaluate(x0))``, as a stack of one."""
+    return tuple(part[k:k + 1] for part in start)
 
 
 def untouched(start: tuple) -> list:
     """A stacked solver result that leaves every lane at its start point, marked converged."""
-    x, r, model = start
+    x, r, _, _, _, alpha, _ = start
     lanes = len(x)
-    return [x.copy(), r.copy(), tuple(part.copy() for part in model),
-            np.ones(lanes, dtype=bool), np.ones(lanes, dtype=int)]
+    return [x.copy(), r.copy(), alpha.copy(), np.ones(lanes, dtype=bool),
+            np.ones(lanes, dtype=int)]
 
 
 def set_lane(result: list, k: int, lane: tuple) -> None:
-    """Write a one-lane solver result into lane ``k`` of a stacked one."""
-    x, r, model, converged, evaluations = lane
-    result[0][k], result[1][k] = x[0], r[0]
-    for part, value in zip(result[2], model):
+    """Write a one-lane solver result ``(x, r, alpha, converged, evaluations)`` into lane ``k``."""
+    for part, value in zip(result, lane):
         part[k] = value[0]
-    result[3][k], result[4][k] = converged[0], evaluations[0]
 
 
 def fail_best_start(monkeypatch) -> None:
@@ -66,10 +62,10 @@ def fail_best_start(monkeypatch) -> None:
 
     real = fitting._descend
 
-    def solver(fun, jac, start, *args):
+    def solver(fun, start, *args):
         out = untouched(start)
-        x, r, model, _, evaluations = real(fun, jac, start_lane(start, 0), *args)
-        set_lane(out, 0, (x, r, model, [False], evaluations))
+        x, r, alpha, _, evaluations = real(fun, start_lane(start, 0), *args)
+        set_lane(out, 0, (x, r, alpha, [False], evaluations))
         return tuple(out)
 
     monkeypatch.setattr(fitting, "_descend", solver)

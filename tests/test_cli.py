@@ -321,6 +321,16 @@ class TestCliErrors:
         assert f"error: {path}: " in err and "total_scale" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--multistart", "--max-iter"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_fit_rejects_fewer_than_one_start_or_iteration(self, tmp_path, capsys, option, value):
+        chi = tmp_path / "chi.json"
+        fileio.write_matrix(chi, choi_from_kraus(kraus_pair(FilterParams.from_ratio(0.76))).m, "S")
+        out = tmp_path / "o.json"
+        assert main(["fit", "--chi", str(chi), "--out", str(out), option, value]) == 2
+        assert f"({option}) must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fit", "transform"])
     @pytest.mark.parametrize("bad, part", [(np.nan, "real"), (np.inf, "imag"), (-np.inf, "real")])
     def test_non_finite_chi_exit_2(self, tmp_path, capsys, command, bad, part):

@@ -1,6 +1,7 @@
 """Decoherence-model fitting: residuals, symmetries, recovery."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from bsqpt import (
     fit,
     kraus_pair,
     model_chi,
-    residual,
 )
 from bsqpt import build_input_set, reconstruct_process, simulate_counts, transform_process_matrix
 from bsqpt import fidelity, project_to_psd
@@ -25,13 +25,13 @@ from bsqpt.fitting import (
     THETA_START_RANGE,
     _BLOCK_IX,
     _LOWER,
+    _OFF_BLOCK,
     _UPPER,
-    _jacobian,
+    _as_real,
+    _evaluate,
     _moment_starts,
     _params,
-    _residuals,
     _starts,
-    _unit_model,
     canonicalize,
 )
 
@@ -64,28 +64,66 @@ def poisson_chi(fp, total, seed):
     return reconstruct_process(ct, inputs)
 
 
-def record_solver(monkeypatch):
-    """Record each start point and every (point, value) the solver's fun and jac return."""
-    real = fitting._descend
-    log = {"x0": [], "fun": [], "jac": []}
+def distance(fp, chi):
+    """Frobenius distance between the model at ``fp`` and a measured matrix, in its basis."""
+    return np.linalg.norm(model_chi(fp, chi.basis).m - chi.m)
 
-    def recording(fun, jac, start, *args):
+
+def kernel_inputs(chi_std):
+    """The block target and off-block cost ``fit`` hands the kernel for a Hermitian S matrix."""
+    off = chi_std[_OFF_BLOCK].view(np.float64)
+    return _as_real(chi_std[_BLOCK_IX]), float(off @ off)
+
+
+def record_solver(monkeypatch):
+    """Record each start point and every (point, kernel values) the solver's fun returns."""
+    real = fitting._descend
+    log = {"x0": [], "fun": []}
+
+    def recording(fun, start, *args):
         log["x0"].extend(np.array(start[0]))
 
         def f(x):
             out = fun(x)
-            log["fun"].extend(zip(x.copy(), out[0].copy()))
+            log["fun"].extend(zip(x.copy(), zip(*(part.copy() for part in out))))
             return out
 
-        def j(x, model):
-            out = jac(x, model)
-            log["jac"].extend(zip(x.copy(), out.copy()))
-            return out
-
-        return real(f, j, start, *args)
+        return real(f, start, *args)
 
     monkeypatch.setattr(fitting, "_descend", recording)
     return log
+
+
+def counted_lane(real, fun, start, args, calls):
+    """Run a one-lane start through the real solver, logging its evaluations in ``calls``.
+
+    "f" stands for each residual of a trial point, "j" for each Jacobian the
+    lane uses: its start's, and each accepted trial point's unless that step
+    ends the lane by the step or cost-decrease test of ``fitting._descend``,
+    whose expressions this repeats.
+    """
+    tol = args[2]
+    state = list(start[:5])
+    calls.append("j")
+
+    def f(trial):
+        out = fun(trial)
+        calls.append("f")
+        x, _, cost, g, gram = state
+        step = trial - x
+        drop = cost - out[1]
+        predicted = -np.add.reduce(step * (2.0 * g + (gram @ step[:, :, None])[:, :, 0]), axis=1)
+        gain = drop / predicted if predicted > 0.0 else -1.0
+        if gain > 0.0:
+            ends = ((np.sqrt(np.add.reduce(step * step, axis=1))
+                     <= tol * (tol + np.sqrt(np.add.reduce(x * x, axis=1))))
+                    | ((gain > 0.25) & (drop <= tol * cost)))
+            if not ends:
+                calls.append("j")
+            state[:] = [trial, *out[:4]]
+        return out
+
+    return real(f, start, *args)
 
 
 class TestModelChi:
@@ -117,24 +155,24 @@ class TestResidual:
     def test_zero_at_truth(self):
         fp = paper_filter(0.14)
         chi = model_chi(fp, "F")
-        assert residual(fp, chi) < 1e-14
+        assert distance(fp, chi) < 1e-14
 
     def test_identity_shift(self):
         fp = paper_filter(0.14)
         chi = model_chi(fp)
         eps = 1e-3
         shifted = ProcessMatrix("S", chi.m + eps * np.eye(16))
-        assert abs(residual(fp, shifted) - 4 * eps) < 1e-12
+        assert abs(distance(fp, shifted) - 4 * eps) < 1e-12
 
     def test_continuity_probe(self):
         fp = paper_filter(0.3)
         chi = model_chi(fp)
-        base = residual(fp, chi)
+        base = distance(fp, chi)
         for dp in (1e-6, 1e-4, 1e-2):
-            r = residual(dataclasses.replace(fp, p=fp.p + dp), chi)
+            r = distance(dataclasses.replace(fp, p=fp.p + dp), chi)
             assert r > base
-        r_small = residual(dataclasses.replace(fp, p=fp.p + 1e-6), chi)
-        r_large = residual(dataclasses.replace(fp, p=fp.p + 1e-2), chi)
+        r_small = distance(dataclasses.replace(fp, p=fp.p + 1e-6), chi)
+        r_large = distance(dataclasses.replace(fp, p=fp.p + 1e-2), chi)
         assert r_small < r_large
 
     def test_basis_independent_value(self):
@@ -142,7 +180,7 @@ class TestResidual:
         perturbed = dataclasses.replace(fp, p=0.3)
         chi_s = model_chi(fp, "S")
         chi_f = model_chi(fp, "F")
-        assert abs(residual(perturbed, chi_s) - residual(perturbed, chi_f)) < 1e-12
+        assert abs(distance(perturbed, chi_s) - distance(perturbed, chi_f)) < 1e-12
 
 
 class TestSymmetries:
@@ -156,7 +194,7 @@ class TestSymmetries:
             theta2=fp.theta2 + 2 * np.pi,
             p=fp.p,
         )
-        assert residual(shifted, chi) < 1e-12
+        assert distance(shifted, chi) < 1e-12
 
     def test_shift_one_angle_swaps_operators(self):
         # Adding 2 pi to a single angle negates the phase unitary, which
@@ -224,7 +262,7 @@ class TestFit:
     def test_residual_field_consistent(self):
         chi = model_chi(paper_filter(0.14), "F")
         res = fit(chi, FitConfig(multistart=4, seed=4))
-        assert abs(residual(res.params, chi) - res.residual) < 1e-12
+        assert abs(distance(res.params, chi) - res.residual) < 1e-12
 
     def test_descent_from_every_start(self):
         chi = model_chi(paper_filter(0.2))
@@ -283,22 +321,52 @@ class TestFit:
         real = fitting._descend
         calls = []
 
-        def counting(fun, jac, start, *args):
-            def counted_fun(x):
-                calls.extend("f" * len(x))
-                return fun(x)
-
-            def counted_jac(x, model):
-                calls.extend("j" * len(x))
-                return jac(x, model)
-
-            return real(counted_fun, counted_jac, start, *args)
+        def counting(fun, start, *args):
+            out = untouched(start)
+            for k in range(len(start[0])):
+                set_lane(out, k, counted_lane(real, fun, start_lane(start, k), args, calls))
+            return tuple(out)
 
         monkeypatch.setattr(fitting, "_descend", counting)
         res = fit(model_chi(paper_filter(0.2)), FitConfig(multistart=3, seed=13))
         assert "j" in calls
         # ...plus the residual at each of the three start points.
         assert res.n_evaluations == len(calls) + 3
+
+    def test_a_rejected_step_does_not_count_its_jacobian(self, monkeypatch):
+        # One start, stopped by its evaluation cap before it converges, that
+        # rejects four of its seven steps. The kernel builds the Jacobian at
+        # every trial point, but it counts only where the lane moves on.
+        real = fitting._descend
+        costs = []
+
+        def recording(fun, start, *args):
+            costs.append(start[2][0])
+
+            def f(x):
+                out = fun(x)
+                costs.append(out[1][0])
+                return out
+
+            return real(f, start, *args)
+
+        monkeypatch.setattr(fitting, "_descend", recording)
+        res = fit(poisson_chi(paper_filter(0.5), 1e4, seed=2),
+                  FitConfig(multistart=1, max_iterations=8, seed=2))
+        assert not res.converged
+        trials = len(costs) - 1
+        accepted = sum(costs[i] < min(costs[:i]) for i in range(1, len(costs)))
+        assert trials - accepted == 4
+        # The start's residual and Jacobian, one residual per trial point and
+        # one Jacobian per accepted trial point.
+        assert res.n_evaluations == 2 + trials + accepted
+
+    @pytest.mark.parametrize("field, option", [("multistart", "--multistart"),
+                                               ("max_iterations", "--max-iter")])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_config_rejects_fewer_than_one(self, field, option, value):
+        with pytest.raises(ValueError, match=f"{field} \\({option}\\) must be at least 1"):
+            FitConfig(**{field: value})
 
     def test_fidelity_matches_the_uhlmann_reference(self):
         # 60 Poisson records: the reference filter at the three paper delays,
@@ -337,9 +405,9 @@ class TestFit:
         # descend below every untouched start.
         real = fitting._descend
 
-        def solver(fun, jac, start, *args):
+        def solver(fun, start, *args):
             out = untouched(start)
-            set_lane(out, k, real(fun, jac, start_lane(start, k), *args))
+            set_lane(out, k, real(fun, start_lane(start, k), *args))
             return tuple(out)
 
         monkeypatch.setattr(fitting, "_descend", solver)
@@ -377,11 +445,12 @@ class TestFit:
         fp = paper_filter(0.325)
         calls = []
 
-        def solver(fun, jac, start, *args):
+        def solver(fun, start, *args):
             calls.extend(start[0])
             lanes = np.arange(1, len(calls) + 1)[:, None]
             x = truth_x(fp) * (1.0 - 1e-15 * lanes * np.array([0, 0, 1, 1]))
-            return (x, *fun(x), np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int))
+            r, _, _, _, alpha, _ = fun(x)
+            return x, r, alpha, np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int)
 
         monkeypatch.setattr(fitting, "_descend", solver)
         res = fit(model_chi(fp), FitConfig(multistart=4, seed=25))
@@ -422,6 +491,31 @@ class TestMomentStarts:
         for got, expect in zip(log["x0"], want):
             assert np.array_equal(got, expect)
 
+    def test_start_list_matches_one_draw_per_value(self, monkeypatch):
+        # The reference draws multistart - 1 points, one call per value, and
+        # cuts the list behind the moment starts and the midpoint.
+        seen = []
+
+        def solver(fun, start, *args):
+            seen.append(start[0])
+            return tuple(untouched(start))
+
+        monkeypatch.setattr(fitting, "_descend", solver)
+        chi = model_chi(paper_filter(0.2))
+        lo_r, hi_r = RATIO_BOUNDS
+        for seed in range(10):
+            for m in range(1, 21):
+                rng = np.random.default_rng(seed)
+                drawn = [np.array([0.5 * sum(P_RANGE), math.sqrt(lo_r * hi_r), 0.0, 0.0])]
+                for _ in range(m - 1):
+                    p = rng.uniform(*P_RANGE)
+                    ratio = math.exp(rng.uniform(math.log(lo_r), math.log(hi_r)))
+                    th1 = rng.uniform(*THETA_START_RANGE)
+                    th2 = rng.uniform(*THETA_START_RANGE)
+                    drawn.append(np.array([p, ratio, th1, th2]))
+                fit(chi, FitConfig(multistart=m, seed=seed))
+                assert np.array_equal(seen[-1], np.array((_moment_starts(chi.m) + drawn)[:m]))
+
     def test_four_starts_reach_the_seeded_sixteen_start_optimum(self, monkeypatch):
         # 24 Poisson records: the reference filter at the three paper delays
         # and random filters, at 1e4 and 1e3 counts, as the benchmark fits them.
@@ -439,21 +533,23 @@ class TestMomentStarts:
             assert four[k] <= (1 + 1e-6) * seeded
 
 
-def trf_descend(fun, jac, start, lo, hi, tol, max_evals, floor):
+def trf_descend(fun, start, lo, hi, tol, max_evals):
     """scipy's trust-region reflective least squares behind the solver seam, as a reference.
 
-    It runs start by start. ``sqrt(floor)`` rides along as one more, constant,
+    It runs start by start. The square root of the cost off the block, the
+    start's cost less its block residual, rides along as one more, constant,
     residual component, so trf minimizes the cost the descent minimizes.
     """
     least_squares = pytest.importorskip("scipy.optimize").least_squares
+    x0, r0, cost0 = start[:3]
+    off = np.sqrt(max(cost0[0] - r0[0] @ r0[0], 0.0))
     out = untouched(start)
-    for k, x0 in enumerate(start[0]):
-        sol = least_squares(lambda x: np.append(fun(x[None])[0][0], np.sqrt(floor)), x0,
-                            jac=lambda x: np.vstack([jac(x[None], _unit_model(x[None]))[0],
-                                                     np.zeros(4)]),
+    for k, x in enumerate(x0):
+        sol = least_squares(lambda x: np.append(fun(x[None])[0][0], off), x,
+                            jac=lambda x: np.vstack([fun(x[None])[5][0].T, np.zeros(4)]),
                             bounds=(lo, hi), method="trf", ftol=tol, xtol=tol, gtol=tol,
                             max_nfev=max_evals)
-        set_lane(out, k, (sol.x[None], sol.fun[None, :-1], _unit_model(sol.x[None]),
+        set_lane(out, k, (sol.x[None], sol.fun[None, :-1], fun(sol.x[None])[4],
                           [sol.success], [sol.nfev + sol.njev]))
     return tuple(out)
 
@@ -485,7 +581,7 @@ class TestDescend:
         chis += [poisson_chi(paper_filter(p), 1e3, seed=26) for p in (0.14, 0.5)]
         for k, chi in enumerate(chis):
             fit(chi, FitConfig(multistart=4, seed=k))
-        points = log["x0"] + [x for x, _ in log["fun"] + log["jac"]]
+        points = log["x0"] + [x for x, _ in log["fun"]]
         assert len(points) > 100
         for x in points:
             assert np.all(_LOWER <= x) and np.all(x <= _UPPER)
@@ -494,8 +590,8 @@ class TestDescend:
         real = fitting._descend
         runs = []
 
-        def recording(fun, jac, start, *args):
-            runs.append((fun, jac, start, args, real(fun, jac, start, *args)))
+        def recording(fun, start, *args):
+            runs.append((fun, start, args, real(fun, start, *args)))
             return runs[-1][-1]
 
         monkeypatch.setattr(fitting, "_descend", recording)
@@ -503,11 +599,11 @@ class TestDescend:
         chis += [model_chi(fp, "F") for fp in edge_filters()]
         for k, chi in enumerate(chis):
             res = fit(chi, FitConfig(seed=k))
-            fun, jac, start, args, (x, r, _, converged, evaluations) = runs[-1]
+            fun, start, args, (x, r, _, converged, evaluations) = runs[-1]
             assert len(x) == 16
             assert evaluations.sum() == res.n_evaluations
             for lane in range(16):
-                alone = real(fun, jac, start_lane(start, lane), *args)
+                alone = real(fun, start_lane(start, lane), *args)
                 assert np.array_equal(alone[0][0], x[lane])
                 assert np.array_equal(alone[1][0], r[lane])
                 assert alone[3][0] == converged[lane] and alone[4][0] == evaluations[lane]
@@ -537,17 +633,20 @@ class TestBlock:
         for _ in range(10):
             fp = random_filter(rng)
             unit = model_chi(dataclasses.replace(fp, scale=1.0)).m
-            _, _, chi1 = _unit_model(truth_x(fp))
-            embedded = np.zeros((16, 16), dtype=complex)
-            embedded[_BLOCK_IX] = chi1
-            assert_allclose(embedded, unit, rtol=0, atol=1e-14)
             chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
+            target, floor = kernel_inputs(chi)
+            r, cost, _, _, scale, _ = (part[0] for part in _evaluate(truth_x(fp)[None], target,
+                                                                      floor))
+            # The residual is block - alpha chi_1 at the kernel's scale alpha.
+            embedded = np.zeros((16, 16), dtype=complex)
+            embedded[_BLOCK_IX] = ((target - r) / scale).view(complex).reshape(6, 6)
+            assert_allclose(embedded, unit, rtol=0, atol=1e-14)
             alpha = max(np.vdot(unit, chi).real, 0.0) / np.vdot(unit, unit).real
             off = chi.copy()
             off[_BLOCK_IX] = 0.0
-            r = _residuals(truth_x(fp), chi[_BLOCK_IX])
             full = np.linalg.norm(chi - alpha * unit) ** 2
             assert abs(r @ r + np.linalg.norm(off) ** 2 - full) <= 1e-12 * full
+            assert abs(cost - full) <= 1e-12 * full
 
 
 class TestModelCache:
@@ -555,33 +654,42 @@ class TestModelCache:
         log = record_solver(monkeypatch)
         chi = poisson_chi(paper_filter(0.325), 1e4, seed=21)
         fit(chi, FitConfig(multistart=4, seed=21))
-        chi_std = (0.5 * (chi.m + chi.m.conj().T))[_BLOCK_IX]
-        assert log["fun"] and log["jac"]
+        target, floor = kernel_inputs(0.5 * (chi.m + chi.m.conj().T))
+        assert log["fun"]
         for x, got in log["fun"]:
-            assert np.array_equal(got, _residuals(x, chi_std))
-        for x, got in log["jac"]:
-            assert np.array_equal(got, _jacobian(x, chi_std))
-        x = np.array([0.2, 0.9, 1.0, -0.5])
-        model = _unit_model(x)
-        assert np.array_equal(_residuals(x, chi_std, model), _residuals(x, chi_std))
-        assert np.array_equal(_jacobian(x, chi_std, model), _jacobian(x, chi_std))
+            for part, alone in zip(got, _evaluate(x[None], target, floor), strict=True):
+                assert np.array_equal(part, alone[0])
 
     def test_one_model_per_distinct_point(self, monkeypatch):
         log = record_solver(monkeypatch)
         built = []
-        real = fitting._unit_model
+        real = fitting._evaluate
 
-        def counting(x):
+        def counting(x, *args):
             built.extend(point.tobytes() for point in x)
-            return real(x)
+            return real(x, *args)
 
-        monkeypatch.setattr(fitting, "_unit_model", counting)
+        monkeypatch.setattr(fitting, "_evaluate", counting)
         chi = poisson_chi(paper_filter(0.14), 1e4, seed=22)
         fit(chi, FitConfig(multistart=4, seed=22))
         points = {x.tobytes() for x in log["x0"]}
-        points |= {x.tobytes() for x, _ in log["fun"] + log["jac"]}
+        points |= {x.tobytes() for x, _ in log["fun"]}
         assert len(built) == len(set(built)) == len(points)
         assert set(built) == points
+
+
+class TestEvaluate:
+    def test_each_point_of_a_stack_evaluates_as_it_would_alone(self):
+        # Every reduction runs per point: no sum crosses the points of a stack.
+        rng = np.random.default_rng(31)
+        chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
+        target, floor = kernel_inputs(chi)
+        x = np.array(_starts(FitConfig(multistart=19, seed=31))[1:])
+        stacked = _evaluate(x, target, floor)
+        assert len(x) == 16
+        for k in range(16):
+            for part, alone in zip(stacked, _evaluate(x[k:k + 1], target, floor)):
+                assert np.array_equal(part[k], alone[0])
 
 
 def paper_x(p):
@@ -591,13 +699,23 @@ def paper_x(p):
 class TestJacobian:
     @staticmethod
     def assert_matches_central_differences(x, chi_std, h=1e-6):
-        chi_std = chi_std[_BLOCK_IX]
-        jac = _jacobian(x, chi_std)
-        assert jac.shape == (72, 4)
+        target, floor = kernel_inputs(chi_std)
+
+        def residual(point):
+            return _evaluate(point[None], target, floor)[0][0]
+
+        r, _, g, gram, _, jt = (part[0] for part in _evaluate(x[None], target, floor))
+        assert jt.shape == (4, 72)
+        fd = np.empty((72, 4))
         for k, e in enumerate(np.eye(4)):
-            fd = (_residuals(x + h * e, chi_std) - _residuals(x - h * e, chi_std)) / (2 * h)
-            assert np.linalg.norm(fd) > 0.0
-            assert np.linalg.norm(jac[:, k] - fd) <= 1e-6 * np.linalg.norm(fd)
+            fd[:, k] = (residual(x + h * e) - residual(x - h * e)) / (2 * h)
+            assert np.linalg.norm(fd[:, k]) > 0.0
+            assert np.linalg.norm(jt[k] - fd[:, k]) <= 1e-6 * np.linalg.norm(fd[:, k])
+        # The normal equations are those of the central-difference Jacobian,
+        # to the same relative 1e-6 of each column.
+        norms = np.linalg.norm(fd, axis=0)
+        assert np.all(np.abs(g - fd.T @ r) <= 1e-6 * norms * np.linalg.norm(r))
+        assert np.all(np.abs(gram - fd.T @ fd) <= 1e-6 * np.outer(norms, norms))
 
     @pytest.mark.parametrize("p", [0.14, 0.325, 0.5])
     def test_reference_filters(self, p):
