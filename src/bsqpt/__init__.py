@@ -35,11 +35,8 @@ from .linalg import (
     bell_state,
     dagger,
     fidelity,
-    frobenius_distance,
-    is_psd,
     kron,
     partial_trace,
-    permutation_operator,
     project_to_psd,
 )
 from .tomography import (
@@ -47,7 +44,6 @@ from .tomography import (
     InputStateSet,
     build_input_set,
     reconstruct_process,
-    reconstruct_state,
     simulate_counts,
 )
 

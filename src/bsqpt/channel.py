@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import BASIS_KINDS, STANDARD, OperatorBasis, build_basis
+from .bases import BASIS_KINDS, STANDARD, build_basis
 from .linalg import dagger
 
 @dataclass
@@ -105,11 +105,9 @@ def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_process_matrix(chi: ProcessMatrix, basis: OperatorBasis, rho: np.ndarray) -> np.ndarray:
-    """Apply ``E(rho) = sum_ab chi[a,b] A_a rho A_b_dag`` in the given basis."""
-    if chi.basis != basis.kind:
-        raise ValueError(f"process matrix is tagged {chi.basis!r} but basis is {basis.kind!r}")
-    el = np.stack(basis.elements)
+def apply_process_matrix(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
+    """Apply ``E(rho) = sum_ab chi[a,b] A_a rho A_b_dag`` in the basis ``chi`` is tagged with."""
+    el = np.stack(build_basis(chi.basis).elements)
     return np.einsum("ab,aij,jk,blk->il", chi.m, el, np.asarray(rho, dtype=complex), el.conj())
 
 
@@ -176,19 +174,18 @@ def assemble_choi_from_map(outputs: np.ndarray) -> ProcessMatrix:
     return ProcessMatrix(STANDARD, m)
 
 
-def transform_process_matrix(chi: ProcessMatrix, target: OperatorBasis | str) -> ProcessMatrix:
-    """Re-express a process matrix in another operator basis.
+def transform_process_matrix(chi: ProcessMatrix, target: str) -> ProcessMatrix:
+    """Re-express a process matrix in the operator basis tagged ``target``.
 
     Transformation is by conjugation with the target basis unitary
     (``u_dag chi u`` going out of the standard basis), so eigenvalues and
     trace are preserved and round trips are exact to rounding.
     """
-    if isinstance(target, str):
-        target = build_basis(target)
     m = chi.m
     if chi.basis != STANDARD:
         u_src = build_basis(chi.basis).u_matrix
         m = u_src @ m @ dagger(u_src)
-    if target.kind != STANDARD:
-        m = dagger(target.u_matrix) @ m @ target.u_matrix
-    return ProcessMatrix(target.kind, m)
+    if target != STANDARD:
+        u = build_basis(target).u_matrix
+        m = dagger(u) @ m @ u
+    return ProcessMatrix(target, m)

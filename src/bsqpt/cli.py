@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .bases import BASIS_KINDS, build_basis
+from .bases import BASIS_KINDS
 from .bsfilter import hom_dip, hom_visibility, kraus_pair
 from .channel import ProcessMatrix, apply_process_matrix, transform_process_matrix
 from .fileio import FileFormatError
@@ -109,8 +109,9 @@ def _cmd_homdip(args: argparse.Namespace) -> int:
         )
     if args.steps < 2:
         raise FileFormatError("need at least 2 grid steps")
-    if not args.tau_max > args.tau_min:
-        raise FileFormatError("need tau_max > tau_min")
+    # The width is not finite when either end is not, or when it overflows.
+    if not (np.isfinite(args.tau_max - args.tau_min) and args.tau_max > args.tau_min):
+        raise FileFormatError("need finite tau_min < tau_max")
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
     curve = hom_dip(fp, grid, temporal.tau_c_fs, temporal.mu)
     vis = hom_visibility(fp.T, fp.R, temporal.mu)
@@ -140,7 +141,7 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     tag, rho = fileio.read_matrix(args.state)
     if tag != fileio.STATE_TAG or rho.shape != (4, 4):
         raise FileFormatError(f"{args.state}: expected a 4x4 state matrix tagged 'state'")
-    out = apply_process_matrix(chi, build_basis(chi.basis), rho)
+    out = apply_process_matrix(chi, rho)
     fileio.write_matrix(args.out, out, fileio.STATE_TAG)
     return 0
 

@@ -41,13 +41,27 @@ def write_matrix(path: str, m: np.ndarray, basis: str) -> None:
         fh.write("\n")
 
 
-def read_matrix(path: str) -> tuple[str, np.ndarray]:
-    """Parse a matrix file, returning ``(basis_tag, matrix)``."""
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _read_json_object(path: str) -> dict:
+    try:
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FileFormatError(f"{path}: expected a JSON object")
+    return payload
+
+
+def read_matrix(path: str) -> tuple[str, np.ndarray]:
+    """Parse a matrix file, returning ``(basis_tag, matrix)``."""
+    payload = _read_json_object(path)
     for key in ("dim", "basis", "re", "im"):
         if key not in payload:
             raise FileFormatError(f"{path}: missing key {key!r}")
@@ -83,8 +97,7 @@ def read_counts(path: str) -> CountTable:
     """Parse a count CSV, requiring all 256 (input, projector) pairs once each."""
     counts = np.full((16, 16), np.nan)
     total_scale = 1.0
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     data_lines = []
     for line in lines:
         stripped = line.strip()
@@ -136,13 +149,7 @@ def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
     values are logged. ``theta1_rad``/``theta2_rad`` are accepted as
     aliases for the angle keys. Every validation error names the file.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise FileFormatError(f"{path}: expected a JSON object")
+    raw = _read_json_object(path)
 
     def pick(*names, required=True, default=None):
         found = [n for n in names if n in raw]

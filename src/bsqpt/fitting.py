@@ -138,10 +138,7 @@ class FitResult:
 
 def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
     """Process matrix of the filter model in the requested basis (rank <= 2)."""
-    chi = choi_from_kraus(kraus_pair(fp))
-    if basis_kind == "S":
-        return chi
-    return transform_process_matrix(chi, basis_kind)
+    return transform_process_matrix(choi_from_kraus(kraus_pair(fp)), basis_kind)
 
 
 def _as_real(z: np.ndarray) -> np.ndarray:

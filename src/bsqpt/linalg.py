@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
-
 #: Pauli matrices sigma_0..sigma_3, with sigma_0 the identity.
 SIGMA = (
     np.eye(2, dtype=complex),
@@ -70,47 +68,8 @@ def partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     raise ValueError("keep must be 0 (left factor) or 1 (right factor)")
 
 
-def permutation_operator(n_qubits: int, i: int, j: int) -> np.ndarray:
-    """Unitary that swaps tensor factors ``i`` and ``j`` of an n-qubit register.
-
-    The result is Hermitian and involutive. Qubit 0 is the most significant
-    bit of the basis index.
-    """
-    if not (0 <= i < n_qubits and 0 <= j < n_qubits):
-        raise ValueError(f"qubit indices ({i}, {j}) out of range for {n_qubits} qubits")
-    dim = 2**n_qubits
-    p = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = [(col >> (n_qubits - 1 - q)) & 1 for q in range(n_qubits)]
-        bits[i], bits[j] = bits[j], bits[i]
-        row = 0
-        for b in bits:
-            row = (row << 1) | b
-        p[row, col] = 1.0
-    return p
-
-
 #: The two-qubit swap ``|i,j> -> |j,i>``.
-SWAP = permutation_operator(2, 0, 1)
-
-
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    a = np.asarray(a)
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
-
-
-def is_psd(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Positive-semidefiniteness check, returning ``(ok, min_eigenvalue)``.
-
-    Raises ``ValueError`` on non-Hermitian input so that failure mode is
-    reported distinctly from a genuinely negative spectrum.
-    """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(a)
-    min_eig = float(w[0])
-    return min_eig >= -tol, min_eig
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def project_to_psd(a: np.ndarray) -> np.ndarray:
@@ -165,7 +124,3 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     f = float(np.sum(np.sqrt(w)) ** 2)
     return float(np.clip(f, 0.0, 1.0))
 
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the difference ``a - b``."""
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))

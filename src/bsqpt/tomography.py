@@ -113,18 +113,6 @@ def build_input_set() -> InputStateSet:
     )
 
 
-def expectation_values(rho: np.ndarray, projectors: np.ndarray) -> np.ndarray:
-    """Real expectation values ``Tr(Pi_m rho)`` for a stack of Hermitian projectors.
-
-    ``rho`` may itself be a stack of shape ``(..., 4, 4)``; the result then
-    has shape ``(..., len(projectors))``.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    pis = np.asarray(projectors, dtype=complex).reshape(-1, 16)
-    # Tr(Pi rho) is the inner product of the flattened matrices when Pi is Hermitian.
-    return (rho.reshape(rho.shape[:-2] + (16,)) @ pis.conj().T).real
-
-
 def simulate_counts(
     channel: KrausSet,
     inputs: InputStateSet,
@@ -145,30 +133,14 @@ def simulate_counts(
         raise ValueError(f"total_scale must be finite and positive, got {total_scale!r}")
     if noise not in (None, "poisson"):
         raise ValueError(f"unknown noise mode {noise!r}")
-    outputs = apply_kraus(channel, inputs.products)
-    counts = total_scale * np.clip(expectation_values(outputs, inputs.products), 0.0, None)
+    outputs = apply_kraus(channel, inputs.products).reshape(16, 16)
+    # Tr(Pi rho) is the inner product of the flattened matrices when Pi is Hermitian.
+    rates = (outputs @ inputs.products.reshape(16, 16).conj().T).real
+    counts = total_scale * np.clip(rates, 0.0, None)
     if noise != "poisson":
         return CountTable(counts=counts, total_scale=total_scale)
     counts = np.random.default_rng(seed).poisson(counts).astype(float)
     return CountTable(counts=counts, total_scale=total_scale, noise_seed=seed)
-
-
-def reconstruct_state(
-    expectations: np.ndarray, inputs: InputStateSet
-) -> np.ndarray:
-    """Invert 16 product-projector expectations into a two-qubit matrix.
-
-    Linear inversion through the tensor product of the single-qubit dual
-    frames: exact on noiseless data, Hermitian by construction, and
-    deliberately not forced positive (noise can produce negative
-    eigenvalues, which callers may repair explicitly). The overall scale
-    of the expectations is preserved, so count-rate data reconstructs a
-    rate-scaled, unnormalized matrix.
-    """
-    m = np.asarray(expectations, dtype=float)
-    if m.shape != (16,):
-        raise ValueError(f"expected 16 expectation values, got shape {m.shape}")
-    return np.tensordot(m, inputs.duals, axes=1)
 
 
 def reconstruct_process(ct: CountTable, inputs: InputStateSet) -> ProcessMatrix:

@@ -293,6 +293,33 @@ class TestCliErrors:
         bad.write_text("not json")
         assert main(["fit", "--chi", str(bad), "--out", str(tmp_path / "o.json")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--chi", "--state"])
+    @pytest.mark.parametrize("text", ["1", "null", '"dim"', "[1]"])
+    def test_matrix_file_not_an_object_exit_2(self, tmp_path, capsys, flag, text):
+        files = {"--chi": tmp_path / "chi.json", "--state": tmp_path / "rho.json"}
+        fileio.write_matrix(files["--chi"], np.eye(16), "S")
+        fileio.write_matrix(files["--state"], np.eye(4) / 4, fileio.STATE_TAG)
+        files[flag].write_text(text)
+        out = tmp_path / "o.json"
+        assert main(["apply", "--chi", str(files["--chi"]), "--state", str(files["--state"]),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {files[flag]}: expected a JSON object\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("reconstruct", "--counts"),
+        ("fit", "--chi"),
+        ("simulate", "--params"),
+    ])
+    def test_undecodable_file_names_path_exit_2(self, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        out_flag = "--counts-out" if command == "simulate" else "--out"
+        assert main([command, flag, str(bad), out_flag, str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+        assert not out.exists()
+
     def test_malformed_counts_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("input_index,projector_index,count\n0,0,1.0\n")
@@ -458,6 +485,17 @@ class TestCliErrors:
         assert main(["homdip", "--params", str(params), "--tau-min", "-100",
                      "--tau-max", "100", "--steps", "1",
                      "--out", str(tmp_path / "d.csv")]) == 2
+
+    @pytest.mark.parametrize("tau_min, tau_max", [("-100", "inf"), ("-inf", "100"),
+                                                  ("nan", "100"), ("-1e308", "1e308")])
+    def test_non_finite_dip_range_exit_2(self, tmp_path, capsys, tau_min, tau_max):
+        params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,
+                              tau_c_fs=83.0, mu=0.72)
+        out = tmp_path / "d.csv"
+        assert main(["homdip", "--params", str(params), f"--tau-min={tau_min}",
+                     f"--tau-max={tau_max}", "--steps", "5", "--out", str(out)]) == 2
+        assert "need finite tau_min < tau_max" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_homdip_needs_temporal_form_exit_2(self, tmp_path):
         params = write_params(tmp_path / "p.json")

@@ -7,19 +7,16 @@ from numpy.testing import assert_allclose
 from bsqpt import (
     FilterParams,
     KrausSet,
-    bell_state,
     build_basis,
     build_input_set,
     choi_from_kraus,
     kraus_pair,
     reconstruct_process,
-    reconstruct_state,
     simulate_counts,
 )
-from bsqpt.linalg import dagger, projector
-from bsqpt.tomography import CountTable, expectation_values
+from bsqpt.tomography import CountTable
 
-from helpers import random_channel, random_density, random_hermitian
+from helpers import random_channel
 
 I4 = np.eye(4, dtype=complex)
 
@@ -128,38 +125,6 @@ class TestSimulateCounts:
     def test_non_finite_total_scale(self, scale):
         with pytest.raises(ValueError, match="finite and positive"):
             simulate_counts(KrausSet([(1.0, I4)]), build_input_set(), total_scale=scale)
-
-
-class TestReconstructState:
-    def test_maximally_mixed(self):
-        inputs = build_input_set()
-        m = expectation_values(I4 / 4, inputs.products)
-        assert_allclose(reconstruct_state(m, inputs), I4 / 4, atol=1e-13)
-
-    def test_bell_state(self):
-        inputs = build_input_set()
-        rho = projector(bell_state(2))
-        m = expectation_values(rho, inputs.products)
-        assert_allclose(reconstruct_state(m, inputs), rho, atol=1e-13)
-
-    def test_linearity_preserves_scale(self):
-        inputs = build_input_set()
-        rng = np.random.default_rng(3)
-        rho = random_density(rng)
-        m = expectation_values(rho, inputs.products)
-        assert_allclose(reconstruct_state(2.5 * m, inputs), 2.5 * rho, atol=1e-12)
-
-    def test_exact_on_random_hermitian(self):
-        # Dual-frame inversion is exact on arbitrary Hermitian operators,
-        # not just states.
-        inputs = build_input_set()
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            h = random_hermitian(rng)
-            m = expectation_values(h, inputs.products)
-            rec = reconstruct_state(m, inputs)
-            assert np.max(np.abs(rec - h)) < 1e-12
-            assert_allclose(rec, dagger(rec), atol=1e-13)
 
 
 class TestReconstructProcess:
