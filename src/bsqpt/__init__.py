@@ -11,7 +11,6 @@ from .bases import BASIS_KINDS, OperatorBasis, build_basis, pauli_element, stand
 from .bsfilter import (
     BSOptics,
     FilterParams,
-    TemporalState,
     apply_pt_model,
     decoherence_from_delay,
     hom_dip,

@@ -27,6 +27,7 @@ other in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,10 @@ class FilterParams:
             raise ValueError("reflection must be nonnegative")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
+        # Bounds every rate; ``x * x`` overflows to inf where ``x**2`` would raise.
+        x = self.scale * (self.T + self.R)
+        if not math.isfinite(x * x):
+            raise ValueError(f"rate bound (scale*(T+R))^2 is not finite for scale={self.scale!r}")
 
     @classmethod
     def from_ratio(
@@ -113,27 +118,6 @@ class BSOptics:
             raise ValueError("intensity coefficients must satisfy T + R = 1")
         if self.T <= 0.0 or self.R < 0.0:
             raise ValueError("need T > 0 and R >= 0")
-
-
-@dataclass(frozen=True)
-class TemporalState:
-    """Temporal description of the photon pair entering the splitter.
-
-    ``s`` is the complex overlap of the two single-photon wavepackets;
-    when built from a delay it is ``sqrt(mu) * exp(-tau^2 / (4 tau_c^2))``
-    so that ``|s|^2 = mu * exp(-tau^2 / (2 tau_c^2))``. The Gaussian law
-    and the mode-match factor ``mu`` are modelling choices exposed as
-    configuration, not constants.
-    """
-
-    s: complex
-    tau_fs: float | None = None
-    tau_c_fs: float | None = None
-    mu: float | None = None
-
-    def __post_init__(self) -> None:
-        if abs(self.s) > 1.0 + 1e-12:
-            raise ValueError(f"wavepacket overlap |s|={abs(self.s)} exceeds 1")
 
 
 def u3(theta1: float, theta2: float) -> np.ndarray:
@@ -199,38 +183,42 @@ def kraus_pair_from_optics(bs: BSOptics, p: float = 0.0, scale: float = 1.0) -> 
 
 
 def decoherence_from_delay(
-    tau_fs: float, tau_c_fs: float, mu: float = 1.0
-) -> tuple[TemporalState, float]:
-    """Map a path delay to a wavepacket overlap and a decoherence degree.
+    tau_fs: float | np.ndarray, tau_c_fs: float, mu: float = 1.0
+) -> float | np.ndarray:
+    """The decoherence degree ``p = (1 - |s|^2)/2`` at a path delay, elementwise.
 
     Uses the Gaussian overlap model ``|s|^2 = mu exp(-tau^2/(2 tau_c^2))``
-    and ``p = (1 - |s|^2)/2``, so p is zero only for perfectly matched
-    modes at zero delay and tends to 1/2 as the delay grows.
+    on a scalar or an array of delays, so p is zero only for perfectly
+    matched modes at zero delay and tends to 1/2 as the delay grows. A
+    delay whose square overflows gives exactly 1/2. The Gaussian law and
+    the mode-match factor ``mu`` are modelling choices exposed as
+    configuration, not constants.
     """
-    if tau_c_fs <= 0.0:
-        raise ValueError("coherence time must be positive")
+    with np.errstate(over="ignore"):
+        width = 2.0 * np.float64(tau_c_fs) ** 2
+    if not (tau_c_fs > 0.0 and 0.0 < width < np.inf):
+        raise ValueError("coherence time must be positive, with a finite non-zero square")
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mode-match factor must lie in [0, 1]")
-    s2 = mu * np.exp(-(tau_fs**2) / (2.0 * tau_c_fs**2))
-    state = TemporalState(s=np.sqrt(s2), tau_fs=tau_fs, tau_c_fs=tau_c_fs, mu=mu)
-    return state, 0.5 * (1.0 - s2)
+    # An overflowing square is the intended saturation: exp(-inf) = 0.
+    with np.errstate(over="ignore"):
+        s2 = mu * np.exp(-(np.asarray(tau_fs, dtype=float) ** 2) / width)
+    return 0.5 * (1.0 - s2)
 
 
-def apply_pt_model(
-    rho: np.ndarray, temporal: TemporalState | complex, fp: FilterParams
-) -> np.ndarray:
+def apply_pt_model(rho: np.ndarray, s: complex, fp: FilterParams) -> np.ndarray:
     """Apply the explicit polarization (x) temporal filter and trace out time.
 
     The temporal factor is realized as the two-dimensional span of the
     two wavepackets, orthonormalized internally; only their overlap ``s``
-    matters. Transmission leaves the temporal state alone, reflection
-    swaps it along with the polarizations. ``fp.p`` is ignored, the
-    decoherence here comes entirely from the overlap; the result equals
+    (``|s| <= 1``) matters. Transmission leaves the temporal state alone,
+    reflection swaps it along with the polarizations. ``fp.p`` is ignored,
+    the decoherence here comes entirely from the overlap; the result equals
     the two-operator mixture at ``p = (1 - |s|^2)/2``.
     """
-    if not isinstance(temporal, TemporalState):
-        temporal = TemporalState(s=temporal)
-    s = complex(temporal.s)
+    s = complex(s)
+    if abs(s) > 1.0 + 1e-12:
+        raise ValueError(f"wavepacket overlap |s|={abs(s)} exceeds 1")
     rho = np.asarray(rho, dtype=complex)
 
     wp_a = np.array([1.0, 0.0], dtype=complex)
@@ -265,14 +253,12 @@ def hom_dip(
     if rho is None:
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-    # The channel is affine in p: map rho through P- and P+ once, then mix.
+    # The channel is affine in p: map rho through P- and P+ once, then mix the diagonals.
     minus, plus = (k @ rho @ dagger(k) for k in filter_operators(fp.T, fp.R, fp.theta1, fp.theta2))
-    out = np.empty((len(tau_grid_fs), 2), dtype=float)
-    for n, tau in enumerate(tau_grid_fs):
-        _, p = decoherence_from_delay(float(tau), tau_c_fs, mu)
-        out[n, 0] = float(tau)
-        out[n, 1] = fp.scale * float(np.trace((1.0 - p) * minus + p * plus).real)
-    return out
+    tau = np.asarray(tau_grid_fs, dtype=float)
+    p = decoherence_from_delay(tau, tau_c_fs, mu)[:, None]
+    mixed = (1.0 - p) * minus.diagonal() + p * plus.diagonal()
+    return np.column_stack([tau, fp.scale * mixed.sum(axis=1).real])
 
 
 def hom_visibility(t: float, r: float, mu: float = 1.0) -> float:

@@ -102,8 +102,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_homdip(args: argparse.Namespace) -> int:
-    fp, temporal = fileio.read_params(args.params)
-    if temporal is None:
+    fp, delay = fileio.read_params(args.params)
+    if delay is None:
         raise FileFormatError(
             f"{args.params}: dip simulation needs the temporal form (tau_fs, tau_c_fs, mu)"
         )
@@ -113,8 +113,9 @@ def _cmd_homdip(args: argparse.Namespace) -> int:
     if not (np.isfinite(args.tau_max - args.tau_min) and args.tau_max > args.tau_min):
         raise FileFormatError("need finite tau_min < tau_max")
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
-    curve = hom_dip(fp, grid, temporal.tau_c_fs, temporal.mu)
-    vis = hom_visibility(fp.T, fp.R, temporal.mu)
+    _, tau_c_fs, mu = delay
+    curve = hom_dip(fp, grid, tau_c_fs, mu)
+    vis = hom_visibility(fp.T, fp.R, mu)
     lines = [f"# visibility = {float(vis)!r}", "tau_fs,rate"]
     lines += [f"{float(tau)!r},{float(rate)!r}" for tau, rate in curve]
     with open(args.out, "w", encoding="utf-8") as fh:

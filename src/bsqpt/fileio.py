@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .bases import BASIS_KINDS
-from .bsfilter import FilterParams, TemporalState, decoherence_from_delay
+from .bsfilter import FilterParams, decoherence_from_delay
 from .tomography import CountTable
 
 log = logging.getLogger("bsqpt")
@@ -139,8 +139,8 @@ def read_counts(path: str) -> CountTable:
     return CountTable(counts=counts, total_scale=total_scale)
 
 
-def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
-    """Parse a parameter file into filter parameters.
+def read_params(path: str) -> tuple[FilterParams, tuple[float, float, float] | None]:
+    """Parse a parameter file into filter parameters and its delay configuration.
 
     The splitter is given either as explicit ``T`` and ``R`` or as
     ``ratio_RT``; the decoherence degree either directly as ``p`` or as a
@@ -148,6 +148,8 @@ def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
     is derived. Exactly one member of each pair must be present; derived
     values are logged. ``theta1_rad``/``theta2_rad`` are accepted as
     aliases for the angle keys. Every validation error names the file.
+    The second value returned is the ``(tau_fs, tau_c_fs, mu)`` tuple of
+    the delay form, or None for the ``p`` form.
     """
     raw = _read_json_object(path)
 
@@ -182,7 +184,7 @@ def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
         raise FileFormatError(f"{path}: temporal form needs all of tau_fs, tau_c_fs, mu")
 
     if has_p:
-        p = pick("p")
+        p, delay = pick("p"), None
     else:
         delay = (pick("tau_fs"), pick("tau_c_fs"), pick("mu"))
     if has_ratio:
@@ -191,10 +193,9 @@ def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
         t, r = pick("T"), pick("R")
 
     # The physics constructors validate the values; their errors get the path.
-    temporal = None
     try:
-        if not has_p:
-            temporal, p = decoherence_from_delay(*delay)
+        if delay is not None:
+            p = decoherence_from_delay(*delay)
             log.info("derived p=%.6g from tau=%g fs, tau_c=%g fs, mu=%g", p, *delay)
         if has_ratio:
             fp = FilterParams.from_ratio(ratio, theta1=theta1, theta2=theta2, p=p, scale=scale)
@@ -203,7 +204,7 @@ def read_params(path: str) -> tuple[FilterParams, TemporalState | None]:
             fp = FilterParams(T=t, R=r, theta1=theta1, theta2=theta2, p=p, scale=scale)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    return fp, temporal
+    return fp, delay
 
 
 def write_fit_report(path: str, payload: dict) -> None:

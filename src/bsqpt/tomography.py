@@ -38,6 +38,8 @@ _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 _KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 _KET_CIRC = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
+# numpy's Generator.poisson rejects a mean above this ("lam value too large").
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,9 @@ def simulate_counts(
     input products. With ``noise="poisson"`` each entry is replaced by a
     Poisson draw with that mean, reproducibly for a given seed; the
     default is the noiseless expected-rate table, which records no seed.
-    ``total_scale`` must be finite and positive.
+    ``total_scale`` must be finite and positive, and so must its product
+    with the largest rate; with Poisson noise that product must stay
+    within numpy's sampler limit.
     """
     if not (math.isfinite(total_scale) and total_scale > 0.0):
         raise ValueError(f"total_scale must be finite and positive, got {total_scale!r}")
@@ -135,8 +139,15 @@ def simulate_counts(
         raise ValueError(f"unknown noise mode {noise!r}")
     outputs = apply_kraus(channel, inputs.products).reshape(16, 16)
     # Tr(Pi rho) is the inner product of the flattened matrices when Pi is Hermitian.
-    rates = (outputs @ inputs.products.reshape(16, 16).conj().T).real
-    counts = total_scale * np.clip(rates, 0.0, None)
+    rates = np.clip((outputs @ inputs.products.reshape(16, 16).conj().T).real, 0.0, None)
+    # A Python float product overflows to inf without a numpy warning.
+    peak = total_scale * float(rates.max())
+    if not math.isfinite(peak):
+        raise ValueError(f"total_scale={total_scale!r} times the largest rate is not finite")
+    if noise == "poisson" and peak > _POISSON_MAX:
+        raise ValueError(f"total_scale={total_scale!r} gives a count above the Poisson "
+                         f"sampler's limit: {peak:.3g} > {_POISSON_MAX:.3g}")
+    counts = total_scale * rates
     if noise != "poisson":
         return CountTable(counts=counts, total_scale=total_scale)
     counts = np.random.default_rng(seed).poisson(counts).astype(float)

@@ -192,9 +192,9 @@ def test_criterion_7_hom_dip_visibility():
 
 def test_criterion_8_decoherence_calibration():
     mu, tau_c = 0.72, 83.0
-    _, p0 = decoherence_from_delay(0.0, tau_c, mu)
-    _, p100 = decoherence_from_delay(100.0, tau_c, mu)
-    _, p350 = decoherence_from_delay(350.0, tau_c, mu)
+    p0 = decoherence_from_delay(0.0, tau_c, mu)
+    p100 = decoherence_from_delay(100.0, tau_c, mu)
+    p350 = decoherence_from_delay(350.0, tau_c, mu)
     assert abs(p0 - 0.14) < 1e-12
     assert abs(p100 - 0.325) < 0.005
     assert p350 >= 0.499

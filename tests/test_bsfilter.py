@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from bsqpt import (
     BSOptics,
     FilterParams,
-    TemporalState,
     apply_kraus,
     apply_pt_model,
     bell_state,
@@ -162,34 +161,40 @@ class TestOpticsDerivation:
 
 class TestDecoherenceFromDelay:
     def test_zero_delay_perfect_match(self):
-        _, p = decoherence_from_delay(0.0, 83.0, mu=1.0)
+        p = decoherence_from_delay(0.0, 83.0, mu=1.0)
         assert p == 0.0
 
     def test_zero_delay_reference_mode_match(self):
-        _, p = decoherence_from_delay(0.0, 83.0, mu=0.72)
+        p = decoherence_from_delay(0.0, 83.0, mu=0.72)
         assert abs(p - 0.14) < 1e-12
 
     def test_calibrated_delays(self):
-        _, p100 = decoherence_from_delay(100.0, 83.0, mu=0.72)
+        p100 = decoherence_from_delay(100.0, 83.0, mu=0.72)
         assert abs(p100 - 0.325) < 0.005
-        _, p350 = decoherence_from_delay(350.0, 83.0, mu=0.72)
+        p350 = decoherence_from_delay(350.0, 83.0, mu=0.72)
         assert p350 >= 0.499
 
     def test_monotone_in_delay(self):
         taus = np.linspace(0, 400, 41)
-        ps = [decoherence_from_delay(t, 83.0, mu=0.9)[1] for t in taus]
+        ps = [decoherence_from_delay(t, 83.0, mu=0.9) for t in taus]
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
     def test_range(self):
         for tau in (0.0, 50.0, 1e6):
             for mu in (0.0, 0.5, 1.0):
-                state, p = decoherence_from_delay(tau, 83.0, mu=mu)
+                p = decoherence_from_delay(tau, 83.0, mu=mu)
                 assert (1 - mu) / 2 - 1e-12 <= p < 0.5 + 1e-12
-                assert abs(state.s) <= 1.0
 
     def test_overlap_invariant(self):
-        state, _ = decoherence_from_delay(120.0, 83.0, mu=0.72)
-        assert abs(abs(state.s) ** 2 - 0.72 * np.exp(-(120.0**2) / (2 * 83.0**2))) < 1e-12
+        p = decoherence_from_delay(120.0, 83.0, mu=0.72)
+        assert abs((1 - 2 * p) - 0.72 * np.exp(-(120.0**2) / (2 * 83.0**2))) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_array_matches_scalar_calls_and_saturates(self):
+        taus = np.concatenate([np.linspace(-400, 400, 161), [5e-324, 1e155, -1e200, 1.7e308]])
+        p = decoherence_from_delay(taus, 83.0, mu=0.72)
+        assert np.array_equal(p, [decoherence_from_delay(t, 83.0, mu=0.72) for t in taus])
+        assert np.all(p[-3:] == 0.5)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -244,8 +249,6 @@ class TestPolarizationTemporalModel:
         fp = FilterParams.from_ratio(1.0)
         with pytest.raises(ValueError):
             apply_pt_model(I4 / 4, 1.2, fp)
-        with pytest.raises(ValueError):
-            TemporalState(s=1.1)
 
 
 class TestHomDip:
@@ -277,7 +280,7 @@ class TestHomDip:
         for rho in (hv, random_density(np.random.default_rng(41))):
             curve = hom_dip(fp, grid, tau_c_fs=83.0, mu=1.0, rho=rho)
             for tau, rate in curve:
-                _, p = decoherence_from_delay(tau, 83.0, mu=1.0)
+                p = decoherence_from_delay(tau, 83.0, mu=1.0)
                 ks = kraus_pair(dataclasses.replace(fp, p=p))
                 assert abs(rate - np.trace(apply_kraus(ks, rho)).real) < 1e-13
 

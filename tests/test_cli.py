@@ -1,6 +1,7 @@
 """File formats and the command-line pipeline, including exit codes."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -113,10 +114,10 @@ class TestCountFile:
 
 class TestParamsFile:
     def test_ratio_form(self, tmp_path):
-        fp, temporal = fileio.read_params(write_params(tmp_path / "p.json"))
+        fp, delay = fileio.read_params(write_params(tmp_path / "p.json"))
         assert abs(fp.T - 1 / 1.76) < 1e-12
         assert abs(fp.R - 0.76 / 1.76) < 1e-12
-        assert temporal is None
+        assert delay is None
 
     def test_explicit_tr_form(self, tmp_path):
         path = write_params(tmp_path / "p.json", ratio_RT=None, T=0.6, R=0.4)
@@ -127,9 +128,9 @@ class TestParamsFile:
         path = write_params(
             tmp_path / "p.json", p=None, tau_fs=0.0, tau_c_fs=83.0, mu=0.72
         )
-        fp, temporal = fileio.read_params(path)
+        fp, delay = fileio.read_params(path)
         assert abs(fp.p - 0.14) < 1e-12
-        assert temporal.tau_c_fs == 83.0
+        assert delay == (0.0, 83.0, 0.72)
 
     def test_alias_keys(self, tmp_path):
         path = tmp_path / "p.json"
@@ -265,6 +266,23 @@ class TestCliPipeline:
         _, out = fileio.read_matrix(out_path)
         assert abs(np.trace(out)) < 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "choi"])
+    @pytest.mark.parametrize("tau_fs", [1e155, 1e200, 1.7e308])
+    def test_far_delay_saturates_at_half(self, tmp_path, caplog, command, tau_fs):
+        caplog.set_level(logging.INFO, logger="bsqpt")
+        params = write_params(tmp_path / "p.json", p=None, tau_fs=tau_fs, tau_c_fs=83.0, mu=0.72)
+        out = tmp_path / "out"
+        flag = "--counts-out" if command == "simulate" else "--out"
+        assert main([command, "--params", str(params), flag, str(out)]) == 0
+        assert "derived p=0.5 from" in caplog.text
+        if command == "simulate":
+            values = fileio.read_counts(out).counts
+        else:
+            payload = json.load(open(out))
+            values = np.array([payload["re"], payload["im"]])
+        assert np.all(np.isfinite(values))
+
     def test_homdip_curve(self, tmp_path):
         params = write_params(tmp_path / "params.json", p=None, tau_fs=0.0,
                               tau_c_fs=83.0, mu=0.72)
@@ -371,9 +389,14 @@ class TestCliErrors:
         assert f"error: {chi_path}: non-finite matrix entry" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tau_c_fs, mu, message", [
         (0.0, 0.72, "coherence time must be positive"),
         (83.0, 2.0, "mode-match factor must lie in [0, 1]"),
+        # A square that underflows to zero or overflows to infinity.
+        (1e-200, 0.72, "coherence time must be positive"),
+        (5e-324, 0.72, "coherence time must be positive"),
+        (1e200, 0.72, "coherence time must be positive"),
     ])
     def test_bad_delay_configuration_names_file_exit_2(self, tmp_path, capsys, tau_c_fs, mu,
                                                        message):
@@ -397,6 +420,33 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err == f"error: {params}: key {key!r} must be a finite number\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "choi"])
+    def test_overflowing_rate_bound_names_file_exit_2(self, tmp_path, capsys, command):
+        params = write_params(tmp_path / "p.json", scale=1e200)
+        out = tmp_path / "out"
+        flag = "--counts-out" if command == "simulate" else "--out"
+        assert main([command, "--params", str(params), flag, str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {params}: rate bound (scale*(T+R))^2 is not finite"
+        )
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, total_scale, noise, message", [
+        (1e150, "1e100", [], "times the largest rate is not finite"),
+        (1.0, "1e20", ["--noise", "poisson"], "above the Poisson sampler's limit"),
+    ], ids=["product", "poisson"])
+    def test_overflowing_total_scale_exit_2(self, tmp_path, capsys, scale, total_scale, noise,
+                                            message):
+        params = write_params(tmp_path / "p.json", scale=scale)
+        counts = tmp_path / "c.csv"
+        assert main(["simulate", "--params", str(params), "--counts-out", str(counts),
+                     "--total-scale", total_scale, *noise]) == 2
+        err = capsys.readouterr().err
+        assert f"error: total_scale={float(total_scale)!r} " in err and message in err
+        assert not counts.exists()
 
     def test_missing_key_names_file_once_exit_2(self, tmp_path, capsys):
         params = write_params(tmp_path / "p.json", ratio_RT=None, T=0.5)
@@ -496,6 +546,19 @@ class TestCliErrors:
                      f"--tau-max={tau_max}", "--steps", "5", "--out", str(out)]) == 2
         assert "need finite tau_min < tau_max" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_dip_range_saturates(self, tmp_path):
+        params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,
+                              tau_c_fs=83.0, mu=0.72)
+        out = tmp_path / "d.csv"
+        assert main(["homdip", "--params", str(params), "--tau-min", "1e200",
+                     "--tau-max", "2e200", "--steps", "5", "--out", str(out)]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=2)
+        assert rows.shape == (5, 2) and np.all(np.isfinite(rows))
+        # The HH closed form scale * (T^2 + R^2 - 2 T R mu exp(-tau^2/(2 tau_c^2))) at exp = 0.
+        fp, _ = fileio.read_params(params)
+        assert_allclose(rows[:, 1], fp.T**2 + fp.R**2, rtol=1e-14)
 
     def test_homdip_needs_temporal_form_exit_2(self, tmp_path):
         params = write_params(tmp_path / "p.json")
