@@ -1,8 +1,8 @@
 """Command-line front end for the filter tomography pipeline.
 
-Exit codes: 0 success, 2 input validation failure, 3 I/O failure,
-4 numerical non-convergence (the output file is still written). Every
-command is deterministic given its flags, including ``--seed``.
+Exit codes: 0 success, 2 input validation failure or a non-finite output,
+3 I/O failure, 4 numerical non-convergence (the output file is still
+written). Every command is deterministic given its flags, including ``--seed``.
 """
 
 from __future__ import annotations
@@ -48,19 +48,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_chi(path: str) -> ProcessMatrix:
-    basis, m = fileio.read_matrix(path)
-    if basis == fileio.STATE_TAG or m.shape != (16, 16):
-        raise FileFormatError(f"{path}: expected a 16x16 process matrix")
-    try:
-        return ProcessMatrix(basis, m)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-
-
 def _cmd_fit(args: argparse.Namespace) -> int:
     cfg = FitConfig(multistart=args.multistart, seed=args.seed, max_iterations=args.max_iter)
-    chi = _read_chi(args.chi)
+    chi = fileio.read_process_matrix(args.chi)
     result = fit(chi, cfg)
     fp = result.params
     payload = {
@@ -114,17 +104,12 @@ def _cmd_homdip(args: argparse.Namespace) -> int:
         raise FileFormatError("need finite tau_min < tau_max")
     grid = np.linspace(args.tau_min, args.tau_max, args.steps)
     _, tau_c_fs, mu = delay
-    curve = hom_dip(fp, grid, tau_c_fs, mu)
-    vis = hom_visibility(fp.T, fp.R, mu)
-    lines = [f"# visibility = {float(vis)!r}", "tau_fs,rate"]
-    lines += [f"{float(tau)!r},{float(rate)!r}" for tau, rate in curve]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fileio.write_dip(args.out, hom_dip(fp, grid, tau_c_fs, mu), hom_visibility(fp.T, fp.R, mu))
     return 0
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    chi = _read_chi(args.chi)
+    chi = fileio.read_process_matrix(args.chi)
     out = transform_process_matrix(chi, args.to)
     fileio.write_matrix(args.out, out.m, out.basis)
     return 0
@@ -138,7 +123,7 @@ def _cmd_choi(args: argparse.Namespace) -> int:
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
-    chi = _read_chi(args.chi)
+    chi = fileio.read_process_matrix(args.chi)
     tag, rho = fileio.read_matrix(args.state)
     if tag != fileio.STATE_TAG or rho.shape != (4, 4):
         raise FileFormatError(f"{args.state}: expected a 4x4 state matrix tagged 'state'")

@@ -1,10 +1,11 @@
-"""On-disk formats: JSON matrices and parameter files, CSV count tables.
+"""On-disk formats: JSON matrices, parameter files and fit reports, CSV count tables and dips.
 
 Matrices are stored with separate real and imaginary parts so the files
 stay human-diffable; floats pass through Python's shortest round-trip
 repr, which makes serialize/parse bit-exact for finite doubles and the
 byte output deterministic. Count tables are plain CSV with one row per
-(input, projector) pair; lines starting with ``#`` are comments.
+(input, projector) pair; lines starting with ``#`` are comments. A JSON
+file that would hold NaN or infinity is refused before it is opened.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .bases import BASIS_KINDS
 from .bsfilter import FilterParams, decoherence_from_delay
+from .channel import ProcessMatrix
 from .tomography import CountTable
 
 log = logging.getLogger("bsqpt")
@@ -28,17 +30,23 @@ class FileFormatError(ValueError):
     """Input file failed validation."""
 
 
+def _write_json(path: str, payload: dict) -> None:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: not written, it would hold NaN or infinity") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
 def write_matrix(path: str, m: np.ndarray, basis: str) -> None:
     m = np.asarray(m, dtype=complex)
-    payload = {
+    _write_json(path, {
         "dim": int(m.shape[0]),
         "basis": basis,
         "re": [[float(v) for v in row] for row in m.real],
         "im": [[float(v) for v in row] for row in m.imag],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    })
 
 
 def _read_text(path: str) -> str:
@@ -79,6 +87,16 @@ def read_matrix(path: str) -> tuple[str, np.ndarray]:
     if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise FileFormatError(f"{path}: non-finite matrix entry (NaN or infinity)")
     return basis, re + 1j * im
+
+
+def read_process_matrix(path: str) -> ProcessMatrix:
+    """Parse a process-matrix file: a 16x16 Hermitian matrix under an operator-basis tag."""
+    basis, m = read_matrix(path)
+    if basis == STATE_TAG or m.shape != (16, 16):
+        raise FileFormatError(f"{path}: expected a 16x16 process matrix")
+    if np.max(np.abs(m - m.conj().T)) > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
+        raise FileFormatError(f"{path}: process matrix is not Hermitian")
+    return ProcessMatrix(basis, m)
 
 
 def write_counts(path: str, table: CountTable) -> None:
@@ -208,6 +226,10 @@ def read_params(path: str) -> tuple[FilterParams, tuple[float, float, float] | N
 
 
 def write_fit_report(path: str, payload: dict) -> None:
+    _write_json(path, payload)
+
+
+def write_dip(path: str, curve: np.ndarray, visibility: float) -> None:
+    rows = "".join(f"{float(tau)!r},{float(rate)!r}\n" for tau, rate in curve)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(f"# visibility = {float(visibility)!r}\ntau_fs,rate\n{rows}")

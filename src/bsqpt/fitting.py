@@ -424,7 +424,7 @@ def _rank2_fidelity(v: np.ndarray, b: np.ndarray) -> float | None:
 
 
 def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
-    """Fit the filter model to a measured process matrix.
+    """Fit the filter model to the Hermitian part of a measured process matrix.
 
     Runs the bounded Levenberg-Marquardt descent (:func:`_descend`) from
     all ``cfg.multistart`` starting points (see :class:`FitConfig`) in

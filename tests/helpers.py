@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from bsqpt import KrausSet
+from bsqpt import FilterParams, KrausSet
 
 
 def random_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -31,6 +31,15 @@ def random_channel(rng: np.random.Generator, n_kraus: int | None = None) -> Krau
     top = float(np.linalg.eigvalsh(ks.total_effect())[-1])
     norm = np.sqrt(top * 1.01)
     return KrausSet([(w, k / norm) for w, k in items], physical=True)
+
+
+def random_filter(rng: np.random.Generator, p_range=(0.0, 0.5)) -> FilterParams:
+    """A filter with R/T in [1/e, e], any angles, p from ``p_range`` and scale in [0.5, 3]."""
+    return FilterParams.from_ratio(
+        float(np.exp(rng.uniform(-1.0, 1.0))), theta1=rng.uniform(-np.pi, np.pi),
+        theta2=rng.uniform(-np.pi, np.pi), p=rng.uniform(*p_range),
+        scale=rng.uniform(0.5, 3.0),
+    )
 
 
 def start_lane(start: tuple, k: int) -> tuple:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bsqpt import (
+    BASIS_KINDS,
     FilterParams,
     KrausSet,
     ProcessMatrix,
@@ -13,15 +14,21 @@ from bsqpt import (
     assemble_choi_from_map,
     bell_state,
     build_basis,
+    build_input_set,
     choi_from_kraus,
     kraus_from_process_matrix,
     kraus_pair,
     kron,
+    model_chi,
+    project_to_psd,
+    reconstruct_process,
+    simulate_counts,
+    transform_process_matrix,
 )
 from bsqpt.channel import from_coeff_vector, to_coeff_vector
 from bsqpt.linalg import SIGMA, dagger, matrix_unit, projector
 
-from helpers import random_channel, random_density, random_matrix
+from helpers import random_channel, random_density, random_filter, random_matrix
 
 I4 = np.eye(4, dtype=complex)
 STD = np.stack(build_basis("S").elements)
@@ -289,8 +296,30 @@ class TestMapTableValidation:
         with pytest.raises(ValueError):
             ProcessMatrix("S", np.eye(4))
 
-    def test_process_matrix_hermiticity(self):
-        m = np.zeros((16, 16), dtype=complex)
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError, match="Hermitian"):
-            ProcessMatrix("S", m)
+
+def assert_hermitian(m):
+    """The bound a process-matrix file is held to when it is read."""
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-8 * max(1.0, float(np.max(np.abs(m))))
+
+
+class TestBuiltProcessMatricesAreHermitian:
+    """``ProcessMatrix`` checks no Hermiticity, so every construction must give it."""
+
+    @pytest.mark.parametrize("noise", [None, "poisson"])
+    def test_every_built_chi_is_hermitian(self, noise):
+        rng = np.random.default_rng(31)
+        inputs = build_input_set()
+        channels = [random_channel(rng, n_kraus=rank) for rank in (1, 2, 3, 4) for _ in range(3)]
+        filters = [random_filter(rng) for _ in range(6)]
+        built = [choi_from_kraus(ks) for ks in channels]
+        built += [model_chi(fp, kind) for fp in filters for kind in BASIS_KINDS]
+        for seed, ks in enumerate(channels + [kraus_pair(fp) for fp in filters]):
+            counts = simulate_counts(ks, inputs, total_scale=1e4, noise=noise, seed=seed)
+            chi = reconstruct_process(counts, inputs)
+            built += [chi, ProcessMatrix("S", project_to_psd(chi.m))]
+        for chi in list(built):
+            for kind in ("B", "C", "F"):
+                there = transform_process_matrix(chi, kind)
+                built += [there, transform_process_matrix(there, "S")]
+        for chi in built:
+            assert_hermitian(chi.m)

@@ -36,6 +36,16 @@ def write_params(path, **overrides):
     return path
 
 
+def chi_argv(command, chi, out, tmp_path):
+    """Arguments of a command that reads ``--chi``; ``apply`` gets the maximally mixed state."""
+    extra = ["--to", "F"] if command == "transform" else []
+    if command == "apply":
+        rho = tmp_path / "mixed.json"
+        fileio.write_matrix(rho, np.eye(4) / 4, fileio.STATE_TAG)
+        extra = ["--state", str(rho)]
+    return [command, "--chi", str(chi), "--out", str(out), *extra]
+
+
 class TestMatrixFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -382,7 +392,9 @@ class TestCliErrors:
         chi = choi_from_kraus(kraus_pair(FilterParams.from_ratio(0.76, p=0.2))).m.copy()
         getattr(chi, part)[3, 5] = bad
         chi_path = tmp_path / "chi.json"
-        fileio.write_matrix(chi_path, chi, "S")
+        with open(chi_path, "w") as fh:  # write_matrix refuses non-finite entries
+            json.dump({"dim": 16, "basis": "S", "re": chi.real.tolist(),
+                       "im": chi.imag.tolist()}, fh)
         out = tmp_path / "out.json"
         extra = ["--to", "F"] if command == "transform" else []
         assert main([command, "--chi", str(chi_path), "--out", str(out), *extra]) == 2
@@ -453,7 +465,7 @@ class TestCliErrors:
         assert main(["choi", "--params", str(params), "--out", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == f"error: {params}: missing key 'R'\n"
 
-    @pytest.mark.parametrize("command", ["fit", "transform"])
+    @pytest.mark.parametrize("command", ["fit", "transform", "apply"])
     def test_slightly_non_hermitian_chi_names_file_exit_2(self, tmp_path, capsys, command):
         chi = choi_from_kraus(kraus_pair(FilterParams.from_ratio(0.76, p=0.2))).m
         skew = random_matrix(np.random.default_rng(17), dim=16)
@@ -463,9 +475,51 @@ class TestCliErrors:
         chi_path = tmp_path / "chi.json"
         fileio.write_matrix(chi_path, chi, "S")
         out = tmp_path / "out.json"
-        extra = ["--to", "F"] if command == "transform" else []
-        assert main([command, "--chi", str(chi_path), "--out", str(out), *extra]) == 2
+        assert main(chi_argv(command, chi_path, out, tmp_path)) == 2
         assert f"error: {chi_path}: process matrix is not Hermitian" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "transform", "apply"])
+    def test_state_file_as_chi_names_file_exit_2(self, tmp_path, capsys, command):
+        state = tmp_path / "state.json"
+        fileio.write_matrix(state, np.eye(4) / 4, fileio.STATE_TAG)
+        out = tmp_path / "out.json"
+        assert main(chi_argv(command, state, out, tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {state}: expected a 16x16 process matrix\n"
+        assert not out.exists()
+
+    def test_chi_file_as_state_names_file_exit_2(self, tmp_path, capsys):
+        chi = tmp_path / "chi.json"
+        fileio.write_matrix(chi, np.eye(16), "S")
+        out = tmp_path / "out.json"
+        assert main(["apply", "--chi", str(chi), "--state", str(chi), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {chi}: expected a 4x4 state matrix tagged 'state'\n"
+        assert not out.exists()
+
+    # The fit itself warns at these scales; the refusal on writing is under test here.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("diagonal", [1e-300, 1e160, 1e300])
+    def test_non_finite_fit_report_refused_exit_2(self, tmp_path, capsys, diagonal):
+        chi = tmp_path / "chi.json"
+        fileio.write_matrix(chi, diagonal * np.eye(16), "S")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--chi", str(chi), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: not written, it would hold NaN or infinity\n"
+        )
+        assert not out.exists()
+
+    def test_non_finite_apply_output_refused_exit_2(self, tmp_path, capsys):
+        chi, rho = tmp_path / "chi.json", tmp_path / "rho.json"
+        fp = FilterParams.from_ratio(0.76, p=0.2)
+        fileio.write_matrix(chi, 1e300 * choi_from_kraus(kraus_pair(fp)).m, "S")
+        fileio.write_matrix(rho, 1e300 * np.eye(4), fileio.STATE_TAG)
+        out = tmp_path / "out.json"
+        assert main(["apply", "--chi", str(chi), "--state", str(rho), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out}: not written, it would hold NaN or infinity\n"
+        )
         assert not out.exists()
 
     def test_io_failure_exit_3(self, tmp_path):
@@ -594,11 +648,13 @@ class TestConsoleInvocation:
         code = (
             "import sys\n"
             "from bsqpt import FitConfig, fitting\n"
-            "from bsqpt.cli import _read_chi, main\n"
+            "from bsqpt.cli import main\n"
+            "from bsqpt.fileio import read_process_matrix\n"
             f"assert main(['choi', '--params', {str(params)!r}, '--out', {str(chi)!r}]) == 0\n"
             f"assert main(['fit', '--chi', {str(chi)!r}, '--out', {str(report)!r},"
             " '--multistart', '4']) == 0\n"
-            f"assert fitting.fit(_read_chi({str(chi)!r}), FitConfig(multistart=4)).converged\n"
+            f"assert fitting.fit(read_process_matrix({str(chi)!r}),"
+            " FitConfig(multistart=4)).converged\n"
             "print('scipy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -35,7 +35,9 @@ from bsqpt.fitting import (
     canonicalize,
 )
 
-from helpers import fail_best_start, random_hermitian, set_lane, start_lane, untouched
+from helpers import (
+    fail_best_start, random_filter, random_hermitian, set_lane, start_lane, untouched,
+)
 
 I4 = np.eye(4, dtype=complex)
 
@@ -43,14 +45,6 @@ I4 = np.eye(4, dtype=complex)
 def paper_filter(p, scale=1.0):
     return FilterParams.from_ratio(
         0.76, theta1=0.41 * np.pi, theta2=0.076 * np.pi, p=p, scale=scale
-    )
-
-
-def random_filter(rng, p_range=(0.0, 0.5)):
-    return FilterParams.from_ratio(
-        float(np.exp(rng.uniform(-1.0, 1.0))), theta1=rng.uniform(-np.pi, np.pi),
-        theta2=rng.uniform(-np.pi, np.pi), p=rng.uniform(*p_range),
-        scale=rng.uniform(0.5, 3.0),
     )
 
 
