@@ -7,8 +7,12 @@ output onto the same 16 product states. Both directions are fixed linear
 maps, built once by :func:`build_input_set` from one inversion of the
 single-qubit frame:
 
-* simulation applies the channel to the stacked inputs in one operation
-  and reads all 256 expectations ``Tr(Pi_m E(rho_n))`` in one product;
+* simulation works on amplitudes. Inputs and projectors are the same
+  pure product kets ``|psi_n>`` (``InputStateSet.kets``), so the expected
+  rate ``Tr(Pi_m E(rho_n))`` is ``sum_i w_i |<psi_m|K_i|psi_n>|^2``. One
+  stacked product ``kets @ K_i^T @ kets^dag`` gives every amplitude of every
+  Kraus operator, and the weighted sum of their squared moduli gives all
+  256 rates, which are nonnegative by construction;
 * reconstruction is two 16x16 matrix products. The dual frame ``D_m`` of
   the products is biorthogonal to them, ``Tr(Pi_m D_n) = delta_mn``, so
   it gives both factors: the decomposition coefficients
@@ -31,13 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, ProcessMatrix, apply_kraus, assemble_choi_from_map, to_coeff_vector
+from .channel import KrausSet, ProcessMatrix, assemble_choi_from_map, to_coeff_vector
 from .linalg import projector
 
-_KET0 = np.array([1.0, 0.0], dtype=complex)
-_KET1 = np.array([0.0, 1.0], dtype=complex)
-_KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-_KET_CIRC = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
+_KETS = np.stack([
+    np.array([1.0, 0.0], dtype=complex),
+    np.array([0.0, 1.0], dtype=complex),
+    np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+])
 # numpy's Generator.poisson rejects a mean above this ("lam value too large").
 _POISSON_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
@@ -47,7 +53,10 @@ class InputStateSet:
     """The four single-qubit preparation states, their 16 products and the inversion maps.
 
     ``products[4*i + j] = singles[i] (x) singles[j]``; the same products
-    serve as the measurement projectors. The products are linearly
+    serve as the measurement projectors. Each product is pure, and
+    ``kets`` (shape ``(16, 4)``) holds the product kets, with
+    ``|kets[n]><kets[n]| = products[n]``, so simulation can work on
+    amplitudes. The products are linearly
     independent; ``gram_condition`` reports the condition number of their
     Gram matrix as a health figure for the inversion. ``duals[m]`` is the
     dual-frame operator of projector ``m``, so any two-qubit operator
@@ -60,6 +69,7 @@ class InputStateSet:
 
     singles: np.ndarray
     products: np.ndarray
+    kets: np.ndarray
     gram_condition: float
     coeffs: np.ndarray
     duals: np.ndarray
@@ -96,8 +106,9 @@ def _single_qubit_duals(singles: np.ndarray) -> np.ndarray:
 
 def build_input_set() -> InputStateSet:
     """The standard four-state preparation set, its products and inversion maps."""
-    singles = np.stack([projector(k) for k in (_KET0, _KET1, _KET_PLUS, _KET_CIRC)])
+    singles = np.stack([projector(k) for k in _KETS])
     products = _pairs(singles)
+    kets = np.einsum("ia,jb->ijab", _KETS, _KETS).reshape(16, 4)
     flat = products.reshape(16, 16)
     gram = flat.conj() @ flat.T
     cond = float(np.linalg.cond(gram))
@@ -108,11 +119,10 @@ def build_input_set() -> InputStateSet:
     coeffs = to_coeff_vector(duals).conj().T
     if np.max(np.abs(coeffs @ to_coeff_vector(products) - np.eye(16))) > 1e-12:
         raise ValueError("input set failed to reproduce the standard elements")
-    for a in (singles, products, coeffs, duals):
+    for a in (singles, products, kets, coeffs, duals):
         a.setflags(write=False)
-    return InputStateSet(
-        singles=singles, products=products, gram_condition=cond, coeffs=coeffs, duals=duals
-    )
+    return InputStateSet(singles=singles, products=products, kets=kets, gram_condition=cond,
+                         coeffs=coeffs, duals=duals)
 
 
 def simulate_counts(
@@ -125,10 +135,12 @@ def simulate_counts(
     """Simulate the coincidence record of the measurement protocol.
 
     Expected rate for input n and projector m is
-    ``total_scale * Tr(Pi_m E(rho_n))``, with the projectors equal to the
-    input products. With ``noise="poisson"`` each entry is replaced by a
-    Poisson draw with that mean, reproducibly for a given seed; the
-    default is the noiseless expected-rate table, which records no seed.
+    ``total_scale * Tr(Pi_m E(rho_n)) = total_scale * sum_i w_i
+    |<psi_m|K_i|psi_n>|^2``, with the projectors equal to the input
+    products; a channel with no Kraus operators gives all zeros. With
+    ``noise="poisson"`` each entry is replaced by a Poisson draw with that
+    mean, reproducibly for a given seed; the default is the noiseless
+    expected-rate table, which records no seed.
     ``total_scale`` must be finite and positive, and so must its product
     with the largest rate; with Poisson noise that product must stay
     within numpy's sampler limit.
@@ -137,9 +149,12 @@ def simulate_counts(
         raise ValueError(f"total_scale must be finite and positive, got {total_scale!r}")
     if noise not in (None, "poisson"):
         raise ValueError(f"unknown noise mode {noise!r}")
-    outputs = apply_kraus(channel, inputs.products).reshape(16, 16)
-    # Tr(Pi rho) is the inner product of the flattened matrices when Pi is Hermitian.
-    rates = np.clip((outputs @ inputs.products.reshape(16, 16).conj().T).real, 0.0, None)
+    # np.array, not np.stack, so that an empty Kraus set gives shape (0, 4, 4).
+    weights = np.array([w for w, _ in channel.items])
+    ops = np.array([k for _, k in channel.items]).reshape(-1, 4, 4)
+    # amp[i, n, m] = <psi_m|K_i|psi_n>
+    amp = inputs.kets @ ops.swapaxes(1, 2) @ inputs.kets.conj().T
+    rates = (weights @ (amp.real**2 + amp.imag**2).reshape(-1, 256)).reshape(16, 16)
     # A Python float product overflows to inf without a numpy warning.
     peak = total_scale * float(rates.max())
     if not math.isfinite(peak):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from bsqpt import (
     FilterParams,
     KrausSet,
+    apply_kraus,
     build_basis,
     build_input_set,
     choi_from_kraus,
@@ -16,9 +17,25 @@ from bsqpt import (
 )
 from bsqpt.tomography import CountTable
 
-from helpers import random_channel
+from helpers import random_channel, random_filter
 
 I4 = np.eye(4, dtype=complex)
+REFERENCE = FilterParams.from_ratio(0.76, theta1=0.41 * np.pi, theta2=0.076 * np.pi, p=0.325)
+
+
+def rates_from_density_matrices(ks: KrausSet, inputs) -> np.ndarray:
+    """``Tr(Pi_m E(rho_n))`` through the channel's action on the input density matrices."""
+    outputs = apply_kraus(ks, inputs.products).reshape(16, 16)
+    return np.clip((outputs @ inputs.products.reshape(16, 16).conj().T).real, 0.0, None)
+
+
+def mixed_channels(seed: int, count: int) -> list[KrausSet]:
+    """``count`` channels, random filters alternating with random channels of rank 1 to 4,
+    then the reference filter."""
+    rng = np.random.default_rng(seed)
+    channels = [random_channel(rng, n_kraus=t // 2 % 4 + 1) if t % 2
+                else kraus_pair(random_filter(rng)) for t in range(count)]
+    return channels + [kraus_pair(REFERENCE)]
 
 
 class TestInputSet:
@@ -47,6 +64,13 @@ class TestInputSet:
         inputs = build_input_set()
         assert np.isfinite(inputs.gram_condition)
         assert inputs.gram_condition < 1e6
+
+    def test_kets_reproduce_products(self):
+        inputs = build_input_set()
+        assert inputs.kets.shape == (16, 4)
+        assert not inputs.kets.flags.writeable
+        outer = np.einsum("na,nb->nab", inputs.kets, inputs.kets.conj())
+        assert_allclose(outer, inputs.products, atol=1e-15)
 
     def test_products_and_duals_biorthogonal(self):
         inputs = build_input_set()
@@ -125,6 +149,40 @@ class TestSimulateCounts:
     def test_non_finite_total_scale(self, scale):
         with pytest.raises(ValueError, match="finite and positive"):
             simulate_counts(KrausSet([(1.0, I4)]), build_input_set(), total_scale=scale)
+
+    @pytest.mark.parametrize("noise", [None, "poisson"])
+    def test_empty_kraus_set_gives_zero_table(self, noise):
+        ct = simulate_counts(KrausSet([]), build_input_set(), total_scale=1e4, noise=noise, seed=1)
+        assert np.array_equal(ct.counts, np.zeros((16, 16)))
+
+
+class TestAmplitudeRates:
+    """The amplitude form of the rates against the density-matrix route it replaced."""
+
+    def test_rates_match_density_matrix_route(self):
+        # Each rate sums at most four |amp|^2 terms, each amplitude 16 products, so
+        # 1e-14 (about 45 eps) of the table maximum leaves room; the worst seen over
+        # 3000 such channels was 6.2e-16.
+        inputs = build_input_set()
+        for ks in mixed_channels(41, 60):
+            want = rates_from_density_matrices(ks, inputs)
+            got = simulate_counts(ks, inputs).counts
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+    def test_noiseless_counts_nonnegative(self):
+        inputs = build_input_set()
+        for ks in mixed_channels(42, 60):
+            assert np.all(simulate_counts(ks, inputs, total_scale=1e4).counts >= 0.0)
+
+    def test_poisson_tables_equal_density_matrix_route(self):
+        # 21 channels x seeds 0-9 at 1e4 counts: the same draws from either form of the rates.
+        inputs = build_input_set()
+        for ks in mixed_channels(43, 20):
+            means = 1e4 * rates_from_density_matrices(ks, inputs)
+            for seed in range(10):
+                want = np.random.default_rng(seed).poisson(means)
+                got = simulate_counts(ks, inputs, total_scale=1e4, noise="poisson", seed=seed)
+                assert np.array_equal(got.counts, want)
 
 
 class TestReconstructProcess:
