@@ -49,8 +49,9 @@ class FilterParams:
 
     ``T`` and ``R`` are intensity coefficients (a lossless splitter has
     T + R = 1, which :meth:`from_ratio` enforces), ``theta1``/``theta2``
-    the reflection phase angles in radians, ``p`` the degree of
-    decoherence and ``scale`` an overall rate factor. theta1 and theta2
+    the reflection phase angles in radians and ``p`` the degree of
+    decoherence. ``scale`` multiplies both filter operators, so every rate
+    and every process matrix carries ``scale**2``. theta1 and theta2
     are independent even though the ideal optics forces them equal; a
     real splitter need not cooperate, so the fit model keeps both.
     """
@@ -66,6 +67,8 @@ class FilterParams:
         lo, hi = P_RANGE
         if not lo - 1e-12 <= self.p <= hi + 1e-12:
             raise ValueError(f"decoherence degree p={self.p} outside [{lo}, {hi}]")
+        # Clamped within the tolerance, so both mixture weights are nonnegative.
+        object.__setattr__(self, "p", min(max(self.p, lo), hi))
         if self.T <= 0.0:
             raise ValueError("transmission must be positive")
         if self.R < 0.0:
@@ -134,8 +137,9 @@ def u3(theta1: float, theta2: float) -> np.ndarray:
 def filter_operators(t: float, r: float, theta1: float, theta2: float) -> np.ndarray:
     """The unit-scale filter operators ``P-/+ = t I -/+ r U3(theta1, theta2) SWAP``.
 
-    Returned stacked as a ``(2, 4, 4)`` array, ``P-`` first. Both
-    :func:`kraus_pair` and the model fit build the operators here.
+    Returned stacked as a ``(2, 4, 4)`` array, ``P-`` first. Every model
+    output (:func:`kraus_pair`, :func:`hom_dip`, the model process matrix and
+    the fit) builds the operators here and multiplies them by ``scale`` once.
     """
     return t * _I4 + _SIGNS * (r * (u3(theta1, theta2) @ SWAP))
 
@@ -244,21 +248,22 @@ def hom_dip(
     """Coincidence rate versus path delay, the two-photon interference dip.
 
     Returns an array of ``(tau_fs, rate)`` rows with
-    ``rate = scale * trace(E_p(tau)(rho))``; the rate factor enters
-    linearly, the channel itself is evaluated at unit scale. For the
+    ``rate = trace(E_p(tau)(rho))``, the channel's operators scaled as in
+    :func:`kraus_pair`, so the rate carries ``scale**2``. For the
     both-horizontal input the closed form is
-    ``scale * (T^2 + R^2 - 2 T R mu exp(-tau^2/(2 tau_c^2)))`` when
+    ``scale^2 (T^2 + R^2 - 2 T R mu exp(-tau^2/(2 tau_c^2)))`` when
     theta1 = theta2.
     """
     if rho is None:
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
     # The channel is affine in p: map rho through P- and P+ once, then mix the diagonals.
-    minus, plus = (k @ rho @ dagger(k) for k in filter_operators(fp.T, fp.R, fp.theta1, fp.theta2))
+    ops = fp.scale * filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
+    minus, plus = (k @ rho @ dagger(k) for k in ops)
     tau = np.asarray(tau_grid_fs, dtype=float)
     p = decoherence_from_delay(tau, tau_c_fs, mu)[:, None]
     mixed = (1.0 - p) * minus.diagonal() + p * plus.diagonal()
-    return np.column_stack([tau, fp.scale * mixed.sum(axis=1).real])
+    return np.column_stack([tau, mixed.sum(axis=1).real])
 
 
 def hom_visibility(t: float, r: float, mu: float = 1.0) -> float:

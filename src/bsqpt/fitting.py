@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bases import STANDARD, build_basis
-from .bsfilter import P_RANGE, FilterParams, filter_operators, kraus_pair, u3
-from .channel import ProcessMatrix, choi_from_kraus, to_coeff_vector, transform_process_matrix
+from .bsfilter import P_RANGE, FilterParams, filter_operators, u3
+from .channel import ProcessMatrix, to_coeff_vector, transform_process_matrix
 from .linalg import SWAP, dagger, project_to_psd
 
 # The filter operators P-/+ = t I -/+ r U3 SWAP, with U3 diagonal, have
@@ -137,8 +137,22 @@ class FitResult:
 
 
 def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
-    """Process matrix of the filter model in the requested basis (rank <= 2)."""
-    return transform_process_matrix(choi_from_kraus(kraus_pair(fp)), basis_kind)
+    """Process matrix ``V V^+`` of the filter model in the requested basis (rank <= 2)."""
+    v = _factor(fp, basis_kind)
+    return ProcessMatrix(basis_kind, v @ dagger(v))
+
+
+def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
+    """The ``(16, 2)`` factor ``V`` of the model, ``model_chi(fp, basis_kind) = V V^+``.
+
+    Its columns are the coefficient vectors of the weighted Kraus operators
+    ``scale sqrt(1-p) P-`` and ``scale sqrt(p) P+`` in the requested basis.
+    """
+    ops = filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
+    v = to_coeff_vector(ops).T * (fp.scale * np.sqrt([1.0 - fp.p, fp.p]))
+    if basis_kind == STANDARD:
+        return v
+    return dagger(build_basis(basis_kind).u_matrix) @ v
 
 
 def _as_real(z: np.ndarray) -> np.ndarray:
@@ -206,7 +220,7 @@ def canonicalize(fp: FilterParams) -> FilterParams:
 
     t1, n1 = fold(fp.theta1)
     t2, n2 = fold(fp.theta2)
-    p_lo, p_hi = P_RANGE
+    p_hi = P_RANGE[1]
     p = fp.p
     if (n1 + n2) % 2 == 1:
         if 1.0 - p <= p_hi + 1e-12:
@@ -216,7 +230,6 @@ def canonicalize(fp: FilterParams) -> FilterParams:
             t1 += 2.0 * math.pi * (1 if n1 > 0 else -1)
         else:
             t2 += 2.0 * math.pi * (1 if n2 > 0 else -1)
-    p = float(min(max(p, p_lo), p_hi))
     return FilterParams(T=fp.T, R=fp.R, theta1=t1, theta2=t2, p=p, scale=fp.scale)
 
 
@@ -289,15 +302,7 @@ def _params(x: np.ndarray) -> FilterParams:
     The solver keeps its points inside the search box, so p needs no clamp.
     """
     p, ratio, theta1, theta2 = (float(v) for v in x)
-    return canonicalize(
-        FilterParams(
-            T=1.0 / (1.0 + ratio),
-            R=ratio / (1.0 + ratio),
-            theta1=theta1,
-            theta2=theta2,
-            p=p,
-        )
-    )
+    return canonicalize(FilterParams.from_ratio(ratio, theta1, theta2, p))
 
 
 def _descend(fun, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
@@ -349,7 +354,8 @@ def _descend(fun, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
         diag = gram.diagonal(axis1=1, axis2=2)
         scale = np.maximum(scale, diag)
         frozen = (scale <= 0.0) | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
-        small = np.abs(g) <= tol * np.sqrt(cost[:, None] * diag)
+        # Rooted apart: the product overflows once |chi| passes about 1e75.
+        small = np.abs(g) <= tol * (np.sqrt(cost)[:, None] * np.sqrt(diag))
         done |= np.logical_and.reduce(small | frozen, axis=1)
         stop = done | (evals >= max_evals)
         if stop.any():
@@ -391,19 +397,6 @@ def _descend(fun, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * clamped - 1.0) ** 3)
         mu = mu * np.where(moved, shrink, nu)
         nu = np.where(moved, 2.0, 2.0 * nu)
-
-
-def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
-    """The ``(16, 2)`` factor ``V`` of the model, ``model_chi(fp, basis_kind) = V V^+``.
-
-    Its columns are the coefficient vectors of the weighted Kraus operators
-    ``scale sqrt(1-p) P-`` and ``scale sqrt(p) P+`` in the requested basis.
-    """
-    ops = filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
-    v = to_coeff_vector(ops).T * (fp.scale * np.sqrt([1.0 - fp.p, fp.p]))
-    if basis_kind == STANDARD:
-        return v
-    return dagger(build_basis(basis_kind).u_matrix) @ v
 
 
 def _rank2_fidelity(v: np.ndarray, b: np.ndarray) -> float | None:

@@ -1,6 +1,7 @@
 """Beamsplitter filter model: operators, optics derivation, temporal decoherence."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bsqpt import (
     kraus_pair,
     kraus_pair_from_optics,
     kron,
+    model_chi,
     u3,
 )
 from bsqpt.linalg import SIGMA, dagger, matrix_unit, projector
@@ -121,6 +123,15 @@ class TestKrausPair:
             FilterParams(T=-0.1, R=0.5)
         with pytest.raises(ValueError):
             FilterParams.from_ratio(-1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p, clamped", [(-1e-13, 0.0), (0.5 + 1e-13, 0.5)])
+    def test_p_within_tolerance_is_clamped(self, p, clamped):
+        # Both mixture weights stay nonnegative, so every route accepts the filter.
+        fp = FilterParams.from_ratio(0.76, p=p)
+        assert fp.p == clamped
+        assert [w for w, _ in kraus_pair(fp).items] == [1.0 - clamped, clamped]
+        assert np.isfinite(model_chi(fp).m).all()
 
 
 class TestOpticsDerivation:
@@ -262,7 +273,7 @@ class TestHomDip:
         mu, tau_c = 0.9, 83.0
         grid = np.linspace(-200, 200, 21)
         curve = hom_dip(fp, grid, tau_c_fs=tau_c, mu=mu)
-        expected = fp.scale * (
+        expected = fp.scale**2 * (
             fp.T**2 + fp.R**2 - 2 * fp.T * fp.R * mu * np.exp(-(grid**2) / (2 * tau_c**2))
         )
         assert_allclose(curve[:, 1], expected, atol=1e-12)
@@ -274,10 +285,12 @@ class TestHomDip:
         assert abs(vis - 0.9636) < 5e-4
 
     def test_distinguishable_polarizations_via_kraus_oracle(self):
-        fp = FilterParams.from_ratio(0.76)
         hv = matrix_unit(1, 1, dim=4)
         grid = np.linspace(-100, 100, 9)
-        for rho in (hv, random_density(np.random.default_rng(41))):
+        for fp, rho in itertools.product(
+            (FilterParams.from_ratio(0.76), FilterParams.from_ratio(0.76, scale=2.5)),
+            (hv, random_density(np.random.default_rng(41))),
+        ):
             curve = hom_dip(fp, grid, tau_c_fs=83.0, mu=1.0, rho=rho)
             for tau, rate in curve:
                 p = decoherence_from_delay(tau, 83.0, mu=1.0)
@@ -295,8 +308,6 @@ class TestHomDip:
 
 class TestFilterBasisDiagonalGrowth:
     def test_strictly_increasing_in_p(self):
-        from bsqpt import model_chi
-
         c = np.cos(0.41 * np.pi / 2) * np.cos(0.076 * np.pi / 2)
         values = []
         for p in (0.14, 0.325, 0.5):
