@@ -1,19 +1,19 @@
-"""Time ``bsqpt.fit`` and its model evaluations and print one JSON object.
+"""Time ``bsqpt.fit`` at its default 16 starts and its model evaluations; print one JSON object.
 
 Run from the repository root, pinned to one CPU with BLAS on one thread::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 taskset -c 0 \\
         env PYTHONPATH=src python scripts/bench_fit.py
 
-Each case is a set of Poisson records of the reference filter (R/T = 0.76,
+The case is a set of Poisson records of the reference filter (R/T = 0.76,
 theta1 = 0.41 pi, theta2 = 0.076 pi) at 1e4 counts, cycling p = 0.14,
 0.325, 0.5, reconstructed and moved to the F basis as the ``paper_fit``
 benchmark does. Every time is scaled to the reference machine speed by
 the benchmark's gauge (``perfbench/speed.py``), read just before and just
 after it, because a shared machine changes speed in phases of seconds to
 minutes. Each record is fitted ``REPEATS`` times and keeps its fastest
-scaled time, which sheds single preemptions. A case reports the median of
-those times over records, the mean evaluations per fit and the fit time
+scaled time, which sheds single preemptions. The case reports the median
+of those times over records, the mean evaluations per fit and the fit time
 per evaluation (the solver's own per-iteration work included).
 
 ``layers_us`` gives, on the first record and for a stack of k = 1, 4
@@ -26,41 +26,38 @@ and of one lockstep iteration of the descent: one damped solve and one
 over a 10-step descent with the convergence tests off (tolerance 0), the
 fastest of five scaled runs.
 
-``cli_fit`` gives the cold start of ``python -m bsqpt.cli fit`` on the
-noiseless reference matrix, one fresh process per run: the median scaled
-wall time of ``COLD_RUNS`` runs, and the largest resident set of any run.
+The benchmark (``perfbench/run.py``) times the rest of the fit. Its
+``paper_fit`` workload runs the 4-start fit (``multistart=4``,
+``max_iterations=500``, ``convergence_tol=1e-9``) and reports it, traced, as
+``fitting.fit.p50_ms``, ``fitting.evaluations`` and
+``fitting.us_per_evaluation``. Its ``cli_session`` workload reports the cold
+start of ``bsqpt fit`` as ``cli.fit.cold_ms`` and the largest resident set
+as ``peak_rss_mb``.
 """
 
 from __future__ import annotations
 
-import importlib.metadata
 import json
 import math
 import os
 import platform
-import resource
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
-from bsqpt.fitting import _BLOCK_IX, _LOWER, _OFF_BLOCK, _UPPER, _as_real, _descend, _evaluate
-from bsqpt.fitting import _starts
+from bsqpt.fitting import _LOWER, _UPPER, _descend, _evaluate, _kernel_inputs, _starts
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
 
 REPEATS = 5
-COLD_RUNS = 15
 STEPS = 10
 CASES = {
     # name: (records, FitConfig keywords)
-    "paper_fit_4_starts": (60, dict(multistart=4, max_iterations=500, convergence_tol=1e-9)),
     "default_16_starts": (15, {}),
 }
 
@@ -108,10 +105,7 @@ def run_case(n: int, kwargs: dict) -> dict:
 
 def layers() -> dict:
     chi = transform_process_matrix(records(1)[0], "S").m
-    chi = 0.5 * (chi + chi.conj().T)
-    target = _as_real(chi[_BLOCK_IX])
-    off = chi[_OFF_BLOCK].view(np.float64)
-    floor = float(off @ off)
+    target, floor = _kernel_inputs(0.5 * (chi + chi.conj().T))
     starts = np.array(_starts(FitConfig(multistart=19))[1:])
 
     def fun(x):
@@ -136,33 +130,6 @@ def layers() -> dict:
     return out
 
 
-def cli_fit() -> dict:
-    cli = [sys.executable, "-m", "bsqpt.cli"]
-    with tempfile.TemporaryDirectory() as tmp:
-        params, chi, out = (os.path.join(tmp, name) for name in ("p.json", "chi.json", "fit.json"))
-        with open(params, "w", encoding="utf-8") as fh:
-            json.dump({"ratio_RT": 0.76, "theta1": 0.41 * math.pi, "theta2": 0.076 * math.pi,
-                       "p": 0.325}, fh)
-        subprocess.run(cli + ["choi", "--params", params, "--basis", "F", "--out", chi],
-                       check=True, capture_output=True)
-        runs = [timed(lambda: subprocess.run(cli + ["fit", "--chi", chi, "--out", out],
-                                             check=True, capture_output=True))
-                for _ in range(COLD_RUNS)]
-    return {
-        "runs": COLD_RUNS,
-        "cold_ms": round(1e3 * statistics.median(runs), 1),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
-    }
-
-
-def scipy_version() -> str | None:
-    """The installed scipy version, if any: older versions of the fit import it."""
-    try:
-        return importlib.metadata.version("scipy")
-    except importlib.metadata.PackageNotFoundError:
-        return None
-
-
 def main() -> None:
     cpu = "unknown"
     if os.path.exists("/proc/cpuinfo"):
@@ -175,13 +142,11 @@ def main() -> None:
         "affinity": sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy_version(),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "repeats": REPEATS,
     }
     cases = {name: run_case(n, kwargs) for name, (n, kwargs) in CASES.items()}
-    json.dump({"machine": machine, "layers_us": layers(), "cases": cases, "cli_fit": cli_fit()},
-              sys.stdout, indent=1)
+    json.dump({"machine": machine, "layers_us": layers(), "cases": cases}, sys.stdout, indent=1)
     print()
 
 

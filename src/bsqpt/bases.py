@@ -15,7 +15,7 @@ Hilbert-Schmidt inner product ``Tr(A_dag B)``. Each basis carries the
 coefficients of element ``alpha`` in the standard basis; elements are
 always generated from their defining formulas and the unitarity of
 ``u_matrix`` is verified at construction time, so a transcription error
-cannot survive silently.
+cannot survive silently; :func:`to_coeff_vector` is that expansion.
 """
 
 from __future__ import annotations
@@ -48,6 +48,24 @@ def pauli_element(k: int) -> np.ndarray:
     return SIGMA[k] / np.sqrt(2.0)
 
 
+def to_coeff_vector(op: np.ndarray) -> np.ndarray:
+    """Expansion coefficients of a two-qubit operator in the standard basis.
+
+    Component ``[kl] = 4*k + l`` equals ``Tr((X_k (x) X_l)_dag K)``; for
+    matrix units this is a fixed reindexing of the operator's entries.
+    A stack of shape ``(..., 4, 4)`` maps to ``(..., 16)``.
+    """
+    op = np.asarray(op, dtype=complex)
+    lead = op.shape[:-2]
+    return op.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (16,))
+
+
+def from_coeff_vector(c: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_coeff_vector`."""
+    c = np.asarray(c, dtype=complex)
+    return c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+
+
 @dataclass(frozen=True)
 class OperatorBasis:
     """An ordered, Hilbert-Schmidt-orthonormal set of 16 two-qubit operators.
@@ -77,14 +95,12 @@ def _elements_for(kind: str) -> list[np.ndarray]:
 def build_basis(kind: str) -> OperatorBasis:
     """Construct one of the named bases, deriving its change-of-basis unitary.
 
-    The unitary is obtained by Hilbert-Schmidt projection onto the standard
-    elements; a failed unitarity check would indicate an internal
-    inconsistency and raises ``RuntimeError``.
+    Column ``alpha`` of the unitary is the :func:`to_coeff_vector` expansion
+    of element ``alpha``; a failed unitarity check would indicate an
+    internal inconsistency and raises ``RuntimeError``.
     """
     elements = _elements_for(kind)
-    # Tr(X_mu_dag A_alpha) is the sum over entries of conj(X_mu) * A_alpha.
-    std = np.reshape(_elements_for(STANDARD), (16, 16))
-    u = std.conj() @ np.reshape(elements, (16, 16)).T
+    u = to_coeff_vector(np.stack(elements)).T
     if np.max(np.abs(dagger(u) @ u - np.eye(16))) > 1e-12:
         raise RuntimeError(f"change-of-basis matrix for kind {kind!r} is not unitary")
     for e in elements:

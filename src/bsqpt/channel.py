@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import BASIS_KINDS, STANDARD, build_basis
+from .bases import BASIS_KINDS, STANDARD, build_basis, from_coeff_vector, to_coeff_vector
 from .linalg import dagger
 
 @dataclass
@@ -67,24 +67,6 @@ class ProcessMatrix:
         self.m = np.asarray(self.m, dtype=complex)
         if self.m.shape != (16, 16):
             raise ValueError(f"process matrix has shape {self.m.shape}, expected (16, 16)")
-
-
-def to_coeff_vector(op: np.ndarray) -> np.ndarray:
-    """Expansion coefficients of a two-qubit operator in the standard basis.
-
-    Component ``[kl] = 4*k + l`` equals ``Tr((X_k (x) X_l)_dag K)``; for
-    matrix units this is a fixed reindexing of the operator's entries.
-    A stack of shape ``(..., 4, 4)`` maps to ``(..., 16)``.
-    """
-    op = np.asarray(op, dtype=complex)
-    lead = op.shape[:-2]
-    return op.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (16,))
-
-
-def from_coeff_vector(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_coeff_vector`."""
-    c = np.asarray(c, dtype=complex)
-    return c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
 def apply_kraus(ks: KrausSet, rho: np.ndarray) -> np.ndarray:

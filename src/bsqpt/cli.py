@@ -8,6 +8,7 @@ written). Every command is deterministic given its flags, including ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -54,13 +55,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     result = fit(chi, cfg)
     fp = result.params
     payload = {
-        "T": fp.T,
-        "R": fp.R,
+        **dataclasses.asdict(fp),
         "ratio_RT": fp.ratio_rt,
-        "theta1": fp.theta1,
-        "theta2": fp.theta2,
-        "p": fp.p,
-        "scale": fp.scale,
         "residual": result.residual,
         "fidelity": result.fidelity,
         "n_evaluations": result.n_evaluations,

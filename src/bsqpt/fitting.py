@@ -37,9 +37,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bases import STANDARD, build_basis
+from .bases import STANDARD, build_basis, to_coeff_vector
 from .bsfilter import P_RANGE, FilterParams, filter_operators, u3
-from .channel import ProcessMatrix, to_coeff_vector, transform_process_matrix
+from .channel import ProcessMatrix, transform_process_matrix
 from .linalg import SWAP, dagger, project_to_psd
 
 # The filter operators P-/+ = t I -/+ r U3 SWAP, with U3 diagonal, have
@@ -158,6 +158,13 @@ def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
 def _as_real(z: np.ndarray) -> np.ndarray:
     """The 72 real and imaginary parts of each 6x6 block of a C-contiguous stack, interleaved."""
     return z.view(np.float64).reshape(z.shape[:-2] + (72,))
+
+
+def _kernel_inputs(chi_std: np.ndarray) -> tuple[np.ndarray, float]:
+    """The block ``target`` and off-block cost ``floor`` of a Hermitian S matrix for the kernel."""
+    # Summed directly, not as |chi|^2 - |block|^2, which can round below zero.
+    off = chi_std[_OFF_BLOCK].view(np.float64)
+    return _as_real(chi_std[_BLOCK_IX]), float(off @ off)
 
 
 def _evaluate(x: np.ndarray, target: np.ndarray, floor: float) -> tuple:
@@ -425,16 +432,18 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     are ranked by the norm of their canonicalized angles, norms that agree
     to the same relative 1e-9 counting as equal, and then by start order.
     Deterministic for a given seed. Non-convergence of the reported start is
-    signalled by ``converged=False`` on the result, never by an exception.
+    signalled by ``converged=False`` on the result, never by an exception; a
+    matrix whose squared Frobenius norm overflows raises ``ValueError``.
     """
     if cfg is None:
         cfg = FitConfig()
     chi_std = transform_process_matrix(chi_meas, "S").m
     chi_std = 0.5 * (chi_std + chi_std.conj().T)
-    target = _as_real(chi_std[_BLOCK_IX])
-    # Summed directly, not as |chi|^2 - |block|^2, which can round below zero.
-    off = chi_std[_OFF_BLOCK].view(np.float64)
-    floor = float(off @ off)
+    with np.errstate(over="ignore"):
+        target, floor = _kernel_inputs(chi_std)
+        if not math.isfinite(floor + target @ target):
+            raise ValueError(
+                "process matrix too large to fit: its squared Frobenius norm overflows")
 
     def evaluate(x: np.ndarray) -> tuple:
         return _evaluate(x, target, floor)

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, ProcessMatrix, assemble_choi_from_map, to_coeff_vector
+from .bases import to_coeff_vector
+from .channel import KrausSet, ProcessMatrix, assemble_choi_from_map
 from .linalg import projector
 
 _KETS = np.stack([

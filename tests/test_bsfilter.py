@@ -124,6 +124,15 @@ class TestKrausPair:
         with pytest.raises(ValueError):
             FilterParams.from_ratio(-1.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: FilterParams(T=0.5, R=-0.1), "reflection must be nonnegative"),
+        (lambda: FilterParams(T=0.5, R=0.5, scale=0.0), "scale must be positive"),
+        (lambda: BSOptics(T=0.0, R=1.0), "need T > 0 and R >= 0"),
+    ], ids=["negative_R", "zero_scale", "zero_T_optics"])
+    def test_parameter_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p, clamped", [(-1e-13, 0.0), (0.5 + 1e-13, 0.5)])
     def test_p_within_tolerance_is_clamped(self, p, clamped):

@@ -1,5 +1,7 @@
 """Channel representations: Kraus sets, process matrices, Choi assembly."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -288,6 +290,17 @@ class TestCrossRepresentationEquivalence:
 
 
 class TestMapTableValidation:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: KrausSet([(1.0, np.eye(3))]), "shape (3, 3), expected (4, 4)"),
+        (lambda: ProcessMatrix("X", np.eye(16)), "unknown basis tag 'X'"),
+        (lambda: apply_kraus(KrausSet([(1.0, I4)]), np.eye(2)), "expected (..., 4, 4)"),
+        (lambda: kraus_from_process_matrix(ProcessMatrix("F", np.eye(16))),
+         "expects a standard-basis process matrix"),
+    ], ids=["kraus_3x3", "unknown_tag", "state_2x2", "chi_not_standard"])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             assemble_choi_from_map(np.stack([np.eye(4)] * 15))

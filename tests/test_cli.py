@@ -18,6 +18,9 @@ from bsqpt.fileio import FileFormatError
 from helpers import fail_best_start, random_matrix
 
 PI = np.pi
+OVERFLOW_REFUSAL = "process matrix too large to fit: its squared Frobenius norm overflows"
+HEADER = "input_index,projector_index,count\n"
+EYE = np.eye(16).tolist()
 
 
 def write_params(path, **overrides):
@@ -178,6 +181,20 @@ class TestCliPipeline:
         assert abs(result["p"] - 0.325) < 1e-3
         assert result["converged"] is True
         assert "warning" not in result
+
+    def test_fit_report_keys(self, tmp_path):
+        # The README pipeline's report; a field added to FilterParams must not
+        # reach it unnoticed.
+        params = write_params(tmp_path / "params.json", scale=None)
+        counts, chi, report = tmp_path / "counts.csv", tmp_path / "chi.json", tmp_path / "fit.json"
+        assert main(["simulate", "--params", str(params), "--counts-out", str(counts)]) == 0
+        assert main(["reconstruct", "--counts", str(counts), "--basis", "F",
+                     "--out", str(chi)]) == 0
+        assert main(["fit", "--chi", str(chi), "--out", str(report)]) == 0
+        assert set(json.load(open(report))) == {
+            "T", "R", "ratio_RT", "theta1", "theta2", "p", "scale", "residual", "fidelity",
+            "n_evaluations", "converged",
+        }
 
     def test_simulate_deterministic_bytes(self, tmp_path):
         params = write_params(tmp_path / "params.json")
@@ -497,7 +514,8 @@ class TestCliErrors:
         assert err == f"error: {chi}: expected a 4x4 state matrix tagged 'state'\n"
         assert not out.exists()
 
-    # The fit itself warns at these scales; the refusal on writing is under test here.
+    # The fit itself warns at 1e-300, and the writer refuses its report; at the
+    # larger scales the squared norm overflows and the fit refuses the matrix.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("diagonal", [1e-300, 1e160, 1e300])
     def test_non_finite_fit_report_refused_exit_2(self, tmp_path, capsys, diagonal):
@@ -505,9 +523,49 @@ class TestCliErrors:
         fileio.write_matrix(chi, diagonal * np.eye(16), "S")
         out = tmp_path / "fit.json"
         assert main(["fit", "--chi", str(chi), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {out}: not written, it would hold NaN or infinity\n"
-        )
+        reason = (f"{out}: not written, it would hold NaN or infinity" if diagonal < 1.0
+                  else OVERFLOW_REFUSAL)
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
+    # The squared norm of this matrix overflows from 2**512 on.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exponent", [514, 515])
+    def test_fit_refuses_overflowing_squared_norm_exit_2(self, tmp_path, capsys, exponent):
+        fp = FilterParams.from_ratio(0.76, theta1=0.41 * PI, theta2=0.076 * PI, p=0.2)
+        chi = tmp_path / "chi.json"
+        fileio.write_matrix(chi, 2.0**exponent * choi_from_kraus(kraus_pair(fp)).m, "S")
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--chi", str(chi), "--out", str(out), "--multistart", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {OVERFLOW_REFUSAL}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("fit", "--chi", json.dumps({"dim": 16, "basis": "S", "re": EYE}), "missing key 'im'"),
+        ("fit", "--chi", json.dumps({"dim": 16, "basis": "S", "re": EYE, "im": [["a"] * 16] * 16}),
+         "matrix entries are not numbers"),
+        ("reconstruct", "--counts", "0,0,1.0\n", "missing or wrong header line"),
+        ("reconstruct", "--counts", HEADER + "0,0\n", "malformed row '0,0'"),
+        ("reconstruct", "--counts", HEADER + "0,0,x\n", "malformed row '0,0,x'"),
+        ("reconstruct", "--counts", HEADER + "16,0,1\n", "index pair (16, 0) out of range"),
+        ("simulate", "--params",
+         json.dumps({"ratio_RT": 0.76, "theta1": 0.1, "theta1_rad": 0.1, "theta2": 0.0, "p": 0.2}),
+         "duplicate keys ['theta1', 'theta1_rad']"),
+        ("simulate", "--params",
+         json.dumps({"ratio_RT": 0.76, "theta1": 0.0, "theta2": 0.0, "tau_fs": 100.0,
+                     "tau_c_fs": 83.0}),
+         "temporal form needs all of tau_fs, tau_c_fs, mu"),
+    ], ids=["matrix_no_im", "matrix_not_numbers", "counts_no_header", "counts_two_fields",
+            "counts_not_number", "counts_index_range", "params_duplicate_angle",
+            "params_temporal_no_mu"])
+    def test_malformed_input_file_names_path_exit_2(self, tmp_path, capsys, command, flag, text,
+                                                    message):
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        out = tmp_path / "out"
+        out_flag = "--counts-out" if command == "simulate" else "--out"
+        assert main([command, flag, str(bad), out_flag, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
     def test_non_finite_apply_output_refused_exit_2(self, tmp_path, capsys):

@@ -26,10 +26,9 @@ from bsqpt.fitting import (
     THETA_START_RANGE,
     _BLOCK_IX,
     _LOWER,
-    _OFF_BLOCK,
     _UPPER,
-    _as_real,
     _evaluate,
+    _kernel_inputs,
     _moment_starts,
     _params,
     _starts,
@@ -62,12 +61,6 @@ def poisson_chi(fp, total, seed):
 def distance(fp, chi):
     """Frobenius distance between the model at ``fp`` and a measured matrix, in its basis."""
     return np.linalg.norm(model_chi(fp, chi.basis).m - chi.m)
-
-
-def kernel_inputs(chi_std):
-    """The block target and off-block cost ``fit`` hands the kernel for a Hermitian S matrix."""
-    off = chi_std[_OFF_BLOCK].view(np.float64)
-    return _as_real(chi_std[_BLOCK_IX]), float(off @ off)
 
 
 def record_solver(monkeypatch):
@@ -656,7 +649,7 @@ class TestBlock:
             fp = random_filter(rng)
             unit = model_chi(dataclasses.replace(fp, scale=1.0)).m
             chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
-            target, floor = kernel_inputs(chi)
+            target, floor = _kernel_inputs(chi)
             r, cost, _, _, scale, _ = (part[0] for part in _evaluate(truth_x(fp)[None], target,
                                                                       floor))
             # The residual is block - alpha chi_1 at the kernel's scale alpha.
@@ -676,7 +669,7 @@ class TestModelCache:
         log = record_solver(monkeypatch)
         chi = poisson_chi(paper_filter(0.325), 1e4, seed=21)
         fit(chi, FitConfig(multistart=4, seed=21))
-        target, floor = kernel_inputs(0.5 * (chi.m + chi.m.conj().T))
+        target, floor = _kernel_inputs(0.5 * (chi.m + chi.m.conj().T))
         assert log["fun"]
         for x, got in log["fun"]:
             for part, alone in zip(got, _evaluate(x[None], target, floor), strict=True):
@@ -705,7 +698,7 @@ class TestEvaluate:
         # Every reduction runs per point: no sum crosses the points of a stack.
         rng = np.random.default_rng(31)
         chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
-        target, floor = kernel_inputs(chi)
+        target, floor = _kernel_inputs(chi)
         x = np.array(_starts(FitConfig(multistart=19, seed=31))[1:])
         stacked = _evaluate(x, target, floor)
         assert len(x) == 16
@@ -721,7 +714,7 @@ def paper_x(p):
 class TestJacobian:
     @staticmethod
     def assert_matches_central_differences(x, chi_std, h=1e-6):
-        target, floor = kernel_inputs(chi_std)
+        target, floor = _kernel_inputs(chi_std)
 
         def residual(point):
             return _evaluate(point[None], target, floor)[0][0]

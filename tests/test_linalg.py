@@ -97,6 +97,10 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             partial_trace(np.eye(4), (2, 3), keep=0)
 
+    def test_keep_out_of_range(self):
+        with pytest.raises(ValueError, match="keep must be 0"):
+            partial_trace(np.eye(4), (2, 2), keep=2)
+
 
 class TestPermutationOperator:
     def test_two_qubit_swap(self):

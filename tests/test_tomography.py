@@ -145,6 +145,10 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             CountTable(counts=-np.ones((16, 16)))
 
+    def test_count_table_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(16, 16\)"):
+            CountTable(counts=np.ones((4, 4)))
+
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
     def test_non_finite_total_scale(self, scale):
         with pytest.raises(ValueError, match="finite and positive"):
