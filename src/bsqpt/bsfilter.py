@@ -27,7 +27,6 @@ other in the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,10 +74,6 @@ class FilterParams:
             raise ValueError("reflection must be nonnegative")
         if self.scale <= 0.0:
             raise ValueError("scale must be positive")
-        # Bounds every rate; ``x * x`` overflows to inf where ``x**2`` would raise.
-        x = self.scale * (self.T + self.R)
-        if not math.isfinite(x * x):
-            raise ValueError(f"rate bound (scale*(T+R))^2 is not finite for scale={self.scale!r}")
 
     @classmethod
     def from_ratio(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import sys
 
 import numpy as np
@@ -63,7 +64,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "converged": result.converged,
     }
     warnings = []
-    meas_norm = float(np.linalg.norm(chi.m))
+    # Scaled inside hypot, so no square of an entry underflows or overflows.
+    meas_norm = math.hypot(*chi.m.view(np.float64).flat)
     if meas_norm > 0.0 and result.residual > 0.02 * meas_norm:
         warnings.append(
             "model mismatch: residual is "

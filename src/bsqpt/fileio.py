@@ -94,7 +94,7 @@ def read_process_matrix(path: str) -> ProcessMatrix:
     basis, m = read_matrix(path)
     if basis == STATE_TAG or m.shape != (16, 16):
         raise FileFormatError(f"{path}: expected a 16x16 process matrix")
-    if np.max(np.abs(m - m.conj().T)) > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
+    if np.max(np.abs(m - m.conj().T)) > 1e-8 * np.max(np.abs(m)):
         raise FileFormatError(f"{path}: process matrix is not Hermitian")
     return ProcessMatrix(basis, m)
 
@@ -222,6 +222,11 @@ def read_params(path: str) -> tuple[FilterParams, tuple[float, float, float] | N
             fp = FilterParams(T=t, R=r, theta1=theta1, theta2=theta2, p=p, scale=scale)
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    # Bounds every rate; ``x * x`` overflows to inf where ``x**2`` would raise.
+    x = fp.scale * (fp.T + fp.R)
+    if not math.isfinite(x * x):
+        raise FileFormatError(
+            f"{path}: rate bound (scale*(T+R))^2 is not finite for scale={fp.scale!r}")
     return fp, delay
 
 

@@ -26,8 +26,8 @@ matrix give the four parameters in closed form (:func:`_moment_starts`);
 the box midpoint and seeded uniform draws follow. Only p and R/T are
 boxed; the angles are periodic, so they are left free and folded by
 :func:`canonicalize` afterwards. The objective is the plain Frobenius
-distance on the unnormalized matrices, matching how the measured matrices
-are compared visually; no statistical weighting.
+distance on the unnormalized matrices, as they are compared visually, with no
+statistical weighting, computed at one magnitude (a power of two; see :func:`fit`).
 """
 
 from __future__ import annotations
@@ -361,7 +361,7 @@ def _descend(fun, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
         diag = gram.diagonal(axis1=1, axis2=2)
         scale = np.maximum(scale, diag)
         frozen = (scale <= 0.0) | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
-        # Rooted apart: the product overflows once |chi| passes about 1e75.
+        # Rooted apart: sqrt(cost * diag) would round, and so stop, differently.
         small = np.abs(g) <= tol * (np.sqrt(cost)[:, None] * np.sqrt(diag))
         done |= np.logical_and.reduce(small | frozen, axis=1)
         stop = done | (evals >= max_evals)
@@ -432,18 +432,24 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     are ranked by the norm of their canonicalized angles, norms that agree
     to the same relative 1e-9 counting as equal, and then by start order.
     Deterministic for a given seed. Non-convergence of the reported start is
-    signalled by ``converged=False`` on the result, never by an exception; a
-    matrix whose squared Frobenius norm overflows raises ``ValueError``.
+    signalled by ``converged=False`` on the result, never by an exception.
+    Everything runs on ``chi_meas 2^-e``, ``e`` even and the largest real or
+    imaginary part scaled into [1/4, 1): a power of two and its square root
+    scale exactly, so at any finite magnitude ``chi_meas 4^j`` gives the same
+    shape and evaluations, ``scale`` times ``2^j`` and the residuals times
+    ``4^j``. A residual too large for a float comes back infinite.
     """
     if cfg is None:
         cfg = FitConfig()
-    chi_std = transform_process_matrix(chi_meas, "S").m
+    # Scaled before the basis transform and the Hermitian part, which can
+    # overflow near the top of the float range; complex has no ldexp loop.
+    parts = np.ascontiguousarray(chi_meas.m).view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts)))[1])
+    e += e % 2
+    unit = ProcessMatrix(chi_meas.basis, np.ldexp(parts, -e).view(complex))
+    chi_std = transform_process_matrix(unit, "S").m
     chi_std = 0.5 * (chi_std + chi_std.conj().T)
-    with np.errstate(over="ignore"):
-        target, floor = _kernel_inputs(chi_std)
-        if not math.isfinite(floor + target @ target):
-            raise ValueError(
-                "process matrix too large to fit: its squared Frobenius norm overflows")
+    target, floor = _kernel_inputs(chi_std)
 
     def evaluate(x: np.ndarray) -> tuple:
         return _evaluate(x, target, floor)
@@ -466,14 +472,16 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
     )[0]
     params = replace(canon, scale=math.sqrt(max(alpha, 1e-300)))
-    v = _factor(params, chi_meas.basis)
+    v = _factor(params, unit.basis)
+    # Two Python-float factors: 2.0**e can overflow, and these give inf where numpy would warn.
+    half = 2.0 ** (e // 2)
 
     return FitResult(
-        params=params,
-        residual=float(np.linalg.norm(v @ dagger(v) - chi_meas.m)),
-        fidelity=_rank2_fidelity(v, project_to_psd(chi_meas.m)),
+        params=replace(params, scale=params.scale * half),
+        residual=float(np.linalg.norm(v @ dagger(v) - unit.m)) * half * half,
+        fidelity=_rank2_fidelity(v, project_to_psd(unit.m)),
         n_evaluations=int(evaluations.sum()),
         converged=converged,
-        start_residuals=np.sqrt(start[2]).tolist(),
+        start_residuals=[res * half * half for res in np.sqrt(start[2]).tolist()],
         best_start=best_start,
     )

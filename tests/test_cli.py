@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bsqpt import FilterParams, build_input_set, choi_from_kraus, kraus_pair, simulate_counts
+from bsqpt import reconstruct_process, transform_process_matrix
 from bsqpt import fileio
 from bsqpt.cli import main
 from bsqpt.fileio import FileFormatError
@@ -18,7 +19,6 @@ from bsqpt.fileio import FileFormatError
 from helpers import fail_best_start, random_matrix
 
 PI = np.pi
-OVERFLOW_REFUSAL = "process matrix too large to fit: its squared Frobenius norm overflows"
 HEADER = "input_index,projector_index,count\n"
 EYE = np.eye(16).tolist()
 
@@ -487,14 +487,15 @@ class TestCliErrors:
         chi = choi_from_kraus(kraus_pair(FilterParams.from_ratio(0.76, p=0.2))).m
         skew = random_matrix(np.random.default_rng(17), dim=16)
         skew = 0.5 * (skew - skew.conj().T)
-        # An anti-Hermitian part of 1e-7 relative to the largest entry.
+        # An anti-Hermitian part of 1e-7 relative to the largest entry, at any scale.
         chi = chi + 1e-7 * np.max(np.abs(chi)) * skew / np.max(np.abs(skew))
         chi_path = tmp_path / "chi.json"
-        fileio.write_matrix(chi_path, chi, "S")
         out = tmp_path / "out.json"
-        assert main(chi_argv(command, chi_path, out, tmp_path)) == 2
-        assert f"error: {chi_path}: process matrix is not Hermitian" in capsys.readouterr().err
-        assert not out.exists()
+        for scale in (1.0, 2.0**-40, 2.0**-700):
+            fileio.write_matrix(chi_path, scale * chi, "S")
+            assert main(chi_argv(command, chi_path, out, tmp_path)) == 2
+            assert f"error: {chi_path}: process matrix is not Hermitian" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fit", "transform", "apply"])
     def test_state_file_as_chi_names_file_exit_2(self, tmp_path, capsys, command):
@@ -514,31 +515,35 @@ class TestCliErrors:
         assert err == f"error: {chi}: expected a 4x4 state matrix tagged 'state'\n"
         assert not out.exists()
 
-    # The fit itself warns at 1e-300, and the writer refuses its report; at the
-    # larger scales the squared norm overflows and the fit refuses the matrix.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("diagonal", [1e-300, 1e160, 1e300])
-    def test_non_finite_fit_report_refused_exit_2(self, tmp_path, capsys, diagonal):
+    # The residual of a fit to the identity overflows at this scale.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_fit_report_refused_exit_2(self, tmp_path, capsys):
         chi = tmp_path / "chi.json"
-        fileio.write_matrix(chi, diagonal * np.eye(16), "S")
+        fileio.write_matrix(chi, 1e308 * np.eye(16), "S")
         out = tmp_path / "fit.json"
         assert main(["fit", "--chi", str(chi), "--out", str(out)]) == 2
-        reason = (f"{out}: not written, it would hold NaN or infinity" if diagonal < 1.0
-                  else OVERFLOW_REFUSAL)
-        assert capsys.readouterr().err == f"error: {reason}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {out}: not written, it would hold NaN or infinity\n"
         assert not out.exists()
 
-    # The squared norm of this matrix overflows from 2**512 on.
+    # The fit runs at one magnitude, so the top and the bottom of the float
+    # range take the same steps as a unit-scale matrix.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("exponent", [514, 515])
-    def test_fit_refuses_overflowing_squared_norm_exit_2(self, tmp_path, capsys, exponent):
+    @pytest.mark.parametrize("chi, factor", [
+        *(pytest.param("identity", d, id=f"identity-{d}") for d in (1e-300, 1e-200, 1e150, 1e160,
+                                                                     1e300)),
+        *(pytest.param("model", 2.0**k, id=f"model-2^{k}") for k in range(511, 516)),
+    ])
+    def test_fit_report_is_finite_at_any_magnitude(self, tmp_path, chi, factor):
         fp = FilterParams.from_ratio(0.76, theta1=0.41 * PI, theta2=0.076 * PI, p=0.2)
-        chi = tmp_path / "chi.json"
-        fileio.write_matrix(chi, 2.0**exponent * choi_from_kraus(kraus_pair(fp)).m, "S")
-        out = tmp_path / "fit.json"
-        assert main(["fit", "--chi", str(chi), "--out", str(out), "--multistart", "4"]) == 2
-        assert capsys.readouterr().err == f"error: {OVERFLOW_REFUSAL}\n"
-        assert not out.exists()
+        m = np.eye(16) if chi == "identity" else choi_from_kraus(kraus_pair(fp)).m
+        chi_path, out = tmp_path / "chi.json", tmp_path / "fit.json"
+        fileio.write_matrix(chi_path, factor * m, "S")
+        assert main(["fit", "--chi", str(chi_path), "--out", str(out), "--multistart", "4"]) == 0
+        report = json.load(open(out))
+        assert all(np.isfinite(v) for v in report.values() if isinstance(v, float))
+        assert report["converged"] is True
+        assert report["p"] == pytest.approx(0.25 if chi == "identity" else 0.2, abs=1e-12)
 
     @pytest.mark.parametrize("command, flag, text, message", [
         ("fit", "--chi", json.dumps({"dim": 16, "basis": "S", "re": EYE}), "missing key 'im'"),
@@ -637,6 +642,23 @@ class TestCliErrors:
         assert code == 0
         result = json.load(open(report))
         assert "warning" in result and "mismatch" in result["warning"]
+
+    # The residual and the matrix norm scale alike, and neither squares an entry
+    # on its own, so the mismatch share survives at either end of the range.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fit_warning_does_not_depend_on_scale(self, tmp_path):
+        fp = FilterParams.from_ratio(0.76, theta1=1.288053, theta2=0.238761, p=0.325)
+        inputs = build_input_set()
+        counts = simulate_counts(kraus_pair(fp), inputs, total_scale=1e4, noise="poisson", seed=1)
+        chi = transform_process_matrix(reconstruct_process(counts, inputs), "F").m
+        chi_path, report = tmp_path / "chi.json", tmp_path / "fit.json"
+        warnings = []
+        for k in (-1000, 0, 1000):
+            fileio.write_matrix(chi_path, 2.0**k * chi, "F")
+            assert main(["fit", "--chi", str(chi_path), "--out", str(report),
+                         "--multistart", "4"]) == 0
+            warnings.append(json.load(open(report))["warning"])
+        assert warnings == ["model mismatch: residual is 14.3% of the matrix norm"] * 3
 
     def test_bad_dip_range_exit_2(self, tmp_path):
         params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,

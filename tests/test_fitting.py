@@ -286,20 +286,30 @@ class TestFit:
         assert abs(res.params.scale - 50.0) / 50.0 < 1e-4
         assert abs(res.params.p - 0.325) < 1e-4
 
-    @pytest.mark.parametrize("power", [250, 400])
+    @pytest.mark.parametrize("power", [-1000, -600, 250, 400, 490, 498, 600, 1000,
+                                       -999, 251, 497, 1001])
     def test_large_matrices_descend_as_at_unit_scale(self, power):
-        # Scaling by a power of two is exact, so the descent must take the same
-        # steps; a projected-gradient test that overflows stops every start
-        # where it began.
+        # The fit scales the matrix by an even power of two, which is exact and
+        # has an exact square root, so an even power takes the same steps; an
+        # odd one shifts the unit matrix by one binade and moves only rounding.
         fp = FilterParams.from_ratio(0.76, theta1=1.288053, theta2=0.238761, p=0.325)
-        chi = transform_process_matrix(poisson_chi(fp, 1e4, 1), "F")
-        cfg = FitConfig(multistart=4)
-        base = fit(chi, cfg)
-        big = fit(ProcessMatrix("F", chi.m * 2.0**power), cfg)
-        assert big.converged
-        assert big.n_evaluations == base.n_evaluations
-        assert big.params.p == pytest.approx(base.params.p, rel=1e-12)
-        assert big.params.scale == pytest.approx(base.params.scale * 2.0 ** (power / 2), rel=1e-12)
+        poisson = transform_process_matrix(poisson_chi(fp, 1e4, 1), "F")
+        for chi, starts in ((poisson, 4), (poisson, 16), (model_chi(paper_filter(0.2)), 4)):
+            cfg = FitConfig(multistart=starts)
+            base = fit(chi, cfg)
+            big = fit(ProcessMatrix(chi.basis, chi.m * 2.0**power), cfg)
+            shape = [dataclasses.replace(r.params, scale=1.0) for r in (base, big)]
+            if power % 2:
+                for name in ("p", "T", "R", "theta1", "theta2"):
+                    got, want = (getattr(s, name) for s in shape[::-1])
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+                continue
+            assert shape[1] == shape[0]
+            for name in ("fidelity", "n_evaluations", "converged", "best_start"):
+                assert getattr(big, name) == getattr(base, name)
+            assert big.residual == base.residual * 2.0**power
+            assert big.start_residuals == [v * 2.0**power for v in base.start_residuals]
+            assert big.params.scale == base.params.scale * 2.0 ** (power // 2)
 
     def test_monotone_p_over_delay_conditions(self):
         fitted = []
@@ -669,7 +679,10 @@ class TestModelCache:
         log = record_solver(monkeypatch)
         chi = poisson_chi(paper_filter(0.325), 1e4, seed=21)
         fit(chi, FitConfig(multistart=4, seed=21))
-        target, floor = _kernel_inputs(0.5 * (chi.m + chi.m.conj().T))
+        # The fit runs on the matrix scaled by an even power of two into [1/4, 1).
+        e = int(np.frexp(np.max(np.abs(chi.m.view(np.float64))))[1])
+        unit = np.ldexp(chi.m.view(np.float64), -(e + e % 2)).view(complex)
+        target, floor = _kernel_inputs(0.5 * (unit + unit.conj().T))
         assert log["fun"]
         for x, got in log["fun"]:
             for part, alone in zip(got, _evaluate(x[None], target, floor), strict=True):
