@@ -1,4 +1,4 @@
-"""Time ``bsqpt.fit`` at its default 16 starts and its model evaluations; print one JSON object.
+"""Time ``bsqpt.fit``, its start grid and its model evaluations; print one JSON object.
 
 Run from the repository root, pinned to one CPU with BLAS on one thread::
 
@@ -12,23 +12,22 @@ benchmark does. Every time is scaled to the reference machine speed by
 the benchmark's gauge (``perfbench/speed.py``), read just before and just
 after it, because a shared machine changes speed in phases of seconds to
 minutes. Each record is fitted ``REPEATS`` times and keeps its fastest
-scaled time, which sheds single preemptions. The case reports the median
+scaled time, which sheds single preemptions. Each case reports the median
 of those times over records, the mean evaluations per fit and the fit time
-per evaluation (the solver's own per-iteration work included).
+per evaluation (the solver's own per-iteration work included): the 4-start
+fit of the benchmark's ``paper_fit`` workload (``multistart=4``,
+``max_iterations=500``, ``convergence_tol=1e-9``) and the default fit.
 
-``layers_us`` gives, on the first record and for a stack of k = 1, 4
-and 16 points (the first k of the 16 seeded uniform start points that
-``_starts`` draws for 19 starts at seed 0), the time of one
-``_evaluate`` call, which gives each point its residual, cost, normal
-equations and scale, the fastest of five scaled means over 500 calls;
-and of one lockstep iteration of the descent: one damped solve and one
-``_evaluate`` call for all k lanes plus the lanes' bookkeeping, the mean
-over a 10-step descent with the convergence tests off (tolerance 0), the
-fastest of five scaled runs.
+``layers_us`` gives, on the first record, the time of the start grid
+(``_grid_starts`` for 16 starts) and, for a stack of k = 1, 4 and 16 points
+(the first k of the fixed ``LANES``), of one ``_evaluate`` call, which
+gives each point its residual, cost, normal equations and scale, each the
+fastest of five scaled means over 500 calls; and of one lockstep iteration
+of the descent: one damped solve and one ``_evaluate`` call for all k lanes
+plus the lanes' bookkeeping, the mean over a 10-step descent with the
+convergence tests off (tolerance 0), the fastest of five scaled runs.
 
-The benchmark (``perfbench/run.py``) times the rest of the fit. Its
-``paper_fit`` workload runs the 4-start fit (``multistart=4``,
-``max_iterations=500``, ``convergence_tol=1e-9``) and reports it, traced, as
+The benchmark (``perfbench/run.py``) reports the 4-start fit, traced, as
 ``fitting.fit.p50_ms``, ``fitting.evaluations`` and
 ``fitting.us_per_evaluation``. Its ``cli_session`` workload reports the cold
 start of ``bsqpt fit`` as ``cli.fit.cold_ms`` and the largest resident set
@@ -49,7 +48,7 @@ import numpy as np
 
 from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
-from bsqpt.fitting import _LOWER, _UPPER, _descend, _evaluate, _kernel_inputs, _starts
+from bsqpt.fitting import _LOWER, _UPPER, _descend, _evaluate, _grid_starts, _kernel_inputs
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
@@ -58,8 +57,12 @@ REPEATS = 5
 STEPS = 10
 CASES = {
     # name: (records, FitConfig keywords)
+    "paper_fit_4_starts": (15, {"multistart": 4, "max_iterations": 500, "convergence_tol": 1e-9}),
     "default_16_starts": (15, {}),
 }
+# The layer lanes, fixed points (p, R/T, theta1, theta2) spread over the box.
+LANES = np.random.default_rng(0).uniform([0.0, 0.25, -math.pi, -math.pi],
+                                         [0.5, 4.0, math.pi, math.pi], (16, 4))
 
 
 def records(n: int) -> list:
@@ -89,10 +92,10 @@ def timed(f, number: int = 1) -> float:
 
 def run_case(n: int, kwargs: dict) -> dict:
     chis = records(n)
-    fit(chis[0], FitConfig(seed=0, **kwargs))  # warm-up
+    cfg = FitConfig(**kwargs)
+    fit(chis[0], cfg)  # warm-up
     times, evaluations = [], []
-    for k, chi in enumerate(chis):
-        cfg = FitConfig(seed=k, **kwargs)
+    for chi in chis:
         times.append(min(timed(lambda: fit(chi, cfg)) for _ in range(REPEATS)))
         evaluations.append(fit(chi, cfg).n_evaluations)
     return {
@@ -106,14 +109,14 @@ def run_case(n: int, kwargs: dict) -> dict:
 def layers() -> dict:
     chi = transform_process_matrix(records(1)[0], "S").m
     target, floor = _kernel_inputs(0.5 * (chi + chi.conj().T))
-    starts = np.array(_starts(FitConfig(multistart=19))[1:])
 
     def fun(x):
         return _evaluate(x, target, floor)
 
-    out = {}
+    out = {"grid": round(1e6 * min(timed(lambda: _grid_starts(target, floor, 16), number=500)
+                                   for _ in range(5)), 2)}
     for k in (1, 4, 16):
-        x = starts[:k]
+        x = LANES[:k]
         start = (x, *fun(x))
         calls = {
             "evaluate": (lambda: fun(x), 500),

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 input validation failure or a non-finite output,
 3 I/O failure, 4 numerical non-convergence (the output file is still
-written). Every command is deterministic given its flags, including ``--seed``.
+written). Every command is deterministic given its flags; ``fit --seed`` is
+accepted and has no effect, as the fit draws nothing at random.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--multistart", type=int, default=FitConfig.multistart)
-    p.add_argument("--seed", type=int, default=FitConfig.seed)
+    p.add_argument("--seed", type=int, default=FitConfig.seed, help="accepted; has no effect")
     p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations)
     p.set_defaults(func=_cmd_fit)
 

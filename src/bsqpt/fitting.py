@@ -20,11 +20,11 @@ matrix; the residual off the block is a constant that the cost adds. All
 starts descend in lockstep, in numpy alone: each iteration makes one call
 of the stacked kernel :func:`_evaluate`, which gives every running start's
 trial point its residual, cost, normal equations and scale at once, and
-each start's step is one 4x4 linear solve. The first starts are
-method-of-moments estimates: six standard-basis entries of the measured
-matrix give the four parameters in closed form (:func:`_moment_starts`);
-the box midpoint and seeded uniform draws follow. Only p and R/T are
-boxed; the angles are periodic, so they are left free and folded by
+each start's step is one 4x4 linear solve. The starts are the lowest minima,
+over an angle grid, of the residual left by the three linear coefficients
+the model has at fixed angles (:func:`_grid_starts`). Only p and R/T are
+boxed, p to [0, 1], whose halves mirror each other (:func:`_params`); the
+angles are periodic, so they are left free and folded by
 :func:`canonicalize` afterwards. The objective is the plain Frobenius
 distance on the unnormalized matrices, as they are compared visually, with no
 statistical weighting, computed at one magnitude (a power of two; see :func:`fit`).
@@ -51,14 +51,13 @@ _BLOCK = np.flatnonzero(to_coeff_vector(np.eye(4) + SWAP))
 _BLOCK_IX = np.ix_(_BLOCK, _BLOCK)
 _OFF_BLOCK = np.ones((16, 16), dtype=bool)
 _OFF_BLOCK[_BLOCK_IX] = False
-# _UNIT[j, k] is the coefficient index of the matrix unit |j><k|.
-_UNIT = to_coeff_vector(np.eye(16).reshape(16, 4, 4)).real.argmax(axis=1).reshape(4, 4)
 # U3 = diag(u) with u_j = +/- exp(i (theta1 d_1j + theta2 d_2j)) for the
 # fixed phase rates d_kj below, so U3 SWAP weighs each coefficient of SWAP by
-# the u_j of its row j: on the block, vec(U3 SWAP) = _SWAP_SIGNS
-# exp(i (theta1, theta2) @ _RATES), and dU3/dtheta_k = i diag(d_k) U3.
+# the u_j of its row j (the coefficients of the matrix of row indices): on the
+# block, vec(U3 SWAP) = _SWAP_SIGNS exp(i (theta1, theta2) @ _RATES), and
+# dU3/dtheta_k = i diag(d_k) U3.
 _D_THETA = 0.5 * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
-_RATES = _D_THETA[:, np.argsort(_UNIT, axis=None)[_BLOCK] // 4]
+_RATES = _D_THETA[:, to_coeff_vector(np.outer(range(4), np.ones(4)))[_BLOCK].real.astype(int)]
 _DPHASE = 1j * _RATES[:, None, :]
 _SWAP_SIGNS = to_coeff_vector(u3(0.0, 0.0) @ SWAP)[_BLOCK].real
 _VEC_I = to_coeff_vector(np.eye(4))[_BLOCK].real
@@ -68,29 +67,28 @@ _SIGNS = np.array([[-1.0], [1.0]])
 _W0, _W1 = np.array([1.0, 0.0]), np.array([-1.0, 1.0])
 _HALF_DW = 0.5 * _W1[:, None]
 
-# The search box, as closed intervals: p is boxed to its physical range
-# ``P_RANGE``, R/T to physically plausible splitters (1:4 through 4:1).
-# The angles are periodic, so the search leaves them free; seeded starts
-# draw them from ``THETA_START_RANGE``.
+# The search box, as closed intervals: R/T is boxed to physically plausible
+# splitters (1:4 through 4:1), p to [0, 1], which holds its physical range
+# ``P_RANGE`` and that range's mirror image (see :func:`_params`). The angles
+# are periodic, so the search leaves them free.
 RATIO_BOUNDS = (0.25, 4.0)
-THETA_START_RANGE = (-math.pi, math.pi)
-_LOWER = np.array([P_RANGE[0], RATIO_BOUNDS[0], -math.inf, -math.inf])
-_UPPER = np.array([P_RANGE[1], RATIO_BOUNDS[1], math.inf, math.inf])
+_LOWER = np.array([0.0, RATIO_BOUNDS[0], -math.inf, -math.inf])
+_UPPER = np.array([1.0, RATIO_BOUNDS[1], math.inf, math.inf])
 
 
 @dataclass
 class FitConfig:
-    """Search configuration; the search box is fixed by the module constants.
+    """Search configuration; the search box and the start grid are fixed by the module constants.
 
-    ``multistart`` is the number of starts: the two moment estimates of
-    :func:`_moment_starts`, the box midpoint, then uniform draws seeded by
-    ``seed``, in that order and cut to this number. ``max_iterations``
-    caps the residual evaluations of each start's descent, the start's own
+    ``multistart`` caps the number of starts, the lowest minima of the angle
+    grid of :func:`_grid_starts`. ``max_iterations`` caps the residual
+    evaluations of each start's descent, the start's own
     included, and ``convergence_tol`` is the descent's relative tolerance on
     the cost decrease, the step and the projected gradient (the ftol, xtol
     and gtol of MINPACK); see :func:`_descend`. Every start runs as it would
     alone, whatever the number of starts. ``multistart`` and
-    ``max_iterations`` below 1 raise ``ValueError``.
+    ``max_iterations`` below 1 raise ``ValueError``. ``seed`` is accepted and
+    has no effect: the fit draws nothing at random.
     The scale parameter has no bounds because it is profiled analytically
     and is nonnegative by construction.
     """
@@ -123,8 +121,8 @@ class FitResult:
     zero, so the fit explains none of it). ``fidelity`` is ``None`` when
     it cannot be computed (a matrix without positive trace after the PSD
     projection). ``start_residuals`` holds the residual norm at each start
-    point, and ``best_start`` the index of the reported start, both in the
-    start order of :class:`FitConfig`.
+    point, at most ``multistart`` of them, and ``best_start`` the index of
+    the reported start, both in the start order of :class:`FitConfig`.
     """
 
     params: FilterParams
@@ -158,6 +156,32 @@ def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
 def _as_real(z: np.ndarray) -> np.ndarray:
     """The 72 real and imaginary parts of each 6x6 block of a C-contiguous stack, interleaved."""
     return z.view(np.float64).reshape(z.shape[:-2] + (72,))
+
+
+# For fixed angles, with a = vec(I) and b = vec(U3 SWAP) on the block,
+# alpha chi_1 = x1 a a^+ + x2 b b^+ + x3 (a b^+ + b a^+) is linear in
+# x = alpha (t^2, r^2, (2p - 1) t r); adding 2 pi to an angle flips only x3's
+# sign, so the best unconstrained x and its residual have period 2 pi. The
+# grid's 16 x 16 angle pairs g span [-pi, pi)^2 row by row. Rows g, g + 256
+# and g + 512 of _GRID_Q are an orthonormal basis of the :func:`_as_real`
+# terms at g, _GRID_R_INV[g] maps coordinates in it to x, and _NEIGHBOURS[:, g]
+# are g's eight neighbours on the torus (g last, where numpy reduces fastest).
+_AXIS = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+_GRID = np.stack(np.meshgrid(_AXIS, _AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
+_NEIGHBOURS = np.stack([np.roll(np.arange(256).reshape(16, 16), (i, j), axis=(0, 1)).ravel()
+                        for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
+
+
+def _grid_factors() -> tuple[np.ndarray, np.ndarray]:
+    b = _SWAP_SIGNS * np.exp(1j * (_GRID @ _RATES))
+    ab = _VEC_I[:, None] * b.conj()[:, None, :]
+    terms = np.broadcast_arrays(np.outer(_VEC_I, _VEC_I), b[:, :, None] * b.conj()[:, None, :],
+                                ab + ab.conj().swapaxes(1, 2))
+    q, r = np.linalg.qr(_as_real(np.stack(terms, axis=1)).swapaxes(1, 2))
+    return q.transpose(2, 0, 1).reshape(-1, 72), np.linalg.inv(r)
+
+
+_GRID_Q, _GRID_R_INV = _grid_factors()
 
 
 def _kernel_inputs(chi_std: np.ndarray) -> tuple[np.ndarray, float]:
@@ -240,75 +264,48 @@ def canonicalize(fp: FilterParams) -> FilterParams:
     return FilterParams(T=fp.T, R=fp.R, theta1=t1, theta2=t2, p=p, scale=fp.scale)
 
 
-def _starts(cfg: FitConfig) -> list[np.ndarray]:
-    """The box midpoint and the seeded uniform start points that the start list keeps.
+def _tied(value, low):
+    """Whether ``value`` is at most ``low``, up to the relative 1e-9 within which values tie."""
+    return value <= low + 1e-9 * (1.0 + low)
 
-    The two moment starts and the midpoint come first, so ``multistart - 3``
-    points are drawn, each as p, log R/T and the two angles in turn.
+
+def _grid_starts(target: np.ndarray, floor: float, n: int) -> np.ndarray:
+    """Up to ``n`` start points ``(p, R/T, theta1, theta2)`` from the angle grid, lowest first.
+
+    ``target`` and ``floor`` are the kernel inputs of :func:`_evaluate`. At
+    each grid point the best unconstrained coefficients ``x`` of the three
+    model terms (see ``_GRID``) project ``target`` onto their span, and the
+    rest of the cost is the point's residual. The starts are the local minima
+    of that residual, each no higher than its eight neighbours on the torus,
+    lowest first; values that :func:`_tied` counts as equal keep grid order.
+    Each maps to ``R/T = sqrt(x2 / x1)`` and ``p = (1 + x3 / sqrt(x1 x2)) / 2``,
+    clipped into the box, at its angles; a coefficient below zero counts as
+    zero, p is 1/2 where ``x1 x2`` is, and every start is finite.
     """
-    lo_r, hi_r = RATIO_BOUNDS
-    mid = np.array([0.5 * sum(P_RANGE), math.sqrt(lo_r * hi_r), 0.0, 0.0])
-    low = [P_RANGE[0], math.log(lo_r), THETA_START_RANGE[0], THETA_START_RANGE[0]]
-    high = [P_RANGE[1], math.log(hi_r), THETA_START_RANGE[1], THETA_START_RANGE[1]]
-    draws = np.random.default_rng(cfg.seed).uniform(low, high, (max(0, cfg.multistart - 3), 4))
-    # math.exp keeps each R/T bit-identical to a draw made one value at a
-    # time; np.exp can differ from it in the last bit.
-    draws[:, 1] = [math.exp(v) for v in draws[:, 1]]
-    return [mid, *draws]
-
-
-def _moment_starts(chi_std: np.ndarray) -> list[np.ndarray]:
-    """Closed-form estimates of ``(p, R/T, theta1, theta2)`` from six entries of ``chi_std``.
-
-    With ``a = t vec(I)``, ``b = r vec(U3 SWAP)`` and ``q = 1 - 2p`` the
-    model is ``alpha (a a^+ + b b^+ - q (a b^+ + b a^+))``, so, writing
-    ``|j><k|`` for the coefficient index of that matrix unit:
-
-    * the ``|1><1|`` and ``|2><2|`` diagonals are ``alpha t^2``, the
-      ``|1><2|`` and ``|2><1|`` diagonals ``alpha r^2``, which give R/T and,
-      as ``t + r = 1``, ``alpha``;
-    * ``chi[|1><2|, |1><1|] = q alpha r t e^{i s}`` with
-      ``s = (theta1 + theta2)/2``, averaged with
-      ``conj(chi[|2><1|, |2><2|])``, gives q and s;
-    * ``chi[|0><0|, |3><3|] / alpha = t^2 - 2 q t r u + r^2 u^2`` with
-      ``u = e^{i d}``, ``d = (theta1 - theta2)/2``, is a quadratic in
-      ``r u`` whose two roots both give a start, the one whose ``|u|`` is
-      nearer 1 first.
-
-    R/T is clamped into ``RATIO_BOUNDS`` and q into [0, 1]. With s and d
-    taken in (-pi, pi], both angles lie in ``THETA_START_RANGE`` whenever
-    the channel allows it; otherwise one lies outside by at most pi, as
-    folding it alone would swap the two filter operators (see
-    :func:`canonicalize`). Every start is finite for any finite ``chi_std``.
-    """
-    e = _UNIT
-    diag = chi_std.diagonal().real
-    tt = max(0.5 * (diag[e[1, 1]] + diag[e[2, 2]]), 0.0)
-    rr = max(0.5 * (diag[e[1, 2]] + diag[e[2, 1]]), 0.0)
-    ratio = math.sqrt(rr / tt) if tt > 0.0 else math.inf
-    ratio = min(max(ratio, RATIO_BOUNDS[0]), RATIO_BOUNDS[1])
-    t = 1.0 / (1.0 + ratio)
-    r = ratio * t
-    alpha = (math.sqrt(tt) + math.sqrt(rr)) ** 2
-    cross = 0.5 * (chi_std[e[1, 2], e[1, 1]] + np.conj(chi_std[e[2, 1], e[2, 2]]))
-    q = min(abs(cross) / (alpha * r * t), 1.0) if alpha > 0.0 else 0.0
-    s = float(np.angle(cross))
-    corner = chi_std[e[0, 0], e[3, 3]]
-    # w = alpha r u solves w^2 - 2 m w + alpha (alpha t^2 - corner) = 0 with
-    # m = |cross| / r = q alpha t; |u| near 1 is |w| near alpha r.
-    m = abs(cross) / r
-    root = np.sqrt(complex(m * m - alpha * (alpha * t * t - corner)))
-    ws = sorted((m + root, m - root), key=lambda w: abs(abs(w) - alpha * r))
-    ds = [float(np.angle(w)) for w in ws]
-    return [np.array([0.5 * (1.0 - q), ratio, s + d, s - d]) for d in ds]
+    w = (_GRID_Q @ target).reshape(3, -1)
+    cost = floor + target @ target - np.add.reduce(w * w)
+    minima = np.flatnonzero(_tied(cost, np.minimum.reduce(cost[_NEIGHBOURS])))
+    left, starts = cost[minima], []
+    lo, hi = RATIO_BOUNDS
+    while len(starts) < min(n, len(minima)):
+        k = int(np.flatnonzero(_tied(left, left.min()))[0])
+        left[k], g = math.inf, minima[k]
+        x1, x2, x3 = (_GRID_R_INV[g] @ w[:, g]).tolist()
+        t, r = math.sqrt(max(x1, 0.0)), math.sqrt(max(x2, 0.0))
+        q = min(max(x3, -t * r), t * r) / (t * r) if t * r > 0.0 else 0.0
+        starts.append((0.5 * (1.0 + q), max(r / t, lo) if hi * t > r else hi, *_GRID[g]))
+    return np.array(starts)
 
 
 def _params(x: np.ndarray) -> FilterParams:
     """Canonical unit-scale parameters of a solver point ``(p, R/T, theta1, theta2)``.
 
-    The solver keeps its points inside the search box, so p needs no clamp.
+    The solver's p > 1/2 is the channel at ``1 - p`` with theta1 moved 2 pi
+    toward zero, which swaps the filter operators (see :func:`canonicalize`).
     """
     p, ratio, theta1, theta2 = (float(v) for v in x)
+    if p > 0.5:
+        p, theta1 = 1.0 - p, theta1 - math.copysign(2.0 * math.pi, theta1)
     return canonicalize(FilterParams.from_ratio(ratio, theta1, theta2, p))
 
 
@@ -431,7 +428,7 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     lockstep and keeps the lowest residual. Starts that tie on the residual
     are ranked by the norm of their canonicalized angles, norms that agree
     to the same relative 1e-9 counting as equal, and then by start order.
-    Deterministic for a given seed. Non-convergence of the reported start is
+    Deterministic. Non-convergence of the reported start is
     signalled by ``converged=False`` on the result, never by an exception.
     Everything runs on ``chi_meas 2^-e``, ``e`` even and the largest real or
     imaginary part scaled into [1/4, 1): a power of two and its square root
@@ -454,7 +451,7 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     def evaluate(x: np.ndarray) -> tuple:
         return _evaluate(x, target, floor)
 
-    x0 = np.array((_moment_starts(chi_std) + _starts(cfg))[: cfg.multistart])
+    x0 = _grid_starts(target, floor, cfg.multistart)
     start = (x0, *evaluate(x0))
     x, r, alphas, converged, evaluations = _descend(evaluate, start, _LOWER, _UPPER,
                                                     cfg.convergence_tol, cfg.max_iterations)
@@ -463,9 +460,9 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
                    float(alphas[k]), k) for k in range(len(x))]
 
     def lowest(cands: list, key) -> list:
-        """The candidates whose key is within a relative 1e-9 of the lowest, in start order."""
+        """The candidates whose key :func:`_tied` counts as the lowest, in start order."""
         low = min(key(c) for c in cands)
-        return [c for c in cands if key(c) <= low + 1e-9 * (1.0 + low)]
+        return [c for c in cands if _tied(key(c), low)]
 
     tied = lowest(candidates, lambda c: c[0])
     _, canon, converged, alpha, best_start = lowest(
