@@ -13,18 +13,20 @@ the benchmark's gauge (``perfbench/speed.py``), read just before and just
 after it, because a shared machine changes speed in phases of seconds to
 minutes. Each record is fitted ``REPEATS`` times and keeps its fastest
 scaled time, which sheds single preemptions. Each case reports the median
-of those times over records, the mean evaluations per fit and the fit time
-per evaluation (the solver's own per-iteration work included): the 4-start
-fit of the benchmark's ``paper_fit`` workload (``multistart=4``,
+of those times over records, the mean evaluations per fit, the fit time
+per evaluation (the solver's own per-iteration work included) and how many
+fits ran each number of lanes (``lanes_per_fit``, by the length of
+``start_residuals``; the descent's cost per iteration grows with it): the
+4-start fit of the benchmark's ``paper_fit`` workload (``multistart=4``,
 ``max_iterations=500``, ``convergence_tol=1e-9``) and the default fit.
 
 ``layers_us`` gives, on the first record, the time of the start grid
 (``_grid_starts`` for 16 starts) and, for a stack of k = 1, 4 and 16 points
 (the first k of the fixed ``LANES``), of one ``_evaluate`` call, which
 gives each point its residual, cost, normal equations and scale, each the
-fastest of five scaled means over 500 calls; and of one lockstep iteration
-of the descent: one damped solve and one ``_evaluate`` call for all k lanes
-plus the lanes' bookkeeping, the mean over a 10-step descent with the
+fastest of five scaled means over 500 calls; and of one iteration of the
+descent: one stacked ``_evaluate`` call for all k lanes plus each lane's
+own step in Python floats, the mean over a 10-step descent with the
 convergence tests off (tolerance 0), the fastest of five scaled runs.
 
 The benchmark (``perfbench/run.py``) reports the 4-start fit, traced, as
@@ -36,6 +38,7 @@ as ``peak_rss_mb``.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import os
@@ -94,15 +97,18 @@ def run_case(n: int, kwargs: dict) -> dict:
     chis = records(n)
     cfg = FitConfig(**kwargs)
     fit(chis[0], cfg)  # warm-up
-    times, evaluations = [], []
+    times, evaluations, lanes = [], [], collections.Counter()
     for chi in chis:
         times.append(min(timed(lambda: fit(chi, cfg)) for _ in range(REPEATS)))
-        evaluations.append(fit(chi, cfg).n_evaluations)
+        res = fit(chi, cfg)
+        evaluations.append(res.n_evaluations)
+        lanes[len(res.start_residuals)] += 1
     return {
         "records": n,
         "fit_p50_ms": round(1e3 * statistics.median(times), 3),
         "evaluations_per_fit": round(sum(evaluations) / n, 2),
         "us_per_evaluation": round(1e6 * sum(times) / sum(evaluations), 2),
+        "lanes_per_fit": {str(k): lanes[k] for k in sorted(lanes)},
     }
 
 

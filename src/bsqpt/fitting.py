@@ -16,11 +16,13 @@ real and imaginary parts, is minimized over the four shape parameters
 and a closed-form Jacobian: every parameter enters ``c-/+`` elementarily.
 The operators touch only six standard-basis coefficients, so ``chi_1``, its
 residual (72 reals) and its Jacobian (72x4) live on a 6x6 block of the
-matrix; the residual off the block is a constant that the cost adds. All
-starts descend in lockstep, in numpy alone: each iteration makes one call
-of the stacked kernel :func:`_evaluate`, which gives every running start's
-trial point its residual, cost, normal equations and scale at once, and
-each start's step is one 4x4 linear solve. The starts are the lowest minima,
+matrix; the residual off the block is a constant that the cost adds. Each
+start descends as its own lane, whose step (the scaling, the free set, a
+4x4 damped solve, the box and the convergence tests) is a few dozen Python
+float operations, sized for the one to four starts a fit runs; each
+iteration makes one call of the stacked kernel :func:`_evaluate` for the
+trial points of all running lanes, which gives each its residual, cost,
+normal equations and scale at once. The starts are the lowest minima,
 over an angle grid, of the residual left by the three linear coefficients
 the model has at fixed angles (:func:`_grid_starts`). Only p and R/T are
 boxed, p to [0, 1], whose halves mirror each other (:func:`_params`); the
@@ -33,7 +35,9 @@ statistical weighting, computed at one magnitude (a power of two; see :func:`fit
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -163,25 +167,28 @@ def _as_real(z: np.ndarray) -> np.ndarray:
 # x = alpha (t^2, r^2, (2p - 1) t r); adding 2 pi to an angle flips only x3's
 # sign, so the best unconstrained x and its residual have period 2 pi. The
 # grid's 16 x 16 angle pairs g span [-pi, pi)^2 row by row. Rows g, g + 256
-# and g + 512 of _GRID_Q are an orthonormal basis of the :func:`_as_real`
-# terms at g, _GRID_R_INV[g] maps coordinates in it to x, and _NEIGHBOURS[:, g]
-# are g's eight neighbours on the torus (g last, where numpy reduces fastest).
+# and g + 512 of the grid's Q are an orthonormal basis of the :func:`_as_real`
+# terms at g, its R^-1[g] maps coordinates in it to x (:func:`_grid_factors`),
+# and _NEIGHBOURS[:, g] are g's eight neighbours on the torus (g last, where
+# numpy reduces fastest).
 _AXIS = np.linspace(-math.pi, math.pi, 16, endpoint=False)
 _GRID = np.stack(np.meshgrid(_AXIS, _AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
 _NEIGHBOURS = np.stack([np.roll(np.arange(256).reshape(16, 16), (i, j), axis=(0, 1)).ravel()
                         for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
+@lru_cache(maxsize=None)
 def _grid_factors() -> tuple[np.ndarray, np.ndarray]:
+    """The grid's stacked Q, ``(768, 72)``, and R^-1, ``(256, 3, 3)``; built on the first fit."""
     b = _SWAP_SIGNS * np.exp(1j * (_GRID @ _RATES))
     ab = _VEC_I[:, None] * b.conj()[:, None, :]
     terms = np.broadcast_arrays(np.outer(_VEC_I, _VEC_I), b[:, :, None] * b.conj()[:, None, :],
                                 ab + ab.conj().swapaxes(1, 2))
     q, r = np.linalg.qr(_as_real(np.stack(terms, axis=1)).swapaxes(1, 2))
-    return q.transpose(2, 0, 1).reshape(-1, 72), np.linalg.inv(r)
-
-
-_GRID_Q, _GRID_R_INV = _grid_factors()
+    factors = q.transpose(2, 0, 1).reshape(-1, 72), np.linalg.inv(r)
+    for f in factors:
+        f.setflags(write=False)
+    return factors
 
 
 def _kernel_inputs(chi_std: np.ndarray) -> tuple[np.ndarray, float]:
@@ -282,7 +289,8 @@ def _grid_starts(target: np.ndarray, floor: float, n: int) -> np.ndarray:
     clipped into the box, at its angles; a coefficient below zero counts as
     zero, p is 1/2 where ``x1 x2`` is, and every start is finite.
     """
-    w = (_GRID_Q @ target).reshape(3, -1)
+    grid_q, grid_r_inv = _grid_factors()
+    w = (grid_q @ target).reshape(3, -1)
     cost = floor + target @ target - np.add.reduce(w * w)
     minima = np.flatnonzero(_tied(cost, np.minimum.reduce(cost[_NEIGHBOURS])))
     left, starts = cost[minima], []
@@ -290,7 +298,7 @@ def _grid_starts(target: np.ndarray, floor: float, n: int) -> np.ndarray:
     while len(starts) < min(n, len(minima)):
         k = int(np.flatnonzero(_tied(left, left.min()))[0])
         left[k], g = math.inf, minima[k]
-        x1, x2, x3 = (_GRID_R_INV[g] @ w[:, g]).tolist()
+        x1, x2, x3 = (grid_r_inv[g] @ w[:, g]).tolist()
         t, r = math.sqrt(max(x1, 0.0)), math.sqrt(max(x2, 0.0))
         q = min(max(x3, -t * r), t * r) / (t * r) if t * r > 0.0 else 0.0
         starts.append((0.5 * (1.0 + q), max(r / t, lo) if hi * t > r else hi, *_GRID[g]))
@@ -311,96 +319,187 @@ def _params(x: np.ndarray) -> FilterParams:
 
 def _descend(fun, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
              max_evals: int) -> tuple:
-    """Bounded Levenberg-Marquardt descent of the cost of ``fun``, all starts in lockstep.
+    """Bounded Levenberg-Marquardt descent of the cost of ``fun``, one lane per start.
 
     ``fun(x)`` returns, stacked by point, the residual, cost, ``J^T r``,
     ``J^T J``, scale and Jacobian of :func:`_evaluate` at a stack of points,
     and ``start`` is ``(x0, *fun(x0))`` for a stack ``x0`` of start points,
-    one per row. Each start is a lane with its own point, residual, cost,
-    normal equations, damping and free set. A lane's step solves
-    ``(J^T J + mu D) dx = -J^T r`` on its free variables, where ``D`` is
-    the running maximum of ``diag(J^T J)`` (More's scaling); a variable on a
-    bound whose descent direction leaves the box is frozen for that step
-    (an identity row and column with a zero right-hand side), and the trial
-    point is clipped into the box ``[lo, hi]``. ``mu`` follows Nielsen's gain-ratio
-    update (H. B. Nielsen, IMM-REP-1999-05, DTU (1999)). A lane converges
-    when a step, accepted or not, is below ``tol`` relative to ``x``, or an
-    accepted step lowers the cost by less than ``tol`` of it; both are
-    tested after the step is taken, so the last accepted step is kept. It
-    also converges when the largest cosine between ``r`` and a free column
-    of ``J`` (the projected gradient) is at most ``tol``. A lane stops when
-    it converges or its residual evaluations, the start's included, reach
-    ``max_evals``, and is evaluated no more. Each iteration makes one
-    ``fun`` call for the trial points of the lanes still running, which
-    gives each trial point its normal equations along with its residual, and
-    an accepted lane takes them over; every lane follows the path it would
-    follow alone. Returns ``(x, r, alpha, converged, evaluations)`` stacked
-    by lane at each lane's last accepted point. ``evaluations`` counts each
-    lane's residuals, the start's included, and the Jacobians it used: the
-    start's, and one per accepted step after which the lane had not
-    converged.
+    one per row. Each start is a lane (:func:`_lane`) with its own point,
+    residual, cost, normal equations, damping and free set, which takes its
+    steps in Python floats. A lane's step solves ``(J^T J + mu D) dx = -J^T r``
+    on its free variables (:func:`_damped_step`), where ``D`` is the running
+    maximum of ``diag(J^T J)`` (More's scaling); a variable on a bound whose
+    descent direction leaves the box is frozen for that step, and the trial
+    point is clipped into the box ``[lo, hi]``. ``mu`` follows Nielsen's
+    gain-ratio update (H. B. Nielsen, IMM-REP-1999-05, DTU (1999)). A lane
+    converges when a step, accepted or not, is below ``tol`` relative to
+    ``x``, or an accepted step lowers the cost by less than ``tol`` of it;
+    both are tested after the step is taken, so the last accepted step is
+    kept. It also converges when the largest cosine between ``r`` and a free
+    column of ``J`` (the projected gradient) is at most ``tol``. A lane stops
+    when it converges or its residual evaluations, the start's included,
+    reach ``max_evals``, and is evaluated no more. Each iteration makes one
+    stacked ``fun`` call for the trial points of the lanes still running,
+    which gives each trial point its normal equations along with its
+    residual, and an accepted lane takes them over; every lane follows the
+    path it would follow alone. Returns ``(x, r, alpha, converged,
+    evaluations)`` stacked by lane at each lane's last accepted point.
+    ``evaluations`` counts each lane's residuals, the start's included, and
+    the Jacobians it used: the start's, and one per accepted step after
+    which the lane had not converged.
     """
-    x, r, cost, g, gram, alpha = start[:6]
-    lanes, n = x.shape
-    out = [x.copy(), r.copy(), alpha.copy()]
-    converged = np.zeros(lanes, dtype=bool)
-    evaluations = np.zeros(lanes, dtype=int)
-    # The state of the running lanes, compacted when lanes stop; ``lane``
-    # maps each back to its row in the stack.
-    lane = np.arange(lanes)
-    evals, jacs = np.ones(lanes, dtype=int), np.ones(lanes, dtype=int)
-    mu, nu, scale = np.full(lanes, 1e-3), np.full(lanes, 2.0), np.zeros((lanes, n))
-    done = np.zeros(lanes, dtype=bool)
-    eye = np.eye(n)
+    x0, r0, cost0, g0, gram0, alpha0 = start[:6]
+    lo, hi = lo.tolist(), hi.tolist()
+    running = [(k, _lane(*state, lo, hi, tol, max_evals)) for k, state in enumerate(
+        zip(x0.tolist(), r0, cost0.tolist(), g0.tolist(), gram0.tolist(), alpha0.tolist()))]
+    ends = [None] * len(running)
+    values = [None] * len(running)
+    while running:
+        trials, still = [], []
+        for (k, lane), value in zip(running, values):
+            try:
+                trials.append(lane.send(value))
+                still.append((k, lane))
+            except StopIteration as stop:
+                ends[k] = stop.value
+        running = still
+        if running:
+            r, *rest = fun(np.array(trials))[:5]
+            values = zip(r, *(part.tolist() for part in rest))
+    return tuple(np.array(part) for part in zip(*ends))
+
+
+def _lane(x: list, r: np.ndarray, cost: float, g: list, gram: list, alpha: float, lo: list,
+          hi: list, tol: float, max_evals: int):
+    """One lane of :func:`_descend`, from its start point and the start's kernel values.
+
+    A generator: it yields each trial point and is sent back that point's
+    residual, cost, ``J^T r``, ``J^T J`` and scale, all but the residual as
+    Python floats, and returns ``(x, r, alpha, converged, evaluations)``.
+    """
+    mu, nu, scale = 1e-3, 2.0, [0.0] * 4
+    evals = jacs = 1
     while True:
         # A lane whose step was rejected keeps its g and J^T J, so its scale,
         # frozen set and gradient test come out as before.
-        diag = gram.diagonal(axis1=1, axis2=2)
-        scale = np.maximum(scale, diag)
-        frozen = (scale <= 0.0) | ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        diag = [gram[0][0], gram[1][1], gram[2][2], gram[3][3]]
+        scale = [s if s >= d else d for s, d in zip(scale, diag)]
+        frozen = [s <= 0.0 or (v <= low and gi > 0.0) or (v >= high and gi < 0.0)
+                  for s, v, gi, low, high in zip(scale, x, g, lo, hi)]
         # Rooted apart: sqrt(cost * diag) would round, and so stop, differently.
-        small = np.abs(g) <= tol * (np.sqrt(cost)[:, None] * np.sqrt(diag))
-        done |= np.logical_and.reduce(small | frozen, axis=1)
-        stop = done | (evals >= max_evals)
-        if stop.any():
-            rows = lane[stop]
-            for part, value in zip(out, (x, r, alpha)):
-                part[rows] = value[stop]
-            converged[rows] = done[stop]
-            evaluations[rows] = evals[stop] + jacs[stop]
-            if stop.all():
-                return (*out, converged, evaluations)
-            keep = ~stop
-            lane, x, r, cost, g, gram, alpha, mu, nu, scale, frozen, evals, jacs = (
-                a[keep] for a in (lane, x, r, cost, g, gram, alpha, mu, nu, scale, frozen, evals,
-                                  jacs))
-        system = np.where(frozen[:, :, None] | frozen[:, None, :], eye,
-                          gram + (mu[:, None] * scale)[:, :, None] * eye)
-        step = np.linalg.solve(system, np.where(frozen, 0.0, -g)[:, :, None])[:, :, 0]
-        trial = np.minimum(np.maximum(x + step, lo), hi)
-        step = trial - x
-        r_new, cost_new, g_new, gram_new, alpha_new = fun(trial)[:5]
+        root = math.sqrt(cost)
+        for f, gi, d in zip(frozen, g, diag):
+            if not (f or abs(gi) <= tol * (root * math.sqrt(d))):
+                break
+        else:
+            return x, r, alpha, True, evals + jacs
+        if evals >= max_evals:
+            return x, r, alpha, False, evals + jacs
+        trial = [low if v < low else high if v > high else v for v, low, high in
+                 zip(map(operator.add, x, _damped_step(gram, g, mu, scale, frozen)), lo, hi)]
+        s0, s1, s2, s3 = map(operator.sub, trial, x)
+        c0, c1, c2, c3 = [a * s0 + b * s1 + c * s2 + d * s3 for a, b, c, d in gram]
+        g0, g1, g2, g3 = g
+        predicted = -(s0 * (2.0 * g0 + c0) + s1 * (2.0 * g1 + c1) + s2 * (2.0 * g2 + c2)
+                      + s3 * (2.0 * g3 + c3))
+        x0, x1, x2, x3 = x
+        short = (math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
+                 <= tol * (tol + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)))
+        r_new, cost_new, g_new, gram_new, alpha_new = yield trial
         drop = cost - cost_new
-        predicted = -np.add.reduce(step * (2.0 * g + (gram @ step[:, :, None])[:, :, 0]), axis=1)
-        gain = np.divide(drop, predicted, out=np.full(len(x), -1.0), where=predicted > 0.0)
-        done = ((np.sqrt(np.add.reduce(step * step, axis=1))
-                 <= tol * (tol + np.sqrt(np.add.reduce(x * x, axis=1))))
-                | ((gain > 0.25) & (drop <= tol * cost)))
-        moved = gain > 0.0
+        gain = drop / predicted if predicted > 0.0 else -1.0
+        done = short or (gain > 0.25 and drop <= tol * cost)
         evals += 1
-        jacs += moved & ~done
-        x = np.where(moved[:, None], trial, x)
-        r = np.where(moved[:, None], r_new, r)
-        cost = np.where(moved, cost_new, cost)
-        g = np.where(moved[:, None], g_new, g)
-        gram = np.where(moved[:, None, None], gram_new, gram)
-        alpha = np.where(moved, alpha_new, alpha)
-        # Nielsen's factor is 1/3 for every gain >= 1: clamping leaves it, and
-        # keeps the cube finite on the lanes that reject their step.
-        clamped = np.minimum(np.maximum(gain, 0.0), 1.0)
-        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * clamped - 1.0) ** 3)
-        mu = mu * np.where(moved, shrink, nu)
-        nu = np.where(moved, 2.0, 2.0 * nu)
+        if gain > 0.0:
+            x, r, cost, g, gram, alpha = trial, r_new, cost_new, g_new, gram_new, alpha_new
+            jacs += not done
+            # Nielsen's factor is 1/3 for every gain >= 1.
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * min(gain, 1.0) - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if done:
+            return x, r, alpha, True, evals + jacs
+
+
+def _damped_step(gram: list, g: list, mu: float, scale: list, frozen: list) -> list:
+    """One lane's step ``dx``, solving ``(J^T J + mu D) dx = -J^T r`` in Python floats.
+
+    ``gram`` is the lane's ``J^T J`` as four rows of four floats, of which
+    the lower triangle is read, ``g`` its ``J^T r``, ``scale`` the diagonal
+    of ``D`` and ``frozen`` flags the variables held fixed: each has the row
+    and column of the identity and a zero right-hand side, so its step is
+    zero. The system is factored as ``L diag(d) L^T`` (Cholesky without
+    square roots), which the damping keeps positive definite; a pivot that
+    is not positive, as when ``mu D`` drops below the rounding of a singular
+    ``J^T J``, hands the system to :func:`_eliminate` instead.
+    """
+    (a00, *_), (a10, a11, *_), (a20, a21, a22, _), (a30, a31, a32, a33) = gram
+    s0, s1, s2, s3 = scale
+    d0, d1, d2, d3 = a00 + mu * s0, a11 + mu * s1, a22 + mu * s2, a33 + mu * s3
+    g0, g1, g2, g3 = g
+    b0, b1, b2, b3 = -g0, -g1, -g2, -g3
+    if True in frozen:
+        f0, f1, f2, f3 = frozen
+        if f0:
+            a10 = a20 = a30 = b0 = 0.0
+            d0 = 1.0
+        if f1:
+            a10 = a21 = a31 = b1 = 0.0
+            d1 = 1.0
+        if f2:
+            a20 = a21 = a32 = b2 = 0.0
+            d2 = 1.0
+        if f3:
+            a30 = a31 = a32 = b3 = 0.0
+            d3 = 1.0
+    if d0 > 0.0:
+        l10, l20, l30 = a10 / d0, a20 / d0, a30 / d0
+        e1 = d1 - l10 * a10
+        if e1 > 0.0:
+            t21, t31 = a21 - l20 * a10, a31 - l30 * a10
+            l21, l31 = t21 / e1, t31 / e1
+            e2 = d2 - l20 * a20 - l21 * t21
+            if e2 > 0.0:
+                t32 = a32 - l30 * a20 - l31 * t21
+                l32 = t32 / e2
+                e3 = d3 - l30 * a30 - l31 * t31 - l32 * t32
+                if e3 > 0.0:
+                    y1 = b1 - l10 * b0
+                    y2 = b2 - l20 * b0 - l21 * y1
+                    x3 = (b3 - l30 * b0 - l31 * y1 - l32 * y2) / e3
+                    x2 = y2 / e2 - l32 * x3
+                    x1 = y1 / e1 - l21 * x2 - l31 * x3
+                    return [b0 / d0 - l10 * x1 - l20 * x2 - l30 * x3, x1, x2, x3]
+    return _eliminate([[d0, a10, a20, a30], [a10, d1, a21, a31], [a20, a21, d2, a32],
+                       [a30, a31, a32, d3]], [b0, b1, b2, b3])
+
+
+def _eliminate(a: list, b: list) -> list:
+    """The solution of ``a x = b`` by Gaussian elimination with partial pivoting (LAPACK's gesv).
+
+    ``a`` is a list of rows and ``b`` a list, both of floats, and both are
+    overwritten. An exactly zero pivot raises ``LinAlgError``, as
+    ``np.linalg.solve`` does.
+    """
+    n = len(b)
+    for c in range(n):
+        p = max(range(c, n), key=lambda i: abs(a[i][c]))
+        a[c], a[p], b[c], b[p] = a[p], a[c], b[p], b[c]
+        if a[c][c] == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [v - f * w for v, w in zip(a[i], a[c])]
+            b[i] -= f * b[c]
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        s = b[i]
+        for j in range(i + 1, n):
+            s -= a[i][j] * x[j]
+        x[i] = s / a[i][i]
+    return x
 
 
 def _rank2_fidelity(v: np.ndarray, b: np.ndarray) -> float | None:
@@ -424,10 +523,12 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Fit the filter model to the Hermitian part of a measured process matrix.
 
     Runs the bounded Levenberg-Marquardt descent (:func:`_descend`) from
-    all ``cfg.multistart`` starting points (see :class:`FitConfig`) in
-    lockstep and keeps the lowest residual. Starts that tie on the residual
-    are ranked by the norm of their canonicalized angles, norms that agree
-    to the same relative 1e-9 counting as equal, and then by start order.
+    up to ``cfg.multistart`` starting points (see :class:`FitConfig`), each
+    a lane that takes its steps in Python floats around one stacked kernel
+    call per iteration, and keeps the lowest residual. Starts that tie on
+    the residual are ranked by the norm of their canonicalized angles, norms
+    that agree to the same relative 1e-9 counting as equal, and then by
+    start order.
     Deterministic. Non-convergence of the reported start is
     signalled by ``converged=False`` on the result, never by an exception.
     Everything runs on ``chi_meas 2^-e``, ``e`` even and the largest real or

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from bsqpt import FilterParams, KrausSet
@@ -40,6 +42,18 @@ def random_filter(rng: np.random.Generator, p_range=(0.0, 0.5)) -> FilterParams:
         theta2=rng.uniform(-np.pi, np.pi), p=rng.uniform(*p_range),
         scale=rng.uniform(0.5, 3.0),
     )
+
+
+def read_json(path) -> object:
+    """The JSON value in the file at ``path``, which is closed again."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_json(value, path) -> None:
+    """Write ``value`` as JSON to the file at ``path``, which is closed again."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh)
 
 
 def start_lane(start: tuple, k: int) -> tuple:

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
-import json
 import time
 
 import numpy as np
@@ -32,7 +31,7 @@ from bsqpt import (
 from bsqpt.cli import main
 from bsqpt.linalg import projector
 
-from helpers import random_channel, random_density
+from helpers import random_channel, random_density, read_json, write_json
 
 RATIO = 0.76
 THETA1 = 0.41 * np.pi
@@ -204,9 +203,9 @@ def test_criterion_8_decoherence_calibration():
 
 def test_criterion_9_cli_contract(tmp_path):
     params = tmp_path / "params.json"
-    json.dump(
+    write_json(
         {"ratio_RT": RATIO, "theta1": THETA1, "theta2": THETA2, "p": 0.325, "scale": 1.0},
-        open(params, "w"),
+        params,
     )
     counts = tmp_path / "counts.csv"
     chi = tmp_path / "chi.json"
@@ -215,7 +214,7 @@ def test_criterion_9_cli_contract(tmp_path):
     assert main(["reconstruct", "--counts", str(counts), "--basis", "F",
                  "--out", str(chi)]) == 0
     assert main(["fit", "--chi", str(chi), "--out", str(report), "--seed", "9"]) == 0
-    fitted = json.load(open(report))
+    fitted = read_json(report)
     assert abs(fitted["p"] - 0.325) < 1e-3
 
     # Byte stability of every golden under fixed seeds.
@@ -228,8 +227,8 @@ def test_criterion_9_cli_contract(tmp_path):
     }.items():
         if name == "dip":
             tparams = tmp_path / "tparams.json"
-            json.dump({"ratio_RT": RATIO, "theta1": THETA1, "theta2": THETA2,
-                       "tau_fs": 0.0, "tau_c_fs": 83.0, "mu": 0.72}, open(tparams, "w"))
+            write_json({"ratio_RT": RATIO, "theta1": THETA1, "theta2": THETA2,
+                        "tau_fs": 0.0, "tau_c_fs": 83.0, "mu": 0.72}, tparams)
             args = ["homdip", "--params", str(tparams), "--tau-min", "-300",
                     "--tau-max", "300", "--steps", "25", "--out", None]
         out_a = tmp_path / f"{name}_a.out"

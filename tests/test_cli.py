@@ -16,7 +16,7 @@ from bsqpt import fileio
 from bsqpt.cli import main
 from bsqpt.fileio import FileFormatError
 
-from helpers import fail_best_start, random_matrix
+from helpers import fail_best_start, random_matrix, read_json, write_json
 
 PI = np.pi
 HEADER = "input_index,projector_index,count\n"
@@ -69,15 +69,15 @@ class TestMatrixFile:
 
     def test_rejects_bad_tag(self, tmp_path):
         path = tmp_path / "m.json"
-        json.dump({"dim": 2, "basis": "X", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
-                  open(path, "w"))
+        write_json({"dim": 2, "basis": "X", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+                   path)
         with pytest.raises(FileFormatError):
             fileio.read_matrix(path)
 
     def test_rejects_shape_mismatch(self, tmp_path):
         path = tmp_path / "m.json"
-        json.dump({"dim": 3, "basis": "S", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
-                  open(path, "w"))
+        write_json({"dim": 3, "basis": "S", "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+                   path)
         with pytest.raises(FileFormatError):
             fileio.read_matrix(path)
 
@@ -147,10 +147,7 @@ class TestParamsFile:
 
     def test_alias_keys(self, tmp_path):
         path = tmp_path / "p.json"
-        json.dump(
-            {"ratio_RT": 1.0, "theta1_rad": 0.5, "theta2_rad": -0.5, "p": 0.1},
-            open(path, "w"),
-        )
+        write_json({"ratio_RT": 1.0, "theta1_rad": 0.5, "theta2_rad": -0.5, "p": 0.1}, path)
         fp, _ = fileio.read_params(path)
         assert fp.theta1 == 0.5 and fp.theta2 == -0.5
         assert fp.scale == 1.0
@@ -177,7 +174,7 @@ class TestCliPipeline:
             ["reconstruct", "--counts", str(counts), "--basis", "F", "--out", str(chi)]
         ) == 0
         assert main(["fit", "--chi", str(chi), "--out", str(report)]) == 0
-        result = json.load(open(report))
+        result = read_json(report)
         assert abs(result["p"] - 0.325) < 1e-3
         assert result["converged"] is True
         assert "warning" not in result
@@ -191,7 +188,7 @@ class TestCliPipeline:
         assert main(["reconstruct", "--counts", str(counts), "--basis", "F",
                      "--out", str(chi)]) == 0
         assert main(["fit", "--chi", str(chi), "--out", str(report)]) == 0
-        assert set(json.load(open(report))) == {
+        assert set(read_json(report)) == {
             "T", "R", "ratio_RT", "theta1", "theta2", "p", "scale", "residual", "fidelity",
             "n_evaluations", "converged",
         }
@@ -306,7 +303,7 @@ class TestCliPipeline:
         if command == "simulate":
             values = fileio.read_counts(out).counts
         else:
-            payload = json.load(open(out))
+            payload = read_json(out)
             values = np.array([payload["re"], payload["im"]])
         assert np.all(np.isfinite(values))
 
@@ -540,7 +537,7 @@ class TestCliErrors:
         chi_path, out = tmp_path / "chi.json", tmp_path / "fit.json"
         fileio.write_matrix(chi_path, factor * m, "S")
         assert main(["fit", "--chi", str(chi_path), "--out", str(out), "--multistart", "4"]) == 0
-        report = json.load(open(out))
+        report = read_json(out)
         assert all(np.isfinite(v) for v in report.values() if isinstance(v, float))
         assert report["converged"] is True
         if chi == "identity":
@@ -608,7 +605,7 @@ class TestCliErrors:
         code = main(["fit", "--chi", str(chi_path), "--out", str(report),
                      "--max-iter", "2", "--multistart", "2"])
         assert code == 4
-        result = json.load(open(report))
+        result = read_json(report)
         assert result["converged"] is False
         assert "warning" in result
 
@@ -620,7 +617,7 @@ class TestCliErrors:
         main(["choi", "--params", str(params), "--basis", "S", "--out", str(chi_path)])
         assert main(["fit", "--chi", str(chi_path), "--out", str(report),
                      "--multistart", "4"]) == 4
-        result = json.load(open(report))
+        result = read_json(report)
         assert result["converged"] is False
         assert "did not converge" in result["warning"]
 
@@ -630,7 +627,7 @@ class TestCliErrors:
         fileio.write_matrix(chi_path, -np.eye(16), "S")
         assert main(["fit", "--chi", str(chi_path), "--out", str(report),
                      "--multistart", "2"]) == 4
-        result = json.load(open(report))
+        result = read_json(report)
         assert result["fidelity"] is None
         assert "fidelity undefined" in result["warning"]
         assert result["converged"] is False
@@ -645,7 +642,7 @@ class TestCliErrors:
         fileio.write_matrix(chi_path, chi.m, "S")
         code = main(["fit", "--chi", str(chi_path), "--out", str(report), "--seed", "1"])
         assert code == 0
-        result = json.load(open(report))
+        result = read_json(report)
         assert "warning" in result and "mismatch" in result["warning"]
 
     # The residual and the matrix norm scale alike, and neither squares an entry
@@ -662,7 +659,7 @@ class TestCliErrors:
             fileio.write_matrix(chi_path, 2.0**k * chi, "F")
             assert main(["fit", "--chi", str(chi_path), "--out", str(report),
                          "--multistart", "4"]) == 0
-            warnings.append(json.load(open(report))["warning"])
+            warnings.append(read_json(report)["warning"])
         assert warnings == ["model mismatch: residual is 14.3% of the matrix norm"] * 3
 
     def test_bad_dip_range_exit_2(self, tmp_path):
@@ -759,4 +756,4 @@ class TestConsoleInvocation:
         )
         assert proc.returncode == 4, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
-        assert json.load(open(report))["converged"] is False
+        assert read_json(report)["converged"] is False

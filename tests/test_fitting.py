@@ -30,6 +30,7 @@ from bsqpt.fitting import (
     _BLOCK_IX,
     _LOWER,
     _UPPER,
+    _damped_step,
     _descend,
     _evaluate,
     _grid_starts,
@@ -729,6 +730,74 @@ class TestDescend:
             reference = fit(chi, FitConfig(**kwargs)).residual
             assert ours[k].converged
             assert ours[k].residual <= (1 + 1e-6) * reference + 1e-12
+
+
+def masked_solve(gram, g, mu, scale, frozen):
+    """The damped step as a stacked numpy solve: the frozen rows and columns those of the identity."""
+    eye = np.eye(4)
+    system = np.where(frozen[:, None] | frozen[None, :], eye, gram + (mu * scale)[:, None] * eye)
+    return np.linalg.solve(system, np.where(frozen, 0.0, -g))
+
+
+def damped_systems():
+    """Seeded ``(gram, g, scale)`` triples: random SPD, kernel and one-zero-column Jacobians.
+
+    ``scale`` is More's running maximum of ``diag(J^T J)``, here the diagonal
+    times a draw from [1, 2], as if earlier Jacobians had larger columns.
+    """
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(6):
+        cases.append((rng.normal(size=(72, 4)) * 10.0 ** rng.uniform(-1.0, 1.0, 4),
+                      rng.normal(size=72)))
+    chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
+    x = rng.uniform([0.0, 0.25, -np.pi, -np.pi], [1.0, 4.0, np.pi, np.pi], (4, 4))
+    r, _, _, _, _, jt = _evaluate(x, *_kernel_inputs(chi))
+    cases += [(j.T, res) for j, res in zip(jt, r)]
+    out = [(jac.T @ jac, jac.T @ res, np.diag(jac.T @ jac) * rng.uniform(1.0, 2.0, 4))
+           for jac, res in cases]
+    for column in range(4):
+        jac = rng.normal(size=(72, 4))
+        jac[:, column] = 0.0
+        gram = jac.T @ jac
+        # D keeps the column's earlier maximum, so the variable is free and damped alone.
+        scale = np.diag(gram) * rng.uniform(1.0, 2.0, 4)
+        scale[column] = rng.uniform(1.0, 2.0)
+        out.append((gram, jac.T @ rng.normal(size=72), scale))
+    return out
+
+
+class TestDampedStep:
+    @pytest.mark.parametrize("mu", [1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e12])
+    def test_matches_a_solve_of_the_masked_system(self, mu):
+        frozen_sets = [np.array(f) for f in itertools.product((False, True), repeat=4)]
+        for gram, g, scale in damped_systems():
+            for frozen in frozen_sets:
+                reference = masked_solve(gram, g, mu, scale, frozen)
+                step = np.array(_damped_step(gram.tolist(), g.tolist(), mu, scale.tolist(),
+                                             frozen.tolist()))
+                assert np.all(step[frozen] == 0.0)
+                assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_a_pivot_that_is_not_positive_falls_back_to_elimination(self):
+        # Undamped and indefinite, as mu D lost in rounding would leave J^T J.
+        rng = np.random.default_rng(42)
+        frozen = np.zeros(4, dtype=bool)
+        for k in range(20):
+            a = rng.normal(size=(4, 4))
+            gram, g = a + a.T, rng.normal(size=4)
+            if k % 2:
+                gram[0, 0] = 0.0  # a zero leading pivot, which only a row exchange passes
+            reference = masked_solve(gram, g, 0.0, np.ones(4), frozen)
+            step = np.array(_damped_step(gram.tolist(), g.tolist(), 0.0, [1.0] * 4, [False] * 4))
+            assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_a_singular_system_raises_as_numpy_does(self):
+        gram, g, frozen = np.zeros((4, 4)), np.ones(4), np.zeros(4, dtype=bool)
+        with pytest.raises(np.linalg.LinAlgError):
+            masked_solve(gram, g, 0.0, np.ones(4), frozen)
+        with pytest.raises(np.linalg.LinAlgError):
+            _damped_step(gram.tolist(), g.tolist(), 0.0, [1.0] * 4, [False] * 4)
 
 
 class TestBlock:
