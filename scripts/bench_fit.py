@@ -1,4 +1,4 @@
-"""Time ``bsqpt.fit``, its start grid and its model evaluations; print one JSON object.
+"""Time ``bsqpt.fit``, its starts and its model evaluations; print one JSON object.
 
 Run from the repository root, pinned to one CPU with BLAS on one thread::
 
@@ -13,21 +13,26 @@ the benchmark's gauge (``perfbench/speed.py``), read just before and just
 after it, because a shared machine changes speed in phases of seconds to
 minutes. Each record is fitted ``REPEATS`` times and keeps its fastest
 scaled time, which sheds single preemptions. Each case reports the median
-of those times over records, the mean evaluations per fit, the fit time
-per evaluation (the solver's own per-iteration work included) and how many
-fits ran each number of lanes (``lanes_per_fit``, by the length of
-``start_residuals``; the descent's cost per iteration grows with it): the
-4-start fit of the benchmark's ``paper_fit`` workload (``multistart=4``,
+of those times over records, the mean evaluations and stacked kernel
+(``_evaluate``) calls per fit, the fit time per evaluation (the solver's
+own per-iteration work included) and how many fits ran each number of
+lanes (``lanes_per_fit``, by the length of ``start_residuals``; the
+descent's cost per iteration grows with it): the 4-start fit of the
+benchmark's ``paper_fit`` workload (``multistart=4``,
 ``max_iterations=500``, ``convergence_tol=1e-9``) and the default fit.
 
-``layers_us`` gives, on the first record, the time of the start grid
-(``_grid_starts`` for 16 starts) and, for a stack of k = 1, 4 and 16 points
-(the first k of the fixed ``LANES``), of one ``_evaluate`` call, which
-gives each point its residual, cost, normal equations and scale, each the
-fastest of five scaled means over 500 calls; and of one iteration of the
-descent: one stacked ``_evaluate`` call for all k lanes plus each lane's
-own step in Python floats, the mean over a 10-step descent with the
-convergence tests off (tolerance 0), the fastest of five scaled runs.
+``layers_us`` gives, on the first record: ``starts``, the whole start list
+(``_grid_starts`` for 16 starts: the angle grid and the polish of each
+start); ``polish``, the Newton polish of those starts alone
+(``bsqpt.varpro.polish``, absent from trees without one); ``profile``, one
+closed-form profile evaluation with its gradient and Hessian; and, for a
+stack of k = 1, 4 and 16 points (the first k of the fixed ``LANES``), one
+``_evaluate`` call, which gives each point its residual, cost, normal
+equations and scale, and one iteration of the descent: one stacked
+``_evaluate`` call for all k lanes plus each lane's own step in Python
+floats, the mean over a 10-step descent with the convergence tests off
+(tolerance 0). Each is the fastest of five scaled means, over 500 calls
+for the single calls.
 
 The benchmark (``perfbench/run.py``) reports the 4-start fit, traced, as
 ``fitting.fit.p50_ms``, ``fitting.evaluations`` and
@@ -51,7 +56,13 @@ import numpy as np
 
 from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
+from bsqpt import fitting
 from bsqpt.fitting import _LOWER, _UPPER, _descend, _evaluate, _grid_starts, _kernel_inputs
+
+try:
+    from bsqpt import varpro
+except ImportError:  # a tree from before the start polish
+    varpro = None
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
@@ -97,16 +108,27 @@ def run_case(n: int, kwargs: dict) -> dict:
     chis = records(n)
     cfg = FitConfig(**kwargs)
     fit(chis[0], cfg)  # warm-up
-    times, evaluations, lanes = [], [], collections.Counter()
+    times, evaluations, calls, lanes = [], [], [], collections.Counter()
+
+    def counting(*args):
+        calls[-1] += 1
+        return _evaluate(*args)
+
     for chi in chis:
         times.append(min(timed(lambda: fit(chi, cfg)) for _ in range(REPEATS)))
-        res = fit(chi, cfg)
+        calls.append(0)
+        fitting._evaluate = counting
+        try:
+            res = fit(chi, cfg)
+        finally:
+            fitting._evaluate = _evaluate
         evaluations.append(res.n_evaluations)
         lanes[len(res.start_residuals)] += 1
     return {
         "records": n,
         "fit_p50_ms": round(1e3 * statistics.median(times), 3),
         "evaluations_per_fit": round(sum(evaluations) / n, 2),
+        "kernel_calls_per_fit": round(sum(calls) / n, 2),
         "us_per_evaluation": round(1e6 * sum(times) / sum(evaluations), 2),
         "lanes_per_fit": {str(k): lanes[k] for k in sorted(lanes)},
     }
@@ -119,8 +141,26 @@ def layers() -> dict:
     def fun(x):
         return _evaluate(x, target, floor)
 
-    out = {"grid": round(1e6 * min(timed(lambda: _grid_starts(target, floor, 16), number=500)
-                                   for _ in range(5)), 2)}
+    calls = {"starts": (lambda: _grid_starts(target, floor, 16), 500)}
+    if varpro is not None:
+        runs = []
+
+        def spy(parts, theta1, theta2):
+            runs.append((parts, theta1, theta2))
+            return varpro.polish(parts, theta1, theta2)
+
+        fitting.polish = spy
+        try:
+            _grid_starts(target, floor, 16)
+        finally:
+            fitting.polish = varpro.polish
+        calls["polish"] = (lambda: [varpro.polish(*run) for run in runs], 500)
+        calls["profile"] = (lambda: varpro.profile(*runs[0]), 500)
+    best = dict.fromkeys(calls, math.inf)
+    for _ in range(5):
+        for name, (f, number) in calls.items():
+            best[name] = min(best[name], timed(f, number=number))
+    out = {name: round(1e6 * t, 2) for name, t in best.items()}
     for k in (1, 4, 16):
         x = LANES[:k]
         start = (x, *fun(x))

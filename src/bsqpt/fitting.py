@@ -24,7 +24,9 @@ iteration makes one call of the stacked kernel :func:`_evaluate` for the
 trial points of all running lanes, which gives each its residual, cost,
 normal equations and scale at once. The starts are the lowest minima,
 over an angle grid, of the residual left by the three linear coefficients
-the model has at fixed angles (:func:`_grid_starts`). Only p and R/T are
+the model has at fixed angles, each polished by Newton's method to the
+minimum of that closed-form angle profile nearby (:func:`_grid_starts`,
+:mod:`bsqpt.varpro`). Only p and R/T are
 boxed, p to [0, 1], whose halves mirror each other (:func:`_params`); the
 angles are periodic, so they are left free and folded by
 :func:`canonicalize` afterwards. The objective is the plain Frobenius
@@ -45,6 +47,7 @@ from .bases import STANDARD, build_basis, to_coeff_vector
 from .bsfilter import P_RANGE, FilterParams, filter_operators, u3
 from .channel import ProcessMatrix, transform_process_matrix
 from .linalg import SWAP, dagger, project_to_psd
+from .varpro import grid, maps, polish
 
 # The filter operators P-/+ = t I -/+ r U3 SWAP, with U3 diagonal, have
 # non-zero standard-basis coefficients only where I or SWAP has one: at
@@ -125,7 +128,8 @@ class FitResult:
     zero, so the fit explains none of it). ``fidelity`` is ``None`` when
     it cannot be computed (a matrix without positive trace after the PSD
     projection). ``start_residuals`` holds the residual norm at each start
-    point, at most ``multistart`` of them, and ``best_start`` the index of
+    point, polished (:func:`_grid_starts`), at most ``multistart`` of them,
+    and ``best_start`` the index of
     the reported start, both in the start order of :class:`FitConfig`.
     """
 
@@ -164,12 +168,10 @@ def _as_real(z: np.ndarray) -> np.ndarray:
 
 # For fixed angles, with a = vec(I) and b = vec(U3 SWAP) on the block,
 # alpha chi_1 = x1 a a^+ + x2 b b^+ + x3 (a b^+ + b a^+) is linear in
-# x = alpha (t^2, r^2, (2p - 1) t r); adding 2 pi to an angle flips only x3's
-# sign, so the best unconstrained x and its residual have period 2 pi. The
-# grid's 16 x 16 angle pairs g span [-pi, pi)^2 row by row. Rows g, g + 256
-# and g + 512 of the grid's Q are an orthonormal basis of the :func:`_as_real`
-# terms at g, its R^-1[g] maps coordinates in it to x (:func:`_grid_factors`),
-# and _NEIGHBOURS[:, g] are g's eight neighbours on the torus (g last, where
+# x = alpha (t^2, r^2, (2p - 1) t r); adding 2 pi to an angle flips b, so
+# only x3's sign, and the best unconstrained x and its residual have period
+# 2 pi. The grid's 16 x 16 angle pairs span [-pi, pi)^2 row by row, and
+# _NEIGHBOURS[:, g] are g's eight neighbours on the torus (g last, where
 # numpy reduces fastest).
 _AXIS = np.linspace(-math.pi, math.pi, 16, endpoint=False)
 _GRID = np.stack(np.meshgrid(_AXIS, _AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -178,17 +180,9 @@ _NEIGHBOURS = np.stack([np.roll(np.arange(256).reshape(16, 16), (i, j), axis=(0,
 
 
 @lru_cache(maxsize=None)
-def _grid_factors() -> tuple[np.ndarray, np.ndarray]:
-    """The grid's stacked Q, ``(768, 72)``, and R^-1, ``(256, 3, 3)``; built on the first fit."""
-    b = _SWAP_SIGNS * np.exp(1j * (_GRID @ _RATES))
-    ab = _VEC_I[:, None] * b.conj()[:, None, :]
-    terms = np.broadcast_arrays(np.outer(_VEC_I, _VEC_I), b[:, :, None] * b.conj()[:, None, :],
-                                ab + ab.conj().swapaxes(1, 2))
-    q, r = np.linalg.qr(_as_real(np.stack(terms, axis=1)).swapaxes(1, 2))
-    factors = q.transpose(2, 0, 1).reshape(-1, 72), np.linalg.inv(r)
-    for f in factors:
-        f.setflags(write=False)
-    return factors
+def _profile_maps() -> tuple:
+    """The angle profile's maps (:func:`bsqpt.varpro.maps`); built on the first fit."""
+    return maps(_RATES, _SWAP_SIGNS, _VEC_I, _GRID)
 
 
 def _kernel_inputs(chi_std: np.ndarray) -> tuple[np.ndarray, float]:
@@ -279,29 +273,33 @@ def _tied(value, low):
 def _grid_starts(target: np.ndarray, floor: float, n: int) -> np.ndarray:
     """Up to ``n`` start points ``(p, R/T, theta1, theta2)`` from the angle grid, lowest first.
 
-    ``target`` and ``floor`` are the kernel inputs of :func:`_evaluate`. At
-    each grid point the best unconstrained coefficients ``x`` of the three
-    model terms (see ``_GRID``) project ``target`` onto their span, and the
-    rest of the cost is the point's residual. The starts are the local minima
-    of that residual, each no higher than its eight neighbours on the torus,
-    lowest first; values that :func:`_tied` counts as equal keep grid order.
-    Each maps to ``R/T = sqrt(x2 / x1)`` and ``p = (1 + x3 / sqrt(x1 x2)) / 2``,
-    clipped into the box, at its angles; a coefficient below zero counts as
-    zero, p is 1/2 where ``x1 x2`` is, and every start is finite.
+    ``target`` and ``floor`` are :func:`_evaluate`'s. The angle profile is the
+    cost left at fixed angles by the best unconstrained coefficients
+    ``x = G^-1 v`` of the three model terms (:mod:`bsqpt.varpro`). Its minima
+    on the grid, no higher than their eight neighbours on the torus, are
+    taken lowest first, values that :func:`_tied` counts as equal in grid
+    order. Each is polished (:func:`bsqpt.varpro.polish`), and its ``x`` maps to
+    ``R/T = sqrt(x2 / x1)`` and ``p = (1 + x3 / sqrt(x1 x2)) / 2``, clipped
+    into the box: a coefficient below zero counts as zero, p is 1/2 where
+    ``x1 x2`` is, and every start is finite.
     """
-    grid_q, grid_r_inv = _grid_factors()
-    w = (grid_q @ target).reshape(3, -1)
-    cost = floor + target @ target - np.add.reduce(w * w)
+    # Far from the fit's unit magnitude, target is scaled by a power of two so
+    # that products of its entries neither underflow nor overflow.
+    e = int(np.frexp(np.max(np.abs(target)))[1])
+    if abs(e) > 256:
+        target, floor = np.ldexp(target, -e), math.ldexp(floor, -2 * e)
+    value, parts = grid(_profile_maps(), target)
+    cost = floor + target @ target - value
     minima = np.flatnonzero(_tied(cost, np.minimum.reduce(cost[_NEIGHBOURS])))
     left, starts = cost[minima], []
     lo, hi = RATIO_BOUNDS
     while len(starts) < min(n, len(minima)):
         k = int(np.flatnonzero(_tied(left, left.min()))[0])
         left[k], g = math.inf, minima[k]
-        x1, x2, x3 = (grid_r_inv[g] @ w[:, g]).tolist()
+        theta1, theta2, (x1, x2, x3) = polish(parts, *_GRID[g].tolist())
         t, r = math.sqrt(max(x1, 0.0)), math.sqrt(max(x2, 0.0))
         q = min(max(x3, -t * r), t * r) / (t * r) if t * r > 0.0 else 0.0
-        starts.append((0.5 * (1.0 + q), max(r / t, lo) if hi * t > r else hi, *_GRID[g]))
+        starts.append((0.5 * (1.0 + q), max(r / t, lo) if hi * t > r else hi, theta1, theta2))
     return np.array(starts)
 
 
@@ -377,22 +375,23 @@ def _lane(x: list, r: np.ndarray, cost: float, g: list, gram: list, alpha: float
     residual, cost, ``J^T r``, ``J^T J`` and scale, all but the residual as
     Python floats, and returns ``(x, r, alpha, converged, evaluations)``.
     """
-    mu, nu, scale = 1e-3, 2.0, [0.0] * 4
+    mu, nu, scale, moved = 1e-3, 2.0, [0.0] * 4, True
     evals = jacs = 1
     while True:
-        # A lane whose step was rejected keeps its g and J^T J, so its scale,
-        # frozen set and gradient test come out as before.
-        diag = [gram[0][0], gram[1][1], gram[2][2], gram[3][3]]
-        scale = [s if s >= d else d for s, d in zip(scale, diag)]
-        frozen = [s <= 0.0 or (v <= low and gi > 0.0) or (v >= high and gi < 0.0)
-                  for s, v, gi, low, high in zip(scale, x, g, lo, hi)]
-        # Rooted apart: sqrt(cost * diag) would round, and so stop, differently.
-        root = math.sqrt(cost)
-        for f, gi, d in zip(frozen, g, diag):
-            if not (f or abs(gi) <= tol * (root * math.sqrt(d))):
-                break
-        else:
-            return x, r, alpha, True, evals + jacs
+        # A rejected step leaves g and J^T J, and with them the scale, the
+        # frozen set and the gradient test, as they were.
+        if moved:
+            diag = [gram[0][0], gram[1][1], gram[2][2], gram[3][3]]
+            scale = [s if s >= d else d for s, d in zip(scale, diag)]
+            frozen = [s <= 0.0 or (v <= low and gi > 0.0) or (v >= high and gi < 0.0)
+                      for s, v, gi, low, high in zip(scale, x, g, lo, hi)]
+            # Rooted apart: sqrt(cost * diag) would round, and so stop, differently.
+            root = math.sqrt(cost)
+            for f, gi, d in zip(frozen, g, diag):
+                if not (f or abs(gi) <= tol * (root * math.sqrt(d))):
+                    break
+            else:
+                return x, r, alpha, True, evals + jacs
         if evals >= max_evals:
             return x, r, alpha, False, evals + jacs
         trial = [low if v < low else high if v > high else v for v, low, high in
@@ -410,7 +409,8 @@ def _lane(x: list, r: np.ndarray, cost: float, g: list, gram: list, alpha: float
         gain = drop / predicted if predicted > 0.0 else -1.0
         done = short or (gain > 0.25 and drop <= tol * cost)
         evals += 1
-        if gain > 0.0:
+        moved = gain > 0.0
+        if moved:
             x, r, cost, g, gram, alpha = trial, r_new, cost_new, g_new, gram_new, alpha_new
             jacs += not done
             # Nielsen's factor is 1/3 for every gain >= 1.

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
 from bsqpt import FilterParams, KrausSet
+from bsqpt.cli import main
 
 
 def random_matrix(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -92,3 +94,42 @@ def fail_best_start(monkeypatch) -> None:
         return tuple(out)
 
     monkeypatch.setattr(fitting, "_descend", solver)
+
+
+# The README pipeline: its input files, then each command with the outputs
+# it writes. The maximally mixed input state is the one the CI run applies.
+README_INPUTS = {
+    "params.json": {"ratio_RT": 0.76, "theta1": 1.288053, "theta2": 0.238761, "p": 0.325,
+                    "scale": 1.0},
+    "temporal.json": {"ratio_RT": 0.76, "theta1": 1.288053, "theta2": 0.238761, "tau_fs": 100.0,
+                      "tau_c_fs": 83.0, "mu": 0.72},
+    "rho.json": {"dim": 4, "basis": "state", "re": np.diag([0.25] * 4).tolist(),
+                 "im": np.zeros((4, 4)).tolist()},
+}
+README_PIPELINE = [
+    "simulate --params params.json --counts-out counts.csv",
+    "simulate --params params.json --counts-out noisy.csv --noise poisson --seed 1"
+    " --total-scale 10000",
+    "reconstruct --counts counts.csv --basis F --out chi_f.json",
+    "fit --chi chi_f.json --out fit.json",
+    "reconstruct --counts noisy.csv --basis F --out chi_noisy.json",
+    "fit --chi chi_noisy.json --out fit_noisy.json --multistart 4",
+    "homdip --params temporal.json --tau-min -400 --tau-max 400 --steps 161 --out dip.csv",
+    "transform --chi chi_f.json --to S --out chi_s.json",
+    "choi --params params.json --basis F --out model.json",
+    "apply --chi chi_s.json --state rho.json --out out.json",
+]
+README_OUTPUTS = ["counts.csv", "noisy.csv", "chi_f.json", "fit.json", "chi_noisy.json",
+                  "fit_noisy.json", "dip.csv", "chi_s.json", "model.json", "out.json"]
+
+
+def run_readme_pipeline(directory) -> None:
+    """Write the README pipeline's inputs to ``directory`` and run its commands there."""
+    for name, value in README_INPUTS.items():
+        write_json(value, os.path.join(directory, name))
+    for command in README_PIPELINE:
+        argv = [os.path.join(directory, a) if a.endswith((".json", ".csv")) else a
+                for a in command.split()]
+        code = main(argv)
+        if code != 0:
+            raise RuntimeError(f"bsqpt {command} exited {code}")

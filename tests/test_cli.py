@@ -593,14 +593,14 @@ class TestCliErrors:
                      "--counts-out", str(tmp_path / "nodir" / "c.csv")]) == 3
 
     def test_nonconvergence_exit_4_with_file(self, tmp_path):
-        # A Poisson record: a moment start solves an exact model matrix in
-        # under two evaluations.
+        # A Poisson record whose best start, polished to the minimum of the
+        # angle profile, does not converge in two evaluations.
         params = write_params(tmp_path / "p.json")
         counts = tmp_path / "noisy.csv"
         chi_path = tmp_path / "chi.json"
         report = tmp_path / "fit.json"
         main(["simulate", "--params", str(params), "--counts-out", str(counts),
-              "--noise", "poisson", "--seed", "1", "--total-scale", "10000"])
+              "--noise", "poisson", "--seed", "2", "--total-scale", "10000"])
         main(["reconstruct", "--counts", str(counts), "--out", str(chi_path)])
         code = main(["fit", "--chi", str(chi_path), "--out", str(report),
                      "--max-iter", "2", "--multistart", "2"])

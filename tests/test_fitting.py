@@ -23,7 +23,7 @@ from bsqpt import fidelity, project_to_psd
 from bsqpt.bases import to_coeff_vector
 from bsqpt.bsfilter import P_RANGE, u3
 from bsqpt.linalg import SWAP
-from bsqpt import fitting
+from bsqpt import fitting, varpro
 from bsqpt.fitting import (
     RATIO_BOUNDS,
     _BLOCK,
@@ -335,8 +335,9 @@ class TestFit:
                 assert np.all(_LOWER <= x) and np.all(x <= _UPPER)
 
     def test_nonconvergence_reported_not_raised(self):
-        # A Poisson record, which no start solves in two evaluations.
-        chi = poisson_chi(paper_filter(0.3), 1e4, seed=10)
+        # A Poisson record with two starts, neither of which converges in two
+        # evaluations from its polished start.
+        chi = poisson_chi(paper_filter(0.3), 1e4, seed=6)
         res = fit(chi, FitConfig(multistart=2, max_iterations=2))
         assert not res.converged
         assert res.residual >= 0.0
@@ -367,8 +368,9 @@ class TestFit:
         assert res.n_evaluations == len(calls) + 3
 
     def test_a_rejected_step_does_not_count_its_jacobian(self, monkeypatch):
-        # One start, stopped by its evaluation cap before it converges, that
-        # rejects five of its eleven steps. The kernel builds the Jacobian at
+        # One start on a record at p = 0, whose profile minimum lies outside
+        # the box, stopped by its evaluation cap before it converges; it
+        # rejects six of its eleven steps. The kernel builds the Jacobian at
         # every trial point, but it counts only where the lane moves on.
         real = fitting._descend
         costs = []
@@ -384,12 +386,12 @@ class TestFit:
             return real(f, start, *args)
 
         monkeypatch.setattr(fitting, "_descend", recording)
-        res = fit(poisson_chi(paper_filter(0.325), 1e4, seed=0),
+        res = fit(poisson_chi(paper_filter(0.0), 1e3, seed=8),
                   FitConfig(multistart=1, max_iterations=12))
         assert not res.converged
         trials = len(costs) - 1
         accepted = sum(costs[i] < min(costs[:i]) for i in range(1, len(costs)))
-        assert trials - accepted == 5
+        assert trials - accepted == 6
         # The start's residual and Jacobian, one residual per trial point and
         # one Jacobian per accepted trial point.
         assert res.n_evaluations == 2 + trials + accepted
@@ -434,6 +436,9 @@ class TestFit:
     def test_best_start_is_the_reported_start(self, monkeypatch, k):
         # Start k comes back at the lowest end point of a real descent of
         # every start; the others come back untouched at their start point.
+        # The starts are the grid points, unpolished: a polished start can
+        # already sit at the lowest end point.
+        unpolished(monkeypatch)
         real = fitting._descend
 
         def solver(fun, start, *args):
@@ -506,7 +511,8 @@ class TestGridStarts:
 
     def test_finite_and_in_the_box_on_degenerate_input(self, monkeypatch):
         # Zero, negative-definite and subnormal matrices, both as the fit
-        # scales them and as they are, the subnormal one at 2^-1074.
+        # scales them and as they are, the subnormal one at 2^-1074. The
+        # start list alone also raises on underflow.
         log = record_solver(monkeypatch)
         rng = np.random.default_rng(18)
         m = random_matrix(rng, 16)
@@ -516,8 +522,12 @@ class TestGridStarts:
         for chi in chis:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 fit(ProcessMatrix("S", chi), FitConfig())
-                starts.extend(_grid_starts(*_kernel_inputs(chi.astype(complex)), 16))
-        assert len(log["x0"]) >= len(chis) and len(starts) >= len(chis)
+                inputs = [_kernel_inputs(chi.astype(complex)),
+                          unit_kernel_inputs(ProcessMatrix("S", chi))[:2]]
+            for target, floor in inputs:
+                with np.errstate(all="raise"):
+                    starts.extend(_grid_starts(target, floor, 16))
+        assert len(log["x0"]) >= len(chis) and len(starts) >= 2 * len(chis)
         for x in log["x0"] + starts:
             assert np.all(np.isfinite(x))
             assert np.all(_LOWER <= x) and np.all(x <= _UPPER)
@@ -535,20 +545,24 @@ class TestGridStarts:
             assert np.array_equal(np.array(log["x0"][-len(want):]), want)
             assert np.array_equal(want, _grid_starts(target, floor, 16)[:m])
 
-    def test_start_list_matches_a_brute_force_grid(self):
+    def test_start_list_matches_a_brute_force_grid(self, monkeypatch):
         # The grid built point by point: a least-squares solve of the three
         # model terms at each angle pair, the local minima by a loop over the
         # eight neighbours and the order by repeated minimum. The identity and
         # zero matrices have a flat profile, so the first grid points win.
-        rng = np.random.default_rng(19)
-        chis = [poisson_chi(paper_filter(0.325), 1e4, seed=31).m, model_chi(paper_filter(0.2)).m,
-                random_hermitian(rng, 16), np.eye(16), -np.eye(16), np.zeros((16, 16))]
-        for chi in chis:
+        # Unpolished, the starts are the brute-force ones; polished, each
+        # stays within one grid spacing of its grid point.
+        polished = [_grid_starts(*_kernel_inputs(chi.astype(complex)), 20)
+                    for chi in profile_matrices()]
+        unpolished(monkeypatch)
+        for chi, moved in zip(profile_matrices(), polished):
             target, floor = _kernel_inputs(chi.astype(complex))
             got = _grid_starts(target, floor, 20)
             want = brute_force_grid_starts(target, floor, 20)
-            assert got.shape == want.shape
+            assert got.shape == want.shape == moved.shape
             assert_allclose(got, want, rtol=0, atol=1e-9)
+            turn = np.remainder(moved[:, 2:] - want[:, 2:] + np.pi, 2 * np.pi) - np.pi
+            assert np.all(np.abs(turn) <= np.pi / 8 + 1e-12)
 
     def test_four_starts_reach_the_dense_start_optimum(self):
         # 24 Poisson records: the reference filter at the three paper delays
@@ -568,6 +582,112 @@ class TestGridStarts:
             chi = poisson_chi(paper_filter(0.5), 1e4, seed)
             res = fit(chi, FitConfig(multistart=1))
             assert res.residual <= (1 + 1e-9) * dense_optimum(chi, 1e-14, 2000)
+
+
+def unpolished(monkeypatch):
+    """Make ``_grid_starts`` hand out its grid points as they are, with the profile's x there."""
+    monkeypatch.setattr(fitting, "polish", lambda parts, theta1, theta2: (
+        theta1, theta2, varpro.profile(parts, theta1, theta2)[1]))
+
+
+def profile_matrices():
+    """A Poisson record, a model matrix, a random Hermitian matrix, I, -I and zero."""
+    rng = np.random.default_rng(19)
+    return [poisson_chi(paper_filter(0.325), 1e4, seed=31).m, model_chi(paper_filter(0.2)).m,
+            random_hermitian(rng, 16), np.eye(16), -np.eye(16), np.zeros((16, 16))]
+
+
+def polish_runs(monkeypatch, chis):
+    """Every ``polish`` call of ``_grid_starts`` (16 starts) on ``chis``.
+
+    Each is ``(parts, grid point, result)``.
+    """
+    runs = []
+    real = fitting.polish
+
+    def spy(parts, theta1, theta2):
+        runs.append((parts, (theta1, theta2), real(parts, theta1, theta2)))
+        return runs[-1][-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting, "polish", spy)
+        for chi in chis:
+            _grid_starts(*_kernel_inputs(chi.astype(complex)), 16)
+    return runs
+
+
+def term_design(theta):
+    """The three model terms at ``theta`` as the columns of a real design matrix on the block."""
+    a = to_coeff_vector(I4)[_BLOCK]
+    b = to_coeff_vector(u3(*theta) @ SWAP)[_BLOCK]
+    terms = [np.outer(a, a.conj()), np.outer(b, b.conj()),
+             np.outer(a, b.conj()) + np.outer(b, a.conj())]
+    return np.array([np.concatenate([t.real.ravel(), t.imag.ravel()]) for t in terms]).T
+
+
+class TestProfile:
+    def test_value_and_x_match_a_least_squares_solve(self, monkeypatch):
+        # At every grid point and at 20 random angle pairs, to 1e-12 of the
+        # block's squared norm (the value) and of its norm (x).
+        rng = np.random.default_rng(32)
+        angles = np.concatenate([fitting._GRID, rng.uniform(-4.0, 4.0, (20, 2))])
+        for chi in profile_matrices():
+            target, _ = _kernel_inputs(chi.astype(complex))
+            parts = polish_runs(monkeypatch, [chi])[0][0]
+            block = target.view(complex).reshape(6, 6)
+            y = np.concatenate([block.real.ravel(), block.imag.ravel()])
+            norm = np.linalg.norm(y)
+            for theta in angles:
+                value, x, *_ = varpro.profile(parts, *theta)
+                want = np.linalg.lstsq(term_design(theta), y, rcond=None)[0]
+                rest = y - term_design(theta) @ want
+                assert abs((norm**2 - value) - rest @ rest) <= 1e-12 * norm**2
+                assert np.all(np.abs(np.array(x) - want) <= 1e-12 * norm)
+
+    def test_gradient_and_hessian_match_central_differences(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        h = 1e-5
+        for parts, *_ in polish_runs(monkeypatch, profile_matrices()[:3]):
+            for theta in rng.uniform(-4.0, 4.0, (10, 2)):
+                value, _, gradient, (h11, h12, h22) = varpro.profile(parts, *theta)
+                scale = abs(value) + 1.0
+                steps = h * np.eye(2)
+                up = [varpro.profile(parts, *(theta + e)) for e in steps]
+                down = [varpro.profile(parts, *(theta - e)) for e in steps]
+                fd = [(u[0] - d[0]) / (2 * h) for u, d in zip(up, down)]
+                fd_hessian = [(np.array(u[2]) - np.array(d[2])) / (2 * h)
+                              for u, d in zip(up, down)]
+                assert np.all(np.abs(np.array(gradient) - fd) <= 1e-8 * scale)
+                assert np.all(np.abs(np.array([[h11, h12], [h12, h22]]) - fd_hessian)
+                              <= 1e-8 * scale)
+
+    def test_polished_starts_are_stationary_or_stopped(self, monkeypatch):
+        # Each polish ends no lower in the profile than its grid point and
+        # within one grid spacing of it, with the x of its end point; there
+        # the profile is stationary (Newton's next step at most 1e-7), its
+        # Hessian is not definite, or the next step would leave the cell.
+        rng = np.random.default_rng(34)
+        chis = profile_matrices() + [random_hermitian(rng, 16) for _ in range(5)]
+        chis += [poisson_chi(paper_filter(p), total, seed).m for p in (0.0, 0.14, 0.325, 0.5)
+                 for total in (1e3, 1e4) for seed in range(3)]
+        stationary = 0
+        for parts, grid, (theta1, theta2, x) in polish_runs(monkeypatch, chis):
+            assert -np.pi <= theta1 < np.pi and -np.pi <= theta2 < np.pi
+            moved = np.remainder(np.array([theta1, theta2]) - grid + np.pi, 2 * np.pi) - np.pi
+            assert np.all(np.abs(moved) <= np.pi / 8 + 1e-12)
+            value, x_end, (g1, g2), (h11, h12, h22) = varpro.profile(parts, theta1, theta2)
+            start = varpro.profile(parts, *grid)[0]
+            assert value >= start - 1e-14 * abs(start)
+            assert_allclose(x, x_end, rtol=1e-12, atol=1e-14 * np.abs(x_end).max())
+            det = h11 * h22 - h12 * h12
+            if not (h11 < 0.0 and det > 0.0):
+                continue
+            step = np.array([h12 * g2 - h22 * g1, h12 * g1 - h11 * g2]) / det
+            end = np.array([theta1, theta2]) + step
+            turn = np.remainder(end - grid + np.pi, 2 * np.pi) - np.pi
+            stationary += np.abs(step).sum() <= 1e-7
+            assert np.abs(step).sum() <= 1e-7 or np.any(np.abs(turn) > np.pi / 8)
+        assert stationary >= 40
 
 
 def unit_kernel_inputs(chi):
@@ -603,14 +723,10 @@ def brute_force_grid_starts(target, floor, n):
     """:func:`fitting._grid_starts`, one grid point and one start at a time."""
     side = 16
     block = target.view(complex).reshape(6, 6)
-    a = to_coeff_vector(I4)[_BLOCK]
     y = np.concatenate([block.real.ravel(), block.imag.ravel()])
     cost, coef = np.empty((side, side)), np.empty((side, side, 3))
     for i, j in itertools.product(range(side), repeat=2):
-        b = to_coeff_vector(u3(*grid_angles(i, j)) @ SWAP)[_BLOCK]
-        terms = [np.outer(a, a.conj()), np.outer(b, b.conj()),
-                 np.outer(a, b.conj()) + np.outer(b, a.conj())]
-        design = np.array([np.concatenate([t.real.ravel(), t.imag.ravel()]) for t in terms]).T
+        design = term_design(grid_angles(i, j))
         coef[i, j] = np.linalg.lstsq(design, y, rcond=None)[0]
         cost[i, j] = floor + np.sum((design @ coef[i, j] - y) ** 2)
 
@@ -680,10 +796,14 @@ class TestDescend:
             assert res.residual <= 1e-12
 
     def test_every_solver_point_stays_in_the_box(self, monkeypatch):
+        # Records at p = 0 put the profile's minimum outside the box, so
+        # their descents run along its wall.
         log = record_solver(monkeypatch)
         chis = [model_chi(fp) for fp in edge_filters()]
         chis += [poisson_chi(paper_filter(p), total, seed=26) for p in (0.14, 0.325, 0.5)
                  for total in (1e3, 1e4)]
+        chis += [poisson_chi(paper_filter(0.0), total, seed) for total in (1e3, 1e4)
+                 for seed in range(26, 32)]
         for chi in chis:
             fit(chi, FitConfig(multistart=4))
         points = log["x0"] + [x for x, _ in log["fun"]]
