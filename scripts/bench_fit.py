@@ -13,11 +13,16 @@ the benchmark's gauge (``perfbench/speed.py``), read just before and just
 after it, because a shared machine changes speed in phases of seconds to
 minutes. Each record is fitted ``REPEATS`` times and keeps its fastest
 scaled time, which sheds single preemptions. Each case reports the median
-of those times over records, the mean evaluations and stacked kernel
-(``_evaluate``) calls per fit, the fit time per evaluation (the solver's
-own per-iteration work included) and how many fits ran each number of
+and the mean of those times over records, the mean evaluations and stacked
+kernel (``_evaluate``) calls per fit, the fit time per evaluation (the
+solver's own per-iteration work included), how many fits started each number of
 lanes (``lanes_per_fit``, by the length of ``start_residuals``; the
-descent's cost per iteration grows with it): the 4-start fit of the
+descent's cost per iteration grows with it), how many fits descended
+each number of lanes to their end (``lanes_descended_per_fit``: the rest
+were dropped once a lane converged at the angle profile's bound; every
+lane on trees without the bound) and the mean kernel calls of the fits
+that started more than one lane (``kernel_calls_per_multi_lane_fit``,
+``null`` without such fits): the 4-start fit of the
 benchmark's ``paper_fit`` workload (``multistart=4``,
 ``max_iterations=500``, ``convergence_tol=1e-9``) and the default fit.
 
@@ -44,6 +49,7 @@ as ``peak_rss_mb``.
 from __future__ import annotations
 
 import collections
+import inspect
 import json
 import math
 import os
@@ -71,9 +77,11 @@ REPEATS = 5
 STEPS = 10
 CASES = {
     # name: (records, FitConfig keywords)
-    "paper_fit_4_starts": (15, {"multistart": 4, "max_iterations": 500, "convergence_tol": 1e-9}),
-    "default_16_starts": (15, {}),
+    "paper_fit_4_starts": (60, {"multistart": 4, "max_iterations": 500, "convergence_tol": 1e-9}),
+    "default_16_starts": (60, {}),
 }
+# A cost bound that no lane reaches, for trees whose _descend takes one.
+NO_BOUND = (-math.inf,) if len(inspect.signature(_descend).parameters) > 6 else ()
 # The layer lanes, fixed points (p, R/T, theta1, theta2) spread over the box.
 LANES = np.random.default_rng(0).uniform([0.0, 0.25, -math.pi, -math.pi],
                                          [0.5, 4.0, math.pi, math.pi], (16, 4))
@@ -108,29 +116,40 @@ def run_case(n: int, kwargs: dict) -> dict:
     chis = records(n)
     cfg = FitConfig(**kwargs)
     fit(chis[0], cfg)  # warm-up
-    times, evaluations, calls, lanes = [], [], [], collections.Counter()
+    times, evaluations, calls, multi = [], [], [], []
+    lanes, descended = collections.Counter(), collections.Counter()
 
     def counting(*args):
         calls[-1] += 1
         return _evaluate(*args)
 
+    def descending(*args):
+        out = _descend(*args)
+        descended[int(out[5].sum()) if len(out) > 5 else len(out[0])] += 1
+        return out
+
     for chi in chis:
         times.append(min(timed(lambda: fit(chi, cfg)) for _ in range(REPEATS)))
         calls.append(0)
-        fitting._evaluate = counting
+        fitting._evaluate, fitting._descend = counting, descending
         try:
             res = fit(chi, cfg)
         finally:
-            fitting._evaluate = _evaluate
+            fitting._evaluate, fitting._descend = _evaluate, _descend
         evaluations.append(res.n_evaluations)
         lanes[len(res.start_residuals)] += 1
+        if len(res.start_residuals) > 1:
+            multi.append(calls[-1])
     return {
         "records": n,
         "fit_p50_ms": round(1e3 * statistics.median(times), 3),
+        "fit_mean_ms": round(1e3 * statistics.fmean(times), 3),
         "evaluations_per_fit": round(sum(evaluations) / n, 2),
         "kernel_calls_per_fit": round(sum(calls) / n, 2),
         "us_per_evaluation": round(1e6 * sum(times) / sum(evaluations), 2),
         "lanes_per_fit": {str(k): lanes[k] for k in sorted(lanes)},
+        "lanes_descended_per_fit": {str(k): descended[k] for k in sorted(descended)},
+        "kernel_calls_per_multi_lane_fit": round(sum(multi) / len(multi), 2) if multi else None,
     }
 
 
@@ -166,9 +185,10 @@ def layers() -> dict:
         start = (x, *fun(x))
         calls = {
             "evaluate": (lambda: fun(x), 500),
-            "iteration": (lambda: _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1), 1),
+            "iteration": (lambda: _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1, *NO_BOUND),
+                          1),
         }
-        if _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1)[3].any():
+        if _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1, *NO_BOUND)[3].any():
             raise RuntimeError(f"a lane stopped before step {STEPS} at k = {k}")
         best = dict.fromkeys(calls, math.inf)
         for _ in range(5):  # interleaved, so a slow phase of the machine hits every layer

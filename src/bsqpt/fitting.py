@@ -3,35 +3,29 @@
 The model process matrix is rank at most two, ``chi_1 = (1-p) c- c-_dag +
 p c+ c+_dag``, where ``c-/+`` are the standard-basis coefficient vectors of
 the unit-scale filter operators ``P-/+ = t I -/+ r U3(theta1, theta2) SWAP``
-with ``t + r = 1``. The overall rate factor is profiled out at every
-evaluation, as in separable least squares (Golub & Pereyra, SIAM J. Numer.
-Anal. 10, 413 (1973)): the best multiplier ``alpha`` of ``chi_1`` against
-the measured matrix is a one-line projection, and the reported ``scale`` is
-its square root (the Kraus operators carry scale linearly, the process
-matrix quadratically). The residual ``chi_meas - alpha chi_1``, split into
-real and imaginary parts, is minimized over the four shape parameters
-(p, R/T ratio, theta1, theta2) by a bounded Levenberg-Marquardt descent
-(Levenberg, Q. Appl. Math. 2, 164 (1944); Marquardt, J. SIAM 11, 431
-(1963)) with the scaling of More (Lecture Notes in Math. 630, 105 (1978))
-and a closed-form Jacobian: every parameter enters ``c-/+`` elementarily.
-The operators touch only six standard-basis coefficients, so ``chi_1``, its
-residual (72 reals) and its Jacobian (72x4) live on a 6x6 block of the
-matrix; the residual off the block is a constant that the cost adds. Each
-start descends as its own lane, whose step (the scaling, the free set, a
-4x4 damped solve, the box and the convergence tests) is a few dozen Python
-float operations, sized for the one to four starts a fit runs; each
-iteration makes one call of the stacked kernel :func:`_evaluate` for the
-trial points of all running lanes, which gives each its residual, cost,
-normal equations and scale at once. The starts are the lowest minima,
-over an angle grid, of the residual left by the three linear coefficients
-the model has at fixed angles, each polished by Newton's method to the
-minimum of that closed-form angle profile nearby (:func:`_grid_starts`,
-:mod:`bsqpt.varpro`). Only p and R/T are
-boxed, p to [0, 1], whose halves mirror each other (:func:`_params`); the
-angles are periodic, so they are left free and folded by
-:func:`canonicalize` afterwards. The objective is the plain Frobenius
-distance on the unnormalized matrices, as they are compared visually, with no
-statistical weighting, computed at one magnitude (a power of two; see :func:`fit`).
+with ``t + r = 1``. The rate factor is profiled out at every evaluation, as
+in separable least squares (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)): the best multiplier ``alpha`` of ``chi_1`` is a one-line
+projection, and the reported ``scale`` is its square root. The residual
+``chi_meas - alpha chi_1`` is minimized over (p, R/T ratio, theta1, theta2)
+by a bounded Levenberg-Marquardt descent (Levenberg, Q. Appl. Math. 2, 164
+(1944); Marquardt, J. SIAM 11, 431 (1963)) with More's scaling (Lecture
+Notes in Math. 630, 105 (1978)) and a closed-form Jacobian. The operators
+touch six standard-basis coefficients, so ``chi_1``, its residual (72
+reals) and Jacobian (72x4) live on a 6x6 block; the cost off the block is
+a constant. Each start descends as its own lane, stepping in Python floats
+around one call of the stacked kernel :func:`_evaluate` per iteration for
+all running lanes. The starts are the lowest grid minima of the angle
+profile, the cost left by the model's three linear coefficients at fixed
+angles, each polished by Newton's method (:func:`_grid_starts`,
+:mod:`bsqpt.varpro`). The profile leaves the coefficients unconstrained, so
+its lowest polished value bounds every lane's end cost from below; once a
+lane ends converged at that bound, the lanes still running are dropped.
+Only p and R/T are boxed, p to [0, 1], whose halves mirror each other
+(:func:`_params`); the angles are left free and folded by
+:func:`canonicalize`. The objective is the plain Frobenius distance on the
+unnormalized matrices, with no statistical weighting, computed at one
+magnitude (a power of two; see :func:`fit`).
 """
 
 from __future__ import annotations
@@ -89,15 +83,14 @@ class FitConfig:
 
     ``multistart`` caps the number of starts, the lowest minima of the angle
     grid of :func:`_grid_starts`. ``max_iterations`` caps the residual
-    evaluations of each start's descent, the start's own
-    included, and ``convergence_tol`` is the descent's relative tolerance on
-    the cost decrease, the step and the projected gradient (the ftol, xtol
-    and gtol of MINPACK); see :func:`_descend`. Every start runs as it would
-    alone, whatever the number of starts. ``multistart`` and
-    ``max_iterations`` below 1 raise ``ValueError``. ``seed`` is accepted and
-    has no effect: the fit draws nothing at random.
-    The scale parameter has no bounds because it is profiled analytically
-    and is nonnegative by construction.
+    evaluations of each start's descent, the start's own included, and
+    ``convergence_tol`` is its relative tolerance on the cost decrease, the
+    step and the projected gradient (MINPACK's ftol, xtol and gtol); see
+    :func:`_descend`. Every start runs as it would alone until one converges
+    at the profile's lower bound on the cost, which drops the rest. Values
+    below 1 raise ``ValueError``. ``seed`` is accepted and has no effect:
+    the fit draws nothing at random. The scale is profiled analytically and
+    is nonnegative by construction, so it has no bounds.
     """
 
     multistart: int = 16
@@ -115,22 +108,19 @@ class FitConfig:
 class FitResult:
     """Outcome of :func:`fit`.
 
-    ``n_evaluations`` counts every model evaluation: the residual at each
-    start and each trial point, and each Jacobian the solver used, one per
-    start and one per accepted step after which the start had not converged
-    (see :func:`_descend`); a stacked call counts one residual per start it
-    evaluates. The fidelity is the
+    ``n_evaluations`` counts every model evaluation made, dropped lanes'
+    included: the residual at each start and trial point, and each Jacobian
+    the solver used, one per start and one per accepted step after which
+    the start had not converged (see :func:`_descend`). The fidelity is the
     Uhlmann fidelity of the fitted model and the PSD projection of the
-    measured matrix, each normalized to unit trace.
-    ``converged`` is the solver status of the start whose point is
-    reported, and it is ``False`` as well when the model at that point has
-    no positive overlap with the measured matrix (the profiled scale is
-    zero, so the fit explains none of it). ``fidelity`` is ``None`` when
-    it cannot be computed (a matrix without positive trace after the PSD
-    projection). ``start_residuals`` holds the residual norm at each start
-    point, polished (:func:`_grid_starts`), at most ``multistart`` of them,
-    and ``best_start`` the index of
-    the reported start, both in the start order of :class:`FitConfig`.
+    measured matrix, each normalized to unit trace, and ``None`` when that
+    projection has no positive trace. ``converged`` is the solver status of
+    the reported start, ``False`` as well when the model there has no
+    positive overlap with the measured matrix (the profiled scale is zero).
+    ``start_residuals`` holds the residual norm at each polished start
+    point (:func:`_grid_starts`), dropped lanes' included, and
+    ``best_start`` the index of the reported start, a lane that ran to its
+    end, both in the start order of :class:`FitConfig`.
     """
 
     params: FilterParams
@@ -270,7 +260,7 @@ def _tied(value, low):
     return value <= low + 1e-9 * (1.0 + low)
 
 
-def _grid_starts(target: np.ndarray, floor: float, n: int) -> np.ndarray:
+def _grid_starts(target: np.ndarray, floor: float, n: int) -> tuple[np.ndarray, float]:
     """Up to ``n`` start points ``(p, R/T, theta1, theta2)`` from the angle grid, lowest first.
 
     ``target`` and ``floor`` are :func:`_evaluate`'s. The angle profile is the
@@ -281,26 +271,30 @@ def _grid_starts(target: np.ndarray, floor: float, n: int) -> np.ndarray:
     order. Each is polished (:func:`bsqpt.varpro.polish`), and its ``x`` maps to
     ``R/T = sqrt(x2 / x1)`` and ``p = (1 + x3 / sqrt(x1 x2)) / 2``, clipped
     into the box: a coefficient below zero counts as zero, p is 1/2 where
-    ``x1 x2`` is, and every start is finite.
+    ``x1 x2`` is, and every start is finite. Also returns ``floor +
+    |target|^2 - max P``, the lowest profile cost of the polished starts,
+    below which no lane ends, as far as the grid resolves the profile.
     """
     # Far from the fit's unit magnitude, target is scaled by a power of two so
     # that products of its entries neither underflow nor overflow.
     e = int(np.frexp(np.max(np.abs(target)))[1])
-    if abs(e) > 256:
-        target, floor = np.ldexp(target, -e), math.ldexp(floor, -2 * e)
+    e *= abs(e) > 256
+    target, floor = np.ldexp(target, -e), math.ldexp(floor, -2 * e)
     value, parts = grid(_profile_maps(), target)
-    cost = floor + target @ target - value
+    norm = floor + target @ target
+    cost = norm - value
     minima = np.flatnonzero(_tied(cost, np.minimum.reduce(cost[_NEIGHBOURS])))
-    left, starts = cost[minima], []
+    left, starts, top = cost[minima], [], -math.inf
     lo, hi = RATIO_BOUNDS
     while len(starts) < min(n, len(minima)):
         k = int(np.flatnonzero(_tied(left, left.min()))[0])
         left[k], g = math.inf, minima[k]
-        theta1, theta2, (x1, x2, x3) = polish(parts, *_GRID[g].tolist())
+        theta1, theta2, (x1, x2, x3), top_k = polish(parts, *_GRID[g].tolist())
+        top = max(top, top_k)
         t, r = math.sqrt(max(x1, 0.0)), math.sqrt(max(x2, 0.0))
         q = min(max(x3, -t * r), t * r) / (t * r) if t * r > 0.0 else 0.0
         starts.append((0.5 * (1.0 + q), max(r / t, lo) if hi * t > r else hi, theta1, theta2))
-    return np.array(starts)
+    return np.array(starts), math.ldexp(norm - top, 2 * e)
 
 
 def _params(x: np.ndarray) -> FilterParams:
@@ -316,51 +310,53 @@ def _params(x: np.ndarray) -> FilterParams:
 
 
 def _descend(fun, start: tuple, lo: np.ndarray, hi: np.ndarray, tol: float,
-             max_evals: int) -> tuple:
+             max_evals: int, bound: float) -> tuple:
     """Bounded Levenberg-Marquardt descent of the cost of ``fun``, one lane per start.
 
-    ``fun(x)`` returns, stacked by point, the residual, cost, ``J^T r``,
-    ``J^T J``, scale and Jacobian of :func:`_evaluate` at a stack of points,
-    and ``start`` is ``(x0, *fun(x0))`` for a stack ``x0`` of start points,
-    one per row. Each start is a lane (:func:`_lane`) with its own point,
-    residual, cost, normal equations, damping and free set, which takes its
-    steps in Python floats. A lane's step solves ``(J^T J + mu D) dx = -J^T r``
-    on its free variables (:func:`_damped_step`), where ``D`` is the running
-    maximum of ``diag(J^T J)`` (More's scaling); a variable on a bound whose
-    descent direction leaves the box is frozen for that step, and the trial
-    point is clipped into the box ``[lo, hi]``. ``mu`` follows Nielsen's
-    gain-ratio update (H. B. Nielsen, IMM-REP-1999-05, DTU (1999)). A lane
-    converges when a step, accepted or not, is below ``tol`` relative to
-    ``x``, or an accepted step lowers the cost by less than ``tol`` of it;
-    both are tested after the step is taken, so the last accepted step is
-    kept. It also converges when the largest cosine between ``r`` and a free
-    column of ``J`` (the projected gradient) is at most ``tol``. A lane stops
-    when it converges or its residual evaluations, the start's included,
-    reach ``max_evals``, and is evaluated no more. Each iteration makes one
-    stacked ``fun`` call for the trial points of the lanes still running,
-    which gives each trial point its normal equations along with its
-    residual, and an accepted lane takes them over; every lane follows the
-    path it would follow alone. Returns ``(x, r, alpha, converged,
-    evaluations)`` stacked by lane at each lane's last accepted point.
-    ``evaluations`` counts each lane's residuals, the start's included, and
-    the Jacobians it used: the start's, and one per accepted step after
-    which the lane had not converged.
+    ``fun(x)`` returns :func:`_evaluate`'s values, stacked by point, at a
+    stack of points, and ``start`` is ``(x0, *fun(x0))`` for a stack ``x0``
+    of start points. Each start is a lane (:func:`_lane`) with its own
+    point, residual, cost, normal equations, damping and free set, which
+    steps in Python floats: it solves ``(J^T J + mu D) dx = -J^T r`` on its
+    free variables (:func:`_damped_step`), ``D`` the running maximum of
+    ``diag(J^T J)`` (More's scaling), freezes for the step a variable on a
+    bound whose descent direction leaves the box, clips the trial point
+    into ``[lo, hi]`` and updates ``mu`` by Nielsen's gain ratio (H. B.
+    Nielsen, IMM-REP-1999-05, DTU (1999)). A lane converges when a step,
+    accepted or not, is below ``tol`` relative to ``x``, or an accepted step
+    lowers the cost by less than ``tol`` of it, both tested after the step,
+    so the last accepted step is kept; or when the largest cosine between
+    ``r`` and a free column of ``J`` is at most ``tol``. It ends when it
+    converges or its residual evaluations, the start's included, reach
+    ``max_evals``. Each iteration makes one stacked ``fun`` call for the
+    trial points of the running lanes, which gives each its normal
+    equations too, so every lane follows the path it would follow alone,
+    until one ends converged at a cost that :func:`_tied` counts as no
+    higher than ``bound``, a lower bound on every lane's end cost: the lanes
+    still running are then dropped, as none can end lower but by rounding.
+    Returns ``(x, r, alpha, converged, evaluations, ended)`` by lane, at its
+    last accepted point, or at its start, not converged, if it was dropped
+    (``ended`` false). ``evaluations`` counts a lane's residuals, the start's
+    included, and the Jacobians it used, the start's and one per accepted
+    step after which it had not converged, up to its last evaluated point.
     """
     x0, r0, cost0, g0, gram0, alpha0 = start[:6]
     lo, hi = lo.tolist(), hi.tolist()
     running = [(k, _lane(*state, lo, hi, tol, max_evals)) for k, state in enumerate(
         zip(x0.tolist(), r0, cost0.tolist(), g0.tolist(), gram0.tolist(), alpha0.tolist()))]
-    ends = [None] * len(running)
+    ends = [[x, r, alpha, False, 0, False] for x, r, alpha in zip(x0, r0, alpha0)]
     values = [None] * len(running)
     while running:
-        trials, still = [], []
+        trials, still, reached = [], [], False
         for (k, lane), value in zip(running, values):
             try:
-                trials.append(lane.send(value))
+                trial, ends[k][4] = lane.send(value)
+                trials.append(trial)
                 still.append((k, lane))
             except StopIteration as stop:
-                ends[k] = stop.value
-        running = still
+                ends[k] = [*stop.value[:5], True]
+                reached |= ends[k][3] and _tied(stop.value[5], bound)
+        running = [] if reached else still
         if running:
             r, *rest = fun(np.array(trials))[:5]
             values = zip(r, *(part.tolist() for part in rest))
@@ -371,9 +367,10 @@ def _lane(x: list, r: np.ndarray, cost: float, g: list, gram: list, alpha: float
           hi: list, tol: float, max_evals: int):
     """One lane of :func:`_descend`, from its start point and the start's kernel values.
 
-    A generator: it yields each trial point and is sent back that point's
-    residual, cost, ``J^T r``, ``J^T J`` and scale, all but the residual as
-    Python floats, and returns ``(x, r, alpha, converged, evaluations)``.
+    A generator: it yields each trial point with its evaluations so far, is
+    sent back that point's :func:`_evaluate` values but the Jacobian, all
+    but the residual as Python floats, and returns ``(x, r, alpha,
+    converged, evaluations, cost)``.
     """
     mu, nu, scale, moved = 1e-3, 2.0, [0.0] * 4, True
     evals = jacs = 1
@@ -391,9 +388,9 @@ def _lane(x: list, r: np.ndarray, cost: float, g: list, gram: list, alpha: float
                 if not (f or abs(gi) <= tol * (root * math.sqrt(d))):
                     break
             else:
-                return x, r, alpha, True, evals + jacs
+                return x, r, alpha, True, evals + jacs, cost
         if evals >= max_evals:
-            return x, r, alpha, False, evals + jacs
+            return x, r, alpha, False, evals + jacs, cost
         trial = [low if v < low else high if v > high else v for v, low, high in
                  zip(map(operator.add, x, _damped_step(gram, g, mu, scale, frozen)), lo, hi)]
         s0, s1, s2, s3 = map(operator.sub, trial, x)
@@ -404,7 +401,7 @@ def _lane(x: list, r: np.ndarray, cost: float, g: list, gram: list, alpha: float
         x0, x1, x2, x3 = x
         short = (math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
                  <= tol * (tol + math.sqrt(x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3)))
-        r_new, cost_new, g_new, gram_new, alpha_new = yield trial
+        r_new, cost_new, g_new, gram_new, alpha_new = yield trial, evals + jacs
         drop = cost - cost_new
         gain = drop / predicted if predicted > 0.0 else -1.0
         done = short or (gain > 0.25 and drop <= tol * cost)
@@ -420,7 +417,7 @@ def _lane(x: list, r: np.ndarray, cost: float, g: list, gram: list, alpha: float
             mu *= nu
             nu *= 2.0
         if done:
-            return x, r, alpha, True, evals + jacs
+            return x, r, alpha, True, evals + jacs, cost
 
 
 def _damped_step(gram: list, g: list, mu: float, scale: list, frozen: list) -> list:
@@ -525,12 +522,13 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     Runs the bounded Levenberg-Marquardt descent (:func:`_descend`) from
     up to ``cfg.multistart`` starting points (see :class:`FitConfig`), each
     a lane that takes its steps in Python floats around one stacked kernel
-    call per iteration, and keeps the lowest residual. Starts that tie on
-    the residual are ranked by the norm of their canonicalized angles, norms
-    that agree to the same relative 1e-9 counting as equal, and then by
-    start order.
-    Deterministic. Non-convergence of the reported start is
-    signalled by ``converged=False`` on the result, never by an exception.
+    call per iteration, and keeps the lowest residual among the lanes that
+    ran to their end; lanes dropped at the profile's bound are left out.
+    Lanes that tie on the residual are ranked by the norm of their
+    canonicalized angles, norms that agree to the same relative 1e-9
+    counting as equal, and then by start order. Deterministic.
+    Non-convergence of the reported start is signalled by
+    ``converged=False`` on the result, never by an exception.
     Everything runs on ``chi_meas 2^-e``, ``e`` even and the largest real or
     imaginary part scaled into [1/4, 1): a power of two and its square root
     scale exactly, so at any finite magnitude ``chi_meas 4^j`` gives the same
@@ -552,13 +550,13 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     def evaluate(x: np.ndarray) -> tuple:
         return _evaluate(x, target, floor)
 
-    x0 = _grid_starts(target, floor, cfg.multistart)
+    x0, bound = _grid_starts(target, floor, cfg.multistart)
     start = (x0, *evaluate(x0))
-    x, r, alphas, converged, evaluations = _descend(evaluate, start, _LOWER, _UPPER,
-                                                    cfg.convergence_tol, cfg.max_iterations)
+    x, r, alphas, converged, evaluations, ended = _descend(
+        evaluate, start, _LOWER, _UPPER, cfg.convergence_tol, cfg.max_iterations, bound)
     ends = np.sqrt(floor + np.add.reduce(r * r, axis=1))
     candidates = [(float(ends[k]), _params(x[k]), bool(converged[k] and alphas[k] > 0.0),
-                   float(alphas[k]), k) for k in range(len(x))]
+                   float(alphas[k]), k) for k in np.flatnonzero(ended).tolist()]
 
     def lowest(cands: list, key) -> list:
         """The candidates whose key :func:`_tied` counts as the lowest, in start order."""
@@ -571,12 +569,14 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     )[0]
     params = replace(canon, scale=math.sqrt(max(alpha, 1e-300)))
     v = _factor(params, unit.basis)
+    # With no overlap the model is zero; at the clamped scale its products would underflow.
+    model = v @ dagger(v) if alpha > 0.0 else 0.0
     # Two Python-float factors: 2.0**e can overflow, and these give inf where numpy would warn.
     half = 2.0 ** (e // 2)
 
     return FitResult(
         params=replace(params, scale=params.scale * half),
-        residual=float(np.linalg.norm(v @ dagger(v) - unit.m)) * half * half,
+        residual=float(np.linalg.norm(model - unit.m)) * half * half,
         fidelity=_rank2_fidelity(v, project_to_psd(unit.m)),
         n_evaluations=int(evaluations.sum()),
         converged=converged,

@@ -9,7 +9,7 @@ and it leaves the cost ``|T|^2 - v . x``: the angle profile of separable
 least squares (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973);
 Kaufman, BIT 15, 49 (1975)). ``v`` and ``z = a^+ b`` are short
 trigonometric sums in the angles (:func:`maps`), so the profile over a
-grid is one small matrix product (:func:`grid`), the profile at a point
+grid is two small real matrix products (:func:`grid`), the profile at a point
 with its gradient and Hessian a few dozen float operations
 (:func:`profile`), and :func:`polish` moves a grid point to the profile's
 minimum nearby. ``bsqpt.fitting`` supplies the block's geometry and the
@@ -46,21 +46,29 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
     ``Re sum_w c_w exp(i w . theta)`` over the waves ``w``: the constant
     (``c = a^+ T a``), each ``rates_k - rates_j`` (``c = s_j s_k T_jk`` of
     ``b^+ T b``) and each ``rates_k`` (``c = 2 (a^+ T)_k s_k``, and
-    ``a_k s_k`` for z). Returns ``k``, ``s``, ``a``, the ``i w``, the rows
-    that mark each v_i's waves, z's ``c``, the factors ``(i w)^d`` that turn
-    ``c`` into the ``c`` of the derivative of order
-    ``d = (none, 1, 2, 11, 12, 22)``, the waves at ``angles`` and ``G^-1``
-    there, ``(3, 3, g)``.
+    ``a_k s_k`` for z). Returns the real map from a block's ``target`` (see
+    :func:`grid`) to the ``c`` of v, real and imaginary parts interleaved,
+    ``(2 m^2, 6 n)`` for ``n`` waves; the matching rows ``(cos, -sin)(w . theta)``
+    at ``angles``, ``(2 n, g)``; z's ``c``; the ``i w``; the factors
+    ``(i w)^d`` that turn ``c`` into the ``c`` of the derivative of order
+    ``d = (none, 1, 2, 11, 12, 22)``; and ``G^-1`` at ``angles``, ``(3, 3, g)``.
     """
     k = np.flatnonzero(signs)
-    s, w, n = signs[k], rates[:, k].T, len(k)
+    s, w, n, m = signs[k], rates[:, k].T, len(k), len(a)
     waves = np.concatenate([np.zeros((1, 2)), (w[None] - w[:, None]).reshape(-1, 2), w])
     z = np.concatenate([np.zeros(1 + n * n), a[k] * s])
+    # The coefficients of each unit block, one per real component of target.
+    blocks = np.eye(2 * m * m).view(complex).reshape(-1, m, m)
+    a_t = a @ blocks
+    coef = np.repeat(np.eye(3), [1, n * n, n], axis=1) * np.concatenate(
+        [(a_t @ a)[:, None], (blocks[:, k][:, :, k] * np.outer(s, s)).reshape(-1, n * n),
+         2.0 * a_t[:, k] * s], axis=1)[:, None]
     at = np.exp(1j * (waves @ angles.T))
-    return (k, s, a, 1j * waves, np.repeat(np.eye(3), [1, n * n, n], axis=1), z,
+    return (np.stack([coef.real, coef.imag], axis=-1).reshape(2 * m * m, -1),
+            np.stack([at.real, -at.imag], axis=1).reshape(2 * len(waves), -1), z, 1j * waves,
             np.stack([np.ones(len(waves)), *(1j * waves.T),
                       *(-waves.T[[0, 0, 1]] * waves.T[[0, 1, 1]])]),
-            at, np.array(solve((z @ at).real, *np.eye(3)[:, :, None])))
+            np.array(solve((z @ at).real, *np.eye(3)[:, :, None])))
 
 
 def grid(fixed: tuple, target: np.ndarray) -> tuple:
@@ -68,16 +76,13 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
 
     ``fixed`` is :func:`maps`'s output and ``target`` the block's real and
     imaginary parts, interleaved, row by row. The wave coefficients of v
-    are a fixed linear map of ``target``.
+    are a fixed real map of ``target``, and v on the grid one real product.
     """
-    k, s, a, iw, terms, z, deriv, at, inverse = fixed
-    block = target.view(complex).reshape(len(a), len(a))
-    a_t = a @ block
-    coef = terms * np.concatenate([[a_t @ a], (block[k][:, k] * np.outer(s, s)).ravel(),
-                                   2.0 * a_t[k] * s])
-    v = (coef @ at).real
+    coef_map, rows, z, iw, deriv, inverse = fixed
+    coef = (target @ coef_map).reshape(3, -1)
+    v = coef @ rows
     return (np.add.reduce(v * np.add.reduce(inverse * v, axis=1)),
-            ((deriv[:, None] * np.vstack([coef, z])).reshape(24, -1), iw))
+            ((deriv[:, None] * np.vstack([coef.view(complex), z])).reshape(24, -1), iw))
 
 
 def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
@@ -118,7 +123,7 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
 
 
 def polish(parts: tuple, theta1: float, theta2: float) -> tuple:
-    """Newton's iteration on the angle profile from a grid point; returns ``(theta1, theta2, x)``.
+    """Newton's iteration on the angle profile from a grid point: ``(theta1, theta2, x, P)``.
 
     Each step is ``-H^-1 grad`` for the cost's gradient and Hessian, those of
     ``-P`` (:func:`profile`). It keeps its last point and stops when that
@@ -126,7 +131,7 @@ def polish(parts: tuple, theta1: float, theta2: float) -> tuple:
     would move an angle more than one grid spacing (``2 pi / 16``) from the
     grid point, when ``P`` would fall, or after eight steps. The angles come
     back in [-pi, pi), x3's sign flipped for each one moved by 2 pi, which
-    flips b.
+    flips b. ``P`` is the profile value at the returned point.
     """
     t1, t2 = theta1, theta2
     value, x, (g1, g2), (h11, h12, h22) = profile(parts, t1, t2)
@@ -145,4 +150,4 @@ def polish(parts: tuple, theta1: float, theta2: float) -> tuple:
         value, x, (g1, g2), (h11, h12, h22) = trial
     turns = [not -math.pi <= t < math.pi for t in (t1, t2)]
     t1, t2 = (t - math.copysign(2.0 * math.pi, t) * n for t, n in zip((t1, t2), turns))
-    return t1, t2, (x[0], x[1], -x[2] if turns[0] != turns[1] else x[2])
+    return t1, t2, (x[0], x[1], -x[2] if turns[0] != turns[1] else x[2]), value

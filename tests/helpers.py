@@ -64,15 +64,15 @@ def start_lane(start: tuple, k: int) -> tuple:
 
 
 def untouched(start: tuple) -> list:
-    """A stacked solver result that leaves every lane at its start point, marked converged."""
+    """A stacked solver result that leaves every lane at its start, marked converged and ended."""
     x, r, _, _, _, alpha, _ = start
     lanes = len(x)
     return [x.copy(), r.copy(), alpha.copy(), np.ones(lanes, dtype=bool),
-            np.ones(lanes, dtype=int)]
+            np.ones(lanes, dtype=int), np.ones(lanes, dtype=bool)]
 
 
 def set_lane(result: list, k: int, lane: tuple) -> None:
-    """Write a one-lane solver result ``(x, r, alpha, converged, evaluations)`` into lane ``k``."""
+    """Write the parts of a one-lane solver result ``(x, r, alpha, ...)`` into lane ``k``."""
     for part, value in zip(result, lane):
         part[k] = value[0]
 
@@ -89,7 +89,7 @@ def fail_best_start(monkeypatch) -> None:
 
     def solver(fun, start, *args):
         out = untouched(start)
-        x, r, alpha, _, evaluations = real(fun, start_lane(start, 0), *args)
+        x, r, alpha, _, evaluations, _ = real(fun, start_lane(start, 0), *args)
         set_lane(out, 0, (x, r, alpha, [False], evaluations))
         return tuple(out)
 

@@ -40,8 +40,8 @@ from bsqpt.fitting import (
 )
 
 from helpers import (
-    fail_best_start, random_filter, random_hermitian, random_matrix, set_lane, start_lane,
-    untouched,
+    fail_best_start, random_channel, random_filter, random_hermitian, random_matrix, set_lane,
+    start_lane, untouched,
 )
 
 I4 = np.eye(4, dtype=complex)
@@ -51,6 +51,11 @@ def paper_filter(p, scale=1.0):
     return FilterParams.from_ratio(
         0.76, theta1=0.41 * np.pi, theta2=0.076 * np.pi, p=p, scale=scale
     )
+
+
+def outside_filter(p):
+    """The reference filter's angles at R/T = 0.1, below the box: no lane reaches the bound."""
+    return FilterParams.from_ratio(0.1, theta1=0.41 * np.pi, theta2=0.076 * np.pi, p=p)
 
 
 def truth_x(fp):
@@ -85,6 +90,24 @@ def record_solver(monkeypatch):
 
     monkeypatch.setattr(fitting, "_descend", recording)
     return log
+
+
+def record_fit(monkeypatch):
+    """Record the stack size of each kernel call and each solver run ``(fun, start, args, out)``."""
+    real, kernel = fitting._descend, fitting._evaluate
+    stacks, runs = [], []
+
+    def counting(x, *args):
+        stacks.append(len(x))
+        return kernel(x, *args)
+
+    def solver(fun, start, *args):
+        runs.append((fun, start, args, real(fun, start, *args)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(fitting, "_evaluate", counting)
+    monkeypatch.setattr(fitting, "_descend", solver)
+    return stacks, runs
 
 
 def counted_lane(real, fun, start, args, calls):
@@ -327,7 +350,7 @@ class TestFit:
         chis = [model_chi(paper_filter(0.2)).m, poisson_chi(paper_filter(0.325), 1e3, seed=9).m,
                 np.eye(16), np.zeros((16, 16)), random_hermitian(rng, 16)]
         for chi in chis:
-            for x in _grid_starts(*_kernel_inputs(chi.astype(complex)), 32):
+            for x in _grid_starts(*_kernel_inputs(chi.astype(complex)), 32)[0]:
                 p, ratio, th1, th2 = x
                 assert 0.0 <= p <= 1.0
                 assert RATIO_BOUNDS[0] <= ratio <= RATIO_BOUNDS[1]
@@ -444,7 +467,8 @@ class TestFit:
         def solver(fun, start, *args):
             assert k < len(start[0])
             ends = real(fun, start, *args)
-            best = int(np.argmin(np.add.reduce(ends[1] * ends[1], axis=1)))
+            best = int(np.argmin(np.where(ends[5], np.add.reduce(ends[1] * ends[1], axis=1),
+                                          np.inf)))
             out = untouched(start)
             set_lane(out, k, [part[best:best + 1] for part in ends])
             return tuple(out)
@@ -456,9 +480,11 @@ class TestFit:
 
 
     def test_reports_the_earliest_start_of_the_optimum(self, monkeypatch):
-        # A Poisson record whose three starts all reach the same channel,
-        # with residuals and angles that differ only by rounding.
-        chi = poisson_chi(paper_filter(0.325), 1e4, seed=31)
+        # A Poisson record of a filter at R/T = 0.1, outside the box, so no
+        # lane ends at the profile's bound and every lane runs; its two
+        # starts reach the same channel, with residuals and angles that
+        # differ only by rounding.
+        chi = poisson_chi(outside_filter(0.3), 1e4, seed=6)
         real = fitting._descend
         ends = []
 
@@ -469,7 +495,8 @@ class TestFit:
         monkeypatch.setattr(fitting, "_descend", solver)
         res = fit(chi)
         target = model_chi(dataclasses.replace(res.params, scale=1.0)).m
-        (x_end, r_end, *_), = ends
+        (x_end, r_end, *_, ended), = ends
+        assert ended.all()
         low = min(np.linalg.norm(r) for r in r_end)
         reached = [k for k, (x, r) in enumerate(zip(x_end, r_end))
                    if np.linalg.norm(r) <= low * (1 + 1e-12)
@@ -482,20 +509,104 @@ class TestFit:
         # ulp smaller: the earliest start is reported, not the smallest norm.
         fp = paper_filter(0.325)
         calls = []
-        monkeypatch.setattr(fitting, "_grid_starts", lambda target, floor, n: np.tile(
-            truth_x(fp), (n, 1)))
+        monkeypatch.setattr(fitting, "_grid_starts", lambda target, floor, n: (np.tile(
+            truth_x(fp), (n, 1)), 0.0))
 
         def solver(fun, start, *args):
             calls.extend(start[0])
             lanes = np.arange(1, len(calls) + 1)[:, None]
             x = truth_x(fp) * (1.0 - 1e-15 * lanes * np.array([0, 0, 1, 1]))
             r, _, _, _, alpha, _ = fun(x)
-            return x, r, alpha, np.ones(len(x), dtype=bool), np.ones(len(x), dtype=int)
+            ones = np.ones(len(x), dtype=bool)
+            return x, r, alpha, ones, np.ones(len(x), dtype=int), ones
 
         monkeypatch.setattr(fitting, "_descend", solver)
         res = fit(model_chi(fp), FitConfig(multistart=4))
         assert len(calls) == 4
         assert res.best_start == 0
+
+
+    def test_no_kernel_call_after_a_lane_converges_at_the_bound(self, monkeypatch):
+        # Three starts; the first converges at the profile's bound, and the
+        # iteration in which it does is the fit's last kernel call.
+        real = fitting._descend
+        calls, runs = record_fit(monkeypatch)
+        res = fit(poisson_chi(paper_filter(0.325), 1e4, seed=31), FitConfig(multistart=4))
+        fun, start, args, (*_, converged, _, ended) = runs[0]
+        fitted = len(calls)
+        alone = real(fun, start_lane(start, 0), *args)
+        assert ended.tolist() == [True, False, False] and converged[0]
+        assert alone[3][0] and alone[5][0]
+        assert fitted == 1 + (len(calls) - fitted)
+        assert res.best_start == 0
+
+    def test_counts_the_evaluations_of_dropped_lanes(self, monkeypatch):
+        # n_evaluations is every residual the kernel made (each start's and
+        # each trial point's) and every Jacobian a lane used, dropped lanes
+        # included: each lane's start Jacobian and one per accepted step
+        # that did not end it, up to the last point evaluated for it.
+        real = fitting._descend
+        stacks, runs = record_fit(monkeypatch)
+        res = fit(poisson_chi(paper_filter(0.325), 1e4, seed=31), FitConfig(multistart=4))
+        fun, start, args, (*_, evaluations, ended) = runs[0]
+        residuals, iterations = sum(stacks), len(stacks) - 1
+        assert ended.any() and not ended.all()
+        jacobians = 0
+        for k in range(len(ended)):
+            calls = []
+            alone = counted_lane(real, fun, start_lane(start, k), args, calls)
+            if ended[k]:
+                assert alone[4][0] == evaluations[k]
+            else:
+                # A dropped lane is evaluated at one trial point per iteration of the fit.
+                calls = calls[:[i for i, call in enumerate(calls) if call == "f"][iterations]]
+                assert evaluations[k] == 1 + len(calls)
+            jacobians += calls.count("j")
+        assert res.n_evaluations == evaluations.sum() == residuals + jacobians
+
+    def test_dropped_lanes_are_left_out(self, monkeypatch):
+        # The solver leaves both lanes at their starts and reports the second,
+        # at the truth, as dropped: the fit reports the first, though it is worse.
+        fp = paper_filter(0.325)
+        x0 = np.array([truth_x(fp) + [0.1, 0.2, 0.3, 0.0], truth_x(fp)])
+        monkeypatch.setattr(fitting, "_grid_starts", lambda target, floor, n: (x0, -np.inf))
+
+        def solver(fun, start, *args):
+            out = untouched(start)
+            out[5][1] = False
+            return tuple(out)
+
+        monkeypatch.setattr(fitting, "_descend", solver)
+        res = fit(model_chi(fp), FitConfig(multistart=2))
+        assert res.best_start == 0
+        assert res.residual == pytest.approx(res.start_residuals[0], rel=1e-9)
+        assert res.start_residuals[1] < 1e-12 < res.residual
+
+    def test_every_field_as_before_when_no_lane_reaches_the_bound(self, monkeypatch):
+        # A filter at R/T = 0.1, outside the box, fitted at its default
+        # configuration: both lanes run to their end, and every field is
+        # bit for bit what the fit gave before lanes were dropped.
+        real = fitting._descend
+        ended = []
+
+        def solver(*args):
+            out = real(*args)
+            ended.extend(out[5])
+            return out
+
+        monkeypatch.setattr(fitting, "_descend", solver)
+        res = fit(poisson_chi(outside_filter(0.3), 1e3, seed=8))
+        assert ended == [True, True]
+        assert res.params == FilterParams(
+            T=float.fromhex("0x1.999999999999ap-1"), R=float.fromhex("0x1.999999999999ap-3"),
+            theta1=float.fromhex("0x1.b6e9b0fd05b00p-5"),
+            theta2=float.fromhex("-0x1.8d62d4a418b38p-1"),
+            p=float.fromhex("0x1.88f0d15aa0906p-2"), scale=float.fromhex("0x1.2ea7b0672ead4p+5"))
+        assert res.residual == float.fromhex("0x1.0639e4efb7c60p+10")
+        assert res.fidelity == float.fromhex("0x1.808813c5a85c7p-1")
+        assert res.start_residuals == [float.fromhex("0x1.14cdf85cc4673p+10"),
+                                       float.fromhex("0x1.172b820d15aa2p+10")]
+        assert (res.n_evaluations, res.converged, res.best_start) == (204, True, 1)
 
 
 class TestGridStarts:
@@ -511,8 +622,8 @@ class TestGridStarts:
 
     def test_finite_and_in_the_box_on_degenerate_input(self, monkeypatch):
         # Zero, negative-definite and subnormal matrices, both as the fit
-        # scales them and as they are, the subnormal one at 2^-1074. The
-        # start list alone also raises on underflow.
+        # scales them and as they are, the subnormal one at 2^-1074. The fit
+        # and the start list raise on underflow too; the cost bound is finite.
         log = record_solver(monkeypatch)
         rng = np.random.default_rng(18)
         m = random_matrix(rng, 16)
@@ -520,13 +631,16 @@ class TestGridStarts:
                 np.ldexp(random_hermitian(rng, 16).view(np.float64), -1074).view(complex)]
         starts = []
         for chi in chis:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with np.errstate(all="raise"):
                 fit(ProcessMatrix("S", chi), FitConfig())
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
                 inputs = [_kernel_inputs(chi.astype(complex)),
                           unit_kernel_inputs(ProcessMatrix("S", chi))[:2]]
             for target, floor in inputs:
                 with np.errstate(all="raise"):
-                    starts.extend(_grid_starts(target, floor, 16))
+                    x0, bound = _grid_starts(target, floor, 16)
+                assert math.isfinite(bound)
+                starts.extend(x0)
         assert len(log["x0"]) >= len(chis) and len(starts) >= 2 * len(chis)
         for x in log["x0"] + starts:
             assert np.all(np.isfinite(x))
@@ -540,10 +654,20 @@ class TestGridStarts:
         target, floor, _ = unit_kernel_inputs(chi)
         for m in (1, 2, 3, 16):
             fit(chi, FitConfig(multistart=m))
-            want = _grid_starts(target, floor, m)
+            want = _grid_starts(target, floor, m)[0]
             assert len(want) == min(m, 3)
             assert np.array_equal(np.array(log["x0"][-len(want):]), want)
-            assert np.array_equal(want, _grid_starts(target, floor, 16)[:m])
+            assert np.array_equal(want, _grid_starts(target, floor, 16)[0][:m])
+
+    def test_the_bound_scales_with_the_target(self):
+        # Far from unit magnitude the grid runs on the target scaled by a
+        # power of two; the starts stay, and the cost bound scales back.
+        target, floor, _ = unit_kernel_inputs(poisson_chi(paper_filter(0.325), 1e4, seed=31))
+        x0, bound = _grid_starts(target, floor, 16)
+        assert 0.0 < bound <= floor + target @ target
+        for k in (-600, -300, 300, 500):
+            big = _grid_starts(np.ldexp(target, k), math.ldexp(floor, 2 * k), 16)
+            assert np.array_equal(big[0], x0) and big[1] == math.ldexp(bound, 2 * k)
 
     def test_start_list_matches_a_brute_force_grid(self, monkeypatch):
         # The grid built point by point: a least-squares solve of the three
@@ -552,12 +676,12 @@ class TestGridStarts:
         # zero matrices have a flat profile, so the first grid points win.
         # Unpolished, the starts are the brute-force ones; polished, each
         # stays within one grid spacing of its grid point.
-        polished = [_grid_starts(*_kernel_inputs(chi.astype(complex)), 20)
+        polished = [_grid_starts(*_kernel_inputs(chi.astype(complex)), 20)[0]
                     for chi in profile_matrices()]
         unpolished(monkeypatch)
         for chi, moved in zip(profile_matrices(), polished):
             target, floor = _kernel_inputs(chi.astype(complex))
-            got = _grid_starts(target, floor, 20)
+            got = _grid_starts(target, floor, 20)[0]
             want = brute_force_grid_starts(target, floor, 20)
             assert got.shape == want.shape == moved.shape
             assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -585,9 +709,9 @@ class TestGridStarts:
 
 
 def unpolished(monkeypatch):
-    """Make ``_grid_starts`` hand out its grid points as they are, with the profile's x there."""
+    """Make ``_grid_starts`` hand out its grid points as they are, with the profile's x and P."""
     monkeypatch.setattr(fitting, "polish", lambda parts, theta1, theta2: (
-        theta1, theta2, varpro.profile(parts, theta1, theta2)[1]))
+        theta1, theta2, *varpro.profile(parts, theta1, theta2)[1::-1]))
 
 
 def profile_matrices():
@@ -663,7 +787,7 @@ class TestProfile:
 
     def test_polished_starts_are_stationary_or_stopped(self, monkeypatch):
         # Each polish ends no lower in the profile than its grid point and
-        # within one grid spacing of it, with the x of its end point; there
+        # within one grid spacing of it, with the x and P of its end point; there
         # the profile is stationary (Newton's next step at most 1e-7), its
         # Hessian is not definite, or the next step would leave the cell.
         rng = np.random.default_rng(34)
@@ -671,7 +795,7 @@ class TestProfile:
         chis += [poisson_chi(paper_filter(p), total, seed).m for p in (0.0, 0.14, 0.325, 0.5)
                  for total in (1e3, 1e4) for seed in range(3)]
         stationary = 0
-        for parts, grid, (theta1, theta2, x) in polish_runs(monkeypatch, chis):
+        for parts, grid, (theta1, theta2, x, top) in polish_runs(monkeypatch, chis):
             assert -np.pi <= theta1 < np.pi and -np.pi <= theta2 < np.pi
             moved = np.remainder(np.array([theta1, theta2]) - grid + np.pi, 2 * np.pi) - np.pi
             assert np.all(np.abs(moved) <= np.pi / 8 + 1e-12)
@@ -679,6 +803,7 @@ class TestProfile:
             start = varpro.profile(parts, *grid)[0]
             assert value >= start - 1e-14 * abs(start)
             assert_allclose(x, x_end, rtol=1e-12, atol=1e-14 * np.abs(x_end).max())
+            assert abs(top - value) <= 1e-12 * (abs(value) + 1.0)
             det = h11 * h22 - h12 * h12
             if not (h11 < 0.0 and det > 0.0):
                 continue
@@ -715,7 +840,7 @@ def dense_optimum(chi, tol, max_evals):
         return _evaluate(x, target, floor)
 
     _, r, *_ = _descend(fun, (x0, *fun(x0)), np.array([0.0, 0.25, -np.inf, -np.inf]),
-                        np.array([1.0, 4.0, np.inf, np.inf]), tol, max_evals)
+                        np.array([1.0, 4.0, np.inf, np.inf]), tol, max_evals, -np.inf)
     return math.sqrt(floor + np.add.reduce(r * r, axis=1).min()) * 2.0**e
 
 
@@ -753,12 +878,13 @@ def grid_angles(i, j):
     return -np.pi + 2 * np.pi * i / 16, -np.pi + 2 * np.pi * j / 16
 
 
-def trf_descend(fun, start, lo, hi, tol, max_evals):
+def trf_descend(fun, start, lo, hi, tol, max_evals, bound):
     """scipy's trust-region reflective least squares behind the solver seam, as a reference.
 
-    It runs start by start. The square root of the cost off the block, the
-    start's cost less its block residual, rides along as one more, constant,
-    residual component, so trf minimizes the cost the descent minimizes.
+    It runs start by start, every start to its end, whatever ``bound``. The
+    square root of the cost off the block, the start's cost less its block
+    residual, rides along as one more, constant, residual component, so trf
+    minimizes the cost the descent minimizes.
     """
     least_squares = pytest.importorskip("scipy.optimize").least_squares
     x0, r0, cost0 = start[:3]
@@ -820,18 +946,63 @@ class TestDescend:
             return runs[-1][-1]
 
         monkeypatch.setattr(fitting, "_descend", recording)
+        # The filters at R/T = 0.1 lie outside the box, so every lane of
+        # theirs runs to its end; the first record drops two of its three.
         chis = [poisson_chi(paper_filter(0.325), 1e4, seed=31), ProcessMatrix("S", np.eye(16))]
+        chis += [poisson_chi(outside_filter(p), total, seed)
+                 for p, total, seed in ((0.3, 1e3, 8), (0.3, 1e4, 6), (0.0, 1e3, 6))]
         chis += [model_chi(fp, "F") for fp in edge_filters()]
+        dropped = every_lane = 0
         for chi in chis:
             res = fit(chi)
-            fun, start, args, (x, r, _, converged, evaluations) = runs[-1]
+            fun, start, args, (x, r, _, converged, evaluations, ended) = runs[-1]
             assert len(x) == len(res.start_residuals)
             assert evaluations.sum() == res.n_evaluations
+            dropped += not ended.all()
+            every_lane += len(x) > 1 and ended.all()
             for lane in range(len(x)):
                 alone = real(fun, start_lane(start, lane), *args)
+                assert alone[5][0]
+                if not ended[lane]:
+                    # Dropped before its end, with the evaluations made so far.
+                    assert evaluations[lane] < alone[4][0]
+                    continue
                 assert np.array_equal(alone[0][0], x[lane])
                 assert np.array_equal(alone[1][0], r[lane])
                 assert alone[3][0] == converged[lane] and alone[4][0] == evaluations[lane]
+        assert dropped >= 1 and every_lane >= 3
+
+    def test_no_lane_ends_below_the_bound(self, monkeypatch):
+        # The bound is the lowest polished profile cost of the starts; on 36
+        # Poisson records (the reference filter at p = 0 and the paper
+        # delays, random filters and channels) no start lies below it, and no
+        # lane that ran ends below it, by more than the relative 1e-9 of a tie.
+        real_starts, real_descend = fitting._grid_starts, fitting._descend
+        checked = []
+
+        def starts(*args):
+            checked.append(real_starts(*args))
+            return checked[-1]
+
+        def solver(fun, start, *args):
+            out = real_descend(fun, start, *args)
+            bound = checked[-1][1]
+            costs = np.concatenate([start[2], fun(out[0][out[5]])[1]])
+            assert np.all(costs >= bound - 1e-9 * (1.0 + bound))
+            return out
+
+        monkeypatch.setattr(fitting, "_grid_starts", starts)
+        monkeypatch.setattr(fitting, "_descend", solver)
+        rng = np.random.default_rng(35)
+        filters = [paper_filter(p) for p in (0.0, 0.14, 0.325, 0.5) for _ in range(3)]
+        filters += [random_filter(rng) for _ in range(6)]
+        channels = [kraus_pair(fp) for fp in filters] + [random_channel(rng) for _ in range(6)]
+        inputs = build_input_set()
+        for k, channel in enumerate(channels + channels[-12:]):
+            counts = simulate_counts(channel, inputs, total_scale=1e4 if k < 24 else 1e3,
+                                     noise="poisson", seed=3500 + k)
+            fit(reconstruct_process(counts, inputs), FitConfig(multistart=4))
+        assert len(checked) == 36
 
     @pytest.mark.parametrize("kwargs", [
         dict(multistart=4, max_iterations=500, convergence_tol=1e-9), {},
