@@ -1,55 +1,42 @@
-"""Time ``bsqpt.fit``, its starts and its model evaluations; print one JSON object.
+"""Time ``bsqpt.fit`` and the layers under it; print one JSON object.
 
 Run from the repository root, pinned to one CPU with BLAS on one thread::
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 taskset -c 0 \\
         env PYTHONPATH=src python scripts/bench_fit.py
 
-The case is a set of Poisson records of the reference filter (R/T = 0.76,
-theta1 = 0.41 pi, theta2 = 0.076 pi) at 1e4 counts, cycling p = 0.14,
-0.325, 0.5, reconstructed and moved to the F basis as the ``paper_fit``
-benchmark does. Every time is scaled to the reference machine speed by
-the benchmark's gauge (``perfbench/speed.py``), read just before and just
-after it, because a shared machine changes speed in phases of seconds to
-minutes. Each record is fitted ``REPEATS`` times and keeps its fastest
-scaled time, which sheds single preemptions. Each case reports the median
-and the mean of those times over records, the mean evaluations and stacked
-kernel (``_evaluate``) calls per fit, the fit time per evaluation (the
-solver's own per-iteration work included), how many fits started each number of
-lanes (``lanes_per_fit``, by the length of ``start_residuals``; the
-descent's cost per iteration grows with it), how many fits descended
-each number of lanes to their end (``lanes_descended_per_fit``: the rest
-were dropped once a lane converged at the angle profile's bound; every
-lane on trees without the bound) and the mean kernel calls of the fits
-that started more than one lane (``kernel_calls_per_multi_lane_fit``,
-``null`` without such fits): the 4-start fit of the
-benchmark's ``paper_fit`` workload (``multistart=4``,
-``max_iterations=500``, ``convergence_tol=1e-9``) and the default fit.
+Every time is scaled to the reference machine speed by the benchmark's
+gauge (``perfbench/speed.py``), read just before and just after it, because
+a shared machine changes speed in phases of seconds to minutes.
 
-``layers_us`` gives, on the first record: ``starts``, the whole start list
-(``_grid_starts`` for 16 starts: the angle grid and the polish of each
-start); ``polish``, the Newton polish of those starts alone
-(``bsqpt.varpro.polish``, absent from trees without one); ``profile``, one
-closed-form profile evaluation with its gradient and Hessian; and, for a
-stack of k = 1, 4 and 16 points (the first k of the fixed ``LANES``), one
-``_evaluate`` call, which gives each point its residual, cost, normal
-equations and scale, and one iteration of the descent: one stacked
-``_evaluate`` call for all k lanes plus each lane's own step in Python
-floats, the mean over a 10-step descent with the convergence tests off
-(tolerance 0). Each is the fastest of five scaled means, over 500 calls
-for the single calls.
+``cases``: each fits a set of records under one ``FitConfig``, every record
+``REPEATS`` times, and keeps each record's fastest scaled time, which sheds
+single preemptions. It reports the median and the mean of those times, the
+mean profile evaluations per fit (``n_evaluations``) and the fit time per
+evaluation. The records are 60 Poisson records of the reference filter
+(R/T = 0.76, theta1 = 0.41 pi, theta2 = 0.076 pi) at 1e4 counts, cycling
+p = 0.14, 0.325, 0.5, reconstructed and moved to the F basis as the
+``paper_fit`` benchmark does (``paper``), and 20 records of the reference
+angles at R/T = 0.1, below the box (p = 0 and 0.3, 1e3 counts, seeds 0-9,
+``outside``), whose optimum lies on the box's faces. Each set runs under the
+benchmark's ``FitConfig`` (``multistart=4``, ``max_iterations=500``,
+``convergence_tol=1e-9``) and under the default.
+
+``layers_us`` gives, on the first paper record, the fastest of five scaled
+means over 500 calls of: ``grid``, the box-constrained angle profile on the
+16x16 grid (``bsqpt.varpro.grid``); ``profile``, one evaluation of it at a
+point with its gradient and Hessian; ``polish``, Newton's method from the
+record's first grid start under the benchmark's ``FitConfig``; and
+``starts``, the whole start list (``_grid_starts``: the grid and the polish
+of every start) under the default.
 
 The benchmark (``perfbench/run.py``) reports the 4-start fit, traced, as
 ``fitting.fit.p50_ms``, ``fitting.evaluations`` and
-``fitting.us_per_evaluation``. Its ``cli_session`` workload reports the cold
-start of ``bsqpt fit`` as ``cli.fit.cold_ms`` and the largest resident set
-as ``peak_rss_mb``.
+``fitting.us_per_evaluation``.
 """
 
 from __future__ import annotations
 
-import collections
-import inspect
 import json
 import math
 import os
@@ -60,46 +47,31 @@ import time
 
 import numpy as np
 
-from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair
+from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair, varpro
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
-from bsqpt import fitting
-from bsqpt.fitting import _LOWER, _UPPER, _descend, _evaluate, _grid_starts, _kernel_inputs
-
-try:
-    from bsqpt import varpro
-except ImportError:  # a tree from before the start polish
-    varpro = None
+from bsqpt.fitting import _GRID, _grid_starts, _kernel_inputs, _profile_maps
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
 
 REPEATS = 5
-STEPS = 10
-CASES = {
-    # name: (records, FitConfig keywords)
-    "paper_fit_4_starts": (60, {"multistart": 4, "max_iterations": 500, "convergence_tol": 1e-9}),
-    "default_16_starts": (60, {}),
-}
-# A cost bound that no lane reaches, for trees whose _descend takes one.
-NO_BOUND = (-math.inf,) if len(inspect.signature(_descend).parameters) > 6 else ()
-# The layer lanes, fixed points (p, R/T, theta1, theta2) spread over the box.
-LANES = np.random.default_rng(0).uniform([0.0, 0.25, -math.pi, -math.pi],
-                                         [0.5, 4.0, math.pi, math.pi], (16, 4))
-
-
-def records(n: int) -> list:
-    inputs = build_input_set()
-    out = []
-    for k in range(n):
-        p = (0.14, 0.325, 0.5)[k % 3]
-        fp = FilterParams.from_ratio(0.76, theta1=0.41 * math.pi, theta2=0.076 * math.pi, p=p)
-        ct = simulate_counts(kraus_pair(fp), inputs, total_scale=1e4, noise="poisson",
-                             seed=5000 + k)
-        out.append(transform_process_matrix(reconstruct_process(ct, inputs), "F"))
-    return out
-
-
+BENCH = FitConfig(multistart=4, max_iterations=500, convergence_tol=1e-9)
 GAUGE = speed.Gauge()
+
+
+def records(name: str) -> list:
+    inputs = build_input_set()
+    if name == "paper":
+        specs = [(0.76, (0.14, 0.325, 0.5)[k % 3], 1e4, 5000 + k, "F") for k in range(60)]
+    else:
+        specs = [(0.1, p, 1e3, seed, "S") for p in (0.0, 0.3) for seed in range(10)]
+    out = []
+    for ratio, p, total, seed, basis in specs:
+        fp = FilterParams.from_ratio(ratio, theta1=0.41 * math.pi, theta2=0.076 * math.pi, p=p)
+        ct = simulate_counts(kraus_pair(fp), inputs, total_scale=total, noise="poisson",
+                             seed=seed)
+        out.append(transform_process_matrix(reconstruct_process(ct, inputs), basis))
+    return out
 
 
 def timed(f, number: int = 1) -> float:
@@ -112,91 +84,37 @@ def timed(f, number: int = 1) -> float:
     return elapsed * speed.scale(before, GAUGE.reading())
 
 
-def run_case(n: int, kwargs: dict) -> dict:
-    chis = records(n)
-    cfg = FitConfig(**kwargs)
+def run_case(chis: list, cfg: FitConfig) -> dict:
     fit(chis[0], cfg)  # warm-up
-    times, evaluations, calls, multi = [], [], [], []
-    lanes, descended = collections.Counter(), collections.Counter()
-
-    def counting(*args):
-        calls[-1] += 1
-        return _evaluate(*args)
-
-    def descending(*args):
-        out = _descend(*args)
-        descended[int(out[5].sum()) if len(out) > 5 else len(out[0])] += 1
-        return out
-
-    for chi in chis:
-        times.append(min(timed(lambda: fit(chi, cfg)) for _ in range(REPEATS)))
-        calls.append(0)
-        fitting._evaluate, fitting._descend = counting, descending
-        try:
-            res = fit(chi, cfg)
-        finally:
-            fitting._evaluate, fitting._descend = _evaluate, _descend
-        evaluations.append(res.n_evaluations)
-        lanes[len(res.start_residuals)] += 1
-        if len(res.start_residuals) > 1:
-            multi.append(calls[-1])
+    times = [min(timed(lambda: fit(chi, cfg)) for _ in range(REPEATS)) for chi in chis]
+    evaluations = [fit(chi, cfg).n_evaluations for chi in chis]
     return {
-        "records": n,
+        "records": len(chis),
         "fit_p50_ms": round(1e3 * statistics.median(times), 3),
         "fit_mean_ms": round(1e3 * statistics.fmean(times), 3),
-        "evaluations_per_fit": round(sum(evaluations) / n, 2),
-        "kernel_calls_per_fit": round(sum(calls) / n, 2),
+        "evaluations_per_fit": round(sum(evaluations) / len(chis), 2),
         "us_per_evaluation": round(1e6 * sum(times) / sum(evaluations), 2),
-        "lanes_per_fit": {str(k): lanes[k] for k in sorted(lanes)},
-        "lanes_descended_per_fit": {str(k): descended[k] for k in sorted(descended)},
-        "kernel_calls_per_multi_lane_fit": round(sum(multi) / len(multi), 2) if multi else None,
     }
 
 
-def layers() -> dict:
-    chi = transform_process_matrix(records(1)[0], "S").m
-    target, floor = _kernel_inputs(0.5 * (chi + chi.conj().T))
-
-    def fun(x):
-        return _evaluate(x, target, floor)
-
-    calls = {"starts": (lambda: _grid_starts(target, floor, 16), 500)}
-    if varpro is not None:
-        runs = []
-
-        def spy(parts, theta1, theta2):
-            runs.append((parts, theta1, theta2))
-            return varpro.polish(parts, theta1, theta2)
-
-        fitting.polish = spy
-        try:
-            _grid_starts(target, floor, 16)
-        finally:
-            fitting.polish = varpro.polish
-        calls["polish"] = (lambda: [varpro.polish(*run) for run in runs], 500)
-        calls["profile"] = (lambda: varpro.profile(*runs[0]), 500)
+def layers(chi) -> dict:
+    std = transform_process_matrix(chi, "S").m
+    target, floor = _kernel_inputs(0.5 * (std + std.conj().T))
+    value, parts = varpro.grid(_profile_maps(), target)
+    theta = _GRID[int(np.argmax(value))].tolist()
+    norm = floor + target @ target
+    calls = {
+        "grid": lambda: varpro.grid(_profile_maps(), target),
+        "profile": lambda: varpro.profile(parts, *theta),
+        "polish": lambda: varpro.polish(parts, *theta, norm, BENCH.convergence_tol,
+                                        BENCH.max_iterations),
+        "starts": lambda: _grid_starts(target, floor, FitConfig()),
+    }
     best = dict.fromkeys(calls, math.inf)
-    for _ in range(5):
-        for name, (f, number) in calls.items():
-            best[name] = min(best[name], timed(f, number=number))
-    out = {name: round(1e6 * t, 2) for name, t in best.items()}
-    for k in (1, 4, 16):
-        x = LANES[:k]
-        start = (x, *fun(x))
-        calls = {
-            "evaluate": (lambda: fun(x), 500),
-            "iteration": (lambda: _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1, *NO_BOUND),
-                          1),
-        }
-        if _descend(fun, start, _LOWER, _UPPER, 0.0, STEPS + 1, *NO_BOUND)[3].any():
-            raise RuntimeError(f"a lane stopped before step {STEPS} at k = {k}")
-        best = dict.fromkeys(calls, math.inf)
-        for _ in range(5):  # interleaved, so a slow phase of the machine hits every layer
-            for name, (f, number) in calls.items():
-                best[name] = min(best[name], timed(f, number=number))
-        best["iteration"] /= STEPS
-        out[f"k={k}"] = {name: round(1e6 * t, 2) for name, t in best.items()}
-    return out
+    for _ in range(5):  # interleaved, so a slow phase of the machine hits every layer
+        for name, f in calls.items():
+            best[name] = min(best[name], timed(f, number=500))
+    return {name: round(1e6 * t, 2) for name, t in best.items()}
 
 
 def main() -> None:
@@ -214,8 +132,11 @@ def main() -> None:
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "repeats": REPEATS,
     }
-    cases = {name: run_case(n, kwargs) for name, (n, kwargs) in CASES.items()}
-    json.dump({"machine": machine, "layers_us": layers(), "cases": cases}, sys.stdout, indent=1)
+    sets = {name: records(name) for name in ("paper", "outside")}
+    cases = {f"{name}_{label}": run_case(chis, cfg) for name, chis in sets.items()
+             for label, cfg in (("4_starts", BENCH), ("default", FitConfig()))}
+    json.dump({"machine": machine, "layers_us": layers(sets["paper"][0]), "cases": cases},
+              sys.stdout, indent=1)
     print()
 
 

@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--multistart", type=int, default=FitConfig.multistart)
     p.add_argument("--seed", type=int, default=FitConfig.seed, help="accepted; has no effect")
-    p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations)
+    p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
+                   help="cap on the Newton steps of each start's polish")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("homdip", help="write the coincidence dip curve over delay")

@@ -1,26 +1,55 @@
-"""Newton's method on the fit's closed-form angle profile (variable projection).
+"""The fit's angle profile on its search box, and Newton's method on it (variable projection).
 
-For fixed angles the filter model on the fit's 6x6 block is linear in three
-coefficients, ``alpha chi_1 = x1 a a^+ + x2 b b^+ + x3 (a b^+ + b a^+)`` with
-``a = vec(I)`` and ``b = vec(U3(theta1, theta2) SWAP)``. The best
-unconstrained ``x`` for a block ``T`` is ``x = G^-1 v``, with the overlaps
-``v = (a^+ T a, b^+ T b, 2 Re a^+ T b)`` and the terms' Gram matrix ``G``,
-and it leaves the cost ``|T|^2 - v . x``: the angle profile of separable
-least squares (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973);
-Kaufman, BIT 15, 49 (1975)). ``v`` and ``z = a^+ b`` are short
-trigonometric sums in the angles (:func:`maps`), so the profile over a
-grid is two small real matrix products (:func:`grid`), the profile at a point
-with its gradient and Hessian a few dozen float operations
-(:func:`profile`), and :func:`polish` moves a grid point to the profile's
-minimum nearby. ``bsqpt.fitting`` supplies the block's geometry and the
-grid, and turns the polished coefficients into its starts.
+For fixed angles the filter model on the fit's 6x6 block is linear in a real
+symmetric 2x2 matrix ``X``: ``alpha chi_1 = [a b] X [a b]^+`` with
+``a = vec(I)``, ``b = vec(U3(theta1, theta2) SWAP)`` and ``X = alpha [[t^2,
+(2p-1) t r], [(2p-1) t r, r^2]]``, whose entries ``x = (X_11, X_22, X_12)``
+weigh the terms ``a a^+``, ``b b^+`` and ``a b^+ + b a^+``. With the overlaps
+``v = (a^+ T a, b^+ T b, 2 Re a^+ T b)`` of a block ``T`` and the terms'
+Gram matrix ``G``, the block's cost is ``|T|^2 - (2 x . v - x^T G x)``. The
+search box is convex in ``X``: p in [0, 1] is ``X >= 0``, and R/T in
+``RATIO_BOUNDS`` is ``x2 / x1`` between their squares. So the fit is a 2-D
+minimization over the angles, of the cost left by the profile ``P``, the
+largest ``2 x . v - x^T G x`` over the box (separable least squares: Golub
+& Pereyra, SIAM J. Numer. Anal. 10, 413 (1973); Kaufman, BIT 15, 49
+(1975)). A convex problem's optimum is the optimum of one of its faces,
+and each face's is a closed form:
+
+* inside the box, the unconstrained ``x = G^-1 v``, with ``P = v . x``;
+* on ``X >= 0`` alone, ``X`` with its negative eigenvalue clipped in the
+  metric of ``K = [[4, z], [z, 4]]``, the Gram matrix of a and b
+  (``z = a^+ b``, real): ``X = lambda y y^T`` with ``y^T K y = 1`` for the
+  top eigenvalue ``lambda`` of ``K^-1 W``, ``W`` the 2x2 matrix of ``v``,
+  and ``P = lambda^2``;
+* on a ratio face ``x2 = c x1``, the best ``(x1, x3)`` of two terms;
+* at that face's rank-one corners ``X = u (1, s sqrt c) (1, s sqrt c)^T``.
+
+``P`` is the largest value among the candidates that lie in the box.
+``v`` and ``z`` are short trigonometric sums in the angles (:func:`maps`),
+so the profile over a grid is a few real array operations (:func:`grid`),
+the profile at a point with its gradient and Hessian a few dozen float
+operations (:func:`profile`), and :func:`polish` runs Newton's method from
+a grid point. ``bsqpt.fitting`` supplies the block's geometry and the grid,
+and turns the polished ``x`` into its parameters.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+
+# The search box's R/T interval: physically plausible splitters, 1:4 through
+# 4:1. Its faces are x2 = c x1 for the squares c of its ends, and each face's
+# corners are the rank-one X = u (1, s sqrt c)(1, s sqrt c)^T.
+RATIO_BOUNDS = (0.25, 4.0)
+_FACES = tuple(r * r for r in RATIO_BOUNDS)
+_CORNERS = tuple((c, s) for c in _FACES for s in (-1.0, 1.0))
+# No Newton step moves an angle by more than one spacing of the 16-point grid.
+_MAX_STEP = math.pi / 8
+# Steps that change the cost by less than its rounding are accepted.
+_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 def solve(z, v1, v2, v3) -> tuple:
@@ -37,6 +66,54 @@ def solve(z, v1, v2, v3) -> tuple:
     return 0.5 * (u + w), 0.5 * (u - w), (zz * v3 - 8.0 * z * s) / (2.0 * q * q)
 
 
+def _face(z, c: float) -> tuple:
+    """``(p, q, r)``, the Gram matrix ``[[p, q], [q, r]]`` of the face ``x2 = c x1``'s two terms.
+
+    They are ``a a^+ + c b b^+`` (weight x1) and ``a b^+ + b a^+`` (weight
+    x3), and their overlaps with a block are ``(v1 + c v2, v3)``.
+    """
+    return 16.0 * (1.0 + c * c) + 2.0 * c * z * z, 8.0 * (1.0 + c) * z, 32.0 + 2.0 * z * z
+
+
+def _linear_map(z: np.ndarray) -> np.ndarray:
+    """The ``(22, 3, g)`` map from ``v`` at each grid point to the linear parts of :func:`grid`.
+
+    Rows 0-2 are ``x = G^-1 v`` and rows 3-4 its margins ``x2 - c x1`` and
+    ``c x1 - x2`` to the two faces. Rows 5-8 are each corner's
+    ``y^T W y / y^T K y`` for ``y = (1, s sqrt c)``, whose positive part
+    squared is its ``P``. Rows 9-10 are ``sqrt(c) x1`` and rows 11-12
+    ``x3`` of each face's two-term solve, which lies in the box where the
+    first is at least the size of the second, and rows 13-16 the two
+    components whose squares sum to its ``P``, by the face's Gram matrix
+    factored as ``L D L^T``. Rows 17-19 are the half difference of the
+    diagonal of ``S = K^-1/2 W K^-1/2`` in K's eigenbasis, its off-diagonal
+    and its mean ``m``, so its eigenvalues are ``m +/- rad``; rows 20-21 the
+    two values that ``rad`` must reach for the clipped ``X`` to lie between
+    the faces, as its ratio ``x2 / x1`` is ``(4 lambda - v1) / (4 lambda -
+    v2)`` for ``lambda = m + rad``.
+    """
+    one, zero = np.ones_like(z), np.zeros_like(z)
+    inverse = list(np.array(solve(z, *np.eye(3)[:, :, None])))
+    c_lo, c_hi = _FACES
+    rows = inverse + [inverse[1] - c_lo * inverse[0], c_hi * inverse[0] - inverse[1]]
+    rows += [np.array([one, c * one, s * math.sqrt(c) * one])
+             / (4.0 + 4.0 * c + 2.0 * s * math.sqrt(c) * z) for c, s in _CORNERS]
+    b1, b2 = [np.array([one, c * one, zero]) for c in _FACES], np.array([zero, zero, one])
+    faces = [_face(z, c) for c in _FACES]
+    rows += [math.sqrt(c) * (r * b - q * b2) / (p * r - q * q)
+             for c, b, (p, q, r) in zip(_FACES, b1, faces)]
+    rows += [(p * b2 - q * b) / (p * r - q * q) for b, (p, q, r) in zip(b1, faces)]
+    rows += [b / np.sqrt(p) for b, (p, _, _) in zip(b1, faces)]
+    rows += [(b2 - q / p * b) / np.sqrt(r - q * q / p) for b, (p, q, r) in zip(b1, faces)]
+    plus = np.array([one, one, one]) / (8.0 + 2.0 * z)
+    minus = np.array([one, one, -one]) / (8.0 - 2.0 * z)
+    m = 0.5 * (plus + minus)
+    rows += [0.5 * (plus - minus), np.array([one, -one, zero]) / (2.0 * np.sqrt(16.0 - z * z)), m,
+             np.array([one, -c_lo * one, zero]) / (4.0 * (1.0 - c_lo)) - m,
+             np.array([-one, c_hi * one, zero]) / (4.0 * (c_hi - 1.0)) - m]
+    return np.array(rows)
+
+
 def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray) -> tuple:
     """The profile's fixed maps for a block on which ``b_k = signs_k exp(i rates_k . theta)``.
 
@@ -51,7 +128,8 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
     ``(2 m^2, 6 n)`` for ``n`` waves; the matching rows ``(cos, -sin)(w . theta)``
     at ``angles``, ``(2 n, g)``; z's ``c``; the ``i w``; the factors
     ``(i w)^d`` that turn ``c`` into the ``c`` of the derivative of order
-    ``d = (none, 1, 2, 11, 12, 22)``; and ``G^-1`` at ``angles``, ``(3, 3, g)``.
+    ``d = (none, 1, 2, 11, 12, 22)``; and the linear map of :func:`grid` at
+    ``angles``, ``(22, 3, g)``.
     """
     k = np.flatnonzero(signs)
     s, w, n, m = signs[k], rates[:, k].T, len(k), len(a)
@@ -68,86 +146,195 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
             np.stack([at.real, -at.imag], axis=1).reshape(2 * len(waves), -1), z, 1j * waves,
             np.stack([np.ones(len(waves)), *(1j * waves.T),
                       *(-waves.T[[0, 0, 1]] * waves.T[[0, 1, 1]])]),
-            np.array(solve((z @ at).real, *np.eye(3)[:, :, None])))
+            _linear_map((z @ at).real))
 
 
 def grid(fixed: tuple, target: np.ndarray) -> tuple:
-    """``P = v . x`` at each grid point, and the ``parts`` of :func:`profile`, for a block.
+    """``P`` at each grid point, and the ``parts`` of :func:`profile`, for a block.
 
     ``fixed`` is :func:`maps`'s output and ``target`` the block's real and
     imaginary parts, interleaved, row by row. The wave coefficients of v
-    are a fixed real map of ``target``, and v on the grid one real product.
+    are a fixed real map of ``target``, v on the grid one real product, and
+    every candidate's linear parts one more map (:func:`_linear_map`).
+    Where ``x = G^-1 v`` lies in the box, ``P = v . x``; elsewhere it is the
+    largest ``P`` of the clip, the faces and the corners that lie in it,
+    and zero (``X = 0``) if none is positive.
     """
-    coef_map, rows, z, iw, deriv, inverse = fixed
+    coef_map, rows, z, iw, deriv, linear = fixed
     coef = (target @ coef_map).reshape(3, -1)
     v = coef @ rows
-    return (np.add.reduce(v * np.add.reduce(inverse * v, axis=1)),
+    y = np.einsum("rjg,jg->rg", linear, v)
+    inside = (np.minimum(y[3], y[4]) >= 0.0) & (y[0] * y[1] >= y[2] * y[2])
+    rad = np.hypot(y[17], y[18])
+    clip = np.where(rad >= np.maximum.reduce(y[19:22]), np.maximum(y[19] + rad, 0.0) ** 2, 0.0)
+    face = np.where(y[9:11] >= np.abs(y[11:13]), y[13:15] ** 2 + y[15:17] ** 2, 0.0)
+    best = np.maximum.reduce([np.maximum(np.maximum.reduce(y[5:9]), 0.0) ** 2, *face, clip])
+    return (np.where(inside, np.add.reduce(v * y[:3]), best),
             ((deriv[:, None] * np.vstack([coef.view(complex), z])).reshape(24, -1), iw))
 
 
+def _gram(z: float, j: tuple) -> tuple:
+    """``G j`` for a 3-vector ``j``, in Python floats."""
+    j1, j2, j3 = j
+    return (16.0 * j1 + z * z * j2 + 8.0 * z * j3, z * z * j1 + 16.0 * j2 + 8.0 * z * j3,
+            8.0 * z * (j1 + j2) + (32.0 + 2.0 * z * z) * j3)
+
+
+def _boxed(z: float, v1: float, v2: float, v3: float) -> tuple:
+    """The best ``x`` on the box's boundary: ``(P, x, J, C)``, in Python floats.
+
+    The best of the clip, the faces and the corners that lie in the box (see
+    the module docstring). ``J`` holds the columns of ``dx/dy`` for the
+    coordinates ``y`` of the candidate's face of the box and ``C`` the
+    curvature ``sum_i (v - G x)_i d^2 x_i / dy^2`` that the clip's rank-one
+    ``x = (y1^2, y2^2, y1 y2)`` adds; a linear face has none. ``P`` is zero,
+    with ``x`` and ``J`` empty, where no candidate is positive.
+    """
+    best = (0.0, (0.0, 0.0, 0.0), (), ())
+    m1, m2 = (v1 + v2 + v3) / (8.0 + 2.0 * z), (v1 + v2 - v3) / (8.0 - 2.0 * z)
+    mean = 0.5 * (m1 + m2)
+    rad = math.hypot(0.5 * (m1 - m2), (v1 - v2) / (2.0 * math.sqrt(16.0 - z * z)))
+    top = mean + rad
+    f1, f2 = 4.0 * top - v1, 4.0 * top - v2
+    c_lo, c_hi = _FACES
+    if rad >= mean and top > 0.0 and c_lo * f2 <= f1 <= c_hi * f2:
+        h = 0.5 * v3 - top * z
+        scale = top / (4.0 * (f1 + f2) + 2.0 * z * h)
+        y1, y2 = math.sqrt(f2 * scale), math.copysign(math.sqrt(f1 * scale), h)
+        x = (y1 * y1, y2 * y2, y1 * y2)
+        r1, r2, r3 = (vi - gi for vi, gi in zip((v1, v2, v3), _gram(z, x)))
+        best = (top * top, x, ((2.0 * y1, 0.0, y2), (0.0, 2.0 * y2, y1)),
+                ((2.0 * r1, r3), (r3, 2.0 * r2)))
+    for c in _FACES:
+        p, q, r = _face(z, c)
+        b1 = v1 + c * v2
+        det = p * r - q * q
+        u, w = (r * b1 - q * v3) / det, (p * v3 - q * b1) / det
+        value = b1 * u + v3 * w
+        if math.sqrt(c) * u >= abs(w) and value > best[0]:
+            best = (value, (u, c * u, w), ((1.0, c, 0.0), (0.0, 0.0, 1.0)),
+                    ((0.0, 0.0), (0.0, 0.0)))
+    for c, s in _CORNERS:
+        j = (1.0, c, s * math.sqrt(c))
+        norm = 4.0 + 4.0 * c + 2.0 * s * math.sqrt(c) * z
+        ell = (v1 + c * v2 + j[2] * v3) / norm
+        if ell > 0.0 and ell * ell > best[0]:
+            u = ell / norm
+            best = (ell * ell, (u, c * u, j[2] * u), (j,), ((0.0,),))
+    return best
+
+
 def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
-    """The angle profile at ``(theta1, theta2)`` in Python floats: ``(P, x, gradient, Hessian)``.
+    """The profile at ``(theta1, theta2)`` in Python floats: ``(P, x, gradient, Hessian)``.
 
     ``parts`` is ``(c, iw)``: ``iw`` the ``(n, 2)`` frequencies ``i w`` of the
     waves ``exp(i w . theta)``, and ``c`` the ``(24, n)`` wave coefficients of
     ``(v1, v2, v3, z)`` and of their derivatives of order none, 1, 2, 11, 12
-    and 22, each sum the real part of ``c . exp(i w . theta)``. ``x = G^-1 v``
-    are the best unconstrained coefficients and ``P = v . x`` the squared
-    norm of the block's projection on the terms, which the cost is less.
-    ``dP = 2 x . dv - x^T dG x``, and with ``G' = dG/dz`` and
-    ``w_m = v_m - z_m G' x``,
-    ``P_mn = 2 w_m . G^-1 w_n + 2 x . v_mn - z_m z_n x^T G'' x - z_mn x^T G' x``;
-    the gradient is ``(P_1, P_2)`` and the Hessian ``(P_11, P_12, P_22)``.
+    and 22, each sum the real part of ``c . exp(i w . theta)``. ``x`` are the
+    best coefficients in the box and ``P = 2 x . v - x^T G x`` the cost that
+    they remove from the block's squared norm; where the unconstrained
+    ``x = G^-1 v`` lies in the box, ``P = v . x``. By Danskin's theorem
+    ``dP = 2 x . dv - x^T dG x``. On the face of the box that holds ``x``,
+    with coordinates ``y``, ``x``'s Jacobian ``J`` and curvature ``C`` (see
+    :func:`_boxed`; inside, ``J = I`` and ``C = 0``), ``G' = dG/dz`` and
+    ``w_m = J^T (v_m - z_m G' x)``,
+    ``P_mn = 2 w_m . N^-1 w_n + 2 x . v_mn - z_m z_n x^T G'' x - z_mn x^T G' x``
+    with ``N = J^T G J - C``; the gradient is ``(P_1, P_2)`` and the Hessian
+    ``(P_11, P_12, P_22)``, each zero where ``X = 0``.
     """
     c, iw = parts
     (v1, v2, v3, z, a1, b1, c1, z1, a2, b2, c2, z2, a11, b11, c11, z11, a12, b12, c12, z12,
      a22, b22, c22, z22) = (c @ np.exp(iw @ (theta1, theta2))).real.tolist()
     x1, x2, x3 = solve(z, v1, v2, v3)
+    inside = _FACES[0] * x1 <= x2 <= _FACES[1] * x1 and x1 * x2 >= x3 * x3
+    if inside:
+        value = v1 * x1 + v2 * x2 + v3 * x3
+    else:
+        value, (x1, x2, x3), jac, curv = _boxed(z, v1, v2, v3)
+        if not jac:
+            return 0.0, (0.0, 0.0, 0.0), (0.0, 0.0), (0.0, 0.0, 0.0)
     # G' x, x^T G' x and x^T G'' x.
     y1, y2, y3 = 2.0 * z * x2 + 8.0 * x3, 2.0 * z * x1 + 8.0 * x3, 8.0 * (x1 + x2) + 4.0 * z * x3
     xgx, xhx = x1 * y1 + x2 * y2 + x3 * y3, 4.0 * (x1 * x2 + x3 * x3)
-    p1, p2 = a1 - z1 * y1, b1 - z1 * y2
-    q1, q2 = a2 - z2 * y1, b2 - z2 * y2
-    p3, q3 = c1 - z1 * y3, c2 - z2 * y3
-    u1, u2, u3 = solve(z, p1, p2, p3)
-    w1, w2, w3 = solve(z, q1, q2, q3)
-    return (v1 * x1 + v2 * x2 + v3 * x3, (x1, x2, x3),
+    p1, p2, p3 = a1 - z1 * y1, b1 - z1 * y2, c1 - z1 * y3
+    q1, q2, q3 = a2 - z2 * y1, b2 - z2 * y2, c2 - z2 * y3
+    if inside:
+        u1, u2, u3 = solve(z, p1, p2, p3)
+        w1, w2, w3 = solve(z, q1, q2, q3)
+        curvature = (p1 * u1 + p2 * u2 + p3 * u3, p1 * w1 + p2 * w2 + p3 * w3,
+                     q1 * w1 + q2 * w2 + q3 * w3)
+    else:
+        wp = [j1 * p1 + j2 * p2 + j3 * p3 for j1, j2, j3 in jac]
+        wq = [j1 * q1 + j2 * q2 + j3 * q3 for j1, j2, j3 in jac]
+        n = [[sum(a * b for a, b in zip(ji, _gram(z, jk))) - ck for jk, ck in zip(jac, row)]
+             for ji, row in zip(jac, curv)]
+        if len(jac) == 1:
+            curvature = (wp[0] * wp[0] / n[0][0], wp[0] * wq[0] / n[0][0], wq[0] * wq[0] / n[0][0])
+        else:
+            (n11, n12), (_, n22) = n
+            det = n11 * n22 - n12 * n12
+
+            def form(a, b):
+                return (a[0] * (n22 * b[0] - n12 * b[1]) + a[1] * (n11 * b[1] - n12 * b[0])) / det
+
+            curvature = (form(wp, wp), form(wp, wq), form(wq, wq))
+    return (value, (x1, x2, x3),
             (2.0 * (x1 * a1 + x2 * b1 + x3 * c1) - z1 * xgx,
              2.0 * (x1 * a2 + x2 * b2 + x3 * c2) - z2 * xgx),
-            (2.0 * (p1 * u1 + p2 * u2 + p3 * u3 + x1 * a11 + x2 * b11 + x3 * c11)
-             - z1 * z1 * xhx - z11 * xgx,
-             2.0 * (p1 * w1 + p2 * w2 + p3 * w3 + x1 * a12 + x2 * b12 + x3 * c12)
-             - z1 * z2 * xhx - z12 * xgx,
-             2.0 * (q1 * w1 + q2 * w2 + q3 * w3 + x1 * a22 + x2 * b22 + x3 * c22)
-             - z2 * z2 * xhx - z22 * xgx))
+            (2.0 * (curvature[0] + x1 * a11 + x2 * b11 + x3 * c11) - z1 * z1 * xhx - z11 * xgx,
+             2.0 * (curvature[1] + x1 * a12 + x2 * b12 + x3 * c12) - z1 * z2 * xhx - z12 * xgx,
+             2.0 * (curvature[2] + x1 * a22 + x2 * b22 + x3 * c22) - z2 * z2 * xhx - z22 * xgx))
 
 
-def polish(parts: tuple, theta1: float, theta2: float) -> tuple:
-    """Newton's iteration on the angle profile from a grid point: ``(theta1, theta2, x, P)``.
+def polish(parts: tuple, theta1: float, theta2: float, norm: float, tol: float,
+           max_steps: int) -> tuple:
+    """Newton's method on the cost ``norm - P`` from a grid point.
 
-    Each step is ``-H^-1 grad`` for the cost's gradient and Hessian, those of
-    ``-P`` (:func:`profile`). It keeps its last point and stops when that
-    Hessian is not positive definite, when the step is at rounding level or
-    would move an angle more than one grid spacing (``2 pi / 16``) from the
-    grid point, when ``P`` would fall, or after eight steps. The angles come
-    back in [-pi, pi), x3's sign flipped for each one moved by 2 pi, which
-    flips b. ``P`` is the profile value at the returned point.
+    Returns ``(theta1, theta2, x, P, converged, evaluations)``; ``norm`` is
+    the cost at ``X = 0``. With the cost's gradient ``-g`` and
+    Hessian ``H = -h`` (:func:`profile`), the step is ``H^-1 g`` where ``H``
+    is positive definite, and elsewhere the safeguarded ``g / |H|`` (``|H|``
+    the Frobenius norm). Either is shortened so that no angle moves more than
+    one grid spacing (``2 pi / 16``), and halved until the cost falls by
+    1e-4 of the decrease the step predicts, up to the cost's rounding. The
+    iteration converges when the predicted decrease ``g . step``, for a
+    definite ``H`` the Newton decrement ``g^T H^-1 g``, is at most ``tol``
+    times the cost, or times ``tol norm`` if the cost is smaller, which
+    counts such costs as zero; a Newton step is then taken as the last. It
+    stops unconverged after ``max_steps`` steps, or when twenty halvings do
+    not lower the cost. ``x`` and ``P`` are those at the returned point and
+    ``evaluations`` counts the :func:`profile` calls.
     """
     t1, t2 = theta1, theta2
     value, x, (g1, g2), (h11, h12, h22) = profile(parts, t1, t2)
-    for _ in range(8):
+    evaluations, slack = 1, _ROUNDING * norm
+    for _ in range(max_steps):
         det = h11 * h22 - h12 * h12
-        if not (h11 < 0.0 and det > 0.0):
-            break
-        d1, d2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
-        if (abs(d1) + abs(d2) <= 1e-15 or abs(t1 + d1 - theta1) > math.pi / 8
-                or abs(t2 + d2 - theta2) > math.pi / 8):
-            break
-        trial = profile(parts, t1 + d1, t2 + d2)
-        if trial[0] < value:
+        definite = h11 < 0.0 and det > 0.0
+        if definite:
+            d1, d2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
+        else:
+            size, length = math.hypot(h11, h12, h12, h22), math.hypot(g1, g2)
+            scale = (_MAX_STEP / length if size * _MAX_STEP < length
+                     else 1.0 / size if size > 0.0 else 0.0)
+            d1, d2 = g1 * scale, g2 * scale
+        decrease, cost = g1 * d1 + g2 * d2, norm - value
+        if decrease <= tol * max(cost, tol * norm):
+            if definite:
+                t1, t2 = t1 + d1, t2 + d2
+                value, x = profile(parts, t1, t2)[:2]
+                evaluations += 1
+            return t1, t2, x, value, True, evaluations
+        shrink = min(1.0, _MAX_STEP / max(abs(d1), abs(d2)))
+        d1, d2, decrease = d1 * shrink, d2 * shrink, decrease * shrink
+        for _ in range(21):
+            trial = profile(parts, t1 + d1, t2 + d2)
+            evaluations += 1
+            if trial[0] >= value + 1e-4 * decrease - slack:
+                break
+            d1, d2, decrease = 0.5 * d1, 0.5 * d2, 0.5 * decrease
+        else:
             break
         t1, t2 = t1 + d1, t2 + d2
         value, x, (g1, g2), (h11, h12, h22) = trial
-    turns = [not -math.pi <= t < math.pi for t in (t1, t2)]
-    t1, t2 = (t - math.copysign(2.0 * math.pi, t) * n for t, n in zip((t1, t2), turns))
-    return t1, t2, (x[0], x[1], -x[2] if turns[0] != turns[1] else x[2]), value
+    return t1, t2, x, value, False, evaluations

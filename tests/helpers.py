@@ -1,4 +1,7 @@
-"""Shared generators for randomized tests, and a solver fake. All randomness is seeded."""
+"""Shared generators for randomized tests, reference solvers and a solver fake.
+
+All randomness is seeded.
+"""
 
 from __future__ import annotations
 
@@ -58,42 +61,185 @@ def write_json(value, path) -> None:
         json.dump(value, fh)
 
 
-def start_lane(start: tuple, k: int) -> tuple:
-    """Lane ``k`` of the fit solver's stacked start ``(x0, *_evaluate(x0))``, as a stack of one."""
-    return tuple(part[k:k + 1] for part in start)
-
-
-def untouched(start: tuple) -> list:
-    """A stacked solver result that leaves every lane at its start, marked converged and ended."""
-    x, r, _, _, _, alpha, _ = start
-    lanes = len(x)
-    return [x.copy(), r.copy(), alpha.copy(), np.ones(lanes, dtype=bool),
-            np.ones(lanes, dtype=int), np.ones(lanes, dtype=bool)]
-
-
-def set_lane(result: list, k: int, lane: tuple) -> None:
-    """Write the parts of a one-lane solver result ``(x, r, alpha, ...)`` into lane ``k``."""
-    for part, value in zip(result, lane):
-        part[k] = value[0]
-
-
 def fail_best_start(monkeypatch) -> None:
-    """Make the fit's solver report its first start, the only one it runs, as failed.
+    """Make each fit report its first start, the only one it polishes, as failed.
 
-    Every later start comes back untouched at its start point but marked
-    successful, so on a model-generated matrix the best point is the failed one.
+    Every later start comes back unpolished at its grid point but marked
+    converged, so on a model-generated matrix the best point is the failed one.
     """
-    from bsqpt import fitting
+    from bsqpt import fitting, varpro
 
-    real = fitting._descend
+    real = fitting._grid_starts
 
-    def solver(fun, start, *args):
-        out = untouched(start)
-        x, r, alpha, _, evaluations, _ = real(fun, start_lane(start, 0), *args)
-        set_lane(out, 0, (x, r, alpha, [False], evaluations))
-        return tuple(out)
+    def starts(*args):
+        calls = []
 
-    monkeypatch.setattr(fitting, "_descend", solver)
+        def polish(parts, theta1, theta2, *rest):
+            calls.append((theta1, theta2))
+            if len(calls) == 1:
+                return (*varpro.polish(parts, theta1, theta2, *rest)[:4], False, 1)
+            value, x = varpro.profile(parts, theta1, theta2)[:2]
+            return theta1, theta2, x, value, True, 1
+
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "polish", polish)
+            return real(*args)
+
+    monkeypatch.setattr(fitting, "_grid_starts", starts)
+
+
+def block_terms(theta) -> tuple:
+    """``a = vec(I)`` and ``b = vec(U3(theta) SWAP)`` on the fit's 6x6 block."""
+    from bsqpt.bases import to_coeff_vector
+    from bsqpt.bsfilter import u3
+    from bsqpt.fitting import _BLOCK
+    from bsqpt.linalg import SWAP
+
+    return (to_coeff_vector(np.eye(4, dtype=complex))[_BLOCK],
+            to_coeff_vector(u3(*theta) @ SWAP)[_BLOCK])
+
+
+def term_design(theta) -> np.ndarray:
+    """The three model terms at ``theta`` as the columns of a real ``(72, 3)`` design matrix."""
+    a, b = block_terms(theta)
+    terms = [np.outer(a, a.conj()), np.outer(b, b.conj()),
+             np.outer(a, b.conj()) + np.outer(b, a.conj())]
+    return np.array([np.concatenate([t.real.ravel(), t.imag.ravel()]) for t in terms]).T
+
+
+def box_least_squares(target: np.ndarray, theta, bounds=(0.25, 4.0)) -> tuple:
+    """The block's least-squares cost over the fit's box at fixed angles: ``(cost, x, face)``.
+
+    A dense reference for ``bsqpt.varpro``: ``target`` is the block's real and
+    imaginary parts, interleaved, and ``x`` weighs the columns of
+    :func:`term_design`, in the box ``X = [[x1, x3], [x3, x2]] >= 0`` with
+    ``x2 / x1`` between the squares of ``bounds``. A convex problem's optimum
+    is the optimum of one of its faces, so this takes the best of: the
+    unconstrained ``lstsq`` solve where it lies in the box (``"inside"``),
+    each ratio face ``x2 = c x1`` as a two-column ``lstsq`` where its solution
+    does (``"ratio face"``), and the rank-one boundary ``X = u y y^T`` with
+    ``y = (cos phi, sin phi)`` between the faces, searched over ``phi`` on a
+    dense grid and refined by golden section (``"rank one"``, or
+    ``"corner"`` at a face).
+    """
+    block = target.view(complex).reshape(6, 6)
+    y = np.concatenate([block.real.ravel(), block.imag.ravel()])
+    design = term_design(theta)
+    lo, hi = (r * r for r in bounds)
+    candidates = [(y @ y, np.zeros(3), "rank one")]
+
+    def add(x, face):
+        r = y - design @ x
+        candidates.append((r @ r, x, face))
+
+    x = np.linalg.lstsq(design, y, rcond=None)[0]
+    if x[0] >= 0 and lo * x[0] <= x[1] <= hi * x[0] and x[0] * x[1] >= x[2] ** 2:
+        add(x, "inside")
+    for c in (lo, hi):
+        u, w = np.linalg.lstsq(design @ np.array([[1, 0], [c, 0], [0, 1]]), y, rcond=None)[0]
+        if np.sqrt(c) * u >= abs(w):
+            add(np.array([u, c * u, w]), "ratio face")
+
+    gram, overlaps = design.T @ design, design.T @ y
+
+    def rank_one(phis):
+        """The cost of the best ``x = u (cos^2, sin^2, cos sin)(phi)``, ``u >= 0``, at each phi."""
+        e = np.array([np.cos(phis) ** 2, np.sin(phis) ** 2, np.cos(phis) * np.sin(phis)])
+        size = np.add.reduce(e * (gram @ e))
+        overlap = np.maximum(overlaps @ e, 0.0)
+        return y @ y - overlap * overlap / size, overlap / size * e
+
+    for left, right in ((np.arctan(np.sqrt(lo)), np.arctan(np.sqrt(hi))),
+                        (np.pi - np.arctan(np.sqrt(hi)), np.pi - np.arctan(np.sqrt(lo)))):
+        a, b = left, right
+        for _ in range(6):  # each pass zooms into the two spacings around the lowest point
+            phis = np.linspace(a, b, 401)
+            k = int(np.argmin(rank_one(phis)[0]))
+            a, b = phis[max(k - 1, 0)], phis[min(k + 1, len(phis) - 1)]
+        cost, x = rank_one(np.array([phis[k]]))
+        end = min(phis[k] - left, right - phis[k]) <= 1e-9
+        candidates.append((cost[0], x[:, 0], "corner" if end else "rank one"))
+    return min(candidates, key=lambda c: c[0])
+
+
+def dense_residual(chi, x) -> np.ndarray:
+    """The real residual of ``chi`` (S basis) against the model at ``(p, R/T, theta1, theta2)``.
+
+    The scale is profiled: the model's multiplier is the nonnegative one
+    closest to ``chi`` in Frobenius norm. p runs over [0, 1]: the channel at
+    p > 1/2 is the one at ``1 - p`` with theta1 moved by 2 pi.
+    """
+    from bsqpt import FilterParams
+    from bsqpt.fitting import model_chi
+
+    p, ratio, theta1, theta2 = x
+    if p > 0.5:
+        p, theta1 = 1.0 - p, theta1 + 2.0 * np.pi
+    model = model_chi(FilterParams.from_ratio(ratio, theta1=theta1, theta2=theta2, p=p)).m
+    alpha = max(np.vdot(model, chi).real, 0.0) / np.vdot(model, model).real
+    r = chi - alpha * model
+    return np.concatenate([r.real.ravel(), r.imag.ravel()])
+
+
+def trf_residual(chi, starts, tol: float, max_evals: int) -> float:
+    """The lowest residual norm that scipy's trust-region reflective least squares reaches.
+
+    A reference solver: from each start ``(p, R/T, theta1, theta2)`` it runs on
+    the dense residual of the 16x16 S-basis matrix (:func:`dense_residual`),
+    in the fit's box (p in [0, 1], R/T in [1/4, 4], free angles), with
+    finite-difference Jacobians and ``tol`` as ftol, xtol and gtol.
+    """
+    import pytest
+
+    least_squares = pytest.importorskip("scipy.optimize").least_squares
+    from bsqpt import transform_process_matrix
+
+    m = transform_process_matrix(chi, "S").m
+    m = 0.5 * (m + m.conj().T)
+    best = np.inf
+    for x0 in starts:
+        sol = least_squares(lambda x: dense_residual(m, x), x0, method="trf",
+                            bounds=([0.0, 0.25, -np.inf, -np.inf], [1.0, 4.0, np.inf, np.inf]),
+                            ftol=tol, xtol=tol, gtol=tol, max_nfev=max_evals)
+        best = min(best, np.linalg.norm(sol.fun))
+    return best
+
+
+def dense_optimum(chi) -> float:
+    """The lowest residual of the angle profile from every minimum of a 48x48 angle grid.
+
+    A reference for the fit's start list: the profile's cost (``bsqpt.varpro``,
+    checked against :func:`box_least_squares` on its own) at each grid
+    point, and Nelder-Mead from each local minimum on the torus, on the
+    matrix at the fit's unit magnitude and scaled back.
+    """
+    import pytest
+
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    from bsqpt import ProcessMatrix, transform_process_matrix, varpro
+    from bsqpt.fitting import _kernel_inputs, _profile_maps
+
+    e = int(np.frexp(np.max(np.abs(chi.m.view(np.float64))))[1])
+    e += e % 2
+    unit = ProcessMatrix(chi.basis, np.ldexp(chi.m.view(np.float64), -e).view(complex))
+    std = transform_process_matrix(unit, "S").m
+    target, floor = _kernel_inputs(0.5 * (std + std.conj().T))
+    norm = floor + target @ target
+    parts = varpro.grid(_profile_maps(), target)[1]
+
+    def cost(theta):
+        return norm - varpro.profile(parts, *theta)[0]
+
+    side = 48
+    axis = np.linspace(-np.pi, np.pi, side, endpoint=False)
+    costs = np.array([[cost((t1, t2)) for t2 in axis] for t1 in axis])
+    best = costs.min()
+    for i, j in zip(*np.nonzero(costs <= np.minimum.reduce(
+            [np.roll(costs, (di, dj), axis=(0, 1)) for di in (-1, 0, 1) for dj in (-1, 0, 1)]))):
+        sol = minimize(cost, (axis[i], axis[j]), method="Nelder-Mead",
+                       options=dict(xatol=1e-10, fatol=1e-15 * norm, maxiter=1000))
+        best = min(best, sol.fun)
+    return np.sqrt(max(best, 0.0)) * 2.0**e
 
 
 # The README pipeline: its input files, then each command with the outputs
