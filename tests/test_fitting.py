@@ -388,14 +388,29 @@ class TestFit:
         assert res.residual < 1e-8
         assert res.converged is False
 
-    def test_counts_every_profile_evaluation(self, monkeypatch):
+    def test_counts_every_residual_and_jacobian(self, monkeypatch):
         # A record whose angle grid has several minima, so several starts:
-        # n_evaluations is every point evaluation of their polishes.
+        # n_evaluations is every point evaluation of their polishes, each of
+        # which gives the residual with its gradient and Hessian at once.
         calls = record_profile(monkeypatch)
         runs = record_polish(monkeypatch)
         res = fit(several_starts_chi(), FitConfig(multistart=4))
         assert len(res.start_residuals) == len(runs) >= 2
         assert res.n_evaluations == len(calls) == sum(run[-1][5] for run in runs)
+
+    def test_counts_the_evaluations_of_dropped_lanes(self, monkeypatch):
+        # The starts that the fit does not report, and the polishes stopped
+        # by max_iterations before they converge, count every evaluation.
+        runs = record_polish(monkeypatch)
+        res = fit(several_starts_chi(), FitConfig(multistart=4, max_iterations=2))
+        evaluations = [run[-1][5] for run in runs]
+        stopped = [not run[-1][4] for run in runs]
+        assert len(runs) == len(res.start_residuals) >= 2 and any(stopped)
+        dropped = [e for k, e in enumerate(evaluations) if k != res.best_start]
+        assert all(e >= 1 for e in dropped)
+        assert res.n_evaluations == evaluations[res.best_start] + sum(dropped)
+        # A stopped polish made its start's evaluation and one per step at least.
+        assert all(e >= 3 for e, s in zip(evaluations, stopped) if s)
 
     def test_reaches_the_box_optimum_outside_the_unconstrained_cone(self):
         # The record's best box point lies where the unconstrained profile's x
@@ -572,16 +587,19 @@ class TestGridStarts:
             assert want == every[:m]
             assert res.start_residuals == [math.sqrt(max(s[0], 0.0)) * 2.0**e for s in want]
 
-    def test_the_starts_scale_with_the_target(self):
+    def test_the_bound_scales_with_the_target(self):
         # Far from unit magnitude the grid runs on the target scaled by a
-        # power of two; the angles stay, and x and the cost scale back.
+        # power of two; the angles stay, and x and the costs scale back, the
+        # lowest of them, which bounds the fit's cost, with the rest.
         target, floor, _ = unit_kernel_inputs(poisson_chi(paper_filter(0.325), 1e4, seed=31))
         starts = _grid_starts(target, floor, FitConfig())
-        assert all(0.0 < s[0] <= floor + target @ target for s in starts)
+        bound = min(s[0] for s in starts)
+        assert all(0.0 < bound <= s[0] <= floor + target @ target for s in starts)
         for k in (-600, -300, 300, 500):
             big = _grid_starts(np.ldexp(target, k), math.ldexp(floor, 2 * k), FitConfig())
             assert [s[1:3] + s[4:] for s in big] == [s[1:3] + s[4:] for s in starts]
             assert [s[0] for s in big] == [math.ldexp(s[0], 2 * k) for s in starts]
+            assert min(s[0] for s in big) == math.ldexp(bound, 2 * k)
             assert [s[3] for s in big] == [tuple(math.ldexp(c, k) for c in s[3]) for s in starts]
 
     def test_start_list_matches_a_brute_force_grid(self, monkeypatch):
@@ -894,6 +912,33 @@ class TestDescend:
                 assert residual == math.sqrt(max(args[0] - result[3], 0.0)) * 2.0**e
         assert several >= 2
 
+    def test_no_lane_ends_below_the_bound(self, monkeypatch):
+        # The box only raises the cost: at the grid point and at the end of
+        # every start's polish on 36 Poisson records (the reference filter at
+        # p = 0 and the paper delays, random filters and channels), the cost
+        # is not below the bound that the unconstrained x = G^-1 v gives at
+        # the same angles, by more than the relative 1e-9 of a tie. At p = 0
+        # the box holds some ends above it.
+        runs = record_polish(monkeypatch)
+        rng = np.random.default_rng(35)
+        filters = [paper_filter(p) for p in (0.0, 0.14, 0.325, 0.5) for _ in range(3)]
+        filters += [random_filter(rng) for _ in range(6)]
+        channels = [kraus_pair(fp) for fp in filters] + [random_channel(rng) for _ in range(6)]
+        inputs = build_input_set()
+        for k, channel in enumerate(channels + channels[-12:]):
+            counts = simulate_counts(channel, inputs, total_scale=1e4 if k < 24 else 1e3,
+                                     noise="poisson", seed=3500 + k)
+            fit(reconstruct_process(counts, inputs), FitConfig(multistart=4))
+        assert len({id(parts) for parts, *_ in runs}) == 36
+        above = 0
+        for parts, grid, (norm, _, _), (theta1, theta2, _, top, _, _) in runs:
+            for theta, value in ((grid, varpro.profile(parts, *grid)[0]), ((theta1, theta2), top)):
+                bound = unconstrained_cost(parts, theta, norm)
+                cost = norm - value
+                assert cost >= bound - 1e-9 * (1.0 + bound)
+                above += cost > bound + 1e-6 * (1.0 + bound)
+        assert above >= 1
+
     @pytest.mark.parametrize("kwargs", [BENCH, {}], ids=["4-starts", "16-starts"])
     def test_no_worse_than_scipy_trf(self, monkeypatch, kwargs):
         # 24 Poisson records, the reference filter at the three paper delays
@@ -913,6 +958,14 @@ class TestDescend:
                                      kwargs.get("max_iterations", 2000))
             assert ours.converged
             assert ours.residual <= (1 + 1e-6) * reference + 1e-12
+
+
+def unconstrained_cost(parts, theta, norm):
+    """The cost ``norm - v . G^-1 v`` at ``theta`` of the best x with no box, a bound on the profile's."""
+    c, iw = parts
+    v1, v2, v3, z = (c[:4] @ np.exp(iw @ np.asarray(theta))).real.tolist()
+    x1, x2, x3 = varpro.solve(z, v1, v2, v3)
+    return norm - (v1 * x1 + v2 * x2 + v3 * x3)
 
 
 class TestBlock:
@@ -955,6 +1008,29 @@ class TestModelCache:
             res = fit(chi, FitConfig(multistart=4))
             points = [(id(parts), theta1, theta2) for parts, theta1, theta2, _ in calls]
             assert len(points) == len(set(points)) == res.n_evaluations
+
+
+class TestEvaluate:
+    def test_each_point_of_a_stack_evaluates_as_it_would_alone(self):
+        # Every reduction of the grid runs per point: no sum or maximum
+        # crosses the angle pairs of a stack. Each of 16 random pairs gives
+        # in the stack the value it gives alone, to 1e-13 of the block's
+        # squared norm (numpy's matrix product rounds one column apart from
+        # many), and the same point parts.
+        rng = np.random.default_rng(31)
+        consts = (fitting._RATES, fitting._SWAP_SIGNS, fitting._VEC_I)
+        for _ in range(4):
+            chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
+            target, _ = _kernel_inputs(chi)
+            norm = target @ target
+            angles = rng.uniform(-np.pi, np.pi, (16, 2))
+            value, (c, iw) = varpro.grid(varpro.maps(*consts, angles), target)
+            assert value.shape == (16,)
+            for k in range(16):
+                alone, (c_alone, iw_alone) = varpro.grid(varpro.maps(*consts, angles[k:k + 1]),
+                                                         target)
+                assert abs(alone[0] - value[k]) <= 1e-13 * norm
+                assert np.array_equal(c_alone, c) and np.array_equal(iw_alone, iw)
 
 
 class TestJacobian:
