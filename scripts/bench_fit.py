@@ -49,7 +49,7 @@ import numpy as np
 
 from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair, varpro
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
-from bsqpt.fitting import _GRID, _grid_starts, _kernel_inputs, _profile_maps
+from bsqpt.fitting import _GRID, _grid_starts, _profile_maps, _unit_inputs
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
@@ -98,8 +98,7 @@ def run_case(chis: list, cfg: FitConfig) -> dict:
 
 
 def layers(chi) -> dict:
-    std = transform_process_matrix(chi, "S").m
-    target, floor = _kernel_inputs(0.5 * (std + std.conj().T))
+    _, _, target, floor = _unit_inputs(chi)
     value, parts = varpro.grid(_profile_maps(), target)
     theta = _GRID[int(np.argmax(value))].tolist()
     norm = floor + target @ target

@@ -16,10 +16,10 @@ Golub & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973); :mod:`bsqpt.varpro`).
 The starts are the lowest local minima of the profile on a 16x16 angle
 grid, each polished to convergence by Newton's method
 (:func:`_grid_starts`); the best polished start is the fit, and its ``X``
-gives p, R/T and the scale (:func:`_params`). The angles are left free and
-folded by :func:`canonicalize`. The objective is the plain Frobenius
-distance on the unnormalized matrices, with no statistical weighting,
-computed at one magnitude (a power of two; see :func:`fit`).
+gives p, R/T and the scale (:func:`_params`, which also folds the angles'
+2 pi symmetry). The objective is the plain Frobenius distance on the
+unnormalized matrices, with no statistical weighting, computed at one
+magnitude (a power of two; see :func:`_unit_inputs`).
 """
 
 from __future__ import annotations
@@ -95,7 +95,9 @@ class FitResult:
     ``start_residuals`` holds the residual norm that the profile leaves at
     each polished start (:func:`_grid_starts`), the square root of its
     cost, and ``best_start`` the index of the reported start, both in the
-    start order of :class:`FitConfig`.
+    start order of :class:`FitConfig`. ``params.theta2`` always lies in
+    [-pi, pi], and ``params.theta1`` leaves that range only when the p read
+    off the fit would pass 1/2 (see :func:`_params`).
     """
 
     params: FilterParams
@@ -156,32 +158,21 @@ def _kernel_inputs(chi_std: np.ndarray) -> tuple[np.ndarray, float]:
     return chi_std[_BLOCK_IX].view(np.float64).ravel(), float(off @ off)
 
 
-def canonicalize(fp: FilterParams) -> FilterParams:
-    """Reduce equivalent parameter choices to a canonical representative.
+def _unit_inputs(chi_meas: ProcessMatrix) -> tuple[ProcessMatrix, int, np.ndarray, float]:
+    """``unit = chi_meas 2^-e``, ``e``, and the kernel inputs of ``unit``'s Hermitian S form.
 
-    Shifting both angles by 2 pi together leaves the channel unchanged;
-    shifting one angle by 2 pi swaps the two filter operators, which the
-    mixture absorbs as p -> 1 - p. Angles are folded into [-pi, pi] and p
-    kept in [0, 1/2] whenever those moves allow it.
+    ``e`` is even and puts the largest real or imaginary part of ``unit``
+    in [1/4, 1); ``target`` and ``floor`` are :func:`_kernel_inputs`'s for
+    the Hermitian part of ``unit`` in the standard basis.
     """
-
-    def fold(theta: float) -> tuple[float, int]:
-        shifts = round(theta / (2.0 * math.pi))
-        return theta - 2.0 * math.pi * shifts, shifts
-
-    t1, n1 = fold(fp.theta1)
-    t2, n2 = fold(fp.theta2)
-    p_hi = P_RANGE[1]
-    p = fp.p
-    if (n1 + n2) % 2 == 1:
-        if 1.0 - p <= p_hi + 1e-12:
-            p = 1.0 - p
-        elif n1 != 0:
-            # Flipping p would leave [0, 1/2]; undo one angle fold instead.
-            t1 += 2.0 * math.pi * (1 if n1 > 0 else -1)
-        else:
-            t2 += 2.0 * math.pi * (1 if n2 > 0 else -1)
-    return FilterParams(T=fp.T, R=fp.R, theta1=t1, theta2=t2, p=p, scale=fp.scale)
+    # Scaled before the basis transform and the Hermitian part, which can
+    # overflow near the top of the float range; complex has no ldexp loop.
+    parts = np.ascontiguousarray(chi_meas.m).view(np.float64)
+    e = int(np.frexp(np.max(np.abs(parts)))[1])
+    e += e % 2
+    unit = ProcessMatrix(chi_meas.basis, np.ldexp(parts, -e).view(complex))
+    chi_std = transform_process_matrix(unit, "S").m
+    return (unit, e, *_kernel_inputs(0.5 * (chi_std + chi_std.conj().T)))
 
 
 def _tied(value, low):
@@ -222,22 +213,29 @@ def _grid_starts(target: np.ndarray, floor: float, cfg: FitConfig) -> list[tuple
 
 
 def _params(theta1: float, theta2: float, x: tuple) -> tuple[FilterParams, float]:
-    """Canonical unit-scale parameters of the box point ``x`` at the angles, and its scale.
+    """Unit-scale parameters of the box point ``x`` at the angles, and its scale.
 
     ``x = alpha (t^2, r^2, (2p - 1) t r)`` gives ``R/T = sqrt(x2 / x1)``,
     ``p = (1 + x3 / sqrt(x1 x2)) / 2`` and the scale ``sqrt(alpha) =
     sqrt(x1) + sqrt(x2)``, each clipped into the box against rounding;
-    ``X = 0`` reads as p = 1/2 at the largest R/T. p > 1/2 is the channel at
-    ``1 - p`` with theta1 moved 2 pi toward zero, which swaps the filter
-    operators (see :func:`canonicalize`).
+    ``X = 0`` reads as p = 1/2 at the largest R/T. Here, and only here, the
+    filter's 2 pi symmetry is folded. Each angle is wrapped into [-pi, pi]
+    by ``n_k`` turns; 2 pi on one angle flips ``b = vec(U3 SWAP)``, so an
+    odd ``n_1 + n_2`` flips the sign of ``x3``. A p past 1/2 is the channel
+    at ``1 - p`` with theta1 moved 2 pi toward zero, which swaps the filter
+    operators. So theta2 always lies in [-pi, pi], and theta1 leaves that
+    range only when the p read off ``x`` would pass 1/2.
     """
+    n1, n2 = round(theta1 / (2.0 * math.pi)), round(theta2 / (2.0 * math.pi))
+    theta1, theta2 = theta1 - 2.0 * math.pi * n1, theta2 - 2.0 * math.pi * n2
+    x3 = -x[2] if (n1 + n2) % 2 else x[2]
     lo, hi = RATIO_BOUNDS
     t, r = math.sqrt(max(x[0], 0.0)), math.sqrt(max(x[1], 0.0))
     ratio = min(max(r / t, lo), hi) if t > 0.0 else hi
-    p = 0.5 * (1.0 + min(max(x[2] / (t * r), -1.0), 1.0)) if t * r > 0.0 else 0.5
-    if p > 0.5:
+    p = 0.5 * (1.0 + min(max(x3 / (t * r), -1.0), 1.0)) if t * r > 0.0 else 0.5
+    if p > P_RANGE[1] + 1e-12:
         p, theta1 = 1.0 - p, theta1 - math.copysign(2.0 * math.pi, theta1)
-    return canonicalize(FilterParams.from_ratio(ratio, theta1, theta2, p)), t + r
+    return FilterParams.from_ratio(ratio, theta1, theta2, p), t + r
 
 
 def _rank2_fidelity(v: np.ndarray, m: np.ndarray) -> float | None:
@@ -269,27 +267,20 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     Polishes up to ``cfg.multistart`` grid starts of the angle profile by
     Newton's method (:func:`_grid_starts`, see :class:`FitConfig`) and keeps
     the start whose polished residual is lowest. Starts that tie on the
-    residual are ranked by the norm of their canonicalized angles, norms
-    that agree to the same relative 1e-9 counting as equal, and then by
-    start order. Deterministic. Non-convergence of the reported start is
-    signalled by ``converged=False`` on the result, never by an exception.
-    Everything runs on ``chi_meas 2^-e``, ``e`` even and the largest real or
-    imaginary part scaled into [1/4, 1): a power of two and its square root
-    scale exactly, so at any finite magnitude ``chi_meas 4^j`` gives the same
+    residual are ranked by the norm of their reported angles (folded by
+    :func:`_params`), norms that agree to the same relative 1e-9 counting
+    as equal, and then by start order. Deterministic. Non-convergence of
+    the reported start is signalled by ``converged=False`` on the result,
+    never by an exception. Everything runs on ``chi_meas 2^-e``
+    (:func:`_unit_inputs`): a power of two and its square root scale
+    exactly, so at any finite magnitude ``chi_meas 4^j`` gives the same
     shape and evaluations, ``scale`` times ``2^j`` and the residuals times
     ``4^j``. A residual too large for a float comes back infinite.
     """
     if cfg is None:
         cfg = FitConfig()
-    # Scaled before the basis transform and the Hermitian part, which can
-    # overflow near the top of the float range; complex has no ldexp loop.
-    parts = np.ascontiguousarray(chi_meas.m).view(np.float64)
-    e = int(np.frexp(np.max(np.abs(parts)))[1])
-    e += e % 2
-    unit = ProcessMatrix(chi_meas.basis, np.ldexp(parts, -e).view(complex))
-    chi_std = transform_process_matrix(unit, "S").m
-    chi_std = 0.5 * (chi_std + chi_std.conj().T)
-    starts = _grid_starts(*_kernel_inputs(chi_std), cfg)
+    unit, e, target, floor = _unit_inputs(chi_meas)
+    starts = _grid_starts(target, floor, cfg)
     candidates = [(math.sqrt(max(cost, 0.0)), *_params(theta1, theta2, x), converged, k)
                   for k, (cost, theta1, theta2, x, converged, _) in enumerate(starts)]
 
@@ -299,10 +290,10 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         return [c for c in cands if _tied(key(c), low)]
 
     tied = lowest(candidates, lambda c: c[0])
-    _, canon, scale, converged, best_start = lowest(
+    _, best, scale, converged, best_start = lowest(
         tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
     )[0]
-    params = replace(canon, scale=max(scale, 1e-150))
+    params = replace(best, scale=max(scale, 1e-150))
     v = _factor(params, unit.basis)
     # With no overlap the model is zero; at the clamped scale its products would underflow.
     model = v @ dagger(v) if scale > 0.0 else 0.0

@@ -216,14 +216,10 @@ def dense_optimum(chi) -> float:
     import pytest
 
     minimize = pytest.importorskip("scipy.optimize").minimize
-    from bsqpt import ProcessMatrix, transform_process_matrix, varpro
-    from bsqpt.fitting import _kernel_inputs, _profile_maps
+    from bsqpt import varpro
+    from bsqpt.fitting import _profile_maps, _unit_inputs
 
-    e = int(np.frexp(np.max(np.abs(chi.m.view(np.float64))))[1])
-    e += e % 2
-    unit = ProcessMatrix(chi.basis, np.ldexp(chi.m.view(np.float64), -e).view(complex))
-    std = transform_process_matrix(unit, "S").m
-    target, floor = _kernel_inputs(0.5 * (std + std.conj().T))
+    _, e, target, floor = _unit_inputs(chi)
     norm = floor + target @ target
     parts = varpro.grid(_profile_maps(), target)[1]
 

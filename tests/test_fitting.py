@@ -29,7 +29,7 @@ from bsqpt.fitting import (
     _grid_starts,
     _kernel_inputs,
     _params,
-    canonicalize,
+    _unit_inputs,
 )
 
 from helpers import (
@@ -57,6 +57,11 @@ def truth_x(fp):
     t, r = fp.T / (fp.T + fp.R), fp.R / (fp.T + fp.R)
     alpha = fp.scale**2
     return (alpha * t * t, alpha * r * r, alpha * (2.0 * fp.p - 1.0) * t * r)
+
+
+def folded(fp):
+    """The unit-scale parameters that :func:`_params` reads off a filter's own box point."""
+    return _params(fp.theta1, fp.theta2, truth_x(fp))[0]
 
 
 def poisson_chi(fp, total, seed):
@@ -199,24 +204,26 @@ class TestSymmetries:
 
     def test_canonicalize_wraps_even_shifts(self):
         fp = FilterParams(T=0.5, R=0.5, theta1=0.3 + 2 * np.pi, theta2=-0.4 - 2 * np.pi, p=0.2)
-        canon = canonicalize(fp)
+        canon = folded(fp)
         assert abs(canon.theta1 - 0.3) < 1e-12
         assert abs(canon.theta2 + 0.4) < 1e-12
         assert canon.p == pytest.approx(0.2)
 
     def test_canonicalize_odd_shift_at_half_mixing(self):
         fp = FilterParams(T=0.5, R=0.5, theta1=0.3 + 2 * np.pi, theta2=-0.4, p=0.5)
-        canon = canonicalize(fp)
+        canon = folded(fp)
         assert abs(canon.theta1 - 0.3) < 1e-12
         assert canon.p == pytest.approx(0.5)
 
     def test_canonicalize_keeps_channel_when_flip_unavailable(self):
-        # Folding theta1 alone would need p -> 0.8, outside [0, 1/2]; the
-        # fold is undone instead of changing the channel.
+        # Wrapping theta1 alone would need p -> 0.8, outside [0, 1/2]; p is
+        # folded back instead, moving the wrapped theta1 2 pi toward zero.
         fp = FilterParams(T=0.5, R=0.5, theta1=0.3 + 2 * np.pi, theta2=-0.4, p=0.2)
-        canon = canonicalize(fp)
-        assert abs(canon.theta1 - (0.3 + 2 * np.pi)) < 1e-12
+        canon = folded(fp)
+        assert abs(canon.theta1 - (0.3 - 2 * np.pi)) < 1e-12
+        assert abs(canon.theta2 + 0.4) < 1e-12
         assert canon.p == pytest.approx(0.2)
+        assert_allclose(model_chi(canon).m, model_chi(fp).m, rtol=0, atol=1e-12)
 
     def test_canonicalized_channel_unchanged(self):
         rng = np.random.default_rng(10)
@@ -228,7 +235,7 @@ class TestSymmetries:
                 theta2=rng.uniform(-3 * np.pi, 3 * np.pi),
                 p=rng.uniform(0, 0.5),
             )
-            canon = canonicalize(fp)
+            canon = folded(fp)
             assert_allclose(model_chi(canon).m, model_chi(fp).m, atol=1e-11)
 
 
@@ -341,7 +348,8 @@ class TestFit:
         assert fitted[0] < fitted[1] < fitted[2]
 
     def test_starts_respect_bounds(self):
-        # Every polished start's x lies in the box, and its parameters too.
+        # Every polished start's x lies in the box, and its parameters too,
+        # with theta2 wrapped into [-pi, pi].
         rng = np.random.default_rng(9)
         chis = [model_chi(paper_filter(0.2)).m, poisson_chi(paper_filter(0.325), 1e3, seed=9).m,
                 poisson_chi(outside_filter(0.3), 1e3, seed=8).m, np.eye(16), np.zeros((16, 16)),
@@ -354,20 +362,25 @@ class TestFit:
                 fp, scale = _params(th1, th2, x)
                 assert P_RANGE[0] <= fp.p <= P_RANGE[1] and scale >= 0.0
                 assert RATIO_BOUNDS[0] * (1 - 1e-15) <= fp.ratio_rt <= RATIO_BOUNDS[1] * (1 + 1e-15)
-                assert math.isfinite(fp.theta1) and math.isfinite(fp.theta2)
+                assert math.isfinite(fp.theta1) and -math.pi <= fp.theta2 <= math.pi
 
     def test_params_read_the_filter_off_its_box_point(self):
-        # Any box point x, either sign of x3 (either half of p), gives
-        # parameters whose model is [a b] X [a b]^+ on the block: a filter's
+        # Any box point x, either sign of x3 (either half of p), at the angles
+        # or at raw angles 2 pi away on one or both as the polish can return
+        # them, gives parameters whose model is [a b] X [a b]^+ on the block
+        # at those raw angles, with theta2 wrapped into [-pi, pi]: a filter's
         # own x gives back its channel and scale.
         rng = np.random.default_rng(10)
         for _ in range(50):
             fp = random_filter(rng)
             x1, x2, x3 = truth_x(fp)
-            for x in ((x1, x2, x3), (x1, x2, -x3)):
-                got, scale = _params(fp.theta1, fp.theta2, x)
+            signs = ((x1, x2, x3), (x1, x2, -x3))
+            for x, n1, n2 in itertools.product(signs, (-1, 0, 1), (-1, 0, 1)):
+                theta = (fp.theta1 + 2 * np.pi * n1, fp.theta2 + 2 * np.pi * n2)
+                got, scale = _params(*theta, x)
                 assert scale == pytest.approx(fp.scale, rel=1e-14)
-                a, b = block_terms((fp.theta1, fp.theta2))
+                assert -np.pi <= got.theta2 <= np.pi
+                a, b = block_terms(theta)
                 m = np.stack([a, b], axis=1)
                 want = m @ np.array([[x[0], x[2]], [x[2], x[1]]]) @ m.conj().T
                 got_chi = model_chi(dataclasses.replace(got, scale=scale)).m
@@ -564,7 +577,7 @@ class TestGridStarts:
                 fit(ProcessMatrix("S", chi), FitConfig())
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 inputs = [_kernel_inputs(chi.astype(complex)),
-                          unit_kernel_inputs(ProcessMatrix("S", chi))[:2]]
+                          _unit_inputs(ProcessMatrix("S", chi))[2:]]
             for target, floor in inputs:
                 with np.errstate(all="raise"):
                     starts.extend(_grid_starts(target, floor, FitConfig()))
@@ -578,7 +591,7 @@ class TestGridStarts:
         # The fit's starts are the grid starts of the matrix at its unit
         # magnitude, cut to multistart.
         chi = several_starts_chi()
-        target, floor, e = unit_kernel_inputs(chi)
+        _, e, target, floor = _unit_inputs(chi)
         every = _grid_starts(target, floor, FitConfig())
         assert len(every) >= 2
         for m in (1, 2, 3, 16):
@@ -591,7 +604,7 @@ class TestGridStarts:
         # Far from unit magnitude the grid runs on the target scaled by a
         # power of two; the angles stay, and x and the costs scale back, the
         # lowest of them, which bounds the fit's cost, with the rest.
-        target, floor, _ = unit_kernel_inputs(poisson_chi(paper_filter(0.325), 1e4, seed=31))
+        _, _, target, floor = _unit_inputs(poisson_chi(paper_filter(0.325), 1e4, seed=31))
         starts = _grid_starts(target, floor, FitConfig())
         bound = min(s[0] for s in starts)
         assert all(0.0 < bound <= s[0] <= floor + target @ target for s in starts)
@@ -632,11 +645,21 @@ class TestGridStarts:
     def test_one_start_crosses_p_one_half(self):
         # On these records the optimum lies near p = 1/2, where the sign of
         # x3 turns and the reported p folds, on either side for about half
-        # of them.
+        # of them. theta2 stays in [-pi, pi]; theta1 leaves it only on the
+        # fits whose p was folded, those whose x3, signed by the parity of
+        # the turns that wrap the start's angles, is positive.
+        folds = 0
         for seed in range(1000, 1020):
             chi = poisson_chi(paper_filter(0.5), 1e4, seed)
             res = fit(chi, FitConfig(multistart=1))
             assert res.residual <= (1 + 1e-9) * dense_optimum(chi)
+            _, th1, th2, x, _, _ = _grid_starts(*_unit_inputs(chi)[2:], FitConfig(multistart=1))[0]
+            turns = round(th1 / (2 * np.pi)) + round(th2 / (2 * np.pi))
+            folded_p = (-1) ** turns * x[2] > 0.0
+            folds += folded_p
+            assert -np.pi <= res.params.theta2 <= np.pi
+            assert abs(res.params.theta1) <= np.pi or folded_p
+        assert 0 < folds < 20
 
 
 def profile_matrices():
@@ -803,15 +826,6 @@ def assert_derivatives_match(parts, theta, h=1e-5):
     assert np.all(np.abs(np.array([[h11, h12], [h12, h22]]) - fd_hessian) <= 1e-8 * scale)
 
 
-def unit_kernel_inputs(chi):
-    """The kernel inputs of ``chi`` at the fit's unit magnitude, and its even exponent ``e``."""
-    e = int(np.frexp(np.max(np.abs(chi.m.view(np.float64))))[1])
-    e += e % 2
-    unit = ProcessMatrix(chi.basis, np.ldexp(chi.m.view(np.float64), -e).view(complex))
-    std = transform_process_matrix(unit, "S").m
-    return (*_kernel_inputs(0.5 * (std + std.conj().T)), e)
-
-
 def brute_force_grid_starts(target, floor, n):
     """:func:`fitting._grid_starts`, unpolished: one grid point at a time, ``(cost, theta)``."""
     side = 16
@@ -905,7 +919,7 @@ class TestDescend:
             assert len(runs) == len(res.start_residuals)
             assert sum(run[-1][5] for run in runs) == res.n_evaluations
             several += len(runs) > 1
-            e = unit_kernel_inputs(chi)[2]
+            e = _unit_inputs(chi)[1]
             for (parts, grid, args, result), residual in zip(runs, res.start_residuals):
                 alone = varpro.polish(parts, *grid, *args)
                 assert alone == result
