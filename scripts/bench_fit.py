@@ -22,13 +22,17 @@ angles at R/T = 0.1, below the box (p = 0 and 0.3, 1e3 counts, seeds 0-9,
 benchmark's ``FitConfig`` (``multistart=4``, ``max_iterations=500``,
 ``convergence_tol=1e-9``) and under the default.
 
-``layers_us`` gives, on the first paper record, the fastest of five scaled
-means over 500 calls of: ``grid``, the box-constrained angle profile on the
-16x16 grid (``bsqpt.varpro.grid``); ``profile``, one evaluation of it at a
-point with its gradient and Hessian; ``polish``, Newton's method from the
-record's first grid start under the benchmark's ``FitConfig``; and
-``starts``, the whole start list (``_grid_starts``: the grid and the polish
-of every start) under the default.
+``layers_us`` gives the fastest of five scaled means over 500 calls of:
+``grid``, the box-constrained angle profile on the 16x16 grid
+(``bsqpt.varpro.grid``), on the first paper record; ``profile``, one
+evaluation of it at a point with its gradient and Hessian, at that
+record's best grid point, which lies inside the box; ``profile_boxed``, the
+same at the first outside record's first polished start, whose best point
+lies on a ratio face of the box, so that it runs the box's boundary
+candidates; ``polish``, Newton's method from the paper record's best grid
+point under the benchmark's ``FitConfig``; and ``starts``, the paper
+record's whole start list (``_grid_starts``: the grid and the polish of
+every start) under the default.
 
 The benchmark (``perfbench/run.py``) reports the 4-start fit, traced, as
 ``fitting.fit.p50_ms``, ``fitting.evaluations`` and
@@ -97,14 +101,18 @@ def run_case(chis: list, cfg: FitConfig) -> dict:
     }
 
 
-def layers(chi) -> dict:
+def layers(chi, outside) -> dict:
     _, _, target, floor = _unit_inputs(chi)
     value, parts = varpro.grid(_profile_maps(), target)
     theta = _GRID[int(np.argmax(value))].tolist()
     norm = floor + target @ target
+    _, _, boxed_target, boxed_floor = _unit_inputs(outside)
+    boxed_parts = varpro.grid(_profile_maps(), boxed_target)[1]
+    boxed = _grid_starts(boxed_target, boxed_floor, BENCH)[0][1:3]
     calls = {
         "grid": lambda: varpro.grid(_profile_maps(), target),
         "profile": lambda: varpro.profile(parts, *theta),
+        "profile_boxed": lambda: varpro.profile(boxed_parts, *boxed),
         "polish": lambda: varpro.polish(parts, *theta, norm, BENCH.convergence_tol,
                                         BENCH.max_iterations),
         "starts": lambda: _grid_starts(target, floor, FitConfig()),
@@ -134,7 +142,8 @@ def main() -> None:
     sets = {name: records(name) for name in ("paper", "outside")}
     cases = {f"{name}_{label}": run_case(chis, cfg) for name, chis in sets.items()
              for label, cfg in (("4_starts", BENCH), ("default", FitConfig()))}
-    json.dump({"machine": machine, "layers_us": layers(sets["paper"][0]), "cases": cases},
+    json.dump({"machine": machine, "layers_us": layers(sets["paper"][0], sets["outside"][0]),
+               "cases": cases},
               sys.stdout, indent=1)
     print()
 

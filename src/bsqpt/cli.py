@@ -1,9 +1,10 @@
 """Command-line front end for the filter tomography pipeline.
 
 Exit codes: 0 success, 2 input validation failure or a non-finite output,
-3 I/O failure, 4 numerical non-convergence (the output file is still
-written). Every command is deterministic given its flags; ``fit --seed`` is
-accepted and has no effect, as the fit draws nothing at random.
+3 I/O failure, 4 numerical non-convergence or, for ``fit``, no positive
+overlap with the filter model (the output file is still written). Every
+command is deterministic given its flags; ``fit --seed`` is accepted and
+has no effect, as the fit draws nothing at random.
 """
 
 from __future__ import annotations
@@ -74,18 +75,16 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         )
     if result.fidelity is None:
         warnings.append("fidelity undefined: a PSD-projected matrix has no positive trace")
-    if not result.converged:
-        # The scale is profiled to zero exactly when the model has no positive
-        # overlap with the matrix, and then the fit leaves all of it unexplained.
-        if result.residual >= meas_norm:
-            warnings.append("no positive overlap with the filter model")
-        else:
-            warnings.append("the best start did not converge; best effort result")
+    if not result.positive_overlap:
+        warnings.append("no positive overlap with the filter model")
+    elif not result.converged:
+        warnings.append("the best start did not converge; best effort result")
     if warnings:
         payload["warning"] = "; ".join(warnings)
     fileio.write_fit_report(args.out, payload)
     if not result.converged:
-        log.warning("fit did not converge")
+        log.warning("fit did not converge" if result.positive_overlap
+                    else "fit found no positive overlap with the filter model")
         return 4
     return 0
 

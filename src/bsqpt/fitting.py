@@ -34,7 +34,7 @@ from .bases import STANDARD, build_basis, to_coeff_vector
 from .bsfilter import P_RANGE, FilterParams, filter_operators, u3
 from .channel import ProcessMatrix, transform_process_matrix
 from .linalg import SWAP, dagger
-from .varpro import RATIO_BOUNDS, grid, maps, polish
+from .varpro import GRID_POINTS, RATIO_BOUNDS, grid, maps, polish
 
 # The filter operators P-/+ = t I -/+ r U3 SWAP, with U3 diagonal, have
 # non-zero standard-basis coefficients only where I or SWAP has one: at
@@ -89,9 +89,12 @@ class FitResult:
     grid point, each trial point and the last step's end. The fidelity is
     the Uhlmann fidelity of the fitted model and the PSD projection of the
     measured matrix, each normalized to unit trace, and ``None`` when that
-    projection has no positive trace. ``converged`` is whether the reported
-    start's polish converged, ``False`` as well when the model there has no
-    positive overlap with the measured matrix (the profiled scale is zero).
+    projection has no positive trace. ``positive_overlap`` is whether the
+    model at the reported start has a positive overlap with the measured
+    matrix, that is whether its profiled scale is positive; where it is not,
+    the model is zero and leaves all of the matrix unexplained. ``converged``
+    is whether the reported start's polish converged, and ``False`` as well
+    without a positive overlap.
     ``start_residuals`` holds the residual norm that the profile leaves at
     each polished start (:func:`_grid_starts`), the square root of its
     cost, and ``best_start`` the index of the reported start, both in the
@@ -107,6 +110,7 @@ class FitResult:
     converged: bool
     start_residuals: list[float] = field(default_factory=list)
     best_start: int = 0
+    positive_overlap: bool = True
 
 
 def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
@@ -132,12 +136,13 @@ def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
 # alpha chi_1 = x1 a a^+ + x2 b b^+ + x3 (a b^+ + b a^+) is linear in
 # x = alpha (t^2, r^2, (2p - 1) t r); adding 2 pi to an angle flips b, so
 # only x3's sign, which the box allows either way, and the angle profile has
-# period 2 pi. The grid's 16 x 16 angle pairs span [-pi, pi)^2 row by row, and
-# _NEIGHBOURS[:, g] are g's eight neighbours on the torus (g last, where
-# numpy reduces fastest).
-_AXIS = np.linspace(-math.pi, math.pi, 16, endpoint=False)
+# period 2 pi. The grid's GRID_POINTS^2 angle pairs span [-pi, pi)^2 row by
+# row, and _NEIGHBOURS[:, g] are g's eight neighbours on the torus (g last,
+# where numpy reduces fastest).
+_AXIS = np.linspace(-math.pi, math.pi, GRID_POINTS, endpoint=False)
 _GRID = np.stack(np.meshgrid(_AXIS, _AXIS, indexing="ij"), axis=-1).reshape(-1, 2)
-_NEIGHBOURS = np.stack([np.roll(np.arange(256).reshape(16, 16), (i, j), axis=(0, 1)).ravel()
+_NEIGHBOURS = np.stack([np.roll(np.arange(len(_GRID)).reshape(GRID_POINTS, -1), (i, j),
+                                axis=(0, 1)).ravel()
                         for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
@@ -294,9 +299,10 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
     )[0]
     params = replace(best, scale=max(scale, 1e-150))
+    overlap = scale > 0.0
     v = _factor(params, unit.basis)
     # With no overlap the model is zero; at the clamped scale its products would underflow.
-    model = v @ dagger(v) if scale > 0.0 else 0.0
+    model = v @ dagger(v) if overlap else 0.0
     # Two Python-float factors: 2.0**e can overflow, and these give inf where numpy would warn.
     half = 2.0 ** (e // 2)
 
@@ -305,7 +311,8 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         residual=float(np.linalg.norm(model - unit.m)) * half * half,
         fidelity=_rank2_fidelity(v, unit.m),
         n_evaluations=sum(start[5] for start in starts),
-        converged=converged and scale > 0.0,
+        converged=converged and overlap,
         start_residuals=[c[0] * half * half for c in candidates],
         best_start=best_start,
+        positive_overlap=overlap,
     )

@@ -13,16 +13,25 @@ minimization over the angles, of the cost left by the profile ``P``, the
 largest ``2 x . v - x^T G x`` over the box (separable least squares: Golub
 & Pereyra, SIAM J. Numer. Anal. 10, 413 (1973); Kaufman, BIT 15, 49
 (1975)). A convex problem's optimum is the optimum of one of its faces,
-and each face's is a closed form:
+and each face's is a closed form. In ``Y = K^1/2 X K^1/2``, with ``K =
+[[4, z], [z, 4]]`` the Gram matrix of a and b (``z = a^+ b``, real) and
+``W`` the 2x2 matrix of ``v``, the cost is ``|S - Y|^2`` up to a constant,
+for ``S = K^-1/2 W K^-1/2`` with mean ``m`` and eigenvalues ``m +/- rad``:
 
-* inside the box, the unconstrained ``x = G^-1 v``, with ``P = v . x``;
-* on ``X >= 0`` alone, ``X`` with its negative eigenvalue clipped in the
-  metric of ``K = [[4, z], [z, 4]]``, the Gram matrix of a and b
-  (``z = a^+ b``, real): ``X = lambda y y^T`` with ``y^T K y = 1`` for the
-  top eigenvalue ``lambda`` of ``K^-1 W``, ``W`` the 2x2 matrix of ``v``,
-  and ``P = lambda^2``;
-* on a ratio face ``x2 = c x1``, the best ``(x1, x3)`` of two terms;
-* at that face's rank-one corners ``X = u (1, s sqrt c) (1, s sqrt c)^T``.
+* inside the box, ``Y = S`` (``x = G^-1 v``) and ``P = |S|^2 =
+  2 (m^2 + rad^2)``; ``X >= 0`` is ``m >= rad``;
+* on ``X >= 0`` alone, ``S`` with its negative eigenvalue clipped:
+  ``X = lambda y y^T`` with ``y^T K y = 1`` for ``lambda = m + rad``, the
+  top eigenvalue of ``K^-1 W``, and ``P = lambda^2``;
+* a ratio face ``x2 = c x1`` is the wedge between the rank-one rays
+  ``X = u y y^T``, ``y = (1, +/- sqrt c)``. With ``n = y^T K y`` and the
+  overlap ``e = y^T W y / n`` of ``S`` with the ray's unit ``Y``, a ray
+  gives ``P = e^2`` at ``x = (e / n) (1, c, +/- sqrt c)`` where ``e > 0``.
+  For the rays' cosine ``g = (4 - 4c)^2 / (n+ n-)``, the face's best ``Y``
+  is ``a`` times the ``+`` ray's unit ``Y`` plus ``b`` times the ``-``
+  ray's, ``a = (e+ - g e-) / (1 - g^2)`` and ``b = (e- - g e+) / (1 -
+  g^2)``. It lies in the box where ``a, b >= 0``, with ``P = a e+ + b e-``
+  and ``x = (u, c u, sqrt(c) (a / n+ - b / n-))``, ``u = a / n+ + b / n-``.
 
 ``P`` is the largest value among the candidates that lie in the box.
 ``v`` and ``z`` are short trigonometric sums in the angles (:func:`maps`),
@@ -41,13 +50,14 @@ import sys
 import numpy as np
 
 # The search box's R/T interval: physically plausible splitters, 1:4 through
-# 4:1. Its faces are x2 = c x1 for the squares c of its ends, and each face's
-# corners are the rank-one X = u (1, s sqrt c)(1, s sqrt c)^T.
+# 4:1. Its faces are x2 = c x1 for the squares c of its ends, and each face
+# is the wedge between the rank-one rays X = u (1, s sqrt c)(1, s sqrt c)^T.
 RATIO_BOUNDS = (0.25, 4.0)
 _FACES = tuple(r * r for r in RATIO_BOUNDS)
-_CORNERS = tuple((c, s) for c in _FACES for s in (-1.0, 1.0))
-# No Newton step moves an angle by more than one spacing of the 16-point grid.
-_MAX_STEP = math.pi / 8
+# The fit's angle grid has GRID_POINTS points on each angle's period, and no
+# Newton step moves an angle by more than one of its spacings.
+GRID_POINTS = 16
+_MAX_STEP = 2.0 * math.pi / GRID_POINTS
 # Steps that change the cost by less than its rounding are accepted.
 _ROUNDING = 16.0 * sys.float_info.epsilon
 
@@ -66,52 +76,42 @@ def solve(z, v1, v2, v3) -> tuple:
     return 0.5 * (u + w), 0.5 * (u - w), (zz * v3 - 8.0 * z * s) / (2.0 * q * q)
 
 
-def _face(z, c: float) -> tuple:
-    """``(p, q, r)``, the Gram matrix ``[[p, q], [q, r]]`` of the face ``x2 = c x1``'s two terms.
-
-    They are ``a a^+ + c b b^+`` (weight x1) and ``a b^+ + b a^+`` (weight
-    x3), and their overlaps with a block are ``(v1 + c v2, v3)``.
-    """
-    return 16.0 * (1.0 + c * c) + 2.0 * c * z * z, 8.0 * (1.0 + c) * z, 32.0 + 2.0 * z * z
+def _wedge(z, c: float, v1, v2, v3) -> tuple:
+    """The face ``x2 = c x1``'s ``(n+, n-, e+, e-, a, b)`` (module docstring); floats or arrays."""
+    root = math.sqrt(c)
+    n_plus, n_minus = 4.0 + 4.0 * c + 2.0 * root * z, 4.0 + 4.0 * c - 2.0 * root * z
+    g = (4.0 - 4.0 * c) ** 2 / (n_plus * n_minus)
+    b1, b3 = v1 + c * v2, root * v3
+    e_plus, e_minus = (b1 + b3) / n_plus, (b1 - b3) / n_minus
+    return (n_plus, n_minus, e_plus, e_minus, (e_plus - g * e_minus) / (1.0 - g * g),
+            (e_minus - g * e_plus) / (1.0 - g * g))
 
 
 def _linear_map(z: np.ndarray) -> np.ndarray:
-    """The ``(22, 3, g)`` map from ``v`` at each grid point to the linear parts of :func:`grid`.
+    """The ``(15, 3, g)`` map from ``v`` at each grid point to the linear parts of :func:`grid`.
 
-    Rows 0-2 are ``x = G^-1 v`` and rows 3-4 its margins ``x2 - c x1`` and
-    ``c x1 - x2`` to the two faces. Rows 5-8 are each corner's
-    ``y^T W y / y^T K y`` for ``y = (1, s sqrt c)``, whose positive part
-    squared is its ``P``. Rows 9-10 are ``sqrt(c) x1`` and rows 11-12
-    ``x3`` of each face's two-term solve, which lies in the box where the
-    first is at least the size of the second, and rows 13-16 the two
-    components whose squares sum to its ``P``, by the face's Gram matrix
-    factored as ``L D L^T``. Rows 17-19 are the half difference of the
-    diagonal of ``S = K^-1/2 W K^-1/2`` in K's eigenbasis, its off-diagonal
-    and its mean ``m``, so its eigenvalues are ``m +/- rad``; rows 20-21 the
-    two values that ``rad`` must reach for the clipped ``X`` to lie between
-    the faces, as its ratio ``x2 / x1`` is ``(4 lambda - v1) / (4 lambda -
-    v2)`` for ``lambda = m + rad``.
+    Rows 0-2 are the half difference of the diagonal of ``S`` in K's
+    eigenbasis, its off-diagonal and its mean ``m`` (``rad`` is the
+    hypotenuse of the first two); rows 3-4 the margins ``x2 - c x1`` and
+    ``c x1 - x2`` of ``x = G^-1 v`` to the two faces; rows 5-8 ``e+`` of
+    both faces, then ``e-``, and rows 9-12 ``a`` of both faces, then ``b``
+    (:func:`_wedge`); rows 13-14 the two values that ``rad`` must reach for
+    the clipped ``X`` to lie between the faces, as its ratio ``x2 / x1`` is
+    ``(4 lambda - v1) / (4 lambda - v2)`` for ``lambda = m + rad``.
     """
     one, zero = np.ones_like(z), np.zeros_like(z)
-    inverse = list(np.array(solve(z, *np.eye(3)[:, :, None])))
+    unit = np.eye(3)[:, :, None]
+    inverse = solve(z, *unit)
     c_lo, c_hi = _FACES
-    rows = inverse + [inverse[1] - c_lo * inverse[0], c_hi * inverse[0] - inverse[1]]
-    rows += [np.array([one, c * one, s * math.sqrt(c) * one])
-             / (4.0 + 4.0 * c + 2.0 * s * math.sqrt(c) * z) for c, s in _CORNERS]
-    b1, b2 = [np.array([one, c * one, zero]) for c in _FACES], np.array([zero, zero, one])
-    faces = [_face(z, c) for c in _FACES]
-    rows += [math.sqrt(c) * (r * b - q * b2) / (p * r - q * q)
-             for c, b, (p, q, r) in zip(_FACES, b1, faces)]
-    rows += [(p * b2 - q * b) / (p * r - q * q) for b, (p, q, r) in zip(b1, faces)]
-    rows += [b / np.sqrt(p) for b, (p, _, _) in zip(b1, faces)]
-    rows += [(b2 - q / p * b) / np.sqrt(r - q * q / p) for b, (p, q, r) in zip(b1, faces)]
     plus = np.array([one, one, one]) / (8.0 + 2.0 * z)
     minus = np.array([one, one, -one]) / (8.0 - 2.0 * z)
-    m = 0.5 * (plus + minus)
-    rows += [0.5 * (plus - minus), np.array([one, -one, zero]) / (2.0 * np.sqrt(16.0 - z * z)), m,
-             np.array([one, -c_lo * one, zero]) / (4.0 * (1.0 - c_lo)) - m,
-             np.array([-one, c_hi * one, zero]) / (4.0 * (c_hi - 1.0)) - m]
-    return np.array(rows)
+    m, off = 0.5 * (plus + minus), np.array([one, -one, zero]) / (2.0 * np.sqrt(16.0 - z * z))
+    wedges = [_wedge(z, c, *unit) for c in _FACES]
+    return np.array([0.5 * (plus - minus), off, m,
+                     inverse[1] - c_lo * inverse[0], c_hi * inverse[0] - inverse[1],
+                     *(w[k] for k in range(2, 6) for w in wedges),
+                     np.array([one, -c_lo * one, zero]) / (4.0 * (1.0 - c_lo)) - m,
+                     np.array([-one, c_hi * one, zero]) / (4.0 * (c_hi - 1.0)) - m])
 
 
 def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray) -> tuple:
@@ -129,7 +129,7 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
     at ``angles``, ``(2 n, g)``; z's ``c``; the ``i w``; the factors
     ``(i w)^d`` that turn ``c`` into the ``c`` of the derivative of order
     ``d = (none, 1, 2, 11, 12, 22)``; and the linear map of :func:`grid` at
-    ``angles``, ``(22, 3, g)``.
+    ``angles``, ``(15, 3, g)``.
     """
     k = np.flatnonzero(signs)
     s, w, n, m = signs[k], rates[:, k].T, len(k), len(a)
@@ -155,21 +155,23 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
     ``fixed`` is :func:`maps`'s output and ``target`` the block's real and
     imaginary parts, interleaved, row by row. The wave coefficients of v
     are a fixed real map of ``target``, v on the grid one real product, and
-    every candidate's linear parts one more map (:func:`_linear_map`).
-    Where ``x = G^-1 v`` lies in the box, ``P = v . x``; elsewhere it is the
-    largest ``P`` of the clip, the faces and the corners that lie in it,
-    and zero (``X = 0``) if none is positive.
+    every candidate's 15 linear parts one more map (:func:`_linear_map`).
+    Where ``x = G^-1 v`` lies in the box, ``P = |S|^2 = 2 (m^2 + rad^2)``;
+    elsewhere it is the largest ``P`` of the clip, the faces' wedges and
+    their rays that lie in it, and zero (``X = 0``) if none is positive.
     """
     coef_map, rows, z, iw, deriv, linear = fixed
     coef = (target @ coef_map).reshape(3, -1)
     v = coef @ rows
     y = np.einsum("rjg,jg->rg", linear, v)
-    inside = (np.minimum(y[3], y[4]) >= 0.0) & (y[0] * y[1] >= y[2] * y[2])
-    rad = np.hypot(y[17], y[18])
-    clip = np.where(rad >= np.maximum.reduce(y[19:22]), np.maximum(y[19] + rad, 0.0) ** 2, 0.0)
-    face = np.where(y[9:11] >= np.abs(y[11:13]), y[13:15] ** 2 + y[15:17] ** 2, 0.0)
-    best = np.maximum.reduce([np.maximum(np.maximum.reduce(y[5:9]), 0.0) ** 2, *face, clip])
-    return (np.where(inside, np.add.reduce(v * y[:3]), best),
+    rad, m = np.hypot(y[0], y[1]), y[2]
+    inside = (np.minimum(y[3], y[4]) >= 0.0) & (m >= rad)
+    # The clip and the rays are rank-one, each with P the square of its overlap.
+    clip = np.where(rad >= np.maximum(m, np.maximum(y[13], y[14])), m + rad, 0.0)
+    rank_one = np.maximum(np.maximum(np.maximum.reduce(y[5:9]), clip), 0.0) ** 2
+    face = np.where(np.minimum(y[9:11], y[11:13]) >= 0.0, y[9:11] * y[5:7] + y[11:13] * y[7:9], 0.0)
+    best = np.maximum(rank_one, np.maximum(face[0], face[1]))
+    return (np.where(inside, 2.0 * (m * m + rad * rad), best),
             ((deriv[:, None] * np.vstack([coef.view(complex), z])).reshape(24, -1), iw))
 
 
@@ -183,12 +185,13 @@ def _gram(z: float, j: tuple) -> tuple:
 def _boxed(z: float, v1: float, v2: float, v3: float) -> tuple:
     """The best ``x`` on the box's boundary: ``(P, x, J, C)``, in Python floats.
 
-    The best of the clip, the faces and the corners that lie in the box (see
-    the module docstring). ``J`` holds the columns of ``dx/dy`` for the
-    coordinates ``y`` of the candidate's face of the box and ``C`` the
-    curvature ``sum_i (v - G x)_i d^2 x_i / dy^2`` that the clip's rank-one
-    ``x = (y1^2, y2^2, y1 y2)`` adds; a linear face has none. ``P`` is zero,
-    with ``x`` and ``J`` empty, where no candidate is positive.
+    The best of the clip and, face by face, the wedge and its two rays that
+    lie in the box (see the module docstring). ``J`` holds the columns of
+    ``dx/dy`` for the coordinates ``y`` of the candidate's face of the box
+    and ``C`` the curvature ``sum_i (v - G x)_i d^2 x_i / dy^2`` that the
+    clip's rank-one ``x = (y1^2, y2^2, y1 y2)`` adds; a linear face has
+    none. ``P`` is zero, with ``x`` and ``J`` empty, where no candidate is
+    positive.
     """
     best = (0.0, (0.0, 0.0, 0.0), (), ())
     m1, m2 = (v1 + v2 + v3) / (8.0 + 2.0 * z), (v1 + v2 - v3) / (8.0 - 2.0 * z)
@@ -206,21 +209,16 @@ def _boxed(z: float, v1: float, v2: float, v3: float) -> tuple:
         best = (top * top, x, ((2.0 * y1, 0.0, y2), (0.0, 2.0 * y2, y1)),
                 ((2.0 * r1, r3), (r3, 2.0 * r2)))
     for c in _FACES:
-        p, q, r = _face(z, c)
-        b1 = v1 + c * v2
-        det = p * r - q * q
-        u, w = (r * b1 - q * v3) / det, (p * v3 - q * b1) / det
-        value = b1 * u + v3 * w
-        if math.sqrt(c) * u >= abs(w) and value > best[0]:
+        n_plus, n_minus, e_plus, e_minus, a, b = _wedge(z, c, v1, v2, v3)
+        value, root = a * e_plus + b * e_minus, math.sqrt(c)
+        if a >= 0.0 and b >= 0.0 and value > best[0]:
+            u, w = a / n_plus + b / n_minus, root * (a / n_plus - b / n_minus)
             best = (value, (u, c * u, w), ((1.0, c, 0.0), (0.0, 0.0, 1.0)),
                     ((0.0, 0.0), (0.0, 0.0)))
-    for c, s in _CORNERS:
-        j = (1.0, c, s * math.sqrt(c))
-        norm = 4.0 + 4.0 * c + 2.0 * s * math.sqrt(c) * z
-        ell = (v1 + c * v2 + j[2] * v3) / norm
-        if ell > 0.0 and ell * ell > best[0]:
-            u = ell / norm
-            best = (ell * ell, (u, c * u, j[2] * u), (j,), ((0.0,),))
+        for n, e, j3 in ((n_minus, e_minus, -root), (n_plus, e_plus, root)):
+            if e > 0.0 and e * e > best[0]:
+                u = e / n
+                best = (e * e, (u, c * u, j3 * u), ((1.0, c, j3),), ((0.0,),))
     return best
 
 
@@ -295,7 +293,7 @@ def polish(parts: tuple, theta1: float, theta2: float, norm: float, tol: float,
     Hessian ``H = -h`` (:func:`profile`), the step is ``H^-1 g`` where ``H``
     is positive definite, and elsewhere the safeguarded ``g / |H|`` (``|H|``
     the Frobenius norm). Either is shortened so that no angle moves more than
-    one grid spacing (``2 pi / 16``), and halved until the cost falls by
+    one grid spacing (``2 pi / GRID_POINTS``), and halved until the cost falls by
     1e-4 of the decrease the step predicts, up to the cost's rounding. The
     iteration converges when the predicted decrease ``g . step``, for a
     definite ``H`` the Newton decrement ``g^T H^-1 g``, is at most ``tol``

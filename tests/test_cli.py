@@ -633,6 +633,27 @@ class TestCliErrors:
         assert result["converged"] is False
         assert "no positive overlap with the filter model" in result["warning"]
 
+    def test_no_positive_overlap_is_the_fit_s_verdict(self, tmp_path, caplog):
+        # The warning follows the fit's zero scale, not a comparison of the
+        # residual with the matrix norm, two norms that round differently.
+        chi_path, report = tmp_path / "chi.json", tmp_path / "fit.json"
+
+        def warning(m, *flags):
+            fileio.write_matrix(chi_path, m, "S")
+            assert main(["fit", "--chi", str(chi_path), "--out", str(report), *flags]) == 4
+            return read_json(report)["warning"]
+
+        diagonal = -np.diag(np.arange(1, 17) * (3 / 7))
+        warnings = [warning(diagonal), warning(diagonal, "--multistart", "4")]
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            m = -(a @ a.conj().T) * 10.0 ** rng.uniform(-5, 5)
+            warnings.append(warning(0.5 * (m + m.conj().T)))
+        assert all("no positive overlap with the filter model" in w for w in warnings)
+        assert not [w for w in warnings if "did not converge" in w]
+        assert not [r for r in caplog.records if "did not converge" in r.getMessage()]
+
     def test_identity_channel_mismatch_warning(self, tmp_path):
         from bsqpt import KrausSet
 
