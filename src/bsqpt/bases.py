@@ -20,7 +20,7 @@ cannot survive silently; :func:`to_coeff_vector` is that expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -72,11 +72,19 @@ class OperatorBasis:
 
     ``u_matrix[mu, alpha] = Tr((X_mu)_dag A_alpha)`` relates element
     ``A_alpha`` to the standard elements ``X_mu``, and is unitary.
+    ``u_dagger`` is its conjugate transpose, built once here because every
+    change of basis multiplies by it. Both are read-only.
     """
 
     kind: str
     elements: tuple[np.ndarray, ...]
     u_matrix: np.ndarray
+    u_dagger: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        u_dagger = dagger(self.u_matrix)
+        u_dagger.setflags(write=False)
+        object.__setattr__(self, "u_dagger", u_dagger)
 
 
 def _elements_for(kind: str) -> list[np.ndarray]:

@@ -40,6 +40,8 @@ P_RANGE = (0.0, 0.5)
 _I4 = np.eye(4, dtype=complex)
 # Signs of the reflected amplitude in (P-, P+).
 _SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+# Signs of the diagonal of U3 (see u3).
+_U3_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def u3(theta1: float, theta2: float) -> np.ndarray:
     """
     half_sum, half_diff = 0.5 * (theta1 + theta2), 0.5 * (theta1 - theta2)
     phases = np.exp(1j * np.array([half_diff, half_sum, -half_sum, -half_diff]))
-    return np.diag(phases * np.array([1.0, -1.0, -1.0, 1.0]))
+    return np.diag(phases * _U3_SIGNS)
 
 
 def filter_operators(t: float, r: float, theta1: float, theta2: float) -> np.ndarray:

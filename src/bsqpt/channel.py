@@ -160,11 +160,15 @@ def transform_process_matrix(chi: ProcessMatrix, target: str) -> ProcessMatrix:
     (``u_dag chi u`` going out of the standard basis), so eigenvalues and
     trace are preserved and round trips are exact to rounding.
     """
-    m = chi.m
-    if chi.basis != STANDARD:
-        u_src = build_basis(chi.basis).u_matrix
-        m = u_src @ m @ dagger(u_src)
+    return ProcessMatrix(target, change_basis(chi.m, chi.basis, target))
+
+
+def change_basis(m: np.ndarray, source: str, target: str) -> np.ndarray:
+    """:func:`transform_process_matrix` on a bare 16x16 array ``m`` in basis ``source``."""
+    if source != STANDARD:
+        b = build_basis(source)
+        m = b.u_matrix @ m @ b.u_dagger
     if target != STANDARD:
-        u = build_basis(target).u_matrix
-        m = dagger(u) @ m @ u
-    return ProcessMatrix(target, m)
+        b = build_basis(target)
+        m = b.u_dagger @ m @ b.u_matrix
+    return m

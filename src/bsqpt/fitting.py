@@ -25,14 +25,14 @@ magnitude (a power of two; see :func:`_unit_inputs`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .bases import STANDARD, build_basis, to_coeff_vector
 from .bsfilter import P_RANGE, FilterParams, filter_operators, u3
-from .channel import ProcessMatrix, transform_process_matrix
+from .channel import ProcessMatrix, change_basis
 from .linalg import SWAP, dagger
 from .varpro import GRID_POINTS, RATIO_BOUNDS, grid, maps, polish
 
@@ -45,6 +45,9 @@ _BLOCK = np.flatnonzero(to_coeff_vector(np.eye(4) + SWAP))
 _BLOCK_IX = np.ix_(_BLOCK, _BLOCK)
 _OFF_BLOCK = np.ones((16, 16), dtype=bool)
 _OFF_BLOCK[_BLOCK_IX] = False
+# The same entries as flat indices, row by row, for np.take.
+_BLOCK_FLAT = np.ravel_multi_index(_BLOCK_IX, (16, 16)).ravel()
+_OFF_BLOCK_FLAT = np.flatnonzero(_OFF_BLOCK)
 # U3 = diag(u) with u_j = +/- exp(i (theta1 d_1j + theta2 d_2j)) for the
 # fixed phase rates d_kj below, so U3 SWAP weighs each coefficient of SWAP by
 # the u_j of its row j (the coefficients of the matrix of row indices): on the
@@ -129,7 +132,7 @@ def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
     v = to_coeff_vector(ops).T * (fp.scale * np.sqrt([1.0 - fp.p, fp.p]))
     if basis_kind == STANDARD:
         return v
-    return dagger(build_basis(basis_kind).u_matrix) @ v
+    return build_basis(basis_kind).u_dagger @ v
 
 
 # For fixed angles, with a = vec(I) and b = vec(U3 SWAP) on the block,
@@ -159,24 +162,28 @@ def _kernel_inputs(chi_std: np.ndarray) -> tuple[np.ndarray, float]:
     interleaved, row by row.
     """
     # Summed directly, not as |chi|^2 - |block|^2, which can round below zero.
-    off = chi_std[_OFF_BLOCK].view(np.float64)
-    return chi_std[_BLOCK_IX].view(np.float64).ravel(), float(off @ off)
+    off = chi_std.take(_OFF_BLOCK_FLAT).view(np.float64)
+    return chi_std.take(_BLOCK_FLAT).view(np.float64), float(off @ off)
 
 
-def _unit_inputs(chi_meas: ProcessMatrix) -> tuple[ProcessMatrix, int, np.ndarray, float]:
-    """``unit = chi_meas 2^-e``, ``e``, and the kernel inputs of ``unit``'s Hermitian S form.
+def _unit_inputs(chi_meas: ProcessMatrix) -> tuple[np.ndarray, int, np.ndarray, float]:
+    """``unit = chi_meas.m 2^-e``, ``e``, and the kernel inputs of ``unit``'s Hermitian S form.
 
     ``e`` is even and puts the largest real or imaginary part of ``unit``
     in [1/4, 1); ``target`` and ``floor`` are :func:`_kernel_inputs`'s for
-    the Hermitian part of ``unit`` in the standard basis.
+    the Hermitian part of ``unit`` in the standard basis. A NaN or
+    infinite entry raises ``ValueError``.
     """
     # Scaled before the basis transform and the Hermitian part, which can
     # overflow near the top of the float range; complex has no ldexp loop.
     parts = np.ascontiguousarray(chi_meas.m).view(np.float64)
-    e = int(np.frexp(np.max(np.abs(parts)))[1])
+    top = np.abs(parts).max()
+    if not math.isfinite(top):
+        raise ValueError("the process matrix is not finite")
+    e = math.frexp(top)[1]
     e += e % 2
-    unit = ProcessMatrix(chi_meas.basis, np.ldexp(parts, -e).view(complex))
-    chi_std = transform_process_matrix(unit, "S").m
+    unit = np.ldexp(parts, -e).view(complex)
+    chi_std = change_basis(unit, chi_meas.basis, STANDARD)
     return (unit, e, *_kernel_inputs(0.5 * (chi_std + chi_std.conj().T)))
 
 
@@ -199,21 +206,25 @@ def _grid_starts(target: np.ndarray, floor: float, cfg: FitConfig) -> list[tuple
     """
     # Far from the fit's unit magnitude, target is scaled by a power of two so
     # that products of its entries neither underflow nor overflow.
-    e = int(np.frexp(np.max(np.abs(target)))[1])
+    e = math.frexp(np.abs(target).max())[1]
     e *= abs(e) > 256
-    target, floor = np.ldexp(target, -e), math.ldexp(floor, -2 * e)
+    if e:
+        target, floor = np.ldexp(target, -e), math.ldexp(floor, -2 * e)
     value, parts = grid(_profile_maps(), target)
-    norm = floor + target @ target
+    norm = floor + float(target @ target)
     cost = norm - value
-    minima = np.flatnonzero(_tied(cost, np.minimum.reduce(cost[_NEIGHBOURS])))
-    left, starts = cost[minima], []
+    minima = np.flatnonzero(_tied(cost, np.minimum.reduce(cost[_NEIGHBOURS]))).tolist()
+    left, starts = cost[minima].tolist(), []
     while len(starts) < min(cfg.multistart, len(minima)):
-        k = int(np.flatnonzero(_tied(left, left.min()))[0])
+        low = min(left)
+        k = next(i for i, c in enumerate(left) if _tied(c, low))
         left[k], g = math.inf, minima[k]
-        theta1, theta2, x, top, converged, evaluations = polish(
+        theta1, theta2, x, removed, converged, evaluations = polish(
             parts, *_GRID[g].tolist(), norm, cfg.convergence_tol, cfg.max_iterations)
-        starts.append((math.ldexp(norm - top, 2 * e), theta1, theta2,
-                       tuple(math.ldexp(c, e) for c in x), converged, evaluations))
+        end = norm - removed
+        if e:
+            end, x = math.ldexp(end, 2 * e), tuple(math.ldexp(c, e) for c in x)
+        starts.append((end, theta1, theta2, x, converged, evaluations))
     return starts
 
 
@@ -280,7 +291,8 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     (:func:`_unit_inputs`): a power of two and its square root scale
     exactly, so at any finite magnitude ``chi_meas 4^j`` gives the same
     shape and evaluations, ``scale`` times ``2^j`` and the residuals times
-    ``4^j``. A residual too large for a float comes back infinite.
+    ``4^j``. A residual too large for a float comes back infinite. A
+    ``chi_meas`` with a NaN or infinite entry raises ``ValueError``.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -298,18 +310,19 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     _, best, scale, converged, best_start = lowest(
         tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
     )[0]
-    params = replace(best, scale=max(scale, 1e-150))
+    params = FilterParams(best.T, best.R, best.theta1, best.theta2, best.p, max(scale, 1e-150))
     overlap = scale > 0.0
-    v = _factor(params, unit.basis)
+    v = _factor(params, chi_meas.basis)
     # With no overlap the model is zero; at the clamped scale its products would underflow.
     model = v @ dagger(v) if overlap else 0.0
     # Two Python-float factors: 2.0**e can overflow, and these give inf where numpy would warn.
     half = 2.0 ** (e // 2)
 
     return FitResult(
-        params=replace(params, scale=params.scale * half),
-        residual=float(np.linalg.norm(model - unit.m)) * half * half,
-        fidelity=_rank2_fidelity(v, unit.m),
+        params=FilterParams(params.T, params.R, params.theta1, params.theta2, params.p,
+                            params.scale * half),
+        residual=float(np.linalg.norm(model - unit)) * half * half,
+        fidelity=_rank2_fidelity(v, unit),
         n_evaluations=sum(start[5] for start in starts),
         converged=converged and overlap,
         start_residuals=[c[0] * half * half for c in candidates],

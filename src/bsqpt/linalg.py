@@ -82,7 +82,7 @@ def project_to_psd(a: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     if w[0] >= 0.0:
         return a
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     return (v * w) @ dagger(v)
 
 

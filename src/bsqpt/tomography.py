@@ -31,7 +31,7 @@ repair is an explicit, optional post-step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,8 +64,9 @@ class InputStateSet:
     equals ``sum_m Tr(products[m] A) duals[m]``. The two frames are
     biorthogonal, so ``coeffs[a, n] = Tr(duals[n] X_a)`` is read off the
     duals and writes the standard element ``X_a`` as ``sum_n coeffs[a, n]
-    products[n]`` (checked to 1e-12 at construction). All arrays are
-    read-only.
+    products[n]`` (checked to 1e-12 at construction). ``kets_dagger`` is
+    ``kets.conj().T``, built once here for the projectors' side of the
+    amplitudes. All arrays are read-only.
     """
 
     singles: np.ndarray
@@ -74,11 +75,21 @@ class InputStateSet:
     gram_condition: float
     coeffs: np.ndarray
     duals: np.ndarray
+    kets_dagger: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kets_dagger = self.kets.conj().T
+        kets_dagger.setflags(write=False)
+        object.__setattr__(self, "kets_dagger", kets_dagger)
 
 
 @dataclass
 class CountTable:
-    """Coincidence record: one row per input state, one column per projector."""
+    """Coincidence record: one row per input state, one column per projector.
+
+    Every count must be finite and nonnegative; a NaN, an infinity or a
+    negative count raises ``ValueError``.
+    """
 
     counts: np.ndarray
     total_scale: float = 1.0
@@ -88,8 +99,9 @@ class CountTable:
         self.counts = np.asarray(self.counts, dtype=float)
         if self.counts.shape != (16, 16):
             raise ValueError(f"count table has shape {self.counts.shape}, expected (16, 16)")
-        if np.any(self.counts < 0.0):
-            raise ValueError("counts must be nonnegative")
+        # A NaN fails both comparisons.
+        if not (0.0 <= self.counts.min() and self.counts.max() < math.inf):
+            raise ValueError("counts must be finite and nonnegative")
 
 
 def _pairs(singles: np.ndarray) -> np.ndarray:
@@ -154,7 +166,7 @@ def simulate_counts(
     weights = np.array([w for w, _ in channel.items])
     ops = np.array([k for _, k in channel.items]).reshape(-1, 4, 4)
     # amp[i, n, m] = <psi_m|K_i|psi_n>
-    amp = inputs.kets @ ops.swapaxes(1, 2) @ inputs.kets.conj().T
+    amp = inputs.kets @ ops.swapaxes(1, 2) @ inputs.kets_dagger
     rates = (weights @ (amp.real**2 + amp.imag**2).reshape(-1, 256)).reshape(16, 16)
     # A Python float product overflows to inf without a numpy warning.
     peak = total_scale * float(rates.max())

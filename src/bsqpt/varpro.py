@@ -172,7 +172,7 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
     face = np.where(np.minimum(y[9:11], y[11:13]) >= 0.0, y[9:11] * y[5:7] + y[11:13] * y[7:9], 0.0)
     best = np.maximum(rank_one, np.maximum(face[0], face[1]))
     return (np.where(inside, 2.0 * (m * m + rad * rad), best),
-            ((deriv[:, None] * np.vstack([coef.view(complex), z])).reshape(24, -1), iw))
+            ((deriv[:, None] * np.concatenate((coef.view(complex), z[None]))).reshape(24, -1), iw))
 
 
 def _gram(z: float, j: tuple) -> tuple:

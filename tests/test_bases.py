@@ -83,8 +83,10 @@ class TestBuildBasis:
         for alpha, a in enumerate(b.elements):
             for mu, x in enumerate(std):
                 assert abs(b.u_matrix[mu, alpha] - np.trace(dagger(x) @ a)) <= 1e-15
-        assert not b.u_matrix.flags.writeable
-        assert not any(e.flags.writeable for e in b.elements)
+        # u_dagger is the per-call dagger(u_matrix), bit for bit and in the same layout.
+        assert b.u_dagger.tobytes() == dagger(b.u_matrix).tobytes()
+        assert b.u_dagger.strides == dagger(b.u_matrix).strides
+        assert not any(a.flags.writeable for a in (b.u_matrix, b.u_dagger, *b.elements))
 
     def test_non_unitary_change_of_basis_raises(self, monkeypatch):
         from bsqpt import bases

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -499,6 +500,17 @@ class TestFit:
         res = fit(ProcessMatrix("S", m), FitConfig(multistart=3))
         assert res.converged is False
         assert res.residual >= np.linalg.norm(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_matrix_raises(self, bad):
+        # One entry is enough. It is read off the scaling's maximum, before any
+        # product, so no warning comes first.
+        m = model_chi(paper_filter(0.325), "F").m.copy()
+        m[3, 5] = bad
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="process matrix is not finite"):
+                fit(ProcessMatrix("F", m), FitConfig(**BENCH))
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_best_start_is_the_reported_start(self, monkeypatch, k):

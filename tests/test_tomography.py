@@ -68,7 +68,10 @@ class TestInputSet:
     def test_kets_reproduce_products(self):
         inputs = build_input_set()
         assert inputs.kets.shape == (16, 4)
-        assert not inputs.kets.flags.writeable
+        # kets_dagger is the per-call kets.conj().T, bit for bit and in the same layout.
+        assert inputs.kets_dagger.tobytes() == inputs.kets.conj().T.tobytes()
+        assert inputs.kets_dagger.strides == inputs.kets.conj().T.strides
+        assert not any(a.flags.writeable for a in (inputs.kets, inputs.kets_dagger))
         outer = np.einsum("na,nb->nab", inputs.kets, inputs.kets.conj())
         assert_allclose(outer, inputs.products, atol=1e-15)
 
@@ -144,6 +147,11 @@ class TestSimulateCounts:
             simulate_counts(KrausSet([(1.0, I4)]), inputs, noise="gaussian")
         with pytest.raises(ValueError):
             CountTable(counts=-np.ones((16, 16)))
+        for bad in (-1.0, np.nan, np.inf, -np.inf):
+            counts = np.ones((16, 16))
+            counts[2, 7] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                CountTable(counts=counts)
 
     def test_count_table_shape(self):
         with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(16, 16\)"):
