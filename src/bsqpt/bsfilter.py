@@ -42,6 +42,9 @@ _I4 = np.eye(4, dtype=complex)
 _SIGNS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 # Signs of the diagonal of U3 (see u3).
 _U3_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+#: The phase rates of U3: its diagonal is ``exp(i (theta1, theta2) @ U3_RATES)``
+#: times the signs ``(1, -1, -1, 1)``.
+U3_RATES = 0.5 * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -126,9 +129,7 @@ def u3(theta1: float, theta2: float) -> np.ndarray:
     Diagonal with entries ``(e^{i(t1-t2)/2}, -e^{i(t1+t2)/2},
     -e^{-i(t1+t2)/2}, e^{-i(t1-t2)/2})``.
     """
-    half_sum, half_diff = 0.5 * (theta1 + theta2), 0.5 * (theta1 - theta2)
-    phases = np.exp(1j * np.array([half_diff, half_sum, -half_sum, -half_diff]))
-    return np.diag(phases * _U3_SIGNS)
+    return np.diag(np.exp(1j * (np.array([theta1, theta2]) @ U3_RATES)) * _U3_SIGNS)
 
 
 def filter_operators(t: float, r: float, theta1: float, theta2: float) -> np.ndarray:

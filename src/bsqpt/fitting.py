@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bases import STANDARD, build_basis, to_coeff_vector
-from .bsfilter import P_RANGE, FilterParams, filter_operators, u3
+from .bsfilter import P_RANGE, U3_RATES, FilterParams, filter_operators, u3
 from .channel import ProcessMatrix, change_basis
 from .linalg import SWAP, dagger
 from .varpro import GRID_POINTS, RATIO_BOUNDS, grid, maps, polish
@@ -48,12 +48,11 @@ _OFF_BLOCK[_BLOCK_IX] = False
 # The same entries as flat indices, row by row, for np.take.
 _BLOCK_FLAT = np.ravel_multi_index(_BLOCK_IX, (16, 16)).ravel()
 _OFF_BLOCK_FLAT = np.flatnonzero(_OFF_BLOCK)
-# U3 = diag(u) with u_j = +/- exp(i (theta1 d_1j + theta2 d_2j)) for the
-# fixed phase rates d_kj below, so U3 SWAP weighs each coefficient of SWAP by
-# the u_j of its row j (the coefficients of the matrix of row indices): on the
-# block, vec(U3 SWAP) = _SWAP_SIGNS exp(i (theta1, theta2) @ _RATES).
-_D_THETA = 0.5 * np.array([[1.0, 1.0, -1.0, -1.0], [-1.0, 1.0, -1.0, 1.0]])
-_RATES = _D_THETA[:, to_coeff_vector(np.outer(range(4), np.ones(4)))[_BLOCK].real.astype(int)]
+# U3 = diag(u) with u_j = +/- exp(i (theta1, theta2) @ U3_RATES[:, j]), so
+# U3 SWAP weighs each coefficient of SWAP by the u_j of its row j (the
+# coefficients of the matrix of row indices): on the block,
+# vec(U3 SWAP) = _SWAP_SIGNS exp(i (theta1, theta2) @ _RATES).
+_RATES = U3_RATES[:, to_coeff_vector(np.outer(range(4), np.ones(4)))[_BLOCK].real.astype(int)]
 _SWAP_SIGNS = to_coeff_vector(u3(0.0, 0.0) @ SWAP)[_BLOCK].real
 _VEC_I = to_coeff_vector(np.eye(4))[_BLOCK].real
 
@@ -95,7 +94,9 @@ class FitResult:
     projection has no positive trace. ``positive_overlap`` is whether the
     model at the reported start has a positive overlap with the measured
     matrix, that is whether its profiled scale is positive; where it is not,
-    the model is zero and leaves all of the matrix unexplained. ``converged``
+    the model is zero, leaves all of the matrix unexplained and has the
+    stand-in ``params.scale`` 1e-150 at any magnitude of the matrix (the
+    one exception to ``scale`` times ``2^j`` in :func:`fit`). ``converged``
     is whether the reported start's polish converged, and ``False`` as well
     without a positive overlap.
     ``start_residuals`` holds the residual norm that the profile leaves at
@@ -196,20 +197,17 @@ def _grid_starts(target: np.ndarray, floor: float, cfg: FitConfig) -> list[tuple
     """Up to ``cfg.multistart`` polished starts from the angle grid, lowest grid minimum first.
 
     ``target`` and ``floor`` are :func:`_kernel_inputs`'s for a Hermitian
-    standard-basis matrix; no parameter moves the cost off the block. The angle profile (:mod:`bsqpt.varpro`) is the cost
-    left at fixed angles by the best coefficients ``x`` of the three model
-    terms in the search box. Its minima on the grid, no higher than their
-    eight neighbours on the torus, are taken lowest first, values that
-    :func:`_tied` counts as equal in grid order, and each is polished by
-    Newton's method under ``cfg`` (:func:`bsqpt.varpro.polish`). Each start
-    is ``(cost, theta1, theta2, x, converged, evaluations)`` at its end point.
+    standard-basis matrix at the fit's unit magnitude (:func:`_unit_inputs`),
+    searched as they are: a block far below ``floor`` leaves every grid cost at
+    the same norm. No parameter moves the cost off the block. The angle profile
+    (:mod:`bsqpt.varpro`) is the cost left at fixed angles by the best
+    coefficients ``x`` of the three model terms in the search box. Its minima
+    on the grid, no higher than their eight neighbours on the torus, are taken
+    lowest first, values that :func:`_tied` counts as equal in grid order, and
+    each is polished by Newton's method under ``cfg``
+    (:func:`bsqpt.varpro.polish`). Each start is ``(cost, theta1, theta2, x,
+    converged, evaluations)`` at its end point.
     """
-    # Far from the fit's unit magnitude, target is scaled by a power of two so
-    # that products of its entries neither underflow nor overflow.
-    e = math.frexp(np.abs(target).max())[1]
-    e *= abs(e) > 256
-    if e:
-        target, floor = np.ldexp(target, -e), math.ldexp(floor, -2 * e)
     value, parts = grid(_profile_maps(), target)
     norm = floor + float(target @ target)
     cost = norm - value
@@ -221,10 +219,7 @@ def _grid_starts(target: np.ndarray, floor: float, cfg: FitConfig) -> list[tuple
         left[k], g = math.inf, minima[k]
         theta1, theta2, x, removed, converged, evaluations = polish(
             parts, *_GRID[g].tolist(), norm, cfg.convergence_tol, cfg.max_iterations)
-        end = norm - removed
-        if e:
-            end, x = math.ldexp(end, 2 * e), tuple(math.ldexp(c, e) for c in x)
-        starts.append((end, theta1, theta2, x, converged, evaluations))
+        starts.append((norm - removed, theta1, theta2, x, converged, evaluations))
     return starts
 
 
@@ -290,9 +285,11 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     never by an exception. Everything runs on ``chi_meas 2^-e``
     (:func:`_unit_inputs`): a power of two and its square root scale
     exactly, so at any finite magnitude ``chi_meas 4^j`` gives the same
-    shape and evaluations, ``scale`` times ``2^j`` and the residuals times
-    ``4^j``. A residual too large for a float comes back infinite. A
-    ``chi_meas`` with a NaN or infinite entry raises ``ValueError``.
+    shape and evaluations, ``scale`` times ``2^j`` (save without a positive
+    overlap, see :class:`FitResult`) and the residuals times ``4^j``; a 6x6
+    filter block far below the largest entry is lost to rounding, leaving a
+    residual of about the matrix norm. A residual too large for a float comes
+    back infinite. A NaN or infinite entry raises ``ValueError``.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -320,7 +317,7 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
 
     return FitResult(
         params=FilterParams(params.T, params.R, params.theta1, params.theta2, params.p,
-                            params.scale * half),
+                            params.scale * half if overlap else params.scale),
         residual=float(np.linalg.norm(model - unit)) * half * half,
         fidelity=_rank2_fidelity(v, unit),
         n_evaluations=sum(start[5] for start in starts),

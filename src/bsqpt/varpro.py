@@ -288,19 +288,19 @@ def polish(parts: tuple, theta1: float, theta2: float, norm: float, tol: float,
            max_steps: int) -> tuple:
     """Newton's method on the cost ``norm - P`` from a grid point.
 
-    Returns ``(theta1, theta2, x, P, converged, evaluations)``; ``norm`` is
-    the cost at ``X = 0``. With the cost's gradient ``-g`` and
-    Hessian ``H = -h`` (:func:`profile`), the step is ``H^-1 g`` where ``H``
-    is positive definite, and elsewhere the safeguarded ``g / |H|`` (``|H|``
-    the Frobenius norm). Either is shortened so that no angle moves more than
-    one grid spacing (``2 pi / GRID_POINTS``), and halved until the cost falls by
-    1e-4 of the decrease the step predicts, up to the cost's rounding. The
-    iteration converges when the predicted decrease ``g . step``, for a
-    definite ``H`` the Newton decrement ``g^T H^-1 g``, is at most ``tol``
-    times the cost, or times ``tol norm`` if the cost is smaller, which
+    Returns ``(theta1, theta2, x, P, converged, evaluations)``; ``norm`` is the
+    cost at ``X = 0``. With the cost's gradient ``-g`` and Hessian ``H = -h``
+    (:func:`profile`), the step is ``H^-1 g`` where ``H`` is positive definite,
+    and elsewhere the safeguarded ``g / |H|`` (``|H|`` the Frobenius norm), or
+    none where ``g`` is subnormal. Either is shortened so that no angle moves
+    more than one grid spacing (``2 pi / GRID_POINTS``), and halved until the
+    cost falls by 1e-4 of the decrease the step predicts, up to the cost's
+    rounding. The iteration converges when the predicted decrease ``g . step``,
+    for a definite ``H`` the Newton decrement ``g^T H^-1 g``, is at most
+    ``tol`` times the cost, or times ``tol norm`` if the cost is smaller, which
     counts such costs as zero; a Newton step is then taken as the last. It
-    stops unconverged after ``max_steps`` steps, or when twenty halvings do
-    not lower the cost. ``x`` and ``P`` are those at the returned point and
+    stops unconverged after ``max_steps`` steps, or when twenty halvings do not
+    lower the cost. ``x`` and ``P`` are those at the returned point and
     ``evaluations`` counts the :func:`profile` calls.
     """
     t1, t2 = theta1, theta2
@@ -312,9 +312,10 @@ def polish(parts: tuple, theta1: float, theta2: float, norm: float, tol: float,
         if definite:
             d1, d2 = (h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det
         else:
+            # A subnormal gradient, whose step would overflow, is flat: no step.
             size, length = math.hypot(h11, h12, h12, h22), math.hypot(g1, g2)
-            scale = (_MAX_STEP / length if size * _MAX_STEP < length
-                     else 1.0 / size if size > 0.0 else 0.0)
+            scale = (0.0 if length < sys.float_info.min else _MAX_STEP / length
+                     if size * _MAX_STEP < length else 1.0 / size)
             d1, d2 = g1 * scale, g2 * scale
         decrease, cost = g1 * d1 + g2 * d2, norm - value
         if decrease <= tol * max(cost, tol * norm):

@@ -501,6 +501,14 @@ class TestFit:
         assert res.converged is False
         assert res.residual >= np.linalg.norm(m)
 
+    def test_no_positive_overlap_scale_is_the_same_at_every_magnitude(self):
+        # Without an overlap the scale is a stand-in for zero, not scaled with chi.
+        m = -(3 / 7) * np.diag(np.arange(1.0, 17.0))
+        for j in (-500, 0, 250, 500):
+            res = fit(ProcessMatrix("S", m * 4.0**j), FitConfig())
+            assert res.positive_overlap is False
+            assert res.params.scale == 1e-150
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_matrix_raises(self, bad):
         # One entry is enough. It is read off the scaling's maximum, before any
@@ -575,21 +583,23 @@ class TestGridStarts:
             assert abs(res.params.p - fp.p) <= 1e-12
 
     def test_finite_and_in_the_box_on_degenerate_input(self, monkeypatch):
-        # Zero, negative-definite and subnormal matrices, both as the fit
-        # scales them and as they are, the subnormal one at 2^-1074. The fit
-        # and the start list raise on underflow too; every start is finite.
+        # Zero, negative-definite and subnormal matrices, as the fit scales
+        # them, and the first three also as they are; the start list takes
+        # only inputs at unit magnitude, not the subnormal one at 2^-1074.
+        # The fit and the start list raise on underflow too; every start is
+        # finite.
         runs = record_polish(monkeypatch)
         rng = np.random.default_rng(18)
         m = random_matrix(rng, 16)
         chis = [np.zeros((16, 16)), -np.eye(16), -m @ m.conj().T,
                 np.ldexp(random_hermitian(rng, 16).view(np.float64), -1074).view(complex)]
         starts = []
-        for chi in chis:
+        for k, chi in enumerate(chis):
             with np.errstate(all="raise"):
                 fit(ProcessMatrix("S", chi), FitConfig())
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                inputs = [_kernel_inputs(chi.astype(complex)),
-                          _unit_inputs(ProcessMatrix("S", chi))[2:]]
+                inputs = [_kernel_inputs(chi.astype(complex))] * (k < 3)
+                inputs.append(_unit_inputs(ProcessMatrix("S", chi))[2:])
             for target, floor in inputs:
                 with np.errstate(all="raise"):
                     starts.extend(_grid_starts(target, floor, FitConfig()))
@@ -598,6 +608,21 @@ class TestGridStarts:
                                                   for run in runs]:
             assert np.all(np.isfinite([cost, th1, th2, *x]))
             assert in_box(x)
+
+    @pytest.mark.parametrize("k", [300, 510, 520, 529, 531, 600, 1000])
+    def test_a_block_far_below_the_rest_of_the_matrix_is_flat(self, k):
+        # The reference filter's block 2^-k below chi_S[1, 1] = 1: at the fit's
+        # magnitude the block squares to nothing, or to subnormal gradients,
+        # and the polish stops at its grid start, with no warning.
+        fp = FilterParams.from_ratio(0.76, theta1=0.41 * np.pi, theta2=0.076 * np.pi, p=0.2)
+        chi = np.ldexp(model_chi(fp).m.view(np.float64), -k).view(complex)
+        chi[1, 1] = 1.0
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            res = fit(ProcessMatrix("S", chi), FitConfig(multistart=4))
+        assert res.converged and res.n_evaluations == 4
+        assert res.residual == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_start_order(self, monkeypatch):
         # The fit's starts are the grid starts of the matrix at its unit
@@ -613,19 +638,24 @@ class TestGridStarts:
             assert res.start_residuals == [math.sqrt(max(s[0], 0.0)) * 2.0**e for s in want]
 
     def test_the_bound_scales_with_the_target(self):
-        # Far from unit magnitude the grid runs on the target scaled by a
-        # power of two; the angles stay, and x and the costs scale back, the
-        # lowest of them, which bounds the fit's cost, with the rest.
-        _, _, target, floor = _unit_inputs(poisson_chi(paper_filter(0.325), 1e4, seed=31))
+        # The grid runs at the fit's unit magnitude only: on chi 4^k the unit
+        # inputs, so the start list, are those of chi, and the fit scales the
+        # costs back, the lowest of them, which bounds the fit's cost, with
+        # the rest.
+        chi = poisson_chi(paper_filter(0.325), 1e4, seed=31)
+        _, e, target, floor = _unit_inputs(chi)
         starts = _grid_starts(target, floor, FitConfig())
         bound = min(s[0] for s in starts)
         assert all(0.0 < bound <= s[0] <= floor + target @ target for s in starts)
-        for k in (-600, -300, 300, 500):
-            big = _grid_starts(np.ldexp(target, k), math.ldexp(floor, 2 * k), FitConfig())
-            assert [s[1:3] + s[4:] for s in big] == [s[1:3] + s[4:] for s in starts]
-            assert [s[0] for s in big] == [math.ldexp(s[0], 2 * k) for s in starts]
-            assert min(s[0] for s in big) == math.ldexp(bound, 2 * k)
-            assert [s[3] for s in big] == [tuple(math.ldexp(c, k) for c in s[3]) for s in starts]
+        base = fit(chi)
+        for k in (-300, -150, 150, 250):
+            big = ProcessMatrix(chi.basis, np.ldexp(chi.m.view(np.float64), 2 * k).view(complex))
+            _, e_big, target_big, floor_big = _unit_inputs(big)
+            assert e_big == e + 2 * k
+            assert _grid_starts(target_big, floor_big, FitConfig()) == starts
+            residuals = fit(big).start_residuals
+            assert residuals == [math.ldexp(r, 2 * k) for r in base.start_residuals]
+            assert min(residuals) == math.ldexp(math.sqrt(bound), 2 * k + e)
 
     def test_start_list_matches_a_brute_force_grid(self, monkeypatch):
         # The grid built point by point: a least-squares solve over the box's
