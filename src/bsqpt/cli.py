@@ -44,10 +44,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     table = fileio.read_counts(args.counts)
-    chi = reconstruct_process(table, build_input_set())
-    if args.psd_project:
-        chi = ProcessMatrix("S", project_to_psd(chi.m))
-    chi = transform_process_matrix(chi, args.basis)
+    # Counts near the top of the float range overflow the linear maps. The
+    # write refuses the NaN or infinity that leaves, naming the output, so
+    # numpy need not warn, and no such matrix is projected.
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = reconstruct_process(table, build_input_set())
+        if args.psd_project and np.isfinite(chi.m).all():
+            chi = ProcessMatrix("S", project_to_psd(chi.m))
+        chi = transform_process_matrix(chi, args.basis)
     fileio.write_matrix(args.out, chi.m, chi.basis)
     return 0
 
@@ -108,7 +112,9 @@ def _cmd_homdip(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     chi = fileio.read_process_matrix(args.chi)
-    out = transform_process_matrix(chi, args.to)
+    # As in reconstruct: the write refuses an output that overflowed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = transform_process_matrix(chi, args.to)
     fileio.write_matrix(args.out, out.m, out.basis)
     return 0
 
@@ -158,7 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multistart", type=int, default=FitConfig.multistart)
     p.add_argument("--seed", type=int, default=FitConfig.seed, help="accepted; has no effect")
     p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
-                   help="cap on the Newton steps of each start's polish")
+                   help="cap on the Newton steps of each start's polish, a guard against "
+                        "one that never passes its decrement test")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("homdip", help="write the coincidence dip curve over delay")

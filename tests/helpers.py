@@ -239,7 +239,8 @@ def dense_optimum(chi) -> float:
 
 
 # The README pipeline: its input files, then each command with the outputs
-# it writes. The maximally mixed input state is the one the CI run applies.
+# it writes. tests/test_golden.py, scripts/regenerate_goldens.py and CI's
+# run through an installed console script all run it.
 README_INPUTS = {
     "params.json": {"ratio_RT": 0.76, "theta1": 1.288053, "theta2": 0.238761, "p": 0.325,
                     "scale": 1.0},
@@ -265,13 +266,17 @@ README_OUTPUTS = ["counts.csv", "noisy.csv", "chi_f.json", "fit.json", "chi_nois
                   "fit_noisy.json", "dip.csv", "chi_s.json", "model.json", "out.json"]
 
 
-def run_readme_pipeline(directory) -> None:
-    """Write the README pipeline's inputs to ``directory`` and run its commands there."""
+def run_readme_pipeline(directory, run=main) -> None:
+    """Write the README pipeline's inputs to ``directory`` and run its commands there.
+
+    ``run`` takes a command's arguments and returns its exit code; the
+    default runs ``bsqpt.cli.main`` in this process.
+    """
     for name, value in README_INPUTS.items():
         write_json(value, os.path.join(directory, name))
     for command in README_PIPELINE:
         argv = [os.path.join(directory, a) if a.endswith((".json", ".csv")) else a
                 for a in command.split()]
-        code = main(argv)
+        code = run(argv)
         if code != 0:
             raise RuntimeError(f"bsqpt {command} exited {code}")

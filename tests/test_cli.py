@@ -175,7 +175,7 @@ class TestCliPipeline:
         ) == 0
         assert main(["fit", "--chi", str(chi), "--out", str(report)]) == 0
         result = read_json(report)
-        assert abs(result["p"] - 0.325) < 1e-3
+        assert abs(result["p"] - 0.325) <= 1e-9
         assert result["converged"] is True
         assert "warning" not in result
 
@@ -347,6 +347,10 @@ class TestCliErrors:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {files[flag]}: expected a JSON object\n"
         assert not out.exists()
+        if flag == "--chi":
+            assert main(["fit", "--chi", str(files["--chi"]), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {files[flag]}: expected a JSON object\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("reconstruct", "--counts"),
@@ -675,13 +679,15 @@ class TestCliErrors:
         counts = simulate_counts(kraus_pair(fp), inputs, total_scale=1e4, noise="poisson", seed=1)
         chi = transform_process_matrix(reconstruct_process(counts, inputs), "F").m
         chi_path, report = tmp_path / "chi.json", tmp_path / "fit.json"
-        warnings = []
+        warnings, ps = [], []
         for k in (-1000, 0, 1000):
             fileio.write_matrix(chi_path, 2.0**k * chi, "F")
             assert main(["fit", "--chi", str(chi_path), "--out", str(report),
                          "--multistart", "4"]) == 0
             warnings.append(read_json(report)["warning"])
+            ps.append(read_json(report)["p"])
         assert warnings == ["model mismatch: residual is 14.3% of the matrix norm"] * 3
+        assert ps == [ps[1]] * 3
 
     def test_bad_dip_range_exit_2(self, tmp_path):
         params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,

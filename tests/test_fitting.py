@@ -71,6 +71,13 @@ def poisson_chi(fp, total, seed):
     return reconstruct_process(ct, inputs)
 
 
+def off_block_chi(k):
+    """The reference filter at p = 0.2 in S, its block 2^-k below ``chi_S[1, 1] = 1``."""
+    chi = np.ldexp(model_chi(paper_filter(0.2)).m.view(np.float64), -k).view(complex)
+    chi[1, 1] = 1.0
+    return ProcessMatrix("S", chi)
+
+
 def distance(fp, chi):
     """Frobenius distance between the model at ``fp`` and a measured matrix, in its basis."""
     return np.linalg.norm(model_chi(fp, chi.basis).m - chi.m)
@@ -509,6 +516,21 @@ class TestFit:
             assert res.positive_overlap is False
             assert res.params.scale == 1e-150
 
+    @pytest.mark.parametrize("k", [1000, 1020, 1060])
+    def test_a_positive_scale_below_the_stand_in_is_reported_as_profiled(self, k):
+        # A block far below chi_S[1, 1] = 1 profiles a scale below 1e-150 at the
+        # fit's magnitude; only a fit without overlap reports the stand-in.
+        chi = off_block_chi(k)
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            res = fit(chi)
+        _, e, target, floor = _unit_inputs(chi)
+        start = _grid_starts(target, floor, FitConfig())[res.best_start]
+        scale = _params(*start[1:4])[1]
+        assert res.positive_overlap and 0.0 < scale < 1e-150
+        assert res.params.scale == scale * 2.0 ** (e // 2)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_matrix_raises(self, bad):
         # One entry is enough. It is read off the scaling's maximum, before any
@@ -614,13 +636,10 @@ class TestGridStarts:
         # The reference filter's block 2^-k below chi_S[1, 1] = 1: at the fit's
         # magnitude the block squares to nothing, or to subnormal gradients,
         # and the polish stops at its grid start, with no warning.
-        fp = FilterParams.from_ratio(0.76, theta1=0.41 * np.pi, theta2=0.076 * np.pi, p=0.2)
-        chi = np.ldexp(model_chi(fp).m.view(np.float64), -k).view(complex)
-        chi[1, 1] = 1.0
         with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
                                                     invalid="raise"):
             warnings.simplefilter("error")
-            res = fit(ProcessMatrix("S", chi), FitConfig(multistart=4))
+            res = fit(off_block_chi(k), FitConfig(multistart=4))
         assert res.converged and res.n_evaluations == 4
         assert res.residual == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
