@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 2 input validation failure or a non-finite output,
 3 I/O failure, 4 numerical non-convergence or, for ``fit``, no positive
-overlap with the filter model (the output file is still written). Every
-command is deterministic given its flags; ``fit --seed`` is accepted and
-has no effect, as the fit draws nothing at random.
+overlap with the filter model (the output file is still written), or an
+arithmetic error (``ArithmeticError``: overflow, division by zero or a
+floating-point error) in any command, which prints one ``error:`` line and
+no traceback and writes no output file. Every command is deterministic
+given its flags; ``fit --seed`` is accepted and has no effect, as the fit
+draws nothing at random.
 """
 
 from __future__ import annotations
@@ -207,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry_point() -> None:

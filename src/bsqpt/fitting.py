@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,16 +91,14 @@ class FitResult:
 
     ``n_evaluations`` counts the angle profile's evaluations at a point
     (:func:`bsqpt.varpro.profile`), over every start's Newton polish: its
-    grid point, each trial point and the last step's end. The fidelity is
-    the Uhlmann fidelity of the fitted model and the PSD projection of the
-    measured matrix, each normalized to unit trace, and ``None`` when that
-    projection has no positive trace. ``positive_overlap`` is whether the
-    model at the reported start has a positive overlap with the measured
-    matrix, that is whether its profiled scale is positive. Every positive
-    scale is reported as profiled, however small. Where it is not
-    positive, the model is zero, leaves all of the matrix unexplained and
-    has the stand-in ``params.scale`` 1e-150 at any magnitude of the matrix
-    (the one exception to ``scale`` times ``2^j`` in :func:`fit`).
+    grid point, each trial point and the last step's end.
+    ``positive_overlap`` is whether the model at the reported start has a
+    positive overlap with the measured matrix, that is whether its
+    profiled scale is positive. Every positive scale is reported as
+    profiled, however small. Where it is not positive, the model is zero,
+    leaves all of the matrix unexplained and has the stand-in
+    ``params.scale`` 1e-150 at any magnitude of the matrix (the one
+    exception to ``scale`` times ``2^j`` in :func:`fit`).
     ``converged`` is whether the reported start's polish converged, and
     ``False`` as well without a positive overlap.
     ``start_residuals`` holds the residual norm that the profile leaves at
@@ -109,16 +107,36 @@ class FitResult:
     start order of :class:`FitConfig`. ``params.theta2`` always lies in
     [-pi, pi], and ``params.theta1`` leaves that range only when the p read
     off the fit would pass 1/2 (see :func:`_params`).
+
+    :attr:`fidelity` is computed on its first read and cached. It comes
+    from the model factor and the read-only measured matrix at unit
+    magnitude, which :func:`fit` keeps in the private fields ``_v`` and
+    ``_unit``; ``repr`` and ``==`` ignore both. The fidelity is not a field
+    or a constructor argument: ``repr``, ``==`` and
+    :func:`dataclasses.asdict` leave it out, and a copy made by
+    :func:`dataclasses.replace` computes it afresh from the same private
+    fields.
     """
 
     params: FilterParams
     residual: float
-    fidelity: float | None
     n_evaluations: int
     converged: bool
     start_residuals: list[float] = field(default_factory=list)
     best_start: int = 0
     positive_overlap: bool = True
+    _v: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    _unit: np.ndarray = field(kw_only=True, repr=False, compare=False)
+
+    @cached_property
+    def fidelity(self) -> float | None:
+        """Uhlmann fidelity of the fitted model and the PSD projection of the measured matrix.
+
+        Each is normalized to unit trace (:func:`_rank2_fidelity`); ``None``
+        when that projection has no positive trace. Its eigendecomposition
+        of the measured matrix runs once, on the first read.
+        """
+        return _rank2_fidelity(self._v, self._unit)
 
 
 def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
@@ -299,6 +317,7 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     if cfg is None:
         cfg = FitConfig()
     unit, e, target, floor = _unit_inputs(chi_meas)
+    unit.flags.writeable = False  # kept on the result for its fidelity
     starts = _grid_starts(target, floor, cfg)
     candidates = [(math.sqrt(max(cost, 0.0)), *_params(theta1, theta2, x), converged, k)
                   for k, (cost, theta1, theta2, x, converged, _) in enumerate(starts)]
@@ -327,10 +346,11 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         params=FilterParams(params.T, params.R, params.theta1, params.theta2, params.p,
                             scale * half if overlap else params.scale),
         residual=float(np.linalg.norm(model - unit)) * half * half,
-        fidelity=_rank2_fidelity(v, unit),
         n_evaluations=sum(start[5] for start in starts),
         converged=converged and overlap,
         start_residuals=[c[0] * half * half for c in candidates],
         best_start=best_start,
         positive_overlap=overlap,
+        _v=v,
+        _unit=unit,
     )

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from bsqpt import FilterParams, build_input_set, choi_from_kraus, kraus_pair, simulate_counts
 from bsqpt import reconstruct_process, transform_process_matrix
-from bsqpt import fileio
+from bsqpt import cli, fileio
 from bsqpt.cli import main
 from bsqpt.fileio import FileFormatError
 
@@ -624,6 +624,30 @@ class TestCliErrors:
         result = read_json(report)
         assert result["converged"] is False
         assert "did not converge" in result["warning"]
+
+    @pytest.mark.parametrize("error", [OverflowError("math range error"),
+                                       ZeroDivisionError("float division by zero"),
+                                       FloatingPointError("overflow encountered")])
+    @pytest.mark.parametrize("command, name", [("fit", "fit"),
+                                               ("reconstruct", "reconstruct_process")])
+    def test_arithmetic_error_exit_4_without_output(self, tmp_path, capsys, monkeypatch,
+                                                    error, command, name):
+        counts, chi_path = tmp_path / "counts.csv", tmp_path / "chi.json"
+        assert main(["simulate", "--params", str(write_params(tmp_path / "p.json")),
+                     "--counts-out", str(counts)]) == 0
+        assert main(["reconstruct", "--counts", str(counts), "--out", str(chi_path)]) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, name, fail)
+        out = tmp_path / "out.json"
+        source = ["--chi", str(chi_path)] if command == "fit" else ["--counts", str(counts)]
+        assert main([command, *source, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"error: numerical failure: {type(error).__name__}: {error}\n")
+        assert not out.exists()
 
     def test_undefined_fidelity_is_null_with_warning(self, tmp_path):
         chi_path = tmp_path / "chi.json"

@@ -210,20 +210,20 @@ class TestSymmetries:
         assert_allclose(ks_shift.items[0][1], ks_orig.items[1][1], atol=1e-12)
         assert_allclose(ks_shift.items[1][1], ks_orig.items[0][1], atol=1e-12)
 
-    def test_canonicalize_wraps_even_shifts(self):
+    def test_params_wraps_even_shifts(self):
         fp = FilterParams(T=0.5, R=0.5, theta1=0.3 + 2 * np.pi, theta2=-0.4 - 2 * np.pi, p=0.2)
         canon = folded(fp)
         assert abs(canon.theta1 - 0.3) < 1e-12
         assert abs(canon.theta2 + 0.4) < 1e-12
         assert canon.p == pytest.approx(0.2)
 
-    def test_canonicalize_odd_shift_at_half_mixing(self):
+    def test_params_odd_shift_at_half_mixing(self):
         fp = FilterParams(T=0.5, R=0.5, theta1=0.3 + 2 * np.pi, theta2=-0.4, p=0.5)
         canon = folded(fp)
         assert abs(canon.theta1 - 0.3) < 1e-12
         assert canon.p == pytest.approx(0.5)
 
-    def test_canonicalize_keeps_channel_when_flip_unavailable(self):
+    def test_params_keeps_channel_when_flip_unavailable(self):
         # Wrapping theta1 alone would need p -> 0.8, outside [0, 1/2]; p is
         # folded back instead, moving the wrapped theta1 2 pi toward zero.
         fp = FilterParams(T=0.5, R=0.5, theta1=0.3 + 2 * np.pi, theta2=-0.4, p=0.2)
@@ -233,7 +233,7 @@ class TestSymmetries:
         assert canon.p == pytest.approx(0.2)
         assert_allclose(model_chi(canon).m, model_chi(fp).m, rtol=0, atol=1e-12)
 
-    def test_canonicalized_channel_unchanged(self):
+    def test_params_fold_leaves_the_channel_unchanged(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
             fp = FilterParams(
@@ -302,7 +302,7 @@ class TestFit:
         res = fit(chi, FitConfig(multistart=4))
         assert abs(distance(res.params, chi) - res.residual) < 1e-12
 
-    def test_descent_from_every_start(self):
+    def test_no_polished_start_below_the_reported_residual(self):
         chi = model_chi(paper_filter(0.2))
         cfg = FitConfig(multistart=6)
         res = fit(chi, cfg)
@@ -315,6 +315,7 @@ class TestFit:
         a = fit(chi, FitConfig(multistart=4, seed=6))
         b = fit(chi, FitConfig(multistart=4, seed=7))
         assert a == b
+        assert a.fidelity == b.fidelity
 
     def test_scale_recovery_from_rate_scaled_matrix(self):
         fp = paper_filter(0.325, scale=50.0)
@@ -409,7 +410,7 @@ class TestFit:
         assert res.residual < 1e-8
         assert res.converged is False
 
-    def test_counts_every_residual_and_jacobian(self, monkeypatch):
+    def test_evaluation_count_is_every_profile_evaluation(self, monkeypatch):
         # A record whose angle grid has several minima, so several starts:
         # n_evaluations is every point evaluation of their polishes, each of
         # which gives the residual with its gradient and Hessian at once.
@@ -419,7 +420,7 @@ class TestFit:
         assert len(res.start_residuals) == len(runs) >= 2
         assert res.n_evaluations == len(calls) == sum(run[-1][5] for run in runs)
 
-    def test_counts_the_evaluations_of_dropped_lanes(self, monkeypatch):
+    def test_evaluation_count_includes_unreported_and_stopped_polishes(self, monkeypatch):
         # The starts that the fit does not report, and the polishes stopped
         # by max_iterations before they converge, count every evaluation.
         runs = record_polish(monkeypatch)
@@ -497,6 +498,29 @@ class TestFit:
         for fp in filters:
             res = fit(model_chi(fp, "F"), FitConfig(multistart=4))
             assert abs(res.fidelity - 1.0) <= 1e-12
+
+    def test_fidelity_is_computed_once_on_first_read(self, monkeypatch):
+        real, calls = fitting._rank2_fidelity, []
+
+        def spy(v, m):
+            calls.append((v, m))
+            return real(v, m)
+
+        monkeypatch.setattr(fitting, "_rank2_fidelity", spy)
+        chi = poisson_chi(paper_filter(0.325), 1e4, seed=31)
+        res = fit(chi, FitConfig(**BENCH))
+        assert calls == []
+        first, second = res.fidelity, res.fidelity
+        assert len(calls) == 1 and first is second
+        v, unit = calls[0]
+        assert first == real(v, unit) and not unit.flags.writeable
+        assert np.array_equal(unit * 2.0 ** _unit_inputs(chi)[1], chi.m)
+
+    def test_repr_holds_no_array(self):
+        res = fit(poisson_chi(paper_filter(0.14), 1e4, seed=32), FitConfig(**BENCH))
+        text = repr(res)
+        assert "array" not in text and "_v" not in text and "_unit" not in text
+        assert "fidelity" not in text
 
     def test_fidelity_none_without_positive_trace(self):
         res = fit(ProcessMatrix("S", -np.eye(16)), FitConfig(multistart=2))
@@ -965,7 +989,7 @@ class TestDescend:
             assert in_box(x)
             assert value >= 0.0
 
-    def test_every_lane_runs_as_it_would_alone(self, monkeypatch):
+    def test_every_polish_runs_as_it_would_alone(self, monkeypatch):
         # Each start's polish in a fit ends where the same polish ends when
         # run alone, and the fit reports each start's end as it is.
         runs = record_polish(monkeypatch)
@@ -987,7 +1011,7 @@ class TestDescend:
                 assert residual == math.sqrt(max(args[0] - result[3], 0.0)) * 2.0**e
         assert several >= 2
 
-    def test_no_lane_ends_below_the_bound(self, monkeypatch):
+    def test_no_polish_ends_below_the_unconstrained_bound(self, monkeypatch):
         # The box only raises the cost: at the grid point and at the end of
         # every start's polish on 36 Poisson records (the reference filter at
         # p = 0 and the paper delays, random filters and channels), the cost
