@@ -25,7 +25,7 @@ magnitude (a power of two; see :func:`_unit_inputs`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -101,21 +101,33 @@ class FitResult:
     exception to ``scale`` times ``2^j`` in :func:`fit`).
     ``converged`` is whether the reported start's polish converged, and
     ``False`` as well without a positive overlap.
-    ``start_residuals`` holds the residual norm that the profile leaves at
-    each polished start (:func:`_grid_starts`), the square root of its
-    cost, and ``best_start`` the index of the reported start, both in the
-    start order of :class:`FitConfig`. ``params.theta2`` always lies in
-    [-pi, pi], and ``params.theta1`` leaves that range only when the p read
-    off the fit would pass 1/2 (see :func:`_params`).
+    ``residual`` is the Frobenius distance of the model at ``params`` from
+    the measured matrix, ``|model_chi(params, basis) - chi|`` in either's
+    basis. :func:`fit` sums its square from entrywise values, without the
+    16x16 model: the squared norm off the 6x6 block, the block's squared
+    distance from the model at the reported start's polished angles and
+    ``X`` and the squared norm of the anti-Hermitian part of the matrix,
+    which no model reaches (:func:`_squared_residual`). ``start_residuals``
+    holds the square root of the profile's cost at each polished start
+    (:func:`_grid_starts`), and ``best_start`` the index of the reported
+    start, both in the start order of :class:`FitConfig`. Those costs are
+    the squared norm less the profile, so they leave out the anti-Hermitian
+    part and, from that subtraction, are accurate only to about ``2^-26``
+    times the norm of the matrix.
+    ``params.theta2`` always lies in [-pi, pi], and ``params.theta1``
+    leaves that range only when the p read off the fit would pass 1/2 (see
+    :func:`_params`).
 
     :attr:`fidelity` is computed on its first read and cached. It comes
-    from the model factor and the read-only measured matrix at unit
-    magnitude, which :func:`fit` keeps in the private fields ``_v`` and
-    ``_unit``; ``repr`` and ``==`` ignore both. The fidelity is not a field
-    or a constructor argument: ``repr``, ``==`` and
-    :func:`dataclasses.asdict` leave it out, and a copy made by
-    :func:`dataclasses.replace` computes it afresh from the same private
-    fields.
+    from the model factor (:func:`_factor`) of ``params`` at unit
+    magnitude, built on that read, and the read-only measured matrix at
+    unit magnitude. :func:`fit` keeps the reported start's scale at unit
+    magnitude, the matrix's basis and the matrix in the private fields
+    ``_unit_scale``, ``_basis`` and ``_unit``; ``repr`` and ``==`` ignore
+    them. The fidelity is not a field or a constructor argument: ``repr``,
+    ``==`` and :func:`dataclasses.asdict` leave it out, and a copy made by
+    :func:`dataclasses.replace` computes it afresh from its ``params`` and
+    the same private fields.
     """
 
     params: FilterParams
@@ -125,7 +137,8 @@ class FitResult:
     start_residuals: list[float] = field(default_factory=list)
     best_start: int = 0
     positive_overlap: bool = True
-    _v: np.ndarray = field(kw_only=True, repr=False, compare=False)
+    _unit_scale: float = field(kw_only=True, repr=False, compare=False)
+    _basis: str = field(kw_only=True, repr=False, compare=False)
     _unit: np.ndarray = field(kw_only=True, repr=False, compare=False)
 
     @cached_property
@@ -136,7 +149,11 @@ class FitResult:
         when that projection has no positive trace. Its eigendecomposition
         of the measured matrix runs once, on the first read.
         """
-        return _rank2_fidelity(self._v, self._unit)
+        # The factor's scale is 1e-150 at least: the fidelity does not depend
+        # on it, and below that, or at zero without an overlap, its products
+        # would underflow.
+        unit_params = replace(self.params, scale=max(self._unit_scale, 1e-150))
+        return _rank2_fidelity(_factor(unit_params, self._basis), self._unit)
 
 
 def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
@@ -208,6 +225,29 @@ def _unit_inputs(chi_meas: ProcessMatrix) -> tuple[np.ndarray, int, np.ndarray, 
     unit = np.ldexp(parts, -e).view(complex)
     chi_std = change_basis(unit, chi_meas.basis, STANDARD)
     return (unit, e, *_kernel_inputs(0.5 * (chi_std + chi_std.conj().T)))
+
+
+def _squared_residual(unit: np.ndarray, target: np.ndarray, floor: float, theta1: float,
+                      theta2: float, x: tuple) -> float:
+    """Squared Frobenius distance of the model at the angles and the box point ``x`` from ``unit``.
+
+    ``target`` and ``floor`` are :func:`_kernel_inputs`'s for ``unit``'s
+    Hermitian part in the standard basis (:func:`_unit_inputs`). The
+    distance is ``floor + |target - M|^2 + |A|^2``. ``M = F X F^+`` is the
+    block model, with ``F = [a b]`` for ``a = vec(I)`` and ``b = vec(U3
+    SWAP)`` on the block and ``X = [[x1, x3], [x3, x2]]``; ``A`` is
+    ``unit``'s anti-Hermitian part, which no model reaches and whose norm is
+    the same in every basis. Each term is summed from entrywise values, so
+    a model at the matrix keeps the rounding level that the profile's
+    ``norm - P`` loses to its subtraction.
+    """
+    f = np.empty((6, 2), dtype=complex)
+    f[:, 0] = _VEC_I
+    f[:, 1] = _SWAP_SIGNS * np.exp(1j * (theta1 * _RATES[0] + theta2 * _RATES[1]))
+    x1, x2, x3 = x
+    d = target - (f @ np.array([[x1, x3], [x3, x2]]) @ f.conj().T).view(np.float64).ravel()
+    skew = unit - unit.conj().T
+    return floor + float(d @ d) + 0.25 * float(np.vdot(skew, skew).real)
 
 
 def _tied(value, low):
@@ -302,7 +342,12 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     the start whose polished residual is lowest. Starts that tie on the
     residual are ranked by the norm of their reported angles (folded by
     :func:`_params`), norms that agree to the same relative 1e-9 counting
-    as equal, and then by start order. Deterministic. Non-convergence of
+    as equal, and then by start order. The reported ``residual`` is then
+    summed entrywise on the 6x6 block at that start's polished angles and
+    ``X``, with the cost off the block and the anti-Hermitian part (see
+    :class:`FitResult`), not read off the profile's cost, whose subtraction
+    would leave a noiseless record at about ``2^-26`` of the matrix norm
+    instead of its rounding. Deterministic. Non-convergence of
     the reported start is signalled by ``converged=False`` on the result,
     never by an exception. Everything runs on ``chi_meas 2^-e``
     (:func:`_unit_inputs`): a power of two and its square root scale
@@ -332,25 +377,20 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
     )[0]
     overlap = scale > 0.0
-    # The factor behind the residual and the fidelity has a scale of 1e-150 at
-    # least: the fidelity does not depend on it, and a model that small is
-    # below chi's rounding. With no overlap the model is zero, and at that
-    # scale its products would underflow.
-    params = FilterParams(best.T, best.R, best.theta1, best.theta2, best.p, max(scale, 1e-150))
-    v = _factor(params, chi_meas.basis)
-    model = v @ dagger(v) if overlap else 0.0
+    residual = math.sqrt(_squared_residual(unit, target, floor, *starts[best_start][1:4]))
     # Two Python-float factors: 2.0**e can overflow, and these give inf where numpy would warn.
     half = 2.0 ** (e // 2)
 
     return FitResult(
-        params=FilterParams(params.T, params.R, params.theta1, params.theta2, params.p,
-                            scale * half if overlap else params.scale),
-        residual=float(np.linalg.norm(model - unit)) * half * half,
+        params=FilterParams(best.T, best.R, best.theta1, best.theta2, best.p,
+                            scale * half if overlap else 1e-150),
+        residual=residual * half * half,
         n_evaluations=sum(start[5] for start in starts),
         converged=converged and overlap,
         start_residuals=[c[0] * half * half for c in candidates],
         best_start=best_start,
         positive_overlap=overlap,
-        _v=v,
+        _unit_scale=scale,
+        _basis=chi_meas.basis,
         _unit=unit,
     )

@@ -186,6 +186,63 @@ class TestResidual:
         chi_f = model_chi(fp, "F")
         assert abs(distance(perturbed, chi_s) - distance(perturbed, chi_f)) < 1e-12
 
+    @pytest.mark.parametrize("total", [1e2, 1e3, 1e4])
+    def test_fit_residual_is_the_dense_distance_on_records(self, total):
+        # Reference and random filters, Poisson records in S and F, both configs.
+        rng = np.random.default_rng(int(total))
+        for k in range(12):
+            fp = paper_filter((0.14, 0.325, 0.5)[k % 3]) if k % 2 else random_filter(rng)
+            chi = poisson_chi(fp, total, 4000 + k)
+            for basis, cfg in (("S", FitConfig(**BENCH)), ("F", FitConfig())):
+                chi_b = transform_process_matrix(chi, basis)
+                res = fit(chi_b, cfg)
+                assert res.residual == pytest.approx(distance(res.params, chi_b), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("basis", ["S", "F"])
+    def test_fit_residual_is_the_dense_distance_on_non_hermitian_matrices(self, basis):
+        # The anti-Hermitian part, which no model reaches, counts in full.
+        rng = np.random.default_rng(41)
+        for scale in (1e-3, 1.0, 1e5):
+            chi = ProcessMatrix(basis, scale * random_matrix(rng, 16))
+            res = fit(chi, FitConfig(**BENCH))
+            assert res.residual == pytest.approx(distance(res.params, chi), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("basis", ["S", "F"])
+    def test_fit_residual_without_positive_overlap_is_the_matrix_norm(self, basis):
+        rng = np.random.default_rng(42)
+        m = random_matrix(rng, 16)
+        skew = random_matrix(rng, 16)
+        for chi in (-np.eye(16), -m @ m.conj().T, -m @ m.conj().T + (skew - skew.conj().T)):
+            res = fit(ProcessMatrix(basis, chi), FitConfig(**BENCH))
+            assert not res.positive_overlap
+            assert res.residual == pytest.approx(np.linalg.norm(chi), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("basis", ["S", "F"])
+    def test_fit_residual_of_noiseless_records_stays_at_rounding(self, basis):
+        # The profile's cost, a difference of squared norms, would read about
+        # 2^-26 of the matrix norm here.
+        rng = np.random.default_rng(43)
+        filters = [paper_filter(p) for p in (0.14, 0.325, 0.5)]
+        filters += [random_filter(rng) for _ in range(20)]
+        for fp in filters:
+            chi = model_chi(fp, basis)
+            for cfg in (FitConfig(**BENCH), FitConfig()):
+                assert fit(chi, cfg).residual <= 1e-14 * np.linalg.norm(chi.m)
+
+    def test_fit_forms_no_model_factor(self, monkeypatch):
+        # The factor is built on the first read of the fidelity, not in the fit.
+        real, calls = fitting._factor, []
+
+        def spy(fp, basis_kind):
+            calls.append(basis_kind)
+            return real(fp, basis_kind)
+
+        monkeypatch.setattr(fitting, "_factor", spy)
+        res = fit(transform_process_matrix(poisson_chi(paper_filter(0.325), 1e4, 33), "F"),
+                  FitConfig(**BENCH))
+        assert calls == []
+        assert 0.0 < res.fidelity <= 1.0 and calls == ["F"]
+
 
 class TestSymmetries:
     def test_shift_both_angles_by_two_pi(self):
