@@ -29,7 +29,7 @@ from .channel import (
     kraus_from_process_matrix,
     transform_process_matrix,
 )
-from .fitting import FitConfig, FitResult, fit, model_chi
+from .fitting import FitConfig, FitResult, fit, model_chi, model_fidelity
 from .linalg import (
     bell_state,
     dagger,

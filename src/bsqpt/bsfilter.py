@@ -27,6 +27,7 @@ other in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,9 +136,9 @@ def u3(theta1: float, theta2: float) -> np.ndarray:
 def filter_operators(t: float, r: float, theta1: float, theta2: float) -> np.ndarray:
     """The unit-scale filter operators ``P-/+ = t I -/+ r U3(theta1, theta2) SWAP``.
 
-    Returned stacked as a ``(2, 4, 4)`` array, ``P-`` first. Every model
-    output (:func:`kraus_pair`, :func:`hom_dip`, the model process matrix and
-    the fit) builds the operators here and multiplies them by ``scale`` once.
+    Returned stacked as a ``(2, 4, 4)`` array, ``P-`` first. :func:`kraus_pair`
+    and :func:`hom_dip` build the operators here and multiply them by
+    ``scale`` once.
     """
     return t * _I4 + _SIGNS * (r * (u3(theta1, theta2) @ SWAP))
 
@@ -266,4 +267,7 @@ def hom_dip(
 
 def hom_visibility(t: float, r: float, mu: float = 1.0) -> float:
     """Closed-form dip visibility ``2 T R mu / (T^2 + R^2)`` for an HH input."""
+    # T and R scaled exactly, the larger into [1/2, 1), so no square underflows.
+    k = math.frexp(max(t, r))[1]
+    t, r = math.ldexp(t, -k), math.ldexp(r, -k)
     return 2.0 * t * r * mu / (t * t + r * r)

@@ -25,7 +25,7 @@ from .bases import BASIS_KINDS
 from .bsfilter import hom_dip, hom_visibility, kraus_pair
 from .channel import ProcessMatrix, apply_process_matrix, transform_process_matrix
 from .fileio import FileFormatError
-from .fitting import FitConfig, fit, model_chi
+from .fitting import FitConfig, fit, model_chi, model_fidelity
 from .linalg import project_to_psd
 from .tomography import build_input_set, reconstruct_process, simulate_counts
 
@@ -64,11 +64,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     chi = fileio.read_process_matrix(args.chi)
     result = fit(chi, cfg)
     fp = result.params
+    fidelity = model_fidelity(fp, chi)
     payload = {
         **dataclasses.asdict(fp),
         "ratio_RT": fp.ratio_rt,
         "residual": result.residual,
-        "fidelity": result.fidelity,
+        "fidelity": fidelity,
         "n_evaluations": result.n_evaluations,
         "converged": result.converged,
     }
@@ -80,7 +81,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "model mismatch: residual is "
             f"{result.residual / meas_norm:.1%} of the matrix norm"
         )
-    if result.fidelity is None:
+    if fidelity is None:
         warnings.append("fidelity undefined: a PSD-projected matrix has no positive trace")
     if not result.positive_overlap:
         warnings.append("no positive overlap with the filter model")

@@ -25,13 +25,13 @@ magnitude (a power of two; see :func:`_unit_inputs`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .bases import STANDARD, build_basis, to_coeff_vector
-from .bsfilter import P_RANGE, U3_RATES, FilterParams, filter_operators, u3
+from .bsfilter import P_RANGE, U3_RATES, FilterParams, u3
 from .channel import ProcessMatrix, change_basis
 from .linalg import SWAP, dagger
 from .varpro import GRID_POINTS, RATIO_BOUNDS, grid, maps, polish
@@ -116,18 +116,8 @@ class FitResult:
     times the norm of the matrix.
     ``params.theta2`` always lies in [-pi, pi], and ``params.theta1``
     leaves that range only when the p read off the fit would pass 1/2 (see
-    :func:`_params`).
-
-    :attr:`fidelity` is computed on its first read and cached. It comes
-    from the model factor (:func:`_factor`) of ``params`` at unit
-    magnitude, built on that read, and the read-only measured matrix at
-    unit magnitude. :func:`fit` keeps the reported start's scale at unit
-    magnitude, the matrix's basis and the matrix in the private fields
-    ``_unit_scale``, ``_basis`` and ``_unit``; ``repr`` and ``==`` ignore
-    them. The fidelity is not a field or a constructor argument: ``repr``,
-    ``==`` and :func:`dataclasses.asdict` leave it out, and a copy made by
-    :func:`dataclasses.replace` computes it afresh from its ``params`` and
-    the same private fields.
+    :func:`_params`). The fit's fidelity is :func:`model_fidelity` of
+    ``params`` and the measured matrix.
     """
 
     params: FilterParams
@@ -137,39 +127,48 @@ class FitResult:
     start_residuals: list[float] = field(default_factory=list)
     best_start: int = 0
     positive_overlap: bool = True
-    _unit_scale: float = field(kw_only=True, repr=False, compare=False)
-    _basis: str = field(kw_only=True, repr=False, compare=False)
-    _unit: np.ndarray = field(kw_only=True, repr=False, compare=False)
-
-    @cached_property
-    def fidelity(self) -> float | None:
-        """Uhlmann fidelity of the fitted model and the PSD projection of the measured matrix.
-
-        Each is normalized to unit trace (:func:`_rank2_fidelity`); ``None``
-        when that projection has no positive trace. Its eigendecomposition
-        of the measured matrix runs once, on the first read.
-        """
-        # The factor's scale is 1e-150 at least: the fidelity does not depend
-        # on it, and below that, or at zero without an overlap, its products
-        # would underflow.
-        unit_params = replace(self.params, scale=max(self._unit_scale, 1e-150))
-        return _rank2_fidelity(_factor(unit_params, self._basis), self._unit)
 
 
 def model_chi(fp: FilterParams, basis_kind: str = "S") -> ProcessMatrix:
     """Process matrix ``V V^+`` of the filter model in the requested basis (rank <= 2)."""
-    v = _factor(fp, basis_kind)
+    v = _factor(fp, basis_kind, fp.scale)
     return ProcessMatrix(basis_kind, v @ dagger(v))
 
 
-def _factor(fp: FilterParams, basis_kind: str) -> np.ndarray:
-    """The ``(16, 2)`` factor ``V`` of the model, ``model_chi(fp, basis_kind) = V V^+``.
+def model_fidelity(fp: FilterParams, chi_meas: ProcessMatrix) -> float | None:
+    """Uhlmann fidelity of the model at ``fp`` and the PSD projection of ``chi_meas``.
+
+    Each is normalized to unit trace (:func:`_rank2_fidelity`); ``None``
+    when that projection has no positive trace. Both run at unit magnitude:
+    the model at the mantissa of ``fp.scale`` and the matrix as
+    :func:`_unit_inputs` scales it, so no product overflows or underflows,
+    and the value is the same under ``fp.scale 2^j`` and ``chi_meas 4^j``
+    while neither becomes subnormal. A NaN or infinite entry raises
+    ``ValueError``.
+    """
+    unit = _unit_inputs(chi_meas)[0]
+    return _rank2_fidelity(_factor(fp, chi_meas.basis, math.frexp(fp.scale)[0]), unit)
+
+
+def _terms(theta1: float, theta2: float) -> np.ndarray:
+    """The model's two terms on the 6x6 block, ``F = [vec(I) vec(U3(theta1, theta2) SWAP)]``."""
+    f = np.empty((6, 2), dtype=complex)
+    f[:, 0] = _VEC_I
+    f[:, 1] = _SWAP_SIGNS * np.exp(1j * (theta1 * _RATES[0] + theta2 * _RATES[1]))
+    return f
+
+
+def _factor(fp: FilterParams, basis_kind: str, scale: float) -> np.ndarray:
+    """The ``(16, 2)`` model factor ``V`` at ``scale``; ``model_chi = V V^+`` at ``fp.scale``.
 
     Its columns are the coefficient vectors of the weighted Kraus operators
-    ``scale sqrt(1-p) P-`` and ``scale sqrt(p) P+`` in the requested basis.
+    ``scale sqrt(1-p) P-`` and ``scale sqrt(p) P+``, ``P-/+ = T a -/+ R b``
+    on the block (:func:`_terms`) and zero off it, in the requested basis.
     """
-    ops = filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
-    v = to_coeff_vector(ops).T * (fp.scale * np.sqrt([1.0 - fp.p, fp.p]))
+    f = _terms(fp.theta1, fp.theta2)
+    v = np.zeros((16, 2), dtype=complex)
+    v[_BLOCK] = (fp.T * f[:, :1] + (fp.R * f[:, 1:]) * [-1.0, 1.0]) * (
+        scale * np.sqrt([1.0 - fp.p, fp.p]))
     if basis_kind == STANDARD:
         return v
     return build_basis(basis_kind).u_dagger @ v
@@ -234,16 +233,14 @@ def _squared_residual(unit: np.ndarray, target: np.ndarray, floor: float, theta1
     ``target`` and ``floor`` are :func:`_kernel_inputs`'s for ``unit``'s
     Hermitian part in the standard basis (:func:`_unit_inputs`). The
     distance is ``floor + |target - M|^2 + |A|^2``. ``M = F X F^+`` is the
-    block model, with ``F = [a b]`` for ``a = vec(I)`` and ``b = vec(U3
-    SWAP)`` on the block and ``X = [[x1, x3], [x3, x2]]``; ``A`` is
+    block model, with ``F`` the model's two terms (:func:`_terms`) and
+    ``X = [[x1, x3], [x3, x2]]``; ``A`` is
     ``unit``'s anti-Hermitian part, which no model reaches and whose norm is
     the same in every basis. Each term is summed from entrywise values, so
     a model at the matrix keeps the rounding level that the profile's
     ``norm - P`` loses to its subtraction.
     """
-    f = np.empty((6, 2), dtype=complex)
-    f[:, 0] = _VEC_I
-    f[:, 1] = _SWAP_SIGNS * np.exp(1j * (theta1 * _RATES[0] + theta2 * _RATES[1]))
+    f = _terms(theta1, theta2)
     x1, x2, x3 = x
     d = target - (f @ np.array([[x1, x3], [x3, x2]]) @ f.conj().T).view(np.float64).ravel()
     skew = unit - unit.conj().T
@@ -362,7 +359,6 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     if cfg is None:
         cfg = FitConfig()
     unit, e, target, floor = _unit_inputs(chi_meas)
-    unit.flags.writeable = False  # kept on the result for its fidelity
     starts = _grid_starts(target, floor, cfg)
     candidates = [(math.sqrt(max(cost, 0.0)), *_params(theta1, theta2, x), converged, k)
                   for k, (cost, theta1, theta2, x, converged, _) in enumerate(starts)]
@@ -390,7 +386,4 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
         start_residuals=[c[0] * half * half for c in candidates],
         best_start=best_start,
         positive_overlap=overlap,
-        _unit_scale=scale,
-        _basis=chi_meas.basis,
-        _unit=unit,
     )

@@ -293,6 +293,19 @@ class TestHomDip:
         assert abs(vis - 2 * t * r / (t * t + r * r)) < 1e-15
         assert abs(vis - 0.9636) < 5e-4
 
+    def test_visibility_is_the_unscaled_closed_form_under_powers_of_two(self):
+        # Scaling T and R by a power of two first moves no bit of the closed
+        # form on normal inputs, and keeps its squares from underflowing.
+        rng = np.random.default_rng(61)
+        for t, r, mu in rng.uniform(0.0, 1.0, (2000, 3)):
+            want = 2.0 * t * r * mu / (t * t + r * r)
+            for j in (-900, -300, -1, 0, 1, 300, 900):
+                assert hom_visibility(t * 2.0**j, r * 2.0**j, mu) == want
+        readme = FilterParams.from_ratio(0.76)  # the dip.csv golden's visibility
+        assert hom_visibility(readme.T, readme.R, 0.72) == 0.6937119675456388
+        assert hom_visibility(1e-200, 0.0, 0.9) == 0.0
+        assert hom_visibility(1e-200, 1e-200, 1.0) == 1.0
+
     def test_distinguishable_polarizations_via_kraus_oracle(self):
         hv = matrix_unit(1, 1, dim=4)
         grid = np.linspace(-100, 100, 9)

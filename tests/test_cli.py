@@ -713,6 +713,29 @@ class TestCliErrors:
         assert warnings == ["model mismatch: residual is 14.3% of the matrix norm"] * 3
         assert ps == [ps[1]] * 3
 
+    def test_homdip_negative_exponent_range_in_equals_form(self, tmp_path):
+        # argparse reads "-1e2" after a space as an option, so the README writes
+        # a negative value in exponent form as --tau-min=-1e2.
+        params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,
+                              tau_c_fs=83.0, mu=0.72)
+        plain, exponent = tmp_path / "plain.csv", tmp_path / "exponent.csv"
+        assert main(["homdip", "--params", str(params), "--tau-min", "-100",
+                     "--tau-max", "100", "--steps", "5", "--out", str(plain)]) == 0
+        assert main(["homdip", "--params", str(params), "--tau-min=-1e2",
+                     "--tau-max=1e2", "--steps", "5", "--out", str(exponent)]) == 0
+        assert exponent.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_homdip_tiny_transmission_without_reflection(self, tmp_path):
+        # The visibility's T^2 + R^2 would underflow to zero unscaled.
+        params = tmp_path / "p.json"
+        write_json({"T": 1e-200, "R": 0.0, "theta1": 0.1, "theta2": 0.2, "tau_fs": 10.0,
+                    "tau_c_fs": 80.0, "mu": 0.9}, params)
+        out = tmp_path / "dip.csv"
+        assert main(["homdip", "--params", str(params), "--tau-min", "-100",
+                     "--tau-max", "100", "--steps", "5", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "# visibility = 0.0"
+
     def test_bad_dip_range_exit_2(self, tmp_path):
         params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,
                               tau_c_fs=83.0, mu=0.72)

@@ -18,10 +18,12 @@ from bsqpt import (
     fit,
     kraus_pair,
     model_chi,
+    model_fidelity,
 )
 from bsqpt import build_input_set, reconstruct_process, simulate_counts, transform_process_matrix
 from bsqpt import fidelity, project_to_psd
-from bsqpt.bsfilter import P_RANGE
+from bsqpt.bases import build_basis, to_coeff_vector
+from bsqpt.bsfilter import P_RANGE, filter_operators
 from bsqpt import fitting, varpro
 from bsqpt.fitting import (
     RATIO_BOUNDS,
@@ -135,6 +137,20 @@ class TestModelChi:
                 assert chi.basis == kind
                 assert np.max(np.abs(chi.m - expected.m)) <= 1e-14 * np.max(np.abs(expected.m))
 
+    def test_factor_matches_the_operator_route_byte_for_byte(self):
+        # The block closed form against the 16x16 filter operators' coefficient
+        # vectors, the route the model matrix (and the choi golden) came from.
+        rng = np.random.default_rng(52)
+        for _ in range(500):
+            fp = random_filter(rng)
+            ops = filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
+            v = to_coeff_vector(ops).T * (fp.scale * np.sqrt([1.0 - fp.p, fp.p]))
+            for kind in BASIS_KINDS:
+                expected = v if kind == "S" else build_basis(kind).u_dagger @ v
+                got = fitting._factor(fp, kind, fp.scale)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
     def test_rank_at_most_two(self):
         for p in (0.0, 0.14, 0.5):
             w = np.linalg.eigvalsh(model_chi(paper_filter(p)).m)
@@ -230,18 +246,19 @@ class TestResidual:
                 assert fit(chi, cfg).residual <= 1e-14 * np.linalg.norm(chi.m)
 
     def test_fit_forms_no_model_factor(self, monkeypatch):
-        # The factor is built on the first read of the fidelity, not in the fit.
-        real, calls = fitting._factor, []
+        # A fit builds neither the factor nor the fidelity; model_fidelity does both.
+        calls = []
+        for name in ("_factor", "_rank2_fidelity"):
+            def spy(*args, real=getattr(fitting, name), name=name):
+                calls.append(name)
+                return real(*args)
 
-        def spy(fp, basis_kind):
-            calls.append(basis_kind)
-            return real(fp, basis_kind)
-
-        monkeypatch.setattr(fitting, "_factor", spy)
-        res = fit(transform_process_matrix(poisson_chi(paper_filter(0.325), 1e4, 33), "F"),
-                  FitConfig(**BENCH))
+            monkeypatch.setattr(fitting, name, spy)
+        chi = transform_process_matrix(poisson_chi(paper_filter(0.325), 1e4, 33), "F")
+        res = fit(chi, FitConfig(**BENCH))
         assert calls == []
-        assert 0.0 < res.fidelity <= 1.0 and calls == ["F"]
+        assert 0.0 < model_fidelity(res.params, chi) <= 1.0
+        assert calls == ["_factor", "_rank2_fidelity"]
 
 
 class TestSymmetries:
@@ -372,7 +389,7 @@ class TestFit:
         a = fit(chi, FitConfig(multistart=4, seed=6))
         b = fit(chi, FitConfig(multistart=4, seed=7))
         assert a == b
-        assert a.fidelity == b.fidelity
+        assert model_fidelity(a.params, chi) == model_fidelity(b.params, chi)
 
     def test_scale_recovery_from_rate_scaled_matrix(self):
         fp = paper_filter(0.325, scale=50.0)
@@ -391,8 +408,8 @@ class TestFit:
         poisson = transform_process_matrix(poisson_chi(fp, 1e4, 1), "F")
         for chi, starts in ((poisson, 4), (poisson, 16), (model_chi(paper_filter(0.2)), 4)):
             cfg = FitConfig(multistart=starts)
-            base = fit(chi, cfg)
-            big = fit(ProcessMatrix(chi.basis, chi.m * 2.0**power), cfg)
+            big_chi = ProcessMatrix(chi.basis, chi.m * 2.0**power)
+            base, big = fit(chi, cfg), fit(big_chi, cfg)
             shape = [dataclasses.replace(r.params, scale=1.0) for r in (base, big)]
             if power % 2:
                 for name in ("p", "T", "R", "theta1", "theta2"):
@@ -400,8 +417,9 @@ class TestFit:
                     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
                 continue
             assert shape[1] == shape[0]
-            for name in ("fidelity", "n_evaluations", "converged", "best_start"):
+            for name in ("n_evaluations", "converged", "best_start"):
                 assert getattr(big, name) == getattr(base, name)
+            assert model_fidelity(big.params, big_chi) == model_fidelity(base.params, chi)
             assert big.residual == base.residual * 2.0**power
             assert big.start_residuals == [v * 2.0**power for v in base.start_residuals]
             assert big.params.scale == base.params.scale * 2.0 ** (power // 2)
@@ -532,7 +550,7 @@ class TestFit:
             res = fit(chi, FitConfig(**BENCH))
             reference = fidelity(project_to_psd(model_chi(res.params, "F").m),
                                  project_to_psd(chi.m))
-            assert abs(res.fidelity - reference) <= 1e-7
+            assert abs(model_fidelity(res.params, chi) - reference) <= 1e-7
 
     def test_fidelity_matches_the_rank_two_route_on_the_projection(self):
         # One eigendecomposition gives the fidelity as the 2x2 route on the
@@ -543,45 +561,53 @@ class TestFit:
             chi = transform_process_matrix(poisson_chi(fp, 1e4 if k % 2 == 0 else 1e3, 3000 + k),
                                            "F")
             res = fit(chi, FitConfig(**BENCH))
-            v = fitting._factor(res.params, "F")
+            v = fitting._factor(res.params, "F", res.params.scale)
             b = project_to_psd(chi.m)
             m = v.conj().T @ b @ v
             w = np.clip(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), 0.0, None)
             reference = np.sum(np.sqrt(w)) ** 2 / (np.vdot(v, v).real * np.trace(b).real)
-            assert abs(res.fidelity - reference) <= 1e-14
+            assert abs(model_fidelity(res.params, chi) - reference) <= 1e-14
 
     def test_fidelity_is_one_on_noiseless_records(self):
         filters = [paper_filter(p) for p in (0.14, 0.325, 0.5)] + edge_filters()
         for fp in filters:
-            res = fit(model_chi(fp, "F"), FitConfig(multistart=4))
-            assert abs(res.fidelity - 1.0) <= 1e-12
+            chi = model_chi(fp, "F")
+            res = fit(chi, FitConfig(multistart=4))
+            assert abs(model_fidelity(res.params, chi) - 1.0) <= 1e-12
 
-    def test_fidelity_is_computed_once_on_first_read(self, monkeypatch):
-        real, calls = fitting._rank2_fidelity, []
-
-        def spy(v, m):
-            calls.append((v, m))
-            return real(v, m)
-
-        monkeypatch.setattr(fitting, "_rank2_fidelity", spy)
-        chi = poisson_chi(paper_filter(0.325), 1e4, seed=31)
-        res = fit(chi, FitConfig(**BENCH))
-        assert calls == []
-        first, second = res.fidelity, res.fidelity
-        assert len(calls) == 1 and first is second
-        v, unit = calls[0]
-        assert first == real(v, unit) and not unit.flags.writeable
-        assert np.array_equal(unit * 2.0 ** _unit_inputs(chi)[1], chi.m)
+    def test_fidelity_is_the_same_under_powers_of_two(self):
+        # The model runs at the mantissa of its scale and the matrix at unit
+        # magnitude: the fit's parameters and the true filter against its
+        # Poisson reconstruction keep their fidelity to the bit.
+        rng = np.random.default_rng(34)
+        for k in range(20):
+            fp = paper_filter((0.14, 0.325, 0.5)[k % 3]) if k < 6 else random_filter(rng)
+            chi = transform_process_matrix(poisson_chi(fp, (1e2, 1e3, 1e4)[k % 3], 3100 + k),
+                                           "SBCF"[k % 4])
+            res = fit(chi, FitConfig(**BENCH))
+            for params in (res.params, fp):
+                want = model_fidelity(params, chi)
+                assert 0.0 < want <= 1.0
+                for i in (-300, -1, 1, 250, 500):
+                    scaled = ProcessMatrix(chi.basis, chi.m * 4.0**i)
+                    assert model_fidelity(params, scaled) == want
+                for j in (-1000, -7, 3, 500, 1000):
+                    moved = dataclasses.replace(params, scale=params.scale * 2.0**j)
+                    assert model_fidelity(moved, chi) == want
 
     def test_repr_holds_no_array(self):
         res = fit(poisson_chi(paper_filter(0.14), 1e4, seed=32), FitConfig(**BENCH))
         text = repr(res)
         assert "array" not in text and "_v" not in text and "_unit" not in text
         assert "fidelity" not in text
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "params", "residual", "n_evaluations", "converged", "start_residuals",
+            "best_start", "positive_overlap"]
 
     def test_fidelity_none_without_positive_trace(self):
-        res = fit(ProcessMatrix("S", -np.eye(16)), FitConfig(multistart=2))
-        assert res.fidelity is None
+        chi = ProcessMatrix("S", -np.eye(16))
+        res = fit(chi, FitConfig(multistart=2))
+        assert model_fidelity(res.params, chi) is None
 
     @pytest.mark.parametrize("m", [-np.eye(16), np.zeros((16, 16))])
     def test_no_positive_overlap_not_converged(self, m):
