@@ -575,6 +575,28 @@ class TestFit:
             res = fit(chi, FitConfig(multistart=4))
             assert abs(model_fidelity(res.params, chi) - 1.0) <= 1e-12
 
+    def test_fidelity_is_computed_once_on_first_read(self, monkeypatch):
+        # The fit runs no fidelity; each read runs one rank-two route, on the
+        # model at the mantissa of its scale and the matrix at unit magnitude.
+        real, calls = fitting._rank2_fidelity, []
+
+        def spy(v, m):
+            calls.append((v, m))
+            return real(v, m)
+
+        monkeypatch.setattr(fitting, "_rank2_fidelity", spy)
+        chi = poisson_chi(paper_filter(0.325), 1e4, seed=31)
+        res = fit(chi, FitConfig(**BENCH))
+        assert calls == []
+        first = model_fidelity(res.params, chi)
+        assert len(calls) == 1
+        assert model_fidelity(res.params, chi) == first and len(calls) == 2
+        v, unit = calls[0]
+        assert first == real(v, unit)
+        assert np.array_equal(v, fitting._factor(res.params, chi.basis,
+                                                 math.frexp(res.params.scale)[0]))
+        assert np.array_equal(unit * 2.0 ** _unit_inputs(chi)[1], chi.m)
+
     def test_fidelity_is_the_same_under_powers_of_two(self):
         # The model runs at the mantissa of its scale and the matrix at unit
         # magnitude: the fit's parameters and the true filter against its
