@@ -35,10 +35,11 @@ candidates; ``polish``, Newton's method from the paper record's best grid
 point under the benchmark's ``FitConfig``; ``starts``, the paper
 record's whole start list (``_grid_starts``: the grid and the polish of
 every start) under the default; ``residual``, the squared residual that
-the fit sums on the 6x6 block at the paper record's reported start under
-the benchmark's ``FitConfig`` (``_squared_residual``); and ``fidelity``,
-``model_fidelity`` of that fit's parameters and the record, which scales
-the record to unit magnitude, builds the 16x2 model factor and runs the
+the fit sums on the 6x6 block at each polished start, here at the paper
+record's reported start under the benchmark's ``FitConfig``
+(``_squared_residual``); and ``fidelity``, ``model_fidelity`` of that fit's
+parameters and the record, which scales the record to unit magnitude in
+its own basis, builds the 16x2 model factor and runs the
 eigendecomposition.
 
 The benchmark (``perfbench/run.py``) reports the 4-start fit, traced, as

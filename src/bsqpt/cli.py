@@ -30,6 +30,7 @@ from .linalg import project_to_psd
 from .tomography import build_input_set, reconstruct_process, simulate_counts
 
 log = logging.getLogger("bsqpt")
+MAX_STEPS = 10**6  # about 170 B of memory a step; checked before the grid is allocated
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -103,8 +104,8 @@ def _cmd_homdip(args: argparse.Namespace) -> int:
         raise FileFormatError(
             f"{args.params}: dip simulation needs the temporal form (tau_fs, tau_c_fs, mu)"
         )
-    if args.steps < 2:
-        raise FileFormatError("need at least 2 grid steps")
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise FileFormatError(f"--steps must be between 2 and {MAX_STEPS}, got {args.steps}")
     # The width is not finite when either end is not, or when it overflows.
     if not (np.isfinite(args.tau_max - args.tau_min) and args.tau_max > args.tau_min):
         raise FileFormatError("need finite tau_min < tau_max")
@@ -176,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--tau-min", type=float, required=True)
     p.add_argument("--tau-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=int, required=True,
+                   help=f"grid points over the delay range, 2 to {MAX_STEPS}")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_homdip)
 

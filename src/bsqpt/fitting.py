@@ -19,7 +19,7 @@ grid, each polished to convergence by Newton's method
 gives p, R/T and the scale (:func:`_params`, which also folds the angles'
 2 pi symmetry). The objective is the plain Frobenius distance on the
 unnormalized matrices, with no statistical weighting, computed at one
-magnitude (a power of two; see :func:`_unit_inputs`).
+magnitude (a power of two; see :func:`_unit`).
 """
 
 from __future__ import annotations
@@ -101,19 +101,16 @@ class FitResult:
     exception to ``scale`` times ``2^j`` in :func:`fit`).
     ``converged`` is whether the reported start's polish converged, and
     ``False`` as well without a positive overlap.
-    ``residual`` is the Frobenius distance of the model at ``params`` from
-    the measured matrix, ``|model_chi(params, basis) - chi|`` in either's
-    basis. :func:`fit` sums its square from entrywise values, without the
-    16x16 model: the squared norm off the 6x6 block, the block's squared
-    distance from the model at the reported start's polished angles and
-    ``X`` and the squared norm of the anti-Hermitian part of the matrix,
-    which no model reaches (:func:`_squared_residual`). ``start_residuals``
-    holds the square root of the profile's cost at each polished start
-    (:func:`_grid_starts`), and ``best_start`` the index of the reported
-    start, both in the start order of :class:`FitConfig`. Those costs are
-    the squared norm less the profile, so they leave out the anti-Hermitian
-    part and, from that subtraction, are accurate only to about ``2^-26``
-    times the norm of the matrix.
+    ``start_residuals`` holds the Frobenius distance of the model at each
+    polished start's end point from the measured matrix, in the start order
+    of :class:`FitConfig`, and ``best_start`` the index of the reported
+    start, whose distance is ``residual = start_residuals[best_start]``,
+    ``|model_chi(params, basis) - chi|`` in either's basis. :func:`fit`
+    sums each square from entrywise values, without the 16x16 model: the
+    squared norm off the 6x6 block, the block's squared distance from the
+    model at the start's polished angles and ``X`` and the squared norm of
+    the anti-Hermitian part of the matrix, which no model reaches
+    (:func:`_squared_residual`).
     ``params.theta2`` always lies in [-pi, pi], and ``params.theta1``
     leaves that range only when the p read off the fit would pass 1/2 (see
     :func:`_params`). The fit's fidelity is :func:`model_fidelity` of
@@ -141,13 +138,13 @@ def model_fidelity(fp: FilterParams, chi_meas: ProcessMatrix) -> float | None:
     Each is normalized to unit trace (:func:`_rank2_fidelity`); ``None``
     when that projection has no positive trace. Both run at unit magnitude:
     the model at the mantissa of ``fp.scale`` and the matrix as
-    :func:`_unit_inputs` scales it, so no product overflows or underflows,
+    :func:`_unit` scales it, so no product overflows or underflows,
     and the value is the same under ``fp.scale 2^j`` and ``chi_meas 4^j``
     while neither becomes subnormal. A NaN or infinite entry raises
     ``ValueError``.
     """
-    unit = _unit_inputs(chi_meas)[0]
-    return _rank2_fidelity(_factor(fp, chi_meas.basis, math.frexp(fp.scale)[0]), unit)
+    return _rank2_fidelity(_factor(fp, chi_meas.basis, math.frexp(fp.scale)[0]),
+                           _unit(chi_meas)[0])
 
 
 def _terms(theta1: float, theta2: float) -> np.ndarray:
@@ -205,23 +202,25 @@ def _kernel_inputs(chi_std: np.ndarray) -> tuple[np.ndarray, float]:
     return chi_std.take(_BLOCK_FLAT).view(np.float64), float(off @ off)
 
 
-def _unit_inputs(chi_meas: ProcessMatrix) -> tuple[np.ndarray, int, np.ndarray, float]:
-    """``unit = chi_meas.m 2^-e``, ``e``, and the kernel inputs of ``unit``'s Hermitian S form.
+def _unit(chi_meas: ProcessMatrix) -> tuple[np.ndarray, int]:
+    """``unit = chi_meas.m 2^-e`` in ``chi_meas``'s basis, and ``e``.
 
     ``e`` is even and puts the largest real or imaginary part of ``unit``
-    in [1/4, 1); ``target`` and ``floor`` are :func:`_kernel_inputs`'s for
-    the Hermitian part of ``unit`` in the standard basis. A NaN or
-    infinite entry raises ``ValueError``.
+    in [1/4, 1). A NaN or infinite entry raises ``ValueError``.
     """
-    # Scaled before the basis transform and the Hermitian part, which can
-    # overflow near the top of the float range; complex has no ldexp loop.
+    # Scaled before any product, which can overflow; complex has no ldexp loop.
     parts = np.ascontiguousarray(chi_meas.m).view(np.float64)
     top = np.abs(parts).max()
     if not math.isfinite(top):
         raise ValueError("the process matrix is not finite")
     e = math.frexp(top)[1]
     e += e % 2
-    unit = np.ldexp(parts, -e).view(complex)
+    return np.ldexp(parts, -e).view(complex), e
+
+
+def _unit_inputs(chi_meas: ProcessMatrix) -> tuple[np.ndarray, int, np.ndarray, float]:
+    """``unit``, ``e`` (:func:`_unit`) and :func:`_kernel_inputs` of ``unit``'s Hermitian S form."""
+    unit, e = _unit(chi_meas)
     chi_std = change_basis(unit, chi_meas.basis, STANDARD)
     return (unit, e, *_kernel_inputs(0.5 * (chi_std + chi_std.conj().T)))
 
@@ -232,13 +231,12 @@ def _squared_residual(unit: np.ndarray, target: np.ndarray, floor: float, theta1
 
     ``target`` and ``floor`` are :func:`_kernel_inputs`'s for ``unit``'s
     Hermitian part in the standard basis (:func:`_unit_inputs`). The
-    distance is ``floor + |target - M|^2 + |A|^2``. ``M = F X F^+`` is the
-    block model, with ``F`` the model's two terms (:func:`_terms`) and
-    ``X = [[x1, x3], [x3, x2]]``; ``A`` is
-    ``unit``'s anti-Hermitian part, which no model reaches and whose norm is
-    the same in every basis. Each term is summed from entrywise values, so
-    a model at the matrix keeps the rounding level that the profile's
-    ``norm - P`` loses to its subtraction.
+    distance is ``floor + |target - F X F^+|^2 + |A|^2``, with ``F`` the
+    model's two terms (:func:`_terms`), ``X = [[x1, x3], [x3, x2]]`` and
+    ``A`` the anti-Hermitian part of ``unit``, which no model reaches and
+    whose norm is the same in every basis. Summed from entrywise values, it
+    keeps the rounding level that the profile's ``norm - P`` loses to its
+    subtraction.
     """
     f = _terms(theta1, theta2)
     x1, x2, x3 = x
@@ -335,45 +333,39 @@ def fit(chi_meas: ProcessMatrix, cfg: FitConfig | None = None) -> FitResult:
     """Fit the filter model to the Hermitian part of a measured process matrix.
 
     Polishes up to ``cfg.multistart`` grid starts of the angle profile by
-    Newton's method (:func:`_grid_starts`, see :class:`FitConfig`) and keeps
-    the start whose polished residual is lowest. Starts that tie on the
-    residual are ranked by the norm of their reported angles (folded by
-    :func:`_params`), norms that agree to the same relative 1e-9 counting
-    as equal, and then by start order. The reported ``residual`` is then
-    summed entrywise on the 6x6 block at that start's polished angles and
-    ``X``, with the cost off the block and the anti-Hermitian part (see
-    :class:`FitResult`), not read off the profile's cost, whose subtraction
-    would leave a noiseless record at about ``2^-26`` of the matrix norm
-    instead of its rounding. Deterministic. Non-convergence of
-    the reported start is signalled by ``converged=False`` on the result,
-    never by an exception. Everything runs on ``chi_meas 2^-e``
-    (:func:`_unit_inputs`): a power of two and its square root scale
-    exactly, so at any finite magnitude ``chi_meas 4^j`` gives the same
-    shape and evaluations, ``scale`` times ``2^j`` for every positive scale
-    (1e-150 only without a positive overlap, see :class:`FitResult`) and
-    the residuals times ``4^j``; a 6x6 filter block far below the largest
-    entry is lost to rounding, leaving a residual of about the matrix norm.
-    A residual too large for a float comes back infinite. A NaN or infinite
-    entry raises ``ValueError``.
+    Newton's method (:func:`_grid_starts`, see :class:`FitConfig`), sums
+    each start's residual entrywise at its end point (see
+    :class:`FitResult`), not off the profile's cost, and keeps the start
+    whose residual is lowest. Starts that tie on the residual are ranked by
+    the norm of their reported angles (folded by :func:`_params`), norms
+    that agree to the same relative 1e-9 counting as equal, and then by
+    start order. Deterministic. Non-convergence of the reported start is
+    signalled by ``converged=False`` on the result, never by an exception.
+    Everything runs on ``chi_meas 2^-e`` (:func:`_unit`): a power of two
+    and its square root scale exactly, so at any finite magnitude
+    ``chi_meas 4^j`` gives the same shape and evaluations, ``scale`` times
+    ``2^j`` for every positive scale (1e-150 only without a positive
+    overlap, see :class:`FitResult`) and the residuals times ``4^j``; a 6x6
+    filter block far below the largest entry is lost to rounding, leaving a
+    residual of about the matrix norm. A residual too large for a float
+    comes back infinite. A NaN or infinite entry raises ``ValueError``.
     """
     if cfg is None:
         cfg = FitConfig()
     unit, e, target, floor = _unit_inputs(chi_meas)
     starts = _grid_starts(target, floor, cfg)
-    candidates = [(math.sqrt(max(cost, 0.0)), *_params(theta1, theta2, x), converged, k)
-                  for k, (cost, theta1, theta2, x, converged, _) in enumerate(starts)]
+    candidates = [(math.sqrt(_squared_residual(unit, target, floor, theta1, theta2, x)),
+                   *_params(theta1, theta2, x), converged, k)
+                  for k, (_, theta1, theta2, x, converged, _) in enumerate(starts)]
 
     def lowest(cands: list, key) -> list:
         """The candidates whose key :func:`_tied` counts as the lowest, in start order."""
         low = min(key(c) for c in cands)
         return [c for c in cands if _tied(key(c), low)]
 
-    tied = lowest(candidates, lambda c: c[0])
-    _, best, scale, converged, best_start = lowest(
-        tied, lambda c: math.hypot(c[1].theta1, c[1].theta2)
-    )[0]
+    residual, best, scale, converged, best_start = lowest(
+        lowest(candidates, lambda c: c[0]), lambda c: math.hypot(c[1].theta1, c[1].theta2))[0]
     overlap = scale > 0.0
-    residual = math.sqrt(_squared_residual(unit, target, floor, *starts[best_start][1:4]))
     # Two Python-float factors: 2.0**e can overflow, and these give inf where numpy would warn.
     half = 2.0 ** (e // 2)
 

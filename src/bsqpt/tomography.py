@@ -152,8 +152,9 @@ def simulate_counts(
     |<psi_m|K_i|psi_n>|^2``, with the projectors equal to the input
     products; a channel with no Kraus operators gives all zeros. With
     ``noise="poisson"`` each entry is replaced by a Poisson draw with that
-    mean, reproducibly for a given seed; the default is the noiseless
-    expected-rate table, which records no seed.
+    mean, reproducibly for a given seed, which must be a non-negative
+    integer (``ValueError``); the default is the noiseless expected-rate
+    table, which records no seed.
     ``total_scale`` must be finite and positive, and so must its product
     with the largest rate; with Poisson noise that product must stay
     within numpy's sampler limit.
@@ -178,7 +179,11 @@ def simulate_counts(
     counts = total_scale * rates
     if noise != "poisson":
         return CountTable(counts=counts, total_scale=total_scale)
-    counts = np.random.default_rng(seed).poisson(counts).astype(float)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValueError(f"seed (--seed) must be a non-negative integer, got {seed!r}") from None
+    counts = rng.poisson(counts).astype(float)
     return CountTable(counts=counts, total_scale=total_scale, noise_seed=seed)
 
 

@@ -213,6 +213,15 @@ class TestCliPipeline:
         assert "noise_seed" not in plain.read_text()
         assert "\n# noise_seed = 5\n" in noisy.read_text()
 
+    def test_negative_noise_seed_exit_2_naming_the_seed(self, tmp_path, capsys):
+        params = write_params(tmp_path / "params.json")
+        out = tmp_path / "noisy.csv"
+        assert main(["simulate", "--params", str(params), "--counts-out", str(out),
+                     "--noise", "poisson", "--seed=-1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: seed (--seed) must be a non-negative integer, got -1\n" in err
+        assert not out.exists()
+
     def test_ideal_filter_row_is_zero(self, tmp_path):
         params = write_params(tmp_path / "params.json", ratio_RT=1.0, theta1=0.0,
                               theta2=0.0, p=0.0)
@@ -745,6 +754,19 @@ class TestCliErrors:
         assert main(["homdip", "--params", str(params), "--tau-min", "-100",
                      "--tau-max", "100", "--steps", "1",
                      "--out", str(tmp_path / "d.csv")]) == 2
+
+    @pytest.mark.parametrize("steps", ["1000001", "1000000000000"])
+    def test_too_many_dip_steps_exit_2_before_the_grid(self, tmp_path, capsys, monkeypatch, steps):
+        # Refused above the cap, before the grid is allocated.
+        params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,
+                              tau_c_fs=83.0, mu=0.72)
+        out = tmp_path / "d.csv"
+        monkeypatch.setattr(np, "linspace", None)
+        assert main(["homdip", "--params", str(params), "--tau-min", "-100",
+                     "--tau-max", "100", f"--steps={steps}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --steps must be between 2 and 1000000, got {steps}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("tau_min, tau_max", [("-100", "inf"), ("-inf", "100"),
                                                   ("nan", "100"), ("-1e308", "1e308")])

@@ -98,6 +98,19 @@ def record_polish(monkeypatch):
     return runs
 
 
+def record_scores(monkeypatch):
+    """Record every squared residual the fit sums: ``(args, result)``."""
+    real = fitting._squared_residual
+    calls = []
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(fitting, "_squared_residual", spy)
+    return calls
+
+
 def record_profile(monkeypatch):
     """Record every point profile evaluation: ``(parts, theta1, theta2, result)``."""
     real = varpro.profile
@@ -244,6 +257,32 @@ class TestResidual:
             chi = model_chi(fp, basis)
             for cfg in (FitConfig(**BENCH), FitConfig()):
                 assert fit(chi, cfg).residual <= 1e-14 * np.linalg.norm(chi.m)
+
+    def test_every_start_residual_is_the_dense_distance_at_its_end_point(self, monkeypatch):
+        # Each start's entry is the distance of the model at its polished end
+        # point, and the reported residual is the reported start's entry, on
+        # a record with several starts and on the 20 out-of-box records.
+        runs = record_polish(monkeypatch)
+        several = several_starts_chi()
+        chis = [several, transform_process_matrix(several, "F")]
+        chis += [poisson_chi(outside_filter(p), 1e3, seed) for p in (0.0, 0.3)
+                 for seed in range(10)]
+        starts = 0
+        for chi in chis:
+            half = 2.0 ** (_unit_inputs(chi)[1] // 2)
+            for kwargs in CONFIGS.values():
+                del runs[:]
+                res = fit(chi, FitConfig(**kwargs))
+                assert res.residual == res.start_residuals[res.best_start]
+                assert len(runs) == len(res.start_residuals)
+                starts += len(runs)
+                for run, residual in zip(runs, res.start_residuals):
+                    fp, scale = _params(*run[-1][:3])
+                    # A start without overlap ends at the zero model.
+                    want = (distance(dataclasses.replace(fp, scale=scale * half), chi)
+                            if scale > 0.0 else np.linalg.norm(chi.m))
+                    assert residual == pytest.approx(want, rel=1e-13, abs=0)
+        assert starts > 2 * len(chis)
 
     def test_fit_forms_no_model_factor(self, monkeypatch):
         # A fit builds neither the factor nor the fidelity; model_fidelity does both.
@@ -617,6 +656,21 @@ class TestFit:
                     moved = dataclasses.replace(params, scale=params.scale * 2.0**j)
                     assert model_fidelity(moved, chi) == want
 
+    def test_model_fidelity_runs_no_basis_change(self, monkeypatch):
+        # The fidelity needs the matrix at unit magnitude only, in its own
+        # basis: neither the fit's basis change nor its kernel inputs.
+        chi = transform_process_matrix(poisson_chi(paper_filter(0.325), 1e4, 33), "F")
+        res = fit(chi, FitConfig(**BENCH))
+        calls = []
+        for name in ("change_basis", "_kernel_inputs"):
+            def spy(*args, real=getattr(fitting, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(fitting, name, spy)
+        assert 0.0 < model_fidelity(res.params, chi) <= 1.0
+        assert calls == []
+
     def test_repr_holds_no_array(self):
         res = fit(poisson_chi(paper_filter(0.14), 1e4, seed=32), FitConfig(**BENCH))
         text = repr(res)
@@ -774,22 +828,31 @@ class TestGridStarts:
 
     def test_start_order(self, monkeypatch):
         # The fit's starts are the grid starts of the matrix at its unit
-        # magnitude, cut to multistart.
+        # magnitude, cut to multistart: it scores each at its end point, in
+        # order, and each score is the start's profile cost up to the
+        # profile's rounding.
         chi = several_starts_chi()
         _, e, target, floor = _unit_inputs(chi)
+        norm = floor + target @ target
         every = _grid_starts(target, floor, FitConfig())
         assert len(every) >= 2
+        scores = record_scores(monkeypatch)
         for m in (1, 2, 3, 16):
+            del scores[:]
             res = fit(chi, FitConfig(multistart=m))
             want = _grid_starts(target, floor, FitConfig(multistart=m))
             assert want == every[:m]
-            assert res.start_residuals == [math.sqrt(max(s[0], 0.0)) * 2.0**e for s in want]
+            assert [args[3:] for args, _ in scores] == [s[1:4] for s in want]
+            assert res.start_residuals == [math.sqrt(sq) * 2.0**e for _, sq in scores]
+            for s, (_, sq) in zip(want, scores):
+                assert abs(sq - s[0]) <= 1e-13 * norm
 
     def test_the_bound_scales_with_the_target(self):
         # The grid runs at the fit's unit magnitude only: on chi 4^k the unit
         # inputs, so the start list, are those of chi, and the fit scales the
-        # costs back, the lowest of them, which bounds the fit's cost, with
-        # the rest.
+        # residuals back, the reported one with the rest; its square is the
+        # lowest profile cost, which bounds the fit's cost, up to the
+        # profile's rounding.
         chi = poisson_chi(paper_filter(0.325), 1e4, seed=31)
         _, e, target, floor = _unit_inputs(chi)
         starts = _grid_starts(target, floor, FitConfig())
@@ -801,9 +864,12 @@ class TestGridStarts:
             _, e_big, target_big, floor_big = _unit_inputs(big)
             assert e_big == e + 2 * k
             assert _grid_starts(target_big, floor_big, FitConfig()) == starts
-            residuals = fit(big).start_residuals
-            assert residuals == [math.ldexp(r, 2 * k) for r in base.start_residuals]
-            assert min(residuals) == math.ldexp(math.sqrt(bound), 2 * k + e)
+            res = fit(big)
+            assert res.start_residuals == [math.ldexp(r, 2 * k) for r in base.start_residuals]
+            assert res.residual == res.start_residuals[res.best_start] == math.ldexp(
+                base.residual, 2 * k)
+            assert math.ldexp(res.residual, -2 * k - e)**2 == pytest.approx(bound, rel=1e-12,
+                                                                             abs=0)
 
     def test_start_list_matches_a_brute_force_grid(self, monkeypatch):
         # The grid built point by point: a least-squares solve over the box's
@@ -1096,24 +1162,30 @@ class TestDescend:
 
     def test_every_polish_runs_as_it_would_alone(self, monkeypatch):
         # Each start's polish in a fit ends where the same polish ends when
-        # run alone, and the fit reports each start's end as it is.
+        # run alone, and the fit scores each start at that end as it is: its
+        # residual is the square root of the score, which is the polish's
+        # profile cost up to the profile's rounding.
         runs = record_polish(monkeypatch)
+        scores = record_scores(monkeypatch)
         chis = [several_starts_chi(), ProcessMatrix("S", np.eye(16))]
         chis += [poisson_chi(outside_filter(p), total, seed)
                  for p, total, seed in ((0.3, 1e3, 8), (0.3, 1e4, 6), (0.0, 1e3, 6))]
         chis += [model_chi(fp, "F") for fp in edge_filters()]
         several = 0
         for chi in chis:
-            del runs[:]
+            del runs[:], scores[:]
             res = fit(chi)
-            assert len(runs) == len(res.start_residuals)
+            assert len(runs) == len(scores) == len(res.start_residuals)
             assert sum(run[-1][5] for run in runs) == res.n_evaluations
             several += len(runs) > 1
             e = _unit_inputs(chi)[1]
-            for (parts, grid, args, result), residual in zip(runs, res.start_residuals):
+            for (parts, grid, args, result), (score_args, sq), residual in zip(
+                    runs, scores, res.start_residuals):
                 alone = varpro.polish(parts, *grid, *args)
                 assert alone == result
-                assert residual == math.sqrt(max(args[0] - result[3], 0.0)) * 2.0**e
+                assert score_args[3:] == result[:3]
+                assert abs(sq - (args[0] - result[3])) <= 1e-13 * args[0]
+                assert residual == math.sqrt(sq) * 2.0**e
         assert several >= 2
 
     def test_no_polish_ends_below_the_unconstrained_bound(self, monkeypatch):

@@ -153,6 +153,12 @@ class TestSimulateCounts:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 CountTable(counts=counts)
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, "1"],
+                             ids=["negative", "numpy-negative", "float", "string"])
+    def test_a_seed_the_generator_refuses_is_named(self, seed):
+        with pytest.raises(ValueError, match=r"seed \(--seed\) must be a non-negative integer"):
+            simulate_counts(KrausSet([(1.0, I4)]), build_input_set(), noise="poisson", seed=seed)
+
     def test_count_table_shape(self):
         with pytest.raises(ValueError, match=r"shape \(4, 4\), expected \(16, 16\)"):
             CountTable(counts=np.ones((4, 4)))
