@@ -8,7 +8,10 @@ It runs the pipeline of ``tests/helpers.py`` (the README's commands and
 inputs) in a temporary directory, copies every output into
 ``tests/golden``, records the numpy version that wrote them in
 ``tests/golden/manifest.json`` and prints the name of each file whose bytes
-moved. A change that moves a golden lists each moved file in ``CHANGES.md``.
+moved. It then fits the fit corpus of ``tests/helpers.py`` and writes each
+chunk's digest and the noiseless table to ``tests/fit_corpus.json``,
+printing each chunk whose digest moved. A change that moves a golden or a
+chunk lists each one in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,12 @@ import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "..", "tests", "golden")
+CORPUS = os.path.join(HERE, "..", "tests", "fit_corpus.json")
 sys.path.insert(0, os.path.join(HERE, "..", "tests"))
-from helpers import README_OUTPUTS, run_readme_pipeline  # noqa: E402
+from helpers import (  # noqa: E402
+    CORPUS_CHUNK, CORPUS_RECORDS, README_OUTPUTS, corpus_digest, corpus_table, read_json,
+    run_readme_pipeline,
+)
 
 
 def main() -> None:
@@ -44,6 +51,15 @@ def main() -> None:
                     fh.write(new)
     with open(os.path.join(GOLDEN, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"numpy": np.__version__, "outputs": README_OUTPUTS}, fh, indent=1)
+        fh.write("\n")
+    old = read_json(CORPUS)["chunks"] if os.path.exists(CORPUS) else []
+    chunks = [corpus_digest(c) for c in range(CORPUS_RECORDS // CORPUS_CHUNK)]
+    for c, digest in enumerate(chunks):
+        if c >= len(old) or old[c] != digest:
+            print(f"moved: fit corpus chunk {c} "
+                  f"(records {c * CORPUS_CHUNK}-{(c + 1) * CORPUS_CHUNK - 1})")
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        json.dump({"chunks": chunks, "table": corpus_table()}, fh, indent=1)
         fh.write("\n")
 
 

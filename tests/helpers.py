@@ -1,16 +1,20 @@
-"""Shared generators for randomized tests, reference solvers and a solver fake.
+"""Shared generators for randomized tests, reference solvers, a solver fake and the fit corpus.
 
 All randomness is seeded.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import numpy as np
 
-from bsqpt import FilterParams, KrausSet
+from bsqpt import (
+    FilterParams, FitConfig, KrausSet, ProcessMatrix, build_input_set, fit, kraus_pair,
+    model_fidelity, reconstruct_process, simulate_counts, transform_process_matrix,
+)
 from bsqpt.cli import main
 
 
@@ -47,6 +51,82 @@ def random_filter(rng: np.random.Generator, p_range=(0.0, 0.5)) -> FilterParams:
         theta2=rng.uniform(-np.pi, np.pi), p=rng.uniform(*p_range),
         scale=rng.uniform(0.5, 3.0),
     )
+
+
+# The fit corpus, a characterization record of ``bsqpt.fit``: CORPUS_RECORDS
+# records, each drawn from its own index alone and fitted at chi 4^j for each
+# j in CORPUS_POWERS under each of CORPUS_CONFIGS (the default and the
+# benchmark's), hashed CORPUS_CHUNK records (96 fits) at a time.
+# tests/test_fit_corpus.py checks it against tests/fit_corpus.json, which
+# scripts/regenerate_goldens.py writes. 4^-500 = 2^-1000 leaves the largest
+# entries normal and the smallest subnormal or zero; 4^-600 would flush every
+# entry of a record of order one to zero.
+CORPUS_RECORDS = 256
+CORPUS_CHUNK = 16
+CORPUS_POWERS = (0, -500, 500)
+CORPUS_CONFIGS = (FitConfig(), FitConfig(multistart=4, max_iterations=500, convergence_tol=1e-9))
+# The noiseless filter records among the first 64, whose fits the table
+# records as float.hex; a Poisson record depends on numpy's stream.
+CORPUS_TABLE_RECORDS = range(0, 64, 8)
+CORPUS_FIELDS = ("T", "R", "theta1", "theta2", "p", "scale", "residual", "fidelity")
+
+
+def corpus_record(k: int) -> ProcessMatrix:
+    """Record ``k`` of the fit corpus: a reconstructed process matrix drawn from ``k`` alone.
+
+    Even ``k`` is a random filter, with R/T log-uniform in [0.1, 6] (partly
+    outside the fit's box), the angles uniform and p in [0, 1/2]; odd ``k``
+    a random channel (:func:`random_channel`). ``(k // 2) % 4`` picks a
+    noiseless record or Poisson counts at 1e2, 1e3 or 1e4, and ``(k // 8) %
+    4`` the basis S, B, C or F.
+    """
+    rng = np.random.default_rng([2026, k])
+    if k % 2 == 0:
+        ks = kraus_pair(FilterParams.from_ratio(
+            float(np.exp(rng.uniform(np.log(0.1), np.log(6.0)))),
+            theta1=rng.uniform(-np.pi, np.pi), theta2=rng.uniform(-np.pi, np.pi),
+            p=rng.uniform(0.0, 0.5)))
+    else:
+        ks = random_channel(rng)
+    level = (k // 2) % 4
+    inputs = build_input_set()
+    ct = simulate_counts(ks, inputs, total_scale=(1.0, 1e2, 1e3, 1e4)[level],
+                         noise="poisson" if level else None, seed=k)
+    return transform_process_matrix(reconstruct_process(ct, inputs), "SBCF"[(k // 8) % 4])
+
+
+def corpus_fits(k: int) -> list:
+    """The fits of record ``k``: ``(result, fidelity)`` per config, then per power, in order."""
+    chi = corpus_record(k)
+    out = []
+    for cfg in CORPUS_CONFIGS:
+        for j in CORPUS_POWERS:
+            scaled = ProcessMatrix(chi.basis, np.ldexp(chi.m.view(np.float64), 2 * j).view(complex))
+            result = fit(scaled, cfg)
+            out.append((result, model_fidelity(result.params, scaled)))
+    return out
+
+
+def corpus_digest(chunk: int) -> str:
+    """sha256 over each fit's ``repr`` and fidelity (``float.hex``) in a chunk of the corpus."""
+    h = hashlib.sha256()
+    for k in range(chunk * CORPUS_CHUNK, (chunk + 1) * CORPUS_CHUNK):
+        for result, fidelity in corpus_fits(k):
+            h.update(f"{result!r} {fidelity if fidelity is None else fidelity.hex()}\n".encode())
+    return h.hexdigest()
+
+
+def corpus_table() -> list:
+    """The fits of ``CORPUS_TABLE_RECORDS``, each its ``CORPUS_FIELDS`` as ``float.hex`` and its counts."""
+    rows = []
+    for k in CORPUS_TABLE_RECORDS:
+        for result, fidelity in corpus_fits(k):
+            fp = result.params
+            values = (fp.T, fp.R, fp.theta1, fp.theta2, fp.p, fp.scale, result.residual, fidelity)
+            rows.append({"record": k, **{f: v.hex() for f, v in zip(CORPUS_FIELDS, values)},
+                         "n_evaluations": result.n_evaluations, "converged": result.converged,
+                         "best_start": result.best_start})
+    return rows
 
 
 def read_json(path) -> object:
