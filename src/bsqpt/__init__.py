@@ -26,18 +26,10 @@ from .channel import (
     apply_process_matrix,
     assemble_choi_from_map,
     choi_from_kraus,
-    kraus_from_process_matrix,
     transform_process_matrix,
 )
 from .fitting import FitConfig, FitResult, fit, model_chi, model_fidelity
-from .linalg import (
-    bell_state,
-    dagger,
-    fidelity,
-    kron,
-    partial_trace,
-    project_to_psd,
-)
+from .linalg import bell_state, dagger, kron, partial_trace, project_to_psd
 from .tomography import (
     CountTable,
     InputStateSet,

@@ -60,12 +60,6 @@ def to_coeff_vector(op: np.ndarray) -> np.ndarray:
     return op.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (16,))
 
 
-def from_coeff_vector(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_coeff_vector`."""
-    c = np.asarray(c, dtype=complex)
-    return c.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-
-
 @dataclass(frozen=True)
 class OperatorBasis:
     """An ordered, Hilbert-Schmidt-orthonormal set of 16 two-qubit operators.

@@ -4,10 +4,9 @@ A channel is held either as a weighted Kraus set ``E(rho) = sum_i w_i
 K_i rho K_i_dag`` or as a 16x16 process matrix ``chi`` in a declared
 operator basis. In the standard basis, ``chi`` is stored directly as the
 density matrix of the channel's associated four-qubit state (acting the
-channel on half of two unnormalized maximally entangled pairs), so
-converting between the two representations is an eigendecomposition in
-one direction and a sum of coefficient-vector outer products in the
-other. No renormalization ever happens implicitly; trace-decreasing and
+channel on half of two unnormalized maximally entangled pairs), so a Kraus
+set's process matrix is a sum of coefficient-vector outer products
+(:func:`choi_from_kraus`). No renormalization ever happens implicitly; trace-decreasing and
 rate-scaled channels keep their scale.
 """
 
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import BASIS_KINDS, STANDARD, build_basis, from_coeff_vector, to_coeff_vector
+from .bases import BASIS_KINDS, STANDARD, build_basis, to_coeff_vector
 from .linalg import dagger
 
 @dataclass
@@ -103,33 +102,6 @@ def choi_from_kraus(ks: KrausSet) -> ProcessMatrix:
         c = to_coeff_vector(k)
         m += w * np.outer(c, c.conj())
     return ProcessMatrix(STANDARD, m)
-
-
-def kraus_from_process_matrix(chi: ProcessMatrix, tol: float = 1e-6) -> KrausSet:
-    """Extract a Kraus set from a standard-basis process matrix by eigendecomposition.
-
-    The tolerance is interpreted relative to the trace of ``chi`` (an
-    absolute tolerance on the unit-trace normalization). Eigenvalues below
-    ``-tol`` mean the matrix is not completely positive and raise
-    ``ValueError``; eigenpairs with eigenvalue above ``tol`` become
-    ``(weight, operator)`` items.
-    """
-    if chi.basis != STANDARD:
-        raise ValueError("Kraus extraction expects a standard-basis process matrix")
-    m = 0.5 * (chi.m + dagger(chi.m))
-    tr = float(np.trace(m).real)
-    ref = tr if tr > 0.0 else 1.0
-    w, v = np.linalg.eigh(m)
-    if w[0] < -tol * ref:
-        raise ValueError(
-            f"not completely positive: eigenvalue {w[0]:.3e} below -{tol:.1e} x trace"
-        )
-    items = [
-        (float(w[a]), from_coeff_vector(v[:, a]))
-        for a in range(16)
-        if w[a] > tol * ref
-    ]
-    return KrausSet(items)
 
 
 def assemble_choi_from_map(outputs: np.ndarray) -> ProcessMatrix:

@@ -96,31 +96,3 @@ def bell_state(k: int) -> np.ndarray:
         (0.0, s, -s, 0.0),
     )
     return np.array(table[k], dtype=complex)
-
-
-def _psd_sqrt(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(a)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ dagger(v)
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Uhlmann fidelity of two Hermitian PSD matrices after trace normalization.
-
-    Both inputs are divided by their traces first, so sub-normalized states
-    compare on shape alone. Raises ``ValueError`` if either trace is not
-    positive.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    ta = float(np.trace(a).real)
-    tb = float(np.trace(b).real)
-    if ta <= 0.0 or tb <= 0.0:
-        raise ValueError("fidelity requires inputs with positive trace")
-    sa = _psd_sqrt(a / ta)
-    m = sa @ (b / tb) @ sa
-    m = 0.5 * (m + dagger(m))
-    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    f = float(np.sum(np.sqrt(w)) ** 2)
-    return float(np.clip(f, 0.0, 1.0))
-

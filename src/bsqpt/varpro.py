@@ -128,8 +128,9 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
     ``(2 m^2, 6 n)`` for ``n`` waves; the matching rows ``(cos, -sin)(w . theta)``
     at ``angles``, ``(2 n, g)``; z's ``c``; the ``i w``; the factors
     ``(i w)^d`` that turn ``c`` into the ``c`` of the derivative of order
-    ``d = (none, 1, 2, 11, 12, 22)``; and the linear map of :func:`grid` at
-    ``angles``, ``(15, 3, g)``.
+    ``d = (none, 1, 2, 11, 12, 22)``, which :func:`grid` applies to v2, v3
+    and z (v1 has the constant wave alone, so its derivatives are zero); and
+    the linear map of :func:`grid` at ``angles``, ``(15, 3, g)``.
     """
     k = np.flatnonzero(signs)
     s, w, n, m = signs[k], rates[:, k].T, len(k), len(a)
@@ -156,6 +157,9 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
     imaginary parts, interleaved, row by row. The wave coefficients of v
     are a fixed real map of ``target``, v on the grid one real product, and
     every candidate's 15 linear parts one more map (:func:`_linear_map`).
+    ``parts`` holds the 19 rows of wave coefficients that :func:`profile`
+    reads: v1's, then those of ``(v2, v3, z)`` and of their derivatives of
+    order 1, 2, 11, 12 and 22.
     Where ``x = G^-1 v`` lies in the box, ``P = |S|^2 = 2 (m^2 + rad^2)``;
     elsewhere it is the largest ``P`` of the clip, the faces' wedges and
     their rays that lie in it, and zero (``X = 0``) if none is positive.
@@ -171,8 +175,9 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
     rank_one = np.maximum(np.maximum(np.maximum.reduce(y[5:9]), clip), 0.0) ** 2
     face = np.where(np.minimum(y[9:11], y[11:13]) >= 0.0, y[9:11] * y[5:7] + y[11:13] * y[7:9], 0.0)
     best = np.maximum(rank_one, np.maximum(face[0], face[1]))
+    c = np.concatenate((coef.view(complex), z[None]))
     return (np.where(inside, 2.0 * (m * m + rad * rad), best),
-            ((deriv[:, None] * np.concatenate((coef.view(complex), z[None]))).reshape(24, -1), iw))
+            (np.concatenate((c[:1], (deriv[:, None] * c[1:]).reshape(18, -1))), iw))
 
 
 def _gram(z: float, j: tuple) -> tuple:
@@ -226,9 +231,10 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
     """The profile at ``(theta1, theta2)`` in Python floats: ``(P, x, gradient, Hessian)``.
 
     ``parts`` is ``(c, iw)``: ``iw`` the ``(n, 2)`` frequencies ``i w`` of the
-    waves ``exp(i w . theta)``, and ``c`` the ``(24, n)`` wave coefficients of
-    ``(v1, v2, v3, z)`` and of their derivatives of order none, 1, 2, 11, 12
-    and 22, each sum the real part of ``c . exp(i w . theta)``. ``x`` are the
+    waves ``exp(i w . theta)``, and ``c`` the ``(19, n)`` wave coefficients of
+    v1 and then of ``(v2, v3, z)`` and their derivatives of order 1, 2, 11,
+    12 and 22, each sum the real part of ``c . exp(i w . theta)``. v1 is the
+    constant ``a^+ T a``, so its derivatives are zero. ``x`` are the
     best coefficients in the box and ``P = 2 x . v - x^T G x`` the cost that
     they remove from the block's squared norm; where the unconstrained
     ``x = G^-1 v`` lies in the box, ``P = v . x``. By Danskin's theorem
@@ -241,8 +247,8 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
     ``(P_11, P_12, P_22)``, each zero where ``X = 0``.
     """
     c, iw = parts
-    (v1, v2, v3, z, a1, b1, c1, z1, a2, b2, c2, z2, a11, b11, c11, z11, a12, b12, c12, z12,
-     a22, b22, c22, z22) = (c @ np.exp(iw @ (theta1, theta2))).real.tolist()
+    (v1, v2, v3, z, b1, c1, z1, b2, c2, z2, b11, c11, z11, b12, c12, z12, b22, c22,
+     z22) = (c @ np.exp(iw @ (theta1, theta2))).real.tolist()
     x1, x2, x3 = solve(z, v1, v2, v3)
     inside = _FACES[0] * x1 <= x2 <= _FACES[1] * x1 and x1 * x2 >= x3 * x3
     if inside:
@@ -254,8 +260,8 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
     # G' x, x^T G' x and x^T G'' x.
     y1, y2, y3 = 2.0 * z * x2 + 8.0 * x3, 2.0 * z * x1 + 8.0 * x3, 8.0 * (x1 + x2) + 4.0 * z * x3
     xgx, xhx = x1 * y1 + x2 * y2 + x3 * y3, 4.0 * (x1 * x2 + x3 * x3)
-    p1, p2, p3 = a1 - z1 * y1, b1 - z1 * y2, c1 - z1 * y3
-    q1, q2, q3 = a2 - z2 * y1, b2 - z2 * y2, c2 - z2 * y3
+    p1, p2, p3 = 0.0 - z1 * y1, b1 - z1 * y2, c1 - z1 * y3
+    q1, q2, q3 = 0.0 - z2 * y1, b2 - z2 * y2, c2 - z2 * y3
     if inside:
         u1, u2, u3 = solve(z, p1, p2, p3)
         w1, w2, w3 = solve(z, q1, q2, q3)
@@ -277,11 +283,10 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
 
             curvature = (form(wp, wp), form(wp, wq), form(wq, wq))
     return (value, (x1, x2, x3),
-            (2.0 * (x1 * a1 + x2 * b1 + x3 * c1) - z1 * xgx,
-             2.0 * (x1 * a2 + x2 * b2 + x3 * c2) - z2 * xgx),
-            (2.0 * (curvature[0] + x1 * a11 + x2 * b11 + x3 * c11) - z1 * z1 * xhx - z11 * xgx,
-             2.0 * (curvature[1] + x1 * a12 + x2 * b12 + x3 * c12) - z1 * z2 * xhx - z12 * xgx,
-             2.0 * (curvature[2] + x1 * a22 + x2 * b22 + x3 * c22) - z2 * z2 * xhx - z22 * xgx))
+            (2.0 * (x2 * b1 + x3 * c1) - z1 * xgx, 2.0 * (x2 * b2 + x3 * c2) - z2 * xgx),
+            (2.0 * (curvature[0] + x2 * b11 + x3 * c11) - z1 * z1 * xhx - z11 * xgx,
+             2.0 * (curvature[1] + x2 * b12 + x3 * c12) - z1 * z2 * xhx - z12 * xgx,
+             2.0 * (curvature[2] + x2 * b22 + x3 * c22) - z2 * z2 * xhx - z22 * xgx))
 
 
 def polish(parts: tuple, theta1: float, theta2: float, norm: float, tol: float,

@@ -129,6 +129,33 @@ def corpus_table() -> list:
     return rows
 
 
+def _psd_sqrt(a: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(a)
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """Uhlmann fidelity of two Hermitian PSD matrices after trace normalization.
+
+    A dense reference for ``bsqpt.model_fidelity``. Both inputs are divided
+    by their traces first, so sub-normalized states compare on shape alone.
+    Raises ``ValueError`` if either trace is not positive.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    ta = float(np.trace(a).real)
+    tb = float(np.trace(b).real)
+    if ta <= 0.0 or tb <= 0.0:
+        raise ValueError("fidelity requires inputs with positive trace")
+    sa = _psd_sqrt(a / ta)
+    m = sa @ (b / tb) @ sa
+    m = 0.5 * (m + m.conj().T)
+    w = np.clip(np.linalg.eigvalsh(m), 0.0, None)
+    f = float(np.sum(np.sqrt(w)) ** 2)
+    return float(np.clip(f, 0.0, 1.0))
+
+
 def read_json(path) -> object:
     """The JSON value in the file at ``path``, which is closed again."""
     with open(path, encoding="utf-8") as fh:

@@ -18,7 +18,6 @@ from bsqpt import (
     build_basis,
     build_input_set,
     choi_from_kraus,
-    kraus_from_process_matrix,
     kraus_pair,
     kron,
     model_chi,
@@ -27,7 +26,7 @@ from bsqpt import (
     simulate_counts,
     transform_process_matrix,
 )
-from bsqpt.channel import from_coeff_vector, to_coeff_vector
+from bsqpt.channel import to_coeff_vector
 from bsqpt.linalg import SIGMA, dagger, matrix_unit, projector
 
 from helpers import random_channel, random_density, random_filter, random_matrix
@@ -42,9 +41,11 @@ def paper_filter(p):
 
 class TestCoeffVector:
     def test_round_trip(self):
+        # A bijection: the inverse reindexing recovers the operator.
         rng = np.random.default_rng(1)
         k = random_matrix(rng)
-        assert_allclose(from_coeff_vector(to_coeff_vector(k)), k, atol=0)
+        back = to_coeff_vector(k).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+        assert_allclose(back, k, atol=0)
 
     def test_matches_trace_projection(self):
         # Oracle: the defining Hilbert-Schmidt projections, one by one.
@@ -126,6 +127,37 @@ class TestChoiFromKraus:
         for _ in range(5):
             chi = choi_from_kraus(random_channel(rng))
             assert np.linalg.eigvalsh(chi.m)[0] > -1e-12
+
+    def test_filter_spectral_weights(self):
+        # Oracle: the nonzero spectrum of chi equals the spectrum of the
+        # 2x2 weighted Gram matrix sqrt(w_i w_j) <c_i, c_j> of the two
+        # coefficient vectors (Kraus decompositions are not unique, so the
+        # eigenvectors need not be the original pair).
+        fp = paper_filter(0.325)
+        ks_true = kraus_pair(fp)
+        chi = choi_from_kraus(ks_true)
+        spectrum = np.linalg.eigvalsh(chi.m)
+        trace = np.trace(chi.m).real
+        assert np.all(np.abs(spectrum[:-2]) <= 1e-6 * trace) and spectrum[-2] > 1e-6 * trace
+        c = [to_coeff_vector(k) for _, k in ks_true.items]
+        w = [w for w, _ in ks_true.items]
+        gram = np.array(
+            [
+                [np.sqrt(w[i] * w[j]) * np.vdot(c[i], c[j]) for j in range(2)]
+                for i in range(2)
+            ]
+        )
+        expected = sorted(np.linalg.eigvalsh(gram))
+        assert_allclose(spectrum[-2:], expected, atol=1e-10)
+
+    def test_equal_split_spectral_weights_match_mixture(self):
+        # At T = R the two filter operators are Hilbert-Schmidt orthogonal,
+        # so the nonzero eigenvalues are exactly ((1-p)|c-|^2, p|c+|^2).
+        fp = FilterParams.from_ratio(1.0, theta1=0.3, theta2=-0.7, p=0.325)
+        ks_true = kraus_pair(fp)
+        spectrum = np.linalg.eigvalsh(choi_from_kraus(ks_true).m)
+        expected = sorted(w * np.vdot(k, k).real for w, k in ks_true.items)
+        assert_allclose(spectrum[-2:], expected, atol=1e-10)
 
 
 class TestApplyProcessMatrix:
@@ -217,62 +249,6 @@ class TestAssembleChoi:
                 assert_allclose(dagger(a), b, atol=1e-12)
 
 
-class TestKrausFromProcessMatrix:
-    def test_identity_round(self):
-        chi = choi_from_kraus(KrausSet([(1.0, I4)]))
-        ks = kraus_from_process_matrix(chi)
-        assert len(ks.items) == 1
-        w, k = ks.items[0]
-        # Proportional to the identity up to phase.
-        ratio = k[0, 0]
-        assert_allclose(k, ratio * I4, atol=1e-12)
-
-    def test_filter_spectral_weights(self):
-        # Oracle: the nonzero spectrum of chi equals the spectrum of the
-        # 2x2 weighted Gram matrix sqrt(w_i w_j) <c_i, c_j> of the two
-        # coefficient vectors (Kraus decompositions are not unique, so the
-        # extracted pair need not be the original one).
-        fp = paper_filter(0.325)
-        ks_true = kraus_pair(fp)
-        chi = choi_from_kraus(ks_true)
-        ks = kraus_from_process_matrix(chi)
-        assert len(ks.items) == 2
-        c = [to_coeff_vector(k) for _, k in ks_true.items]
-        w = [w for w, _ in ks_true.items]
-        gram = np.array(
-            [
-                [np.sqrt(w[i] * w[j]) * np.vdot(c[i], c[j]) for j in range(2)]
-                for i in range(2)
-            ]
-        )
-        expected = sorted(np.linalg.eigvalsh(gram))
-        got = sorted(wk * np.vdot(k, k).real for wk, k in ks.items)
-        assert_allclose(got, expected, atol=1e-10)
-
-    def test_equal_split_spectral_weights_match_mixture(self):
-        # At T = R the two filter operators are Hilbert-Schmidt orthogonal,
-        # so the extracted weights are exactly ((1-p)|c-|^2, p|c+|^2).
-        fp = FilterParams.from_ratio(1.0, theta1=0.3, theta2=-0.7, p=0.325)
-        ks_true = kraus_pair(fp)
-        ks = kraus_from_process_matrix(choi_from_kraus(ks_true))
-        expected = sorted(w * np.vdot(k, k).real for w, k in ks_true.items)
-        got = sorted(w * np.vdot(k, k).real for w, k in ks.items)
-        assert_allclose(got, expected, atol=1e-10)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(12)
-        for _ in range(5):
-            chi = choi_from_kraus(random_channel(rng))
-            back = choi_from_kraus(kraus_from_process_matrix(chi))
-            assert_allclose(back.m, chi.m, atol=1e-9)
-
-    def test_cp_violation_rejected(self):
-        m = np.eye(16, dtype=complex)
-        m[0, 0] = -0.1
-        with pytest.raises(ValueError, match="not completely positive"):
-            kraus_from_process_matrix(ProcessMatrix("S", m), tol=1e-6)
-
-
 class TestCrossRepresentationEquivalence:
     def test_many_random_channels(self):
         rng = np.random.default_rng(13)
@@ -294,9 +270,7 @@ class TestMapTableValidation:
         (lambda: KrausSet([(1.0, np.eye(3))]), "shape (3, 3), expected (4, 4)"),
         (lambda: ProcessMatrix("X", np.eye(16)), "unknown basis tag 'X'"),
         (lambda: apply_kraus(KrausSet([(1.0, I4)]), np.eye(2)), "expected (..., 4, 4)"),
-        (lambda: kraus_from_process_matrix(ProcessMatrix("F", np.eye(16))),
-         "expects a standard-basis process matrix"),
-    ], ids=["kraus_3x3", "unknown_tag", "state_2x2", "chi_not_standard"])
+    ], ids=["kraus_3x3", "unknown_tag", "state_2x2"])
     def test_rejected(self, call, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             call()

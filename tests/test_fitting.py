@@ -21,7 +21,7 @@ from bsqpt import (
     model_fidelity,
 )
 from bsqpt import build_input_set, reconstruct_process, simulate_counts, transform_process_matrix
-from bsqpt import fidelity, project_to_psd
+from bsqpt import project_to_psd
 from bsqpt.bases import build_basis, to_coeff_vector
 from bsqpt.bsfilter import P_RANGE, filter_operators
 from bsqpt import fitting, varpro
@@ -36,7 +36,7 @@ from bsqpt.fitting import (
 )
 
 from helpers import (
-    block_terms, box_least_squares, dense_optimum, fail_best_start, random_channel,
+    block_terms, box_least_squares, dense_optimum, fail_best_start, fidelity, random_channel,
     random_filter, random_hermitian, random_matrix, trf_residual,
 )
 

@@ -7,14 +7,13 @@ from numpy.testing import assert_allclose
 from bsqpt import (
     bell_state,
     dagger,
-    fidelity,
     kron,
     partial_trace,
     project_to_psd,
 )
 from bsqpt.linalg import SIGMA, SWAP, matrix_unit
 
-from helpers import random_density, random_hermitian, random_matrix
+from helpers import fidelity, random_density, random_hermitian, random_matrix
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
@@ -163,6 +162,8 @@ class TestBellStates:
 
 
 class TestMetrics:
+    """The dense Uhlmann fidelity of ``tests/helpers.py``, the oracle of ``bsqpt.model_fidelity``."""
+
     def test_self_fidelity(self):
         rng = np.random.default_rng(31)
         rho = random_density(rng)
