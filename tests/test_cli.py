@@ -222,6 +222,18 @@ class TestCliPipeline:
         assert "error: seed (--seed) must be a non-negative integer, got -1\n" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", [[], ["--noise", "poisson"]], ids=["noiseless", "poisson"])
+    def test_negative_seed_refused_before_any_work(self, tmp_path, capsys, monkeypatch, noise):
+        # Refused with or without noise, before the parameter file is read.
+        params = write_params(tmp_path / "params.json")
+        out = tmp_path / "counts.csv"
+        monkeypatch.setattr(fileio, "read_params", None)
+        assert main(["simulate", "--params", str(params), "--counts-out", str(out),
+                     "--seed=-1", *noise]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed (--seed) must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_ideal_filter_row_is_zero(self, tmp_path):
         params = write_params(tmp_path / "params.json", ratio_RT=1.0, theta1=0.0,
                               theta2=0.0, p=0.0)
