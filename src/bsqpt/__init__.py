@@ -29,7 +29,13 @@ from .channel import (
     transform_process_matrix,
 )
 from .fitting import FitConfig, FitResult, fit, model_chi, model_fidelity
-from .linalg import bell_state, dagger, kron, partial_trace, project_to_psd
+from .linalg import (
+    bell_state,
+    dagger,
+    kron,
+    partial_trace,
+    project_to_psd,
+)
 from .tomography import (
     CountTable,
     InputStateSet,

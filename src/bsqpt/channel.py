@@ -5,9 +5,9 @@ K_i rho K_i_dag`` or as a 16x16 process matrix ``chi`` in a declared
 operator basis. In the standard basis, ``chi`` is stored directly as the
 density matrix of the channel's associated four-qubit state (acting the
 channel on half of two unnormalized maximally entangled pairs), so a Kraus
-set's process matrix is a sum of coefficient-vector outer products
-(:func:`choi_from_kraus`). No renormalization ever happens implicitly; trace-decreasing and
-rate-scaled channels keep their scale.
+set's process matrix is a sum of coefficient-vector outer products. No
+renormalization ever happens implicitly; trace-decreasing and rate-scaled
+channels keep their scale.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ MAX_STEPS = 10**6  # about 170 B of memory a step; checked before the grid is al
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    # Checked with or without noise, before any work, though only noise reads it.
     if args.seed < 0:
         raise ValueError(f"seed (--seed) must be a non-negative integer, got {args.seed}")
     fp, _ = fileio.read_params(args.params)

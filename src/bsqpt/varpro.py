@@ -129,8 +129,7 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
     at ``angles``, ``(2 n, g)``; z's ``c``; the ``i w``; the factors
     ``(i w)^d`` that turn ``c`` into the ``c`` of the derivative of order
     ``d = (none, 1, 2, 11, 12, 22)``, which :func:`grid` applies to v2, v3
-    and z (v1 has the constant wave alone, so its derivatives are zero); and
-    the linear map of :func:`grid` at ``angles``, ``(15, 3, g)``.
+    and z; and the linear map of :func:`grid` at ``angles``, ``(15, 3, g)``.
     """
     k = np.flatnonzero(signs)
     s, w, n, m = signs[k], rates[:, k].T, len(k), len(a)
@@ -157,9 +156,8 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
     imaginary parts, interleaved, row by row. The wave coefficients of v
     are a fixed real map of ``target``, v on the grid one real product, and
     every candidate's 15 linear parts one more map (:func:`_linear_map`).
-    ``parts`` holds the 19 rows of wave coefficients that :func:`profile`
-    reads: v1's, then those of ``(v2, v3, z)`` and of their derivatives of
-    order 1, 2, 11, 12 and 22.
+    ``parts`` holds 19 rows of wave coefficients: v1's, then those of ``(v2,
+    v3, z)`` and of their derivatives of order 1, 2, 11, 12 and 22.
     Where ``x = G^-1 v`` lies in the box, ``P = |S|^2 = 2 (m^2 + rad^2)``;
     elsewhere it is the largest ``P`` of the clip, the faces' wedges and
     their rays that lie in it, and zero (``X = 0``) if none is positive.
@@ -232,9 +230,8 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
 
     ``parts`` is ``(c, iw)``: ``iw`` the ``(n, 2)`` frequencies ``i w`` of the
     waves ``exp(i w . theta)``, and ``c`` the ``(19, n)`` wave coefficients of
-    v1 and then of ``(v2, v3, z)`` and their derivatives of order 1, 2, 11,
-    12 and 22, each sum the real part of ``c . exp(i w . theta)``. v1 is the
-    constant ``a^+ T a``, so its derivatives are zero. ``x`` are the
+    v1, then of ``(v2, v3, z)`` and of their derivatives of order none, 1, 2,
+    11, 12 and 22, each the real part of ``c . exp(i w . theta)``. ``x`` are the
     best coefficients in the box and ``P = 2 x . v - x^T G x`` the cost that
     they remove from the block's squared norm; where the unconstrained
     ``x = G^-1 v`` lies in the box, ``P = v . x``. By Danskin's theorem
