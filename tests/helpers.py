@@ -111,18 +111,18 @@ def corpus_digest(chunk: int) -> str:
     """sha256 over each fit's ``repr`` and fidelity (``float.hex``) in a chunk of the corpus."""
     h = hashlib.sha256()
     for k in range(chunk * CORPUS_CHUNK, (chunk + 1) * CORPUS_CHUNK):
-        for result, fidelity in corpus_fits(k):
-            h.update(f"{result!r} {fidelity if fidelity is None else fidelity.hex()}\n".encode())
+        for result, fid in corpus_fits(k):
+            h.update(f"{result!r} {fid if fid is None else fid.hex()}\n".encode())
     return h.hexdigest()
 
 
 def corpus_table() -> list:
-    """The fits of ``CORPUS_TABLE_RECORDS``, each its ``CORPUS_FIELDS`` as ``float.hex`` and its counts."""
+    """The fits of ``CORPUS_TABLE_RECORDS``: ``CORPUS_FIELDS`` as ``float.hex``, and the counts."""
     rows = []
     for k in CORPUS_TABLE_RECORDS:
-        for result, fidelity in corpus_fits(k):
+        for result, fid in corpus_fits(k):
             fp = result.params
-            values = (fp.T, fp.R, fp.theta1, fp.theta2, fp.p, fp.scale, result.residual, fidelity)
+            values = (fp.T, fp.R, fp.theta1, fp.theta2, fp.p, fp.scale, result.residual, fid)
             rows.append({"record": k, **{f: v.hex() for f, v in zip(CORPUS_FIELDS, values)},
                          "n_evaluations": result.n_evaluations, "converged": result.converged,
                          "best_start": result.best_start})

@@ -162,7 +162,7 @@ class TestBellStates:
 
 
 class TestMetrics:
-    """The dense Uhlmann fidelity of ``tests/helpers.py``, the oracle of ``bsqpt.model_fidelity``."""
+    """The dense Uhlmann fidelity of ``tests/helpers.py``, ``bsqpt.model_fidelity``'s oracle."""
 
     def test_self_fidelity(self):
         rng = np.random.default_rng(31)
