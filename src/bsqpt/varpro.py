@@ -34,12 +34,12 @@ for ``S = K^-1/2 W K^-1/2`` with mean ``m`` and eigenvalues ``m +/- rad``:
   and ``x = (u, c u, sqrt(c) (a / n+ - b / n-))``, ``u = a / n+ + b / n-``.
 
 ``P`` is the largest value among the candidates that lie in the box.
-``v`` and ``z`` are short trigonometric sums in the angles (:func:`maps`),
-so the profile over a grid is a few real array operations (:func:`grid`),
-the profile at a point with its gradient and Hessian a few dozen float
-operations (:func:`profile`), and :func:`polish` runs Newton's method from
-a grid point. ``bsqpt.fitting`` supplies the block's geometry and the grid,
-and turns the polished ``x`` into its parameters.
+``v`` is a short trigonometric sum in the angles (:func:`maps`) and ``z =
+2 cos((theta1 - theta2) / 2)``, so the profile over a grid is a few real
+array operations (:func:`grid`), at a point with its gradient and Hessian
+a few dozen float operations (:func:`profile`), and :func:`polish` runs
+Newton's method from a grid point. ``bsqpt.fitting`` supplies the block's
+geometry and the grid, and turns the polished ``x`` into its parameters.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def _linear_map(z: np.ndarray) -> np.ndarray:
     the clipped ``X`` to lie between the faces, as its ratio ``x2 / x1`` is
     ``(4 lambda - v1) / (4 lambda - v2)`` for ``lambda = m + rad``.
     """
-    one, zero = np.ones_like(z), np.zeros_like(z)
-    unit = np.eye(3)[:, :, None]
+    one, zero, unit = np.ones_like(z), np.zeros_like(z), np.eye(3)[:, :, None]
     inverse = solve(z, *unit)
     c_lo, c_hi = _FACES
     plus = np.array([one, one, one]) / (8.0 + 2.0 * z)
@@ -119,22 +118,21 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
 
     ``rates`` is ``(2, m)``, ``signs`` and ``a = vec(I)`` are the block's
     ``m`` coefficients and ``angles`` the ``(g, 2)`` angle pairs of the grid.
-    b is nonzero at the ``k`` where ``signs`` is, so z and v are sums
-    ``Re sum_w c_w exp(i w . theta)`` over the waves ``w``: the constant
-    (``c = a^+ T a``), each ``rates_k - rates_j`` (``c = s_j s_k T_jk`` of
-    ``b^+ T b``) and each ``rates_k`` (``c = 2 (a^+ T)_k s_k``, and
-    ``a_k s_k`` for z). Returns the real map from a block's ``target`` (see
-    :func:`grid`) to the ``c`` of v, real and imaginary parts interleaved,
-    ``(2 m^2, 6 n)`` for ``n`` waves; the matching rows ``(cos, -sin)(w . theta)``
-    at ``angles``, ``(2 n, g)``; z's ``c``; the ``i w``; the factors
-    ``(i w)^d`` that turn ``c`` into the ``c`` of the derivative of order
-    ``d = (none, 1, 2, 11, 12, 22)``, which :func:`grid` applies to v2, v3
-    and z; and the linear map of :func:`grid` at ``angles``, ``(15, 3, g)``.
+    b is nonzero at the ``k`` where ``signs`` is, so v is a sum ``Re sum_w
+    c_w exp(i w . theta)`` over the waves ``w``: the constant (``c = a^+ T
+    a``), each ``rates_k - rates_j`` (``c = s_j s_k T_jk`` of ``b^+ T b``)
+    and each ``rates_k`` (``c = 2 (a^+ T)_k s_k``). The closed form ``z =
+    a^+ b = 2 cos((theta1 - theta2) / 2)`` adds no coupling: :func:`solve`,
+    :func:`_wedge` and :func:`_linear_map` take this block's ``|a| = |b| = 2``.
+    Returns the real map from ``target`` (:func:`grid`) to v's ``c``, real
+    and imaginary parts interleaved, ``(2 m^2, 6 n)`` for ``n`` waves; the
+    rows ``(cos, -sin)(w . theta)`` at ``angles``, ``(2 n, g)``; the ``i w``;
+    the factors ``(i w)^d`` of the derivatives ``d = (none, 1, 2, 11, 12,
+    22)`` of v2 and v3; and :func:`grid`'s linear map at ``angles``, ``(15, 3, g)``.
     """
     k = np.flatnonzero(signs)
     s, w, n, m = signs[k], rates[:, k].T, len(k), len(a)
     waves = np.concatenate([np.zeros((1, 2)), (w[None] - w[:, None]).reshape(-1, 2), w])
-    z = np.concatenate([np.zeros(1 + n * n), a[k] * s])
     # The coefficients of each unit block, one per real component of target.
     blocks = np.eye(2 * m * m).view(complex).reshape(-1, m, m)
     a_t = a @ blocks
@@ -143,10 +141,10 @@ def maps(rates: np.ndarray, signs: np.ndarray, a: np.ndarray, angles: np.ndarray
          2.0 * a_t[:, k] * s], axis=1)[:, None]
     at = np.exp(1j * (waves @ angles.T))
     return (np.stack([coef.real, coef.imag], axis=-1).reshape(2 * m * m, -1),
-            np.stack([at.real, -at.imag], axis=1).reshape(2 * len(waves), -1), z, 1j * waves,
+            np.stack([at.real, -at.imag], axis=1).reshape(2 * len(waves), -1), 1j * waves,
             np.stack([np.ones(len(waves)), *(1j * waves.T),
                       *(-waves.T[[0, 0, 1]] * waves.T[[0, 1, 1]])]),
-            _linear_map((z @ at).real))
+            _linear_map(2.0 * np.cos(0.5 * angles[:, 0] - 0.5 * angles[:, 1])))
 
 
 def grid(fixed: tuple, target: np.ndarray) -> tuple:
@@ -156,15 +154,15 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
     imaginary parts, interleaved, row by row. The wave coefficients of v
     are a fixed real map of ``target``, v on the grid one real product, and
     every candidate's 15 linear parts one more map (:func:`_linear_map`).
-    ``parts`` holds 19 rows of wave coefficients: v1's, then those of ``(v2,
-    v3, z)`` and of their derivatives of order 1, 2, 11, 12 and 22.
+    ``parts`` holds 13 rows of wave coefficients: v1's, then those of ``(v2,
+    v3)`` and of their derivatives of order 1, 2, 11, 12 and 22.
     Where ``x = G^-1 v`` lies in the box, ``P = |S|^2 = 2 (m^2 + rad^2)``;
     elsewhere it is the largest ``P`` of the clip, the faces' wedges and
     their rays that lie in it, and zero (``X = 0``) if none is positive.
     """
-    coef_map, rows, z, iw, deriv, linear = fixed
-    coef = (target @ coef_map).reshape(3, -1)
-    v = coef @ rows
+    coef_map, rows, iw, deriv, linear = fixed
+    c = (target @ coef_map).view(complex).reshape(3, -1)
+    v = c.view(np.float64) @ rows
     y = np.einsum("rjg,jg->rg", linear, v)
     rad, m = np.hypot(y[0], y[1]), y[2]
     inside = (np.minimum(y[3], y[4]) >= 0.0) & (m >= rad)
@@ -173,9 +171,8 @@ def grid(fixed: tuple, target: np.ndarray) -> tuple:
     rank_one = np.maximum(np.maximum(np.maximum.reduce(y[5:9]), clip), 0.0) ** 2
     face = np.where(np.minimum(y[9:11], y[11:13]) >= 0.0, y[9:11] * y[5:7] + y[11:13] * y[7:9], 0.0)
     best = np.maximum(rank_one, np.maximum(face[0], face[1]))
-    c = np.concatenate((coef.view(complex), z[None]))
     return (np.where(inside, 2.0 * (m * m + rad * rad), best),
-            (np.concatenate((c[:1], (deriv[:, None] * c[1:]).reshape(18, -1))), iw))
+            (np.concatenate((c[:1], (deriv[:, None] * c[1:]).reshape(12, -1))), iw))
 
 
 def _gram(z: float, j: tuple) -> tuple:
@@ -202,8 +199,7 @@ def _boxed(z: float, v1: float, v2: float, v3: float) -> tuple:
     rad = math.hypot(0.5 * (m1 - m2), (v1 - v2) / (2.0 * math.sqrt(16.0 - z * z)))
     top = mean + rad
     f1, f2 = 4.0 * top - v1, 4.0 * top - v2
-    c_lo, c_hi = _FACES
-    if rad >= mean and top > 0.0 and c_lo * f2 <= f1 <= c_hi * f2:
+    if rad >= mean and top > 0.0 and _FACES[0] * f2 <= f1 <= _FACES[1] * f2:
         h = 0.5 * v3 - top * z
         scale = top / (4.0 * (f1 + f2) + 2.0 * z * h)
         y1, y2 = math.sqrt(f2 * scale), math.copysign(math.sqrt(f1 * scale), h)
@@ -229,12 +225,12 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
     """The profile at ``(theta1, theta2)`` in Python floats: ``(P, x, gradient, Hessian)``.
 
     ``parts`` is ``(c, iw)``: ``iw`` the ``(n, 2)`` frequencies ``i w`` of the
-    waves ``exp(i w . theta)``, and ``c`` the ``(19, n)`` wave coefficients of
-    v1, then of ``(v2, v3, z)`` and of their derivatives of order none, 1, 2,
-    11, 12 and 22, each the real part of ``c . exp(i w . theta)``. ``x`` are the
-    best coefficients in the box and ``P = 2 x . v - x^T G x`` the cost that
-    they remove from the block's squared norm; where the unconstrained
-    ``x = G^-1 v`` lies in the box, ``P = v . x``. By Danskin's theorem
+    waves ``exp(i w . theta)``, ``c`` the ``(13, n)`` wave coefficients of v1,
+    then of ``(v2, v3)`` and their derivatives of order none, 1, 2, 11, 12 and
+    22, each the real part of ``c . exp(i w . theta)``, and ``z = 2 cos((theta1
+    - theta2) / 2)``. ``x`` are the best coefficients in the box and ``P = 2 x
+    . v - x^T G x`` the cost that they remove from the block's squared norm;
+    where ``x = G^-1 v`` lies in the box, ``P = v . x``. By Danskin's theorem
     ``dP = 2 x . dv - x^T dG x``. On the face of the box that holds ``x``,
     with coordinates ``y``, ``x``'s Jacobian ``J`` and curvature ``C`` (see
     :func:`_boxed`; inside, ``J = I`` and ``C = 0``), ``G' = dG/dz`` and
@@ -244,8 +240,11 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
     ``(P_11, P_12, P_22)``, each zero where ``X = 0``.
     """
     c, iw = parts
-    (v1, v2, v3, z, b1, c1, z1, b2, c2, z2, b11, c11, z11, b12, c12, z12, b22, c22,
-     z22) = (c @ np.exp(iw @ (theta1, theta2))).real.tolist()
+    v1, v2, v3, b1, c1, b2, c2, b11, c11, b12, c12, b22, c22 = (
+        c @ np.exp(iw @ (theta1, theta2))).real.tolist()
+    delta = 0.5 * theta1 - 0.5 * theta2
+    sin, cos = math.sin(delta), math.cos(delta)
+    z, z1, z2, z11, z12, z22 = 2.0 * cos, -sin, sin, -0.5 * cos, 0.5 * cos, -0.5 * cos
     x1, x2, x3 = solve(z, v1, v2, v3)
     inside = _FACES[0] * x1 <= x2 <= _FACES[1] * x1 and x1 * x2 >= x3 * x3
     if inside:
@@ -305,8 +304,7 @@ def polish(parts: tuple, theta1: float, theta2: float, norm: float, tol: float,
     lower the cost. ``x`` and ``P`` are those at the returned point and
     ``evaluations`` counts the :func:`profile` calls.
     """
-    t1, t2 = theta1, theta2
-    value, x, (g1, g2), (h11, h12, h22) = profile(parts, t1, t2)
+    value, x, (g1, g2), (h11, h12, h22) = profile(parts, theta1, theta2)
     evaluations, slack = 1, _ROUNDING * norm
     for _ in range(max_steps):
         det = h11 * h22 - h12 * h12
@@ -322,20 +320,20 @@ def polish(parts: tuple, theta1: float, theta2: float, norm: float, tol: float,
         decrease, cost = g1 * d1 + g2 * d2, norm - value
         if decrease <= tol * max(cost, tol * norm):
             if definite:
-                t1, t2 = t1 + d1, t2 + d2
-                value, x = profile(parts, t1, t2)[:2]
+                theta1, theta2 = theta1 + d1, theta2 + d2
+                value, x = profile(parts, theta1, theta2)[:2]
                 evaluations += 1
-            return t1, t2, x, value, True, evaluations
+            return theta1, theta2, x, value, True, evaluations
         shrink = min(1.0, _MAX_STEP / max(abs(d1), abs(d2)))
         d1, d2, decrease = d1 * shrink, d2 * shrink, decrease * shrink
         for _ in range(21):
-            trial = profile(parts, t1 + d1, t2 + d2)
+            trial = profile(parts, theta1 + d1, theta2 + d2)
             evaluations += 1
             if trial[0] >= value + 1e-4 * decrease - slack:
                 break
             d1, d2, decrease = 0.5 * d1, 0.5 * d2, 0.5 * decrease
         else:
             break
-        t1, t2 = t1 + d1, t2 + d2
+        theta1, theta2 = theta1 + d1, theta2 + d2
         value, x, (g1, g2), (h11, h12, h22) = trial
-    return t1, t2, x, value, False, evaluations
+    return theta1, theta2, x, value, False, evaluations

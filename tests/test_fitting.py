@@ -1239,7 +1239,8 @@ class TestDescend:
 def unconstrained_cost(parts, theta, norm):
     """The cost ``norm - v . G^-1 v`` at ``theta`` of the best x with no box, a bound on the profile's."""
     c, iw = parts
-    v1, v2, v3, z = (c[:4] @ np.exp(iw @ np.asarray(theta))).real.tolist()
+    v1, v2, v3 = (c[:3] @ np.exp(iw @ np.asarray(theta))).real.tolist()
+    z = 2.0 * math.cos(0.5 * theta[0] - 0.5 * theta[1])
     x1, x2, x3 = varpro.solve(z, v1, v2, v3)
     return norm - (v1 * x1 + v2 * x2 + v3 * x3)
 
@@ -1264,6 +1265,18 @@ class TestBlock:
             r = target.view(complex).reshape(6, 6) - model[_BLOCK_IX]
             full = np.linalg.norm(chi - model) ** 2
             assert abs(np.vdot(r, r).real + floor - full) <= 1e-12 * full
+
+
+    def test_the_terms_gram_coupling_is_twice_the_cosine_of_the_half_difference(self):
+        # The profile takes z = a^+ b in closed form, 2 cos((theta1 - theta2) / 2),
+        # and |a|^2 = |b|^2 = 4: so must both builds of the block's two terms,
+        # at random angles over several periods and at every grid angle.
+        rng = np.random.default_rng(32)
+        for theta in [*rng.uniform(-12.0, 12.0, (200, 2)).tolist(), *fitting._GRID.tolist()]:
+            z = 2.0 * math.cos(0.5 * theta[0] - 0.5 * theta[1])
+            for a, b in (fitting._terms(*theta).T, block_terms(theta)):
+                assert abs(np.vdot(a, b) - z) <= 1e-14
+                assert abs(np.vdot(a, a) - 4.0) <= 1e-14 and abs(np.vdot(b, b) - 4.0) <= 1e-14
 
 
 class TestModelCache:
