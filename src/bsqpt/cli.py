@@ -6,8 +6,7 @@ overlap with the filter model (the output file is still written), or an
 arithmetic error (``ArithmeticError``: overflow, division by zero or a
 floating-point error) in any command, which prints one ``error:`` line and
 no traceback and writes no output file. Every command is deterministic
-given its flags; ``fit --seed`` is accepted and has no effect, as the fit
-draws nothing at random.
+given its flags.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import argparse
 import dataclasses
 import logging
 import math
+import re
 import sys
 
 import numpy as np
@@ -63,7 +63,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = FitConfig(multistart=args.multistart, seed=args.seed, max_iterations=args.max_iter)
+    cfg = FitConfig(multistart=args.multistart, max_iterations=args.max_iter)
     chi = fileio.read_process_matrix(args.chi)
     result = fit(chi, cfg)
     fp = result.params
@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--multistart", type=int, default=FitConfig.multistart)
-    p.add_argument("--seed", type=int, default=FitConfig.seed, help="accepted; has no effect")
     p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
                    help="cap on the Newton steps of each start's polish, a guard against "
                         "one that never passes its decrement test")
@@ -201,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_apply)
+    for p in sub.choices.values():  # so that "-1e2" and "-inf" are values, not options
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -213,7 +213,7 @@ def test_criterion_9_cli_contract(tmp_path):
     assert main(["simulate", "--params", str(params), "--counts-out", str(counts)]) == 0
     assert main(["reconstruct", "--counts", str(counts), "--basis", "F",
                  "--out", str(chi)]) == 0
-    assert main(["fit", "--chi", str(chi), "--out", str(report), "--seed", "9"]) == 0
+    assert main(["fit", "--chi", str(chi), "--out", str(report)]) == 0
     fitted = read_json(report)
     assert abs(fitted["p"] - 0.325) < 1e-3
 
@@ -222,7 +222,7 @@ def test_criterion_9_cli_contract(tmp_path):
         "sim": ["simulate", "--params", str(params), "--counts-out", None,
                 "--noise", "poisson", "--seed", "3", "--total-scale", "10000"],
         "rec": ["reconstruct", "--counts", str(counts), "--basis", "F", "--out", None],
-        "fit": ["fit", "--chi", str(chi), "--out", None, "--seed", "9"],
+        "fit": ["fit", "--chi", str(chi), "--out", None],
         "dip": None,
     }.items():
         if name == "dip":

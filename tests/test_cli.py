@@ -710,7 +710,7 @@ class TestCliErrors:
         chi_path = tmp_path / "chi.json"
         report = tmp_path / "fit.json"
         fileio.write_matrix(chi_path, chi.m, "S")
-        code = main(["fit", "--chi", str(chi_path), "--out", str(report), "--seed", "1"])
+        code = main(["fit", "--chi", str(chi_path), "--out", str(report)])
         assert code == 0
         result = read_json(report)
         assert "warning" in result and "mismatch" in result["warning"]
@@ -735,8 +735,6 @@ class TestCliErrors:
         assert ps == [ps[1]] * 3
 
     def test_homdip_negative_exponent_range_in_equals_form(self, tmp_path):
-        # argparse reads "-1e2" after a space as an option, so the README writes
-        # a negative value in exponent form as --tau-min=-1e2.
         params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,
                               tau_c_fs=83.0, mu=0.72)
         plain, exponent = tmp_path / "plain.csv", tmp_path / "exponent.csv"
@@ -745,6 +743,41 @@ class TestCliErrors:
         assert main(["homdip", "--params", str(params), "--tau-min=-1e2",
                      "--tau-max=1e2", "--steps", "5", "--out", str(exponent)]) == 0
         assert exponent.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("value", ["-1e2", "-1E+2", "-.1e3", "-1_00", "-100.0"])
+    def test_homdip_negative_value_after_a_space(self, tmp_path, value):
+        # A negative value in any float form is a value after a space, not an
+        # option, and gives the bytes of the = form.
+        params = write_params(tmp_path / "p.json", p=None, tau_fs=0.0,
+                              tau_c_fs=83.0, mu=0.72)
+        space, equals = tmp_path / "space.csv", tmp_path / "equals.csv"
+        assert main(["homdip", "--params", str(params), "--tau-min", value,
+                     "--tau-max", "400", "--steps", "5", "--out", str(space)]) == 0
+        assert main(["homdip", "--params", str(params), "--tau-min=-1e2",
+                     "--tau-max=400", "--steps=5", "--out", str(equals)]) == 0
+        assert space.read_bytes() == equals.read_bytes()
+
+    @pytest.mark.parametrize("value", ["-1e2", "-1e-300", "-inf", "-nan"])
+    def test_negative_total_scale_after_a_space_is_refused(self, tmp_path, capsys, value):
+        # Read as a value after a space, and refused by the same check as the = form.
+        params = write_params(tmp_path / "p.json")
+        out = tmp_path / "counts.csv"
+        for flags in (["--total-scale", value], [f"--total-scale={value}"]):
+            assert main(["simulate", "--params", str(params), "--counts-out", str(out),
+                         *flags]) == 2
+            err = capsys.readouterr().err
+            assert f"error: total_scale must be finite and positive, got {float(value)!r}" in err
+            assert not out.exists()
+
+    def test_fit_has_no_seed_flag(self, tmp_path, capsys):
+        # The fit draws nothing at random, so it takes no seed.
+        chi, report = tmp_path / "chi.json", tmp_path / "fit.json"
+        fileio.write_matrix(chi, np.eye(16), "S")
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--chi", str(chi), "--out", str(report), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not report.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_homdip_tiny_transmission_without_reflection(self, tmp_path):
