@@ -1,11 +1,16 @@
-"""Property sweep of the commands that read a parameter file: simulate, choi and homdip.
+"""Property sweeps of the commands' flags, each given as ``--flag=value`` or ``--flag value``.
 
-Each example writes a parameter file with generated keys, forms and finite
+For the commands that read a parameter file (simulate, choi and homdip),
+each example writes a parameter file with generated keys, forms and finite
 values, runs the command with generated flags under warnings-as-errors and
 checks that it exits 0, 2, 3 or 4 with no traceback, and that whatever it
-wrote holds only finite numbers.
+wrote holds only finite numbers. For fit and reconstruct, each example draws
+the command's own flags, valid or not, and whether its input file is sound,
+malformed or missing and its output path a directory, and checks that a
+refusal names an option or a file at fault.
 """
 
+import functools
 import io
 import json
 import math
@@ -13,9 +18,11 @@ import re
 import warnings
 from contextlib import redirect_stderr
 
+import numpy as np
 import pytest
 
-from bsqpt import BASIS_KINDS
+from bsqpt import BASIS_KINDS, FilterParams, build_input_set, fileio, kraus_pair
+from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
 from bsqpt.cli import main
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -55,19 +62,32 @@ def params(draw, command: str) -> dict:
     return {key: draw(st.one_of(ACCEPTED[key], WILD) if wild else ACCEPTED[key]) for key in keys}
 
 
+@st.composite
+def given_as(draw, pairs: list) -> list[str]:
+    """Each ``(flag, value)`` as ``--flag=value`` or as ``--flag value``, drawn flag by flag.
+
+    A negative value in any float form must read as a value either way.
+    """
+    return [arg for flag, value in pairs
+            for arg in draw(st.sampled_from([[f"{flag}={value}"], [flag, str(value)]]))]
+
+
 def flags(command: str):
-    """The command's own flags, each as ``--flag=value`` so a negative value is not an option."""
+    """The command's own flags, in either form (:func:`given_as`)."""
     if command == "simulate":
-        return st.builds(lambda noise, seed, total: [*noise, f"--seed={seed}",
-                                                     f"--total-scale={total!r}"],
-                         st.sampled_from([(), ("--noise=poisson",)]),
-                         st.one_of(st.integers(0, 2**32), st.integers(-2**63, 2**64)),
-                         st.one_of(st.floats(0.0, 1e6), FINITE))
-    if command == "choi":
-        return st.builds(lambda b: [f"--basis={b}"], st.sampled_from(BASIS_KINDS))
-    return st.builds(lambda lo, hi, n: [f"--tau-min={lo!r}", f"--tau-max={hi!r}", f"--steps={n}"],
-                     st.one_of(st.floats(-1e3, 0.0), FINITE),
-                     st.one_of(st.floats(0.0, 1e3), FINITE), st.integers(-2, 300))
+        pairs = st.builds(lambda noise, seed, total: [*noise, ("--seed", seed),
+                                                      ("--total-scale", repr(total))],
+                          st.sampled_from([(), (("--noise", "poisson"),)]),
+                          st.one_of(st.integers(0, 2**32), st.integers(-2**63, 2**64)),
+                          st.one_of(st.floats(0.0, 1e6), FINITE))
+    elif command == "choi":
+        pairs = st.builds(lambda b: [("--basis", b)], st.sampled_from(BASIS_KINDS))
+    else:
+        pairs = st.builds(lambda lo, hi, n: [("--tau-min", repr(lo)), ("--tau-max", repr(hi)),
+                                             ("--steps", n)],
+                          st.one_of(st.floats(-1e3, 0.0), FINITE),
+                          st.one_of(st.floats(0.0, 1e3), FINITE), st.integers(-2, 300))
+    return pairs.flatmap(given_as)
 
 
 def numbers(text: str, json_file: bool) -> list[float]:
@@ -105,8 +125,91 @@ def test_parameter_file_commands_exit_cleanly(tmp_path_factory, command, data):
             code = exc.code
     assert code in (0, 2, 3, 4), (argv, raw, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    # Every drawn flag has its value, so none may be read as an option.
+    assert "expected one argument" not in err.getvalue(), argv
     if code == 0:
         assert out.exists()
     if out.exists():
         values = numbers(out.read_text(encoding="utf-8"), out.suffix == ".json")
         assert values and all(math.isfinite(v) for v in values), (argv, raw)
+
+
+# The values of a count option: integers across the range, and words that
+# argparse's int refuses or reads.
+COUNTS = st.one_of(st.integers(-3, 6), st.integers(-2**70, 2**70),
+                   st.sampled_from(["", "x", "1.5", "1e3", "-", "0x10", " 7", "3_0"]))
+BASES = st.one_of(st.sampled_from(BASIS_KINDS), st.sampled_from(["s", "f", "X", "", "SF"]))
+
+
+def counts_at_least_one(value) -> bool:
+    """Whether argparse's ``int`` reads ``value`` as a count of at least 1."""
+    try:
+        return int(str(value)) >= 1
+    except ValueError:
+        return False
+
+
+@functools.lru_cache(maxsize=None)
+def record(seed: int):
+    """A Poisson count table of the reference filter at 1e4 counts and its process matrix in F."""
+    fp = FilterParams.from_ratio(0.76, theta1=1.288053, theta2=0.238761, p=0.325)
+    inputs = build_input_set()
+    counts = simulate_counts(kraus_pair(fp), inputs, total_scale=1e4, noise="poisson", seed=seed)
+    return counts, transform_process_matrix(reconstruct_process(counts, inputs), "F")
+
+
+@st.composite
+def own_flags(draw, command: str) -> tuple:
+    """The command's own flags: ``(flag, value)`` pairs, switches, and the flags at fault."""
+    if command == "fit":
+        pairs = [(flag, draw(COUNTS)) for flag in ("--multistart", "--max-iter")
+                 if draw(st.booleans())]
+        return pairs, [], [flag for flag, value in pairs if not counts_at_least_one(value)]
+    pairs = [("--basis", draw(BASES))] if draw(st.booleans()) else []
+    switches = draw(st.sampled_from([[], ["--psd-project"], ["--psd-project=yes"]]))
+    return pairs, switches, ([flag for flag, value in pairs if value not in BASIS_KINDS]
+                             + ["--psd-project"] * (switches == ["--psd-project=yes"]))
+
+
+@pytest.mark.parametrize("command", ["fit", "reconstruct"])
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_matrix_commands_refuse_by_name(tmp_path_factory, command, data):
+    folder = tmp_path_factory.mktemp(command)
+    pairs, switches, at_fault = data.draw(own_flags(command))
+    source = folder / ("chi.json" if command == "fit" else "counts.csv")
+    sound = data.draw(st.sampled_from(["sound"] * 4 + ["malformed", "missing"]))
+    counts, chi = record(data.draw(st.integers(0, 3)))
+    if sound == "sound" and command == "fit":
+        fileio.write_matrix(source, chi.m, chi.basis)
+    elif sound == "sound":
+        fileio.write_counts(source, counts)
+    elif sound == "malformed":
+        source.write_text("neither a matrix nor a count table\n", encoding="utf-8")
+    out = folder / "out.json"
+    if data.draw(st.integers(0, 7)) == 0:
+        out.mkdir()
+        at_fault.append(str(out))
+    if sound != "sound":
+        at_fault.append(str(source))
+    files = [("--chi" if command == "fit" else "--counts", source), ("--out", out)]
+    argv = [command, *data.draw(given_as(files + pairs)), *switches]
+    err = io.StringIO()
+    with warnings.catch_warnings(), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # an argparse refusal, as the console script exits
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    if at_fault:
+        assert code in (2, 3), (argv, err.getvalue())
+        assert any(name in err.getvalue() for name in at_fault), (argv, err.getvalue())
+        assert not out.is_file()
+        return
+    assert code in ((0, 4) if command == "fit" else (0,)), (argv, err.getvalue())
+    text = out.read_text(encoding="utf-8")
+    if command == "reconstruct":
+        assert all(math.isfinite(v) for v in numbers(text, True))
+    elif code == 4:
+        assert "did not converge" in json.loads(text)["warning"], argv
