@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_apply)
-    for p in sub.choices.values():  # so that "-1e2" and "-inf" are values, not options
+    for p in sub.choices.values():  # argparse's own pattern reads "-1e2" and "-inf" as options
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 

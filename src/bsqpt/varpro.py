@@ -228,8 +228,8 @@ def profile(parts: tuple, theta1: float, theta2: float) -> tuple:
     waves ``exp(i w . theta)``, ``c`` the ``(13, n)`` wave coefficients of v1,
     then of ``(v2, v3)`` and their derivatives of order none, 1, 2, 11, 12 and
     22, each the real part of ``c . exp(i w . theta)``, and ``z = 2 cos((theta1
-    - theta2) / 2)``. ``x`` are the best coefficients in the box and ``P = 2 x
-    . v - x^T G x`` the cost that they remove from the block's squared norm;
+    - theta2) / 2)``. ``x`` are the best coefficients in the box, and the cost
+    they remove from the block's squared norm is ``P = 2 x . v - x^T G x``;
     where ``x = G^-1 v`` lies in the box, ``P = v . x``. By Danskin's theorem
     ``dP = 2 x . dv - x^T dG x``. On the face of the box that holds ``x``,
     with coordinates ``y``, ``x``'s Jacobian ``J`` and curvature ``C`` (see
