@@ -149,8 +149,8 @@ def kraus_pair(fp: FilterParams) -> KrausSet:
     ``scale`` multiplies both operators, so the induced channel (and any
     process matrix built from it) carries ``scale**2``.
     """
-    p_minus, p_plus = fp.scale * filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
-    return KrausSet([(1.0 - fp.p, p_minus), (fp.p, p_plus)])
+    ops = fp.scale * filter_operators(fp.T, fp.R, fp.theta1, fp.theta2)
+    return KrausSet(tuple(zip((1.0 - fp.p, fp.p), ops)))
 
 
 def kraus_pair_from_optics(bs: BSOptics, p: float = 0.0, scale: float = 1.0) -> KrausSet:

@@ -19,21 +19,31 @@ import numpy as np
 from .bases import BASIS_KINDS, STANDARD, build_basis, to_coeff_vector
 from .linalg import dagger
 
-@dataclass
+@dataclass(frozen=True)
 class KrausSet:
-    """Weighted Kraus operators ``[(w_i, K_i)]`` of a CP map on two qubits.
+    """Weighted Kraus operators ``[(w_i, K_i)]`` of a CP map on two qubits, immutable.
 
     Weights are kept separate from the operators so that mixing
-    probabilities stay visible to the fitting layer. When ``physical``
-    is set, the trace-nonincreasing condition (largest eigenvalue of
-    ``sum_i w_i K_i_dag K_i`` at most 1) is enforced at construction.
+    probabilities stay visible to the fitting layer. Construction copies
+    the operators: ``items`` is a tuple of ``(float, read-only 4x4
+    complex array)``, and ``weights`` (shape ``(n,)``) and ``ops`` (shape
+    ``(n, 4, 4)``) stack them once, read-only, for the vectorized
+    consumers; the caller's arrays are left as they were. When
+    ``physical`` is set, the trace-nonincreasing condition (largest
+    eigenvalue of ``sum_i w_i K_i_dag K_i`` at most 1) is enforced at
+    construction. :func:`bsqpt.tomography.simulate_counts` keeps the
+    channel's rate table for one input set in a private slot, so a channel
+    simulated again on the same input set computes its rates once.
     """
 
-    items: list[tuple[float, np.ndarray]]
+    items: tuple[tuple[float, np.ndarray], ...]
     physical: bool = False
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    ops: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        cleaned = []
+        weights, ops = [], []
         for w, k in self.items:
             w = float(w)
             if w < 0.0:
@@ -41,8 +51,17 @@ class KrausSet:
             k = np.asarray(k, dtype=complex)
             if k.shape != (4, 4):
                 raise ValueError(f"Kraus operator has shape {k.shape}, expected (4, 4)")
-            cleaned.append((w, k))
-        self.items = cleaned
+            weights.append(w)
+            ops.append(k)
+        # np.array copies; the reshape gives an empty set the shape (0, 4, 4).
+        weights = np.array(weights)
+        ops = np.array(ops, dtype=complex).reshape(-1, 4, 4)
+        for a in (weights, ops):
+            a.setflags(write=False)
+        # Each item's operator is a view of the read-only stack.
+        object.__setattr__(self, "items", tuple(zip(weights.tolist(), ops)))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "ops", ops)
         if self.physical:
             top = float(np.linalg.eigvalsh(self.total_effect())[-1])
             if top > 1.0 + 1e-9:

@@ -206,9 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    args = build_parser().parse_args(argv)
+    # The package's own logger writes to this call's stderr; the root logger is left alone.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = log.level
+    log.setLevel(logging.INFO)
+    log.addHandler(handler)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValueError as exc:  # FileFormatError included
         print(f"error: {exc}", file=sys.stderr)
@@ -219,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def entry_point() -> None:

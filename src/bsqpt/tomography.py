@@ -158,17 +158,18 @@ def simulate_counts(
     ``total_scale`` must be finite and positive, and so must its product
     with the largest rate; with Poisson noise that product must stay
     within numpy's sampler limit.
+
+    The unscaled rate table depends only on the channel and the input set,
+    so it is computed once per input set: it is kept, read-only, on the
+    (immutable) channel together with ``inputs``, and reused while later
+    calls pass that same input set object. The checks, the scaling and the
+    draw run on every call.
     """
     if not (math.isfinite(total_scale) and total_scale > 0.0):
         raise ValueError(f"total_scale must be finite and positive, got {total_scale!r}")
     if noise not in (None, "poisson"):
         raise ValueError(f"unknown noise mode {noise!r}")
-    # np.array, not np.stack, so that an empty Kraus set gives shape (0, 4, 4).
-    weights = np.array([w for w, _ in channel.items])
-    ops = np.array([k for _, k in channel.items]).reshape(-1, 4, 4)
-    # amp[i, n, m] = <psi_m|K_i|psi_n>
-    amp = inputs.kets @ ops.swapaxes(1, 2) @ inputs.kets_dagger
-    rates = (weights @ (amp.real**2 + amp.imag**2).reshape(-1, 256)).reshape(16, 16)
+    rates = _rate_table(channel, inputs)
     # A Python float product overflows to inf without a numpy warning.
     peak = total_scale * float(rates.max())
     if not math.isfinite(peak):
@@ -180,11 +181,28 @@ def simulate_counts(
     if noise != "poisson":
         return CountTable(counts=counts, total_scale=total_scale)
     try:
-        rng = np.random.default_rng(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))  # what default_rng(seed) builds
     except (TypeError, ValueError):
         raise ValueError(f"seed (--seed) must be a non-negative integer, got {seed!r}") from None
     counts = rng.poisson(counts).astype(float)
     return CountTable(counts=counts, total_scale=total_scale, noise_seed=seed)
+
+
+def _rate_table(channel: KrausSet, inputs: InputStateSet) -> np.ndarray:
+    """The channel's unscaled 16x16 rates on ``inputs``, computed once per input set.
+
+    The slot is replaced whole, so two threads that miss at once only compute
+    the same table twice.
+    """
+    kept = channel._rates
+    if kept is not None and kept[0] is inputs:
+        return kept[1]
+    # amp[i, n, m] = <psi_m|K_i|psi_n>
+    amp = inputs.kets @ channel.ops.swapaxes(1, 2) @ inputs.kets_dagger
+    rates = (channel.weights @ (amp.real**2 + amp.imag**2).reshape(-1, 256)).reshape(16, 16)
+    rates.setflags(write=False)
+    object.__setattr__(channel, "_rates", (inputs, rates))
+    return rates
 
 
 def reconstruct_process(ct: CountTable, inputs: InputStateSet) -> ProcessMatrix:

@@ -1,5 +1,6 @@
 """Channel representations: Kraus sets, process matrices, Choi assembly."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -91,6 +92,43 @@ class TestApplyKraus:
     def test_physical_flag_enforced(self):
         with pytest.raises(ValueError, match="trace"):
             KrausSet([(1.0, 2.0 * I4)], physical=True)
+
+
+class TestKrausSetImmutable:
+    @pytest.mark.parametrize("name", ["items", "physical", "weights", "ops"])
+    def test_fields_cannot_be_assigned(self, name):
+        ks = KrausSet([(1.0, I4)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ks, name, None)
+
+    def test_operators_are_read_only_copies(self):
+        rng = np.random.default_rng(5)
+        mine = [random_matrix(rng) for _ in range(3)]
+        kept = [k.copy() for k in mine]
+        ks = KrausSet([(0.5, k) for k in mine])
+        assert isinstance(ks.items, tuple)
+        assert ks.weights.shape == (3,) and ks.ops.shape == (3, 4, 4)
+        for a in (ks.weights, ks.ops, *(k for _, k in ks.items)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        for k in mine:
+            assert k.flags.writeable
+            k[0, 0] = 7.0  # the caller's edit reaches none of the set's copies
+        assert all(np.array_equal(k, was) for (_, k), was in zip(ks.items, kept))
+        assert all(np.array_equal(k, op) for (_, k), op in zip(ks.items, ks.ops))
+        assert ks.weights.tolist() == [w for w, _ in ks.items] == [0.5] * 3
+
+    def test_empty_set_stacks_to_zero_operators(self):
+        ks = KrausSet([])
+        assert ks.items == () and ks.weights.shape == (0,) and ks.ops.shape == (0, 4, 4)
+
+    def test_repr_shows_neither_stacks_nor_rate_slot(self):
+        ks = kraus_pair(FilterParams.from_ratio(0.76, p=0.2))
+        simulate_counts(ks, build_input_set())
+        text = repr(ks)
+        assert text.startswith("KrausSet(items=(") and text.endswith(", physical=False)")
+        assert "_rates" not in text and "weights" not in text and "ops" not in text
 
 
 class TestChoiFromKraus:

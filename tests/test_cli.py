@@ -1,10 +1,12 @@
 """File formats and the command-line pipeline, including exit codes."""
 
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from helpers import fail_best_start, random_matrix, read_json, write_json
 PI = np.pi
 HEADER = "input_index,projector_index,count\n"
 EYE = np.eye(16).tolist()
+
+
+# What reading write_params' default splitter logs, on the command's stderr.
+DERIVED_RT = "derived T=0.568182, R=0.431818 from ratio_RT=0.76"
 
 
 def write_params(path, **overrides):
@@ -328,6 +334,22 @@ class TestCliPipeline:
             values = np.array([payload["re"], payload["im"]])
         assert np.all(np.isfinite(values))
 
+    def test_each_call_logs_to_its_own_stderr(self, tmp_path):
+        params = write_params(tmp_path / "p.json")
+        root, package = logging.getLogger(), logging.getLogger("bsqpt")
+        before = (list(root.handlers), root.level, package.level)
+        errs = []
+        for k in range(2):
+            err = io.StringIO()
+            with redirect_stderr(err):
+                assert main(["choi", "--params", str(params),
+                             "--out", str(tmp_path / f"chi{k}.json")]) == 0
+            errs.append(err.getvalue())
+        assert errs == [f"{DERIVED_RT}\n"] * 2
+        # Neither logger keeps anything of the calls.
+        assert (list(root.handlers), root.level, package.level) == before
+        assert not package.handlers
+
     def test_homdip_curve(self, tmp_path):
         params = write_params(tmp_path / "params.json", p=None, tau_fs=0.0,
                               tau_c_fs=83.0, mu=0.72)
@@ -479,8 +501,9 @@ class TestCliErrors:
         out = tmp_path / "out"
         flag = "--counts-out" if command == "simulate" else "--out"
         assert main([command, "--params", str(params), flag, str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: {params}: rate bound (scale*(T+R))^2 is not finite"
+        assert capsys.readouterr().err == (
+            f"{DERIVED_RT}\n"
+            f"error: {params}: rate bound (scale*(T+R))^2 is not finite for scale=1e+200\n"
         )
         assert not out.exists()
 
@@ -810,7 +833,9 @@ class TestCliErrors:
         assert main(["homdip", "--params", str(params), "--tau-min", "-100",
                      "--tau-max", "100", f"--steps={steps}", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: --steps must be between 2 and 1000000, got {steps}\n"
+        assert err == ("derived p=0.14 from tau=0 fs, tau_c=83 fs, mu=0.72\n"
+                       f"{DERIVED_RT}\n"
+                       f"error: --steps must be between 2 and 1000000, got {steps}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("tau_min, tau_max", [("-100", "inf"), ("-inf", "100"),

@@ -4,10 +4,12 @@ For the commands that read a parameter file (simulate, choi and homdip),
 each example writes a parameter file with generated keys, forms and finite
 values, runs the command with generated flags under warnings-as-errors and
 checks that it exits 0, 2, 3 or 4 with no traceback, and that whatever it
-wrote holds only finite numbers. For fit and reconstruct, each example draws
-the command's own flags, valid or not, and whether its input file is sound,
-malformed or missing and its output path a directory, and checks that a
-refusal names an option or a file at fault.
+wrote holds only finite numbers. For fit, reconstruct, transform and apply,
+each example draws the command's own flags, valid, invalid or (when
+required) missing, whether its input files are sound, malformed or missing
+(apply's state may also be a 16x16 matrix or one not tagged ``state``) and
+whether its output path is a directory, and checks that a refusal names an
+option or a file at fault and writes no output file.
 """
 
 import functools
@@ -158,41 +160,75 @@ def record(seed: int):
     return counts, transform_process_matrix(reconstruct_process(counts, inputs), "F")
 
 
+# What each command reads from its --chi or --counts file.
+SOURCE = {"fit": "--chi", "reconstruct": "--counts", "transform": "--chi", "apply": "--chi"}
+# apply's --state files: the sound one first; each other is refused by name.
+STATES = ("sound", "malformed", "missing", "16x16", "untagged")
+
+
 @st.composite
 def own_flags(draw, command: str) -> tuple:
-    """The command's own flags: ``(flag, value)`` pairs, switches, and the flags at fault."""
+    """The command's own flags: ``(flag, value)`` pairs, switches, and the flags at fault.
+
+    A required flag may be left out, which puts it at fault too.
+    """
     if command == "fit":
         pairs = [(flag, draw(COUNTS)) for flag in ("--multistart", "--max-iter")
                  if draw(st.booleans())]
         return pairs, [], [flag for flag, value in pairs if not counts_at_least_one(value)]
+    if command == "transform":
+        to = draw(st.one_of(BASES, st.none()))
+        return ([] if to is None else [("--to", to)]), [], ["--to"] * (to not in BASIS_KINDS)
+    if command == "apply":
+        return [], [], []
     pairs = [("--basis", draw(BASES))] if draw(st.booleans()) else []
     switches = draw(st.sampled_from([[], ["--psd-project"], ["--psd-project=yes"]]))
     return pairs, switches, ([flag for flag, value in pairs if value not in BASIS_KINDS]
                              + ["--psd-project"] * (switches == ["--psd-project=yes"]))
 
 
-@pytest.mark.parametrize("command", ["fit", "reconstruct"])
+def write_state(path, kind: str, chi) -> None:
+    """An ``apply --state`` file of the given kind (:data:`STATES`); ``missing`` writes none."""
+    if kind == "sound":
+        fileio.write_matrix(path, np.eye(4) / 4, fileio.STATE_TAG)
+    elif kind == "malformed":
+        path.write_text("not a state\n", encoding="utf-8")
+    elif kind == "16x16":
+        fileio.write_matrix(path, chi.m, fileio.STATE_TAG)
+    elif kind == "untagged":
+        fileio.write_matrix(path, np.eye(4) / 4, "S")
+
+
+@pytest.mark.parametrize("command", ["fit", "reconstruct", "transform", "apply"])
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(data=st.data())
 def test_matrix_commands_refuse_by_name(tmp_path_factory, command, data):
     folder = tmp_path_factory.mktemp(command)
     pairs, switches, at_fault = data.draw(own_flags(command))
-    source = folder / ("chi.json" if command == "fit" else "counts.csv")
+    source = folder / ("counts.csv" if command == "reconstruct" else "chi.json")
     sound = data.draw(st.sampled_from(["sound"] * 4 + ["malformed", "missing"]))
     counts, chi = record(data.draw(st.integers(0, 3)))
-    if sound == "sound" and command == "fit":
-        fileio.write_matrix(source, chi.m, chi.basis)
-    elif sound == "sound":
+    if sound == "sound" and command == "reconstruct":
         fileio.write_counts(source, counts)
+    elif sound == "sound":
+        fileio.write_matrix(source, chi.m, chi.basis)
     elif sound == "malformed":
         source.write_text("neither a matrix nor a count table\n", encoding="utf-8")
+    files = [(SOURCE[command], source)]
+    if command == "apply":
+        state = folder / "state.json"
+        kind = data.draw(st.sampled_from(STATES[:1] * 4 + STATES[1:]))
+        write_state(state, kind, chi)
+        files.append(("--state", state))
+        if kind != "sound":
+            at_fault.append(str(state))
     out = folder / "out.json"
     if data.draw(st.integers(0, 7)) == 0:
         out.mkdir()
         at_fault.append(str(out))
     if sound != "sound":
         at_fault.append(str(source))
-    files = [("--chi" if command == "fit" else "--counts", source), ("--out", out)]
+    files.append(("--out", out))
     argv = [command, *data.draw(given_as(files + pairs)), *switches]
     err = io.StringIO()
     with warnings.catch_warnings(), redirect_stderr(err):
@@ -209,7 +245,7 @@ def test_matrix_commands_refuse_by_name(tmp_path_factory, command, data):
         return
     assert code in ((0, 4) if command == "fit" else (0,)), (argv, err.getvalue())
     text = out.read_text(encoding="utf-8")
-    if command == "reconstruct":
+    if command != "fit":
         assert all(math.isfinite(v) for v in numbers(text, True))
     elif code == 4:
         assert "did not converge" in json.loads(text)["warning"], argv

@@ -1,5 +1,7 @@
 """Measurement simulation and linear-inversion reconstruction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -172,6 +174,62 @@ class TestSimulateCounts:
     def test_empty_kraus_set_gives_zero_table(self, noise):
         ct = simulate_counts(KrausSet([]), build_input_set(), total_scale=1e4, noise=noise, seed=1)
         assert np.array_equal(ct.counts, np.zeros((16, 16)))
+
+
+class TestRateTableReuse:
+    """The unscaled rate table, computed once per channel and input set."""
+
+    @pytest.mark.parametrize("noise", [None, "poisson"])
+    def test_repeat_simulations_are_bit_identical(self, noise):
+        inputs = build_input_set()
+        for ks in mixed_channels(44, 6):
+            fresh = dataclasses.replace(ks)  # the same operators, nothing kept yet
+            first = simulate_counts(ks, inputs, total_scale=1e4, noise=noise, seed=11)
+            kept = ks._rates
+            first.counts[:] = -1.0  # a caller's edit must not reach the kept table
+            again = simulate_counts(ks, inputs, total_scale=1e4, noise=noise, seed=11)
+            assert ks._rates is kept
+            want = simulate_counts(fresh, inputs, total_scale=1e4, noise=noise, seed=11)
+            assert np.array_equal(again.counts, want.counts)
+            assert again.counts.flags.writeable and not kept[1].flags.writeable
+
+    def test_another_input_set_recomputes(self):
+        ks = kraus_pair(REFERENCE)
+        first = build_input_set()
+        a = simulate_counts(ks, first, total_scale=1e4, noise="poisson", seed=3)
+        assert ks._rates[0] is first
+        second = build_input_set()
+        b = simulate_counts(ks, second, total_scale=1e4, noise="poisson", seed=3)
+        assert ks._rates[0] is second
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(simulate_counts(ks, first).counts, simulate_counts(ks, second).counts)
+
+    def test_checks_run_on_every_call(self):
+        ks = kraus_pair(REFERENCE)
+        inputs = build_input_set()
+        simulate_counts(ks, inputs)
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate_counts(ks, inputs, total_scale=0.0)
+        with pytest.raises(ValueError, match="above the Poisson sampler's limit"):
+            simulate_counts(ks, inputs, total_scale=1e20, noise="poisson", seed=1)
+        with pytest.raises(ValueError, match=r"must be a non-negative integer, got -1"):
+            simulate_counts(ks, inputs, noise="poisson", seed=-1)
+
+
+class TestPoissonGenerator:
+    @pytest.mark.parametrize("seed", [0, 2**31 - 1, 2**70])
+    def test_draws_equal_default_rng(self, seed):
+        inputs = build_input_set()
+        ks = kraus_pair(REFERENCE)
+        means = simulate_counts(ks, inputs, total_scale=1e4).counts
+        got = simulate_counts(ks, inputs, total_scale=1e4, noise="poisson", seed=seed)
+        assert np.array_equal(got.counts, np.random.default_rng(seed).poisson(means))
+        assert got.noise_seed == seed
+
+    def test_negative_seed_message(self):
+        with pytest.raises(ValueError) as info:
+            simulate_counts(kraus_pair(REFERENCE), build_input_set(), noise="poisson", seed=-1)
+        assert str(info.value) == "seed (--seed) must be a non-negative integer, got -1"
 
 
 class TestAmplitudeRates:
