@@ -26,7 +26,7 @@ eigendecomposition of ``model_fidelity`` (``layers_us["fidelity"]``).
 
 ``layers_us`` gives the fastest of five scaled means over 500 calls of:
 ``grid``, the box-constrained angle profile on the 16x16 grid
-(``bsqpt.varpro.grid``), on the first paper record; ``profile``, one
+(``bsqpt.fitting.grid``), on the first paper record; ``profile``, one
 evaluation of it at a point with its gradient and Hessian, at that
 record's best grid point, which lies inside the box; ``profile_boxed``, the
 same at the first outside record's first polished start, whose best point
@@ -59,9 +59,10 @@ import time
 
 import numpy as np
 
-from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair, model_fidelity, varpro
+from bsqpt import FilterParams, FitConfig, build_input_set, fit, kraus_pair, model_fidelity
 from bsqpt import reconstruct_process, simulate_counts, transform_process_matrix
 from bsqpt.fitting import _GRID, _grid_starts, _profile_maps, _squared_residual, _unit_inputs
+from bsqpt.fitting import grid, polish, profile
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import speed  # noqa: E402  (the benchmark's machine-speed gauge)
@@ -111,21 +112,20 @@ def run_case(chis: list, cfg: FitConfig) -> dict:
 
 def layers(chi, outside) -> dict:
     unit, _, target, floor = _unit_inputs(chi)
-    value, parts = varpro.grid(_profile_maps(), target)
+    value, parts = grid(_profile_maps(), target)
     theta = _GRID[int(np.argmax(value))].tolist()
     norm = floor + target @ target
     _, _, boxed_target, boxed_floor = _unit_inputs(outside)
-    boxed_parts = varpro.grid(_profile_maps(), boxed_target)[1]
+    boxed_parts = grid(_profile_maps(), boxed_target)[1]
     boxed = _grid_starts(boxed_target, boxed_floor, BENCH)[0][1:3]
     result = fit(chi, BENCH)
     reported = _grid_starts(target, floor, BENCH)[result.best_start][1:4]
 
     calls = {
-        "grid": lambda: varpro.grid(_profile_maps(), target),
-        "profile": lambda: varpro.profile(parts, *theta),
-        "profile_boxed": lambda: varpro.profile(boxed_parts, *boxed),
-        "polish": lambda: varpro.polish(parts, *theta, norm, BENCH.convergence_tol,
-                                        BENCH.max_iterations),
+        "grid": lambda: grid(_profile_maps(), target),
+        "profile": lambda: profile(parts, *theta),
+        "profile_boxed": lambda: profile(boxed_parts, *boxed),
+        "polish": lambda: polish(parts, *theta, norm, BENCH.convergence_tol, BENCH.max_iterations),
         "starts": lambda: _grid_starts(target, floor, FitConfig()),
         "residual": lambda: _squared_residual(unit, target, floor, *reported),
         "fidelity": lambda: model_fidelity(result.params, chi),

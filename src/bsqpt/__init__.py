@@ -32,8 +32,6 @@ from .fitting import FitConfig, FitResult, fit, model_chi, model_fidelity
 from .linalg import (
     bell_state,
     dagger,
-    kron,
-    partial_trace,
     project_to_psd,
 )
 from .tomography import (

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SIGMA, SWAP, bell_state, dagger, kron, matrix_unit
+from .linalg import SIGMA, SWAP, bell_state, dagger
 
 STANDARD = "S"
 PAULI_KRON = "B"
@@ -38,7 +38,9 @@ def standard_element(k: int) -> np.ndarray:
     """Single-qubit standard basis element ``|i><j|`` with ``k = 2*i + j``."""
     if not 0 <= k <= 3:
         raise ValueError("standard basis index must be in 0..3")
-    return matrix_unit(k // 2, k % 2)
+    m = np.zeros((2, 2), dtype=complex)
+    m[k // 2, k % 2] = 1.0
+    return m
 
 
 def pauli_element(k: int) -> np.ndarray:
@@ -82,14 +84,15 @@ class OperatorBasis:
 
 
 def _elements_for(kind: str) -> list[np.ndarray]:
+    pairs = [(k, l) for k in range(4) for l in range(4)]
     if kind == STANDARD:
-        return [kron(standard_element(k), standard_element(l)) for k in range(4) for l in range(4)]
+        return [np.kron(standard_element(k), standard_element(l)) for k, l in pairs]
     if kind == PAULI_KRON:
-        return [kron(pauli_element(k), pauli_element(l)) for k in range(4) for l in range(4)]
+        return [np.kron(pauli_element(k), pauli_element(l)) for k, l in pairs]
     if kind == BELL:
-        return [np.outer(bell_state(k), bell_state(l).conj()) for k in range(4) for l in range(4)]
+        return [np.outer(bell_state(k), bell_state(l).conj()) for k, l in pairs]
     if kind == FILTER:
-        return [kron(pauli_element(i), pauli_element(j)) @ SWAP for i in range(4) for j in range(4)]
+        return [np.kron(pauli_element(i), pauli_element(j)) @ SWAP for i, j in pairs]
     raise ValueError(f"unknown basis kind {kind!r}; expected one of {BASIS_KINDS}")
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import KrausSet
-from .linalg import SWAP, dagger, kron, partial_trace
+from .linalg import SWAP, dagger
 
 #: The physical range of the decoherence degree p = (1 - |s|^2) / 2.
 P_RANGE = (0.0, 0.5)
@@ -232,9 +232,10 @@ def apply_pt_model(rho: np.ndarray, s: complex, fp: FilterParams) -> np.ndarray:
     # The temporal factor swaps under reflection exactly like the
     # polarization pair, and both live on 2 (x) 2 spaces.
     v_pol = u3(fp.theta1, fp.theta2) @ SWAP
-    p_pt = fp.scale * (fp.T * kron(_I4, _I4) - fp.R * kron(v_pol, SWAP))
-    full = p_pt @ kron(rho, omega) @ p_pt.conj().T
-    return partial_trace(full, (4, 4), keep=0)
+    p_pt = fp.scale * (fp.T * np.kron(_I4, _I4) - fp.R * np.kron(v_pol, SWAP))
+    full = p_pt @ np.kron(rho, omega) @ p_pt.conj().T
+    # Trace out the temporal factor, the right one of 4 (x) 4.
+    return np.einsum("ikjk->ij", full.reshape(4, 4, 4, 4))
 
 
 def hom_dip(

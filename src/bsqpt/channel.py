@@ -19,28 +19,28 @@ import numpy as np
 from .bases import BASIS_KINDS, STANDARD, build_basis, to_coeff_vector
 from .linalg import dagger
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Weighted Kraus operators ``[(w_i, K_i)]`` of a CP map on two qubits, immutable.
 
-    Weights are kept separate from the operators so that mixing
-    probabilities stay visible to the fitting layer. Construction copies
-    the operators: ``items`` is a tuple of ``(float, read-only 4x4
-    complex array)``, and ``weights`` (shape ``(n,)``) and ``ops`` (shape
-    ``(n, 4, 4)``) stack them once, read-only, for the vectorized
-    consumers; the caller's arrays are left as they were. When
+    Construction copies the operators: ``items`` is a tuple of ``(float,
+    read-only 4x4 complex array)``, and ``weights`` (shape ``(n,)``) and
+    ``ops`` (shape ``(n, 4, 4)``) stack them once, read-only, for the
+    vectorized consumers; the caller's arrays are left as they were. When
     ``physical`` is set, the trace-nonincreasing condition (largest
     eigenvalue of ``sum_i w_i K_i_dag K_i`` at most 1) is enforced at
     construction. :func:`bsqpt.tomography.simulate_counts` keeps the
     channel's rate table for one input set in a private slot, so a channel
-    simulated again on the same input set computes its rates once.
+    simulated again on the same input set computes its rates once. Equality
+    and the hash are by identity, the identity that slot belongs to.
     """
 
     items: tuple[tuple[float, np.ndarray], ...]
     physical: bool = False
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    ops: np.ndarray = field(init=False, repr=False, compare=False)
-    _rates: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    ops: np.ndarray = field(init=False, repr=False)
+    _rates: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         weights, ops = [], []

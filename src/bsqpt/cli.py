@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 input validation failure or a non-finite output,
 overlap with the filter model (the output file is still written), or an
 arithmetic error (``ArithmeticError``: overflow, division by zero or a
 floating-point error) in any command, which prints one ``error:`` line and
-no traceback and writes no output file. Every command is deterministic
-given its flags.
+no traceback and writes no output file. Any other exception is a bug in
+bsqpt, not a bad input: :func:`main` lets it propagate, so the command
+exits 1 with its traceback. Every command is deterministic given its flags.
 """
 
 from __future__ import annotations

@@ -23,49 +23,15 @@ SIGMA = (
 )
 
 
-def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more operators, leftmost factor most significant."""
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
-
-
-def matrix_unit(i: int, j: int, dim: int = 2) -> np.ndarray:
-    """The matrix unit ``|i><j|`` in dimension ``dim``."""
-    m = np.zeros((dim, dim), dtype=complex)
-    m[i, j] = 1.0
-    return m
 
 
 def projector(ket: np.ndarray) -> np.ndarray:
     """Rank-1 projector ``|psi><psi|``."""
     v = np.asarray(ket, dtype=complex)
     return np.outer(v, v.conj())
-
-
-def partial_trace(a: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    ``dims = (d1, d2)`` are the factor dimensions and ``keep`` selects the
-    surviving factor (0 = left, 1 = right). The total trace is preserved:
-    ``trace(result) == trace(a)``.
-    """
-    d1, d2 = dims
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"matrix shape {a.shape} does not match dims {dims}")
-    t = a.reshape(d1, d2, d1, d2)
-    if keep == 0:
-        return np.einsum("ikjk->ij", t)
-    if keep == 1:
-        return np.einsum("kikj->ij", t)
-    raise ValueError("keep must be 0 (left factor) or 1 (right factor)")
 
 
 #: The two-qubit swap ``|i,j> -> |j,i>``.

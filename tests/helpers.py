@@ -174,9 +174,9 @@ def fail_best_start(monkeypatch) -> None:
     Every later start comes back unpolished at its grid point but marked
     converged, so on a model-generated matrix the best point is the failed one.
     """
-    from bsqpt import fitting, varpro
+    from bsqpt import fitting
 
-    real = fitting._grid_starts
+    real, real_polish = fitting._grid_starts, fitting.polish
 
     def starts(*args):
         calls = []
@@ -184,8 +184,8 @@ def fail_best_start(monkeypatch) -> None:
         def polish(parts, theta1, theta2, *rest):
             calls.append((theta1, theta2))
             if len(calls) == 1:
-                return (*varpro.polish(parts, theta1, theta2, *rest)[:4], False, 1)
-            value, x = varpro.profile(parts, theta1, theta2)[:2]
+                return (*real_polish(parts, theta1, theta2, *rest)[:4], False, 1)
+            value, x = fitting.profile(parts, theta1, theta2)[:2]
             return theta1, theta2, x, value, True, 1
 
         with monkeypatch.context() as patch:
@@ -217,17 +217,17 @@ def term_design(theta) -> np.ndarray:
 def box_least_squares(target: np.ndarray, theta, bounds=(0.25, 4.0)) -> tuple:
     """The block's least-squares cost over the fit's box at fixed angles: ``(cost, x, face)``.
 
-    A dense reference for ``bsqpt.varpro``: ``target`` is the block's real and
-    imaginary parts, interleaved, and ``x`` weighs the columns of
-    :func:`term_design`, in the box ``X = [[x1, x3], [x3, x2]] >= 0`` with
-    ``x2 / x1`` between the squares of ``bounds``. A convex problem's optimum
-    is the optimum of one of its faces, so this takes the best of: the
-    unconstrained ``lstsq`` solve where it lies in the box (``"inside"``),
-    each ratio face ``x2 = c x1`` as a two-column ``lstsq`` where its solution
-    does (``"ratio face"``), and the rank-one boundary ``X = u y y^T`` with
-    ``y = (cos phi, sin phi)`` between the faces, searched over ``phi`` on a
-    dense grid and refined by golden section (``"rank one"``, or
-    ``"corner"`` at a face).
+    A dense reference for the angle profile of ``bsqpt.fitting``: ``target``
+    is the block's real and imaginary parts, interleaved, and ``x`` weighs
+    the columns of :func:`term_design`, in the box ``X = [[x1, x3], [x3,
+    x2]] >= 0`` with ``x2 / x1`` between the squares of ``bounds``. A convex
+    problem's optimum is the optimum of one of its faces, so this takes the
+    best of: the unconstrained ``lstsq`` solve where it lies in the box
+    (``"inside"``), each ratio face ``x2 = c x1`` as a two-column ``lstsq``
+    where its solution does (``"ratio face"``), and the rank-one boundary
+    ``X = u y y^T`` with ``y = (cos phi, sin phi)`` between the faces,
+    searched over ``phi`` on a dense grid and refined by golden section
+    (``"rank one"``, or ``"corner"`` at a face).
     """
     block = target.view(complex).reshape(6, 6)
     y = np.concatenate([block.real.ravel(), block.imag.ravel()])
@@ -315,7 +315,7 @@ def trf_residual(chi, starts, tol: float, max_evals: int) -> float:
 def dense_optimum(chi) -> float:
     """The lowest residual of the angle profile from every minimum of a 48x48 angle grid.
 
-    A reference for the fit's start list: the profile's cost (``bsqpt.varpro``,
+    A reference for the fit's start list: the profile's cost (``bsqpt.fitting``,
     checked against :func:`box_least_squares` on its own) at each grid
     point, and Nelder-Mead from each local minimum on the torus, on the
     matrix at the fit's unit magnitude and scaled back.
@@ -323,15 +323,14 @@ def dense_optimum(chi) -> float:
     import pytest
 
     minimize = pytest.importorskip("scipy.optimize").minimize
-    from bsqpt import varpro
-    from bsqpt.fitting import _profile_maps, _unit_inputs
+    from bsqpt.fitting import _profile_maps, _unit_inputs, grid, profile
 
     _, e, target, floor = _unit_inputs(chi)
     norm = floor + target @ target
-    parts = varpro.grid(_profile_maps(), target)[1]
+    parts = grid(_profile_maps(), target)[1]
 
     def cost(theta):
-        return norm - varpro.profile(parts, *theta)[0]
+        return norm - profile(parts, *theta)[0]
 
     side = 48
     axis = np.linspace(-np.pi, np.pi, side, endpoint=False)

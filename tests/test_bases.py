@@ -15,15 +15,15 @@ from bsqpt import (
     standard_element,
     transform_process_matrix,
 )
-from bsqpt.linalg import SIGMA, SWAP, dagger, matrix_unit
+from bsqpt.linalg import SIGMA, SWAP, dagger
 
 from helpers import random_channel, random_density, random_matrix
 
 
 class TestElements:
     def test_standard_element_definition(self):
-        assert_allclose(standard_element(0), matrix_unit(0, 0), atol=0)
-        assert_allclose(standard_element(1), matrix_unit(0, 1), atol=0)
+        assert_allclose(standard_element(0), [[1, 0], [0, 0]], atol=0)
+        assert_allclose(standard_element(1), [[0, 1], [0, 0]], atol=0)
 
     def test_standard_completeness_sum(self):
         # sum_k X_k X_k_dag accumulated by hand equals 2 I.

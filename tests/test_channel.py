@@ -20,7 +20,6 @@ from bsqpt import (
     build_input_set,
     choi_from_kraus,
     kraus_pair,
-    kron,
     model_chi,
     project_to_psd,
     reconstruct_process,
@@ -28,7 +27,7 @@ from bsqpt import (
     transform_process_matrix,
 )
 from bsqpt.channel import to_coeff_vector
-from bsqpt.linalg import SIGMA, dagger, matrix_unit, projector
+from bsqpt.linalg import SIGMA, dagger, projector
 
 from helpers import random_channel, random_density, random_filter, random_matrix
 
@@ -122,6 +121,13 @@ class TestKrausSetImmutable:
     def test_empty_set_stacks_to_zero_operators(self):
         ks = KrausSet([])
         assert ks.items == () and ks.weights.shape == (0,) and ks.ops.shape == (0, 4, 4)
+
+    def test_equality_and_hash_are_by_identity(self):
+        # Comparing the operator arrays would raise; the rate slot is kept by identity.
+        ks, twin = KrausSet([(1.0, I4)]), KrausSet([(1.0, I4)])
+        assert ks == ks and not ks != ks
+        assert ks != twin and not ks == twin
+        assert hash(ks) == hash(ks) and len({ks, twin}) == 2
 
     def test_repr_shows_neither_stacks_nor_rate_slot(self):
         ks = kraus_pair(FilterParams.from_ratio(0.76, p=0.2))
@@ -224,7 +230,7 @@ class TestApplyProcessMatrix:
         # operators, so the output is ((1-p)(T-R)^2 + p(T+R)^2) |HH><HH|.
         fp = FilterParams.from_ratio(0.76, theta1=0.41 * np.pi, theta2=0.41 * np.pi, p=0.14)
         chi = choi_from_kraus(kraus_pair(fp))
-        hh = matrix_unit(0, 0, dim=4)
+        hh = projector(np.eye(4)[0])
         expected = ((1 - fp.p) * (fp.T - fp.R) ** 2 + fp.p * (fp.T + fp.R) ** 2) * hh
         assert_allclose(apply_process_matrix(chi, hh), expected, atol=1e-12)
 
@@ -243,7 +249,7 @@ class TestAssembleChoi:
         assert_allclose(chi.m, choi_from_kraus(ks).m, atol=1e-13)
 
     def test_flip_channel_rank_one(self):
-        flip = kron(SIGMA[1], SIGMA[1])
+        flip = np.kron(SIGMA[1], SIGMA[1])
         ks = KrausSet([(1.0, flip)])
         chi = assemble_choi_from_map(apply_kraus(ks, STD))
         assert_allclose(chi.m, choi_from_kraus(ks).m, atol=1e-13)
@@ -271,7 +277,7 @@ class TestAssembleChoi:
                     x_k[k // 2, k % 2] = 1
                     x_l = np.zeros((2, 2), dtype=complex)
                     x_l[l // 2, l % 2] = 1
-                    d_tilde += kron(x_k, x_l, mt[4 * k + l])
+                    d_tilde += np.kron(np.kron(x_k, x_l), mt[4 * k + l])
             # Reorders the qubits of chi's index, (r1 i1 r2 i2), to (i1 i2 r1 r2).
             a = np.eye(16).reshape(2, 2, 2, 2, 16).transpose(1, 3, 0, 2, 4).reshape(16, 16)
             assert_allclose(a @ chi.m @ dagger(a), d_tilde, atol=1e-12)

@@ -693,6 +693,21 @@ class TestCliErrors:
             f"error: numerical failure: {type(error).__name__}: {error}\n")
         assert not out.exists()
 
+    def test_other_exception_propagates_without_output(self, tmp_path, monkeypatch):
+        # Not a bad input but a bug: main re-raises it, so the process exits 1
+        # with its traceback, and the package's logger keeps no handler.
+        def fail(path):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(fileio, "read_params", fail)
+        out = tmp_path / "counts.csv"
+        handlers = list(cli.log.handlers)
+        with pytest.raises(TypeError, match="a bug"):
+            main(["simulate", "--params", str(write_params(tmp_path / "p.json")),
+                  "--counts-out", str(out)])
+        assert not out.exists()
+        assert cli.log.handlers == handlers
+
     def test_undefined_fidelity_is_null_with_warning(self, tmp_path):
         chi_path = tmp_path / "chi.json"
         report = tmp_path / "fit.json"

@@ -24,7 +24,7 @@ from bsqpt import build_input_set, reconstruct_process, simulate_counts, transfo
 from bsqpt import project_to_psd
 from bsqpt.bases import build_basis, to_coeff_vector
 from bsqpt.bsfilter import P_RANGE, filter_operators
-from bsqpt import fitting, varpro
+from bsqpt import fitting
 from bsqpt.fitting import (
     RATIO_BOUNDS,
     _BLOCK_IX,
@@ -113,14 +113,14 @@ def record_scores(monkeypatch):
 
 def record_profile(monkeypatch):
     """Record every point profile evaluation: ``(parts, theta1, theta2, result)``."""
-    real = varpro.profile
+    real = fitting.profile
     calls = []
 
     def spy(parts, theta1, theta2):
         calls.append((parts, theta1, theta2, real(parts, theta1, theta2)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(varpro, "profile", spy)
+    monkeypatch.setattr(fitting, "profile", spy)
     return calls
 
 
@@ -388,7 +388,7 @@ def several_starts_chi():
 
 def unpolished(parts, theta1, theta2, *args):
     """A stand-in for ``polish`` that leaves the grid point as it is, converged."""
-    value, x = varpro.profile(parts, theta1, theta2)[:2]
+    value, x = fitting.profile(parts, theta1, theta2)[:2]
     return theta1, theta2, x, value, True, 1
 
 
@@ -926,9 +926,9 @@ def profile_matrices():
 
 
 def parts_of(chi):
-    """The profile ``parts`` (:func:`bsqpt.varpro.grid`) of a Hermitian S matrix, target, floor."""
+    """The profile ``parts`` (:func:`bsqpt.fitting.grid`) of a Hermitian S matrix, target, floor."""
     target, floor = _kernel_inputs(chi.astype(complex))
-    return varpro.grid(fitting._profile_maps(), target)[1], target, floor
+    return fitting.grid(fitting._profile_maps(), target)[1], target, floor
 
 
 def polish_runs(monkeypatch, chis, cfg=None):
@@ -978,18 +978,18 @@ class TestProfile:
         for k, chi in enumerate(profile_matrices()):
             parts, target, _ = parts_of(chi)
             norm = target @ target
-            grid_value = varpro.grid(fitting._profile_maps(), target)[0]
+            grid_value = fitting.grid(fitting._profile_maps(), target)[0]
             angles = list(rng.uniform(-4.0, 4.0, (20, 2)))
             if k < 3:
                 angles += list(fitting._GRID)
             for theta in angles:
-                value, x, *_ = varpro.profile(parts, *theta)
+                value, x, *_ = fitting.profile(parts, *theta)
                 cost, want, face = box_least_squares(target, theta)
                 assert abs((norm - value) - cost) <= 1e-12 * max(norm, 1.0)
                 tol = 1e-7 if face == "rank one" else 1e-12
                 assert np.all(np.abs(np.array(x) - want) <= tol * max(np.sqrt(norm), 1.0))
             for g, theta in enumerate(fitting._GRID):
-                value = varpro.profile(parts, *theta)[0]
+                value = fitting.profile(parts, *theta)[0]
                 assert abs(value - grid_value[g]) <= 1e-13 * max(norm, 1.0)
 
     def test_value_on_each_face_matches_the_box_reference(self):
@@ -1000,8 +1000,8 @@ class TestProfile:
         rng = np.random.default_rng(36)
         faces = set()
         for target, theta in regime_blocks(rng, 64):
-            parts = varpro.grid(fitting._profile_maps(), target)[1]
-            value, x, *_ = varpro.profile(parts, *theta)
+            parts = fitting.grid(fitting._profile_maps(), target)[1]
+            value, x, *_ = fitting.profile(parts, *theta)
             norm = target @ target
             cost, _, face = box_least_squares(target, theta)
             faces.add(face)
@@ -1030,8 +1030,8 @@ class TestProfile:
         stationary = 0
         for parts, grid, (norm, tol, steps), result in polish_runs(monkeypatch, chis):
             theta1, theta2, x, top, converged, evaluations = result
-            value, x_end, (g1, g2), (h11, h12, h22) = varpro.profile(parts, theta1, theta2)
-            start = varpro.profile(parts, *grid)[0]
+            value, x_end, (g1, g2), (h11, h12, h22) = fitting.profile(parts, theta1, theta2)
+            start = fitting.profile(parts, *grid)[0]
             assert value >= start - 1e-14 * abs(start)
             assert_allclose(x, x_end, rtol=1e-12, atol=1e-14 * max(np.abs(x_end).max(), 1.0))
             assert abs(top - value) <= 1e-12 * (abs(value) + 1.0)
@@ -1062,7 +1062,7 @@ class TestProfile:
                 i, j = rng.integers(c.shape[0]), rng.integers(c.shape[1])
                 bumped = c.copy()
                 bumped[i, j] = complex(np.nextafter(c[i, j].real, np.inf), c[i, j].imag)
-                again = varpro.polish((bumped, iw), *grid, *args)
+                again = fitting.polish((bumped, iw), *grid, *args)
                 assert again[4] == result[4]
                 moved.append(max(abs(again[0] - result[0]), abs(again[1] - result[1])))
         assert len(moved) >= 60
@@ -1071,11 +1071,11 @@ class TestProfile:
 
 def assert_derivatives_match(parts, theta, h=1e-5):
     """The profile's gradient and Hessian at ``theta`` against central differences."""
-    value, _, gradient, (h11, h12, h22) = varpro.profile(parts, *theta)
+    value, _, gradient, (h11, h12, h22) = fitting.profile(parts, *theta)
     scale = abs(value) + 1.0
     steps = h * np.eye(2)
-    up = [varpro.profile(parts, *(theta + e)) for e in steps]
-    down = [varpro.profile(parts, *(theta - e)) for e in steps]
+    up = [fitting.profile(parts, *(theta + e)) for e in steps]
+    down = [fitting.profile(parts, *(theta - e)) for e in steps]
     fd = [(u[0] - d[0]) / (2 * h) for u, d in zip(up, down)]
     fd_hessian = [(np.array(u[2]) - np.array(d[2])) / (2 * h) for u, d in zip(up, down)]
     assert np.all(np.abs(np.array(gradient) - fd) <= 1e-8 * scale)
@@ -1181,7 +1181,7 @@ class TestDescend:
             e = _unit_inputs(chi)[1]
             for (parts, grid, args, result), (score_args, sq), residual in zip(
                     runs, scores, res.start_residuals):
-                alone = varpro.polish(parts, *grid, *args)
+                alone = fitting.polish(parts, *grid, *args)
                 assert alone == result
                 assert score_args[3:] == result[:3]
                 assert abs(sq - (args[0] - result[3])) <= 1e-13 * args[0]
@@ -1208,7 +1208,7 @@ class TestDescend:
         assert len({id(parts) for parts, *_ in runs}) == 36
         above = 0
         for parts, grid, (norm, _, _), (theta1, theta2, _, top, _, _) in runs:
-            for theta, value in ((grid, varpro.profile(parts, *grid)[0]), ((theta1, theta2), top)):
+            for theta, value in ((grid, fitting.profile(parts, *grid)[0]), ((theta1, theta2), top)):
                 bound = unconstrained_cost(parts, theta, norm)
                 cost = norm - value
                 assert cost >= bound - 1e-9 * (1.0 + bound)
@@ -1228,7 +1228,7 @@ class TestDescend:
             chi = poisson_chi(fp, 1e4 if k % 2 == 0 else 1e3, seed=2700 + k)
             del runs[:]
             ours = fit(chi, FitConfig(**kwargs))
-            starts = [(*box_point(varpro.profile(parts, *grid)[1]), *grid)
+            starts = [(*box_point(fitting.profile(parts, *grid)[1]), *grid)
                       for parts, grid, _, _ in runs]
             reference = trf_residual(chi, starts, kwargs.get("convergence_tol", 1e-14),
                                      kwargs.get("max_iterations", 2000))
@@ -1241,7 +1241,7 @@ def unconstrained_cost(parts, theta, norm):
     c, iw = parts
     v1, v2, v3 = (c[:3] @ np.exp(iw @ np.asarray(theta))).real.tolist()
     z = 2.0 * math.cos(0.5 * theta[0] - 0.5 * theta[1])
-    x1, x2, x3 = varpro.solve(z, v1, v2, v3)
+    x1, x2, x3 = fitting.solve(z, v1, v2, v3)
     return norm - (v1 * x1 + v2 * x2 + v3 * x3)
 
 
@@ -1283,7 +1283,7 @@ class TestModelCache:
     def test_cached_values_equal_uncached(self):
         cached = fitting._profile_maps()
         assert fitting._profile_maps() is cached
-        fresh = varpro.maps(fitting._RATES, fitting._SWAP_SIGNS, fitting._VEC_I, fitting._GRID)
+        fresh = fitting.maps(fitting._GRID)
         assert len(fresh) == len(cached)
         for got, want in zip(cached, fresh):
             assert np.array_equal(got, want)
@@ -1307,17 +1307,15 @@ class TestEvaluate:
         # squared norm (numpy's matrix product rounds one column apart from
         # many), and the same point parts.
         rng = np.random.default_rng(31)
-        consts = (fitting._RATES, fitting._SWAP_SIGNS, fitting._VEC_I)
         for _ in range(4):
             chi = model_chi(random_filter(rng)).m + 0.05 * random_hermitian(rng, 16)
             target, _ = _kernel_inputs(chi)
             norm = target @ target
             angles = rng.uniform(-np.pi, np.pi, (16, 2))
-            value, (c, iw) = varpro.grid(varpro.maps(*consts, angles), target)
+            value, (c, iw) = fitting.grid(fitting.maps(angles), target)
             assert value.shape == (16,)
             for k in range(16):
-                alone, (c_alone, iw_alone) = varpro.grid(varpro.maps(*consts, angles[k:k + 1]),
-                                                         target)
+                alone, (c_alone, iw_alone) = fitting.grid(fitting.maps(angles[k:k + 1]), target)
                 assert abs(alone[0] - value[k]) <= 1e-13 * norm
                 assert np.array_equal(c_alone, c) and np.array_equal(iw_alone, iw)
 
@@ -1345,7 +1343,7 @@ class TestJacobian:
         rng = np.random.default_rng(16)
         faces = set()
         for target, theta in regime_blocks(rng, 48):
-            parts = varpro.grid(fitting._profile_maps(), target)[1]
+            parts = fitting.grid(fitting._profile_maps(), target)[1]
             faces.add(box_least_squares(target, theta)[2])
             for point in (theta, theta + rng.uniform(-0.05, 0.05, 2)):
                 assert_derivatives_match(parts, point)
