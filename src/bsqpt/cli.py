@@ -8,6 +8,11 @@ floating-point error) in any command, which prints one ``error:`` line and
 no traceback and writes no output file. Any other exception is a bug in
 bsqpt, not a bad input: :func:`main` lets it propagate, so the command
 exits 1 with its traceback. Every command is deterministic given its flags.
+
+Each command loads only the modules it runs: ``bsfilter``, ``tomography``
+and ``fitting`` are imported inside the command functions that call them,
+so ``transform`` and ``apply`` load none of the three, and only ``fit`` and
+``choi`` load ``fitting``. The fit options' defaults are ``FitConfig``'s.
 """
 
 from __future__ import annotations
@@ -23,18 +28,18 @@ import numpy as np
 
 from . import fileio
 from .bases import BASIS_KINDS
-from .bsfilter import hom_dip, hom_visibility, kraus_pair
 from .channel import ProcessMatrix, apply_process_matrix, transform_process_matrix
 from .fileio import FileFormatError
-from .fitting import FitConfig, fit, model_chi, model_fidelity
 from .linalg import project_to_psd
-from .tomography import build_input_set, reconstruct_process, simulate_counts
 
 log = logging.getLogger("bsqpt")
 MAX_STEPS = 10**6  # about 170 B of memory a step; checked before the grid is allocated
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .bsfilter import kraus_pair
+    from .tomography import build_input_set, simulate_counts
+
     if args.seed < 0:
         raise ValueError(f"seed (--seed) must be a non-negative integer, got {args.seed}")
     fp, _ = fileio.read_params(args.params)
@@ -50,6 +55,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    from .tomography import build_input_set, reconstruct_process
+
     table = fileio.read_counts(args.counts)
     # Counts near the top of the float range overflow the linear maps. The
     # write refuses the NaN or infinity that leaves, naming the output, so
@@ -64,7 +71,11 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg = FitConfig(multistart=args.multistart, max_iterations=args.max_iter)
+    from .fitting import FitConfig, fit, model_fidelity
+
+    # An option left out is absent from args, so FitConfig supplies its default.
+    cfg = FitConfig(**{k: getattr(args, k) for k in ("multistart", "max_iterations")
+                       if hasattr(args, k)})
     chi = fileio.read_process_matrix(args.chi)
     result = fit(chi, cfg)
     fp = result.params
@@ -102,6 +113,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_homdip(args: argparse.Namespace) -> int:
+    from .bsfilter import hom_dip, hom_visibility
+
     fp, delay = fileio.read_params(args.params)
     if delay is None:
         raise FileFormatError(
@@ -128,6 +141,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_choi(args: argparse.Namespace) -> int:
+    from .fitting import model_chi
+
     fp, _ = fileio.read_params(args.params)
     chi = model_chi(fp, args.basis)
     fileio.write_matrix(args.out, chi.m, chi.basis)
@@ -169,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the decoherence model to a process matrix")
     p.add_argument("--chi", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--multistart", type=int, default=FitConfig.multistart)
-    p.add_argument("--max-iter", type=int, default=FitConfig.max_iterations,
+    p.add_argument("--multistart", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--max-iter", type=int, default=argparse.SUPPRESS, dest="max_iterations",
+                   metavar="MAX_ITER",
                    help="cap on the Newton steps of each start's polish, a guard against "
                         "one that never passes its decrement test")
     p.set_defaults(func=_cmd_fit)

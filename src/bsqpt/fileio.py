@@ -4,7 +4,8 @@ Matrices are stored with separate real and imaginary parts so the files
 stay human-diffable; floats pass through Python's shortest round-trip
 repr, which makes serialize/parse bit-exact for finite doubles and the
 byte output deterministic. Count tables are plain CSV with one row per
-(input, projector) pair; lines starting with ``#`` are comments. A JSON
+(input, projector) pair; lines starting with ``#`` are comments, and the
+one that reads ``# total_scale = x`` gives the scale. A JSON
 file that would hold NaN or infinity is refused before it is opened.
 """
 
@@ -13,13 +14,16 @@ from __future__ import annotations
 import json
 import logging
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bases import BASIS_KINDS
-from .bsfilter import FilterParams, decoherence_from_delay
 from .channel import ProcessMatrix
-from .tomography import CountTable
+
+if TYPE_CHECKING:  # read_counts and read_params import them when they run
+    from .bsfilter import FilterParams
+    from .tomography import CountTable
 
 log = logging.getLogger("bsqpt")
 
@@ -113,6 +117,8 @@ def write_counts(path: str, table: CountTable) -> None:
 
 def read_counts(path: str) -> CountTable:
     """Parse a count CSV, requiring all 256 (input, projector) pairs once each."""
+    from .tomography import CountTable
+
     counts = np.full((16, 16), np.nan)
     total_scale = 1.0
     lines = _read_text(path).splitlines()
@@ -122,8 +128,9 @@ def read_counts(path: str) -> CountTable:
         if not stripped:
             continue
         if stripped.startswith("#"):
-            if "total_scale" in stripped and "=" in stripped:
-                text = stripped.split("=", 1)[1].strip()
+            key, eq, text = stripped[1:].partition("=")
+            if eq and key.strip() == "total_scale":
+                text = text.strip()
                 try:
                     total_scale = float(text)
                 except ValueError:
@@ -169,6 +176,8 @@ def read_params(path: str) -> tuple[FilterParams, tuple[float, float, float] | N
     The second value returned is the ``(tau_fs, tau_c_fs, mu)`` tuple of
     the delay form, or None for the ``p`` form.
     """
+    from .bsfilter import FilterParams, decoherence_from_delay
+
     raw = _read_json_object(path)
 
     def pick(*names, required=True, default=None):

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 
 from bsqpt import FilterParams, build_input_set, choi_from_kraus, kraus_pair, simulate_counts
 from bsqpt import reconstruct_process, transform_process_matrix
-from bsqpt import cli, fileio
+from bsqpt import cli, fileio, fitting, tomography
 from bsqpt.cli import main
 from bsqpt.fileio import FileFormatError
 
@@ -129,6 +129,22 @@ class TestCountFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FileFormatError, match="negative"):
             fileio.read_counts(path)
+
+    def test_comment_naming_total_scale_is_a_comment(self, tmp_path):
+        path = tmp_path / "c.csv"
+        lines = ["# note: total_scale = 1e4 was the run's setting", HEADER.strip()]
+        lines += [f"{i},{j},1.0" for i in range(16) for j in range(16)]
+        path.write_text("\n".join(lines) + "\n")
+        assert fileio.read_counts(path).total_scale == 1.0
+        assert main(["reconstruct", "--counts", str(path),
+                     "--out", str(tmp_path / "o.json")]) == 0
+
+    def test_later_comment_does_not_override_the_header(self, tmp_path):
+        path = tmp_path / "c.csv"
+        lines = ["# total_scale = 1.0", "# previous total_scale=2", HEADER.strip()]
+        lines += [f"{i},{j},1.0" for i in range(16) for j in range(16)]
+        path.write_text("\n".join(lines) + "\n")
+        assert fileio.read_counts(path).total_scale == 1.0
 
 
 class TestParamsFile:
@@ -685,7 +701,8 @@ class TestCliErrors:
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(cli, name, fail)
+        # cli imports both names when the command runs, so they are patched at home.
+        monkeypatch.setattr(fitting if command == "fit" else tomography, name, fail)
         out = tmp_path / "out.json"
         source = ["--chi", str(chi_path)] if command == "fit" else ["--counts", str(counts)]
         assert main([command, *source, "--out", str(out)]) == 4
