@@ -8,6 +8,11 @@ floating-point error) in any command, which prints one ``error:`` line and
 no traceback and writes no output file. Any other exception is a bug in
 bsqpt, not a bad input: :func:`main` lets it propagate, so the command
 exits 1 with its traceback. Every command is deterministic given its flags.
+:func:`main` is the in-process entry and never ends the process. The
+``bsqpt`` script and ``python -m bsqpt.cli`` run :func:`entry_point`: on a
+code ``main`` returns it flushes stdio and ends with ``os._exit``, so atexit
+handlers, teardown warnings and coverage's subprocess data do not run or get
+written. ``--help``, usage errors and exceptions end the ordinary way.
 
 Each command loads only the modules it runs: ``bsfilter``, ``tomography``
 and ``fitting`` are imported inside the command functions that call them,
@@ -21,6 +26,7 @@ import argparse
 import dataclasses
 import logging
 import math
+import os
 import re
 import sys
 
@@ -247,8 +253,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started closed
+            stream.flush()
+    except OSError:
+        raise SystemExit(code)  # Python reports the failed flush and sets the status
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry_point()

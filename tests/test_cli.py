@@ -901,6 +901,11 @@ class TestCliErrors:
                      "--out", str(tmp_path / "d.csv")]) == 2
 
 
+# What the bsqpt script runs, and what python -m bsqpt.cli runs.
+ENTRY_POINT = "from bsqpt.cli import entry_point\nentry_point()\n"
+RUN_MODULE = "import runpy\nrunpy.run_module('bsqpt.cli', run_name='__main__', alter_sys=True)\n"
+
+
 class TestConsoleInvocation:
     def test_module_entry_help(self):
         proc = subprocess.run(
@@ -955,3 +960,78 @@ class TestConsoleInvocation:
         assert proc.returncode == 4, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert read_json(report)["converged"] is False
+
+    @staticmethod
+    def run_entry_point(argv, prelude="", run=ENTRY_POINT):
+        """Run ``entry_point`` on ``argv`` in a fresh interpreter with an atexit handler.
+
+        ``prelude`` runs first. The handler writes ``atexit ran`` to stderr,
+        which only an ordinary interpreter exit shows. Stdio is buffered, as
+        by default, so a missing flush shows too.
+        """
+        code = ("import atexit, io, sys\n" + prelude +
+                "atexit.register(print, 'atexit ran', file=sys.stderr)\n" + run)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env=env)
+
+    @pytest.mark.parametrize("run", [ENTRY_POINT, RUN_MODULE], ids=["entry_point", "module"])
+    @pytest.mark.parametrize("case", ["transform", "negative-seed", "missing-params",
+                                      "no-overlap"])
+    def test_returned_code_ends_the_process_with_its_one_line(self, tmp_path, case, run):
+        # The code main returns arrives intact, stderr holds at most its one
+        # complete line, the atexit handler does not run, and what stdout and
+        # stderr still buffered (a pipe here; transform logs nothing) is flushed.
+        missing, chi, out = tmp_path / "missing.json", tmp_path / "chi.json", tmp_path / "out"
+        fileio.write_matrix(chi, np.zeros((16, 16)), "S")
+        argv, code, line = {
+            "transform": (["transform", "--chi", chi, "--to", "F", "--out", out], 0, ""),
+            "negative-seed": (["simulate", "--params", missing, "--counts-out", out, "--seed",
+                               "-1"], 2, "error: seed (--seed) must be a non-negative integer,"
+                                         " got -1\n"),
+            "missing-params": (["simulate", "--params", missing, "--counts-out", out], 3,
+                               f"io error: [Errno 2] No such file or directory: '{missing}'\n"),
+            "no-overlap": (["fit", "--chi", chi, "--out", out], 4,
+                           "fit found no positive overlap with the filter model\n"),
+        }[case]
+        prelude = "sys.stdout.write('out')\nsys.stderr.write('err')\n"
+        proc = self.run_entry_point([str(a) for a in argv], prelude, run)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (code, "err" + line, "out")
+
+    @pytest.mark.parametrize("argv, prelude, code, tail", [
+        (["--help"], "", 0, "atexit ran\n"),
+        (["simulate"], "", 2, "the following arguments are required: --params, --counts-out\n"
+                              "atexit ran\n"),
+        (["simulate", "--params", "p.json", "--counts-out", "c.csv"],
+         "import bsqpt.fileio\n"
+         "def fail(path):\n"
+         "    raise TypeError('a bug')\n"
+         "bsqpt.fileio.read_params = fail\n", 1, "TypeError: a bug\natexit ran\n"),
+    ], ids=["help", "usage-error", "exception"])
+    def test_help_usage_error_and_exception_end_the_ordinary_way(self, argv, prelude, code,
+                                                                 tail):
+        proc = self.run_entry_point(argv, prelude)
+        assert proc.returncode == code
+        assert proc.stderr.endswith(tail)
+
+    def test_closed_stdout_is_not_flushed(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        proc = self.run_entry_point(["simulate", "--params", str(missing), "--counts-out",
+                                     str(tmp_path / "c.csv")], "sys.stdout = None\n")
+        assert (proc.returncode, proc.stderr) == (
+            3, f"io error: [Errno 2] No such file or directory: '{missing}'\n")
+
+    def test_failed_flush_ends_the_ordinary_way(self, tmp_path):
+        # Python reports the flush that fails again at teardown and exits 120.
+        missing = tmp_path / "missing.json"
+        proc = self.run_entry_point(
+            ["simulate", "--params", str(missing), "--counts-out", str(tmp_path / "c.csv")],
+            "class Stream(io.StringIO):\n"
+            "    def flush(self):\n"
+            "        raise OSError('flush failed')\n"
+            "sys.stdout = Stream()\n",
+        )
+        assert proc.returncode == 120
+        assert proc.stderr.startswith(
+            f"io error: [Errno 2] No such file or directory: '{missing}'\natexit ran\n")
+        assert "OSError: flush failed" in proc.stderr

@@ -8,11 +8,15 @@ for byte, or its outputs are skipped with a message; every other number
 must lie within ``RTOL`` of its golden, relative to ``1 + |golden|``, and
 all text around the numbers must match; a fit's evaluation count, whose
 Newton iterations stop on the decrement and not on rounding, among them.
-``scripts/regenerate_goldens.py`` rewrites the goldens.
+``scripts/regenerate_goldens.py`` rewrites the goldens. Under any numpy,
+the pipeline run as ``python -m bsqpt.cli`` processes must write the bytes
+that the in-process run writes.
 """
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,3 +85,14 @@ def test_output_matches_its_golden(outputs, name):
         assert_json_close(json.loads(got), json.loads(want))
     else:
         assert_text_close(got.decode("utf-8"), want.decode("utf-8"))
+
+
+def test_console_processes_write_the_in_process_outputs(outputs, tmp_path):
+    # Each command in its own interpreter, ended by entry_point's os._exit,
+    # writes the bytes that cli.main writes in this process.
+    def bsqpt(argv):
+        return subprocess.run([sys.executable, "-m", "bsqpt.cli", *argv]).returncode
+
+    run_readme_pipeline(tmp_path, bsqpt)
+    for name in README_OUTPUTS:
+        assert (tmp_path / name).read_bytes() == (outputs / name).read_bytes(), name
